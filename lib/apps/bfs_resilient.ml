@@ -1,127 +1,67 @@
-(* Restartable BFS: the Fig. 9 level loop run over checkpointed virtual
-   shards.  Every shard behaves exactly like one rank of a plain
+(* Restartable BFS: the Fig. 9 level loop (Bfs_common's expand/absorb)
+   run per virtual shard on the Ckpt sharded driver, one level per
+   round.  Every shard behaves exactly like one rank of a plain
    [n_shards]-rank BFS (the graph generators are rank-count independent),
    so survivors adopting orphaned shards reproduce the reference output
    bit for bit. *)
 
 module V = Ds.Vec
 module K = Kamping.Comm
-module D = Mpisim.Datatype
 
-type shard_data = { dist : int array; mutable frontier : int V.t; mutable level : int }
+type shard_data = { dist : int array; mutable frontier : int V.t }
 
 let data_codec =
   Serde.Codec.(
     conv ~name:"bfs_shard"
-      (fun d -> (d.dist, d.frontier, d.level))
-      (fun (dist, frontier, level) -> { dist; frontier; level })
-      (triple (array int) (vec int) int))
+      (fun d -> (d.dist, d.frontier))
+      (fun (dist, frontier) -> { dist; frontier })
+      (pair (array int) (vec int)))
 
-(* Route one level's remote candidates between shards: locally owned
-   destination shards are delivered directly, the rest ride one serialized
-   message per destination rank. *)
-let exchange ctx kc expansions =
-  let me = K.rank kc and p = K.size kc in
-  let inbox : (int, int V.t) Hashtbl.t = Hashtbl.create 8 in
-  let inbox_for s =
-    match Hashtbl.find_opt inbox s with
-    | Some v -> v
-    | None ->
-        let v = V.create () in
-        Hashtbl.add inbox s v;
-        v
-  in
-  let outgoing = Array.make p [] in
-  List.iter
-    (fun (_, _, _, remote) ->
-      Hashtbl.iter
-        (fun dshard v ->
-          let owner = Ckpt.owner_of ctx dshard in
-          if owner = me then V.append (inbox_for dshard) v
-          else outgoing.(owner) <- (dshard, V.to_list v) :: outgoing.(owner))
-        remote)
-    expansions;
-  let messages =
-    Array.map (List.sort (fun (a, _) (b, _) -> compare a b)) outgoing
-  in
-  let received =
-    K.alltoallv_serialized kc Serde.Codec.(list (pair int (list int))) messages
-  in
-  Array.iter
-    (List.iter (fun (dshard, ids) ->
-         let v = inbox_for dshard in
-         List.iter (V.push v) ids))
-    received;
-  inbox
+let ids_codec = Serde.Codec.(vec int)
 
-let run ?policy ?failure_rate ?max_attempts ?(on_complete = fun (_ : Ckpt.ctx) -> ()) comm
-    ~family ~n_shards ~global_n ~avg_degree ~seed ~src =
-  let data : (int, shard_data) Hashtbl.t = Hashtbl.create 8 in
-  let registry = Ckpt.Registry.create () in
-  Ckpt.register registry ~name:"bfs" data_codec
-    ~save:(fun ~shard -> Hashtbl.find data shard)
-    ~restore:(fun ~shard d -> Hashtbl.replace data shard d);
-  Ckpt.run_resilient ?policy ?failure_rate ?max_attempts ~registry ~n_shards comm
-    (fun ctx ~restored ->
+let run ?policy ?failure_rate ?max_attempts comm ~family ~n_shards ~global_n ~avg_degree ~seed
+    ~src =
+  let graph = Graphgen.Generators.shard_slices family ~n_shards ~global_n ~avg_degree ~seed in
+  Ckpt.run_sharded ?policy ?failure_rate ?max_attempts ~name:"bfs" data_codec ~n_shards comm
+    ~init:(fun s ->
+      let st = Bfs_common.init (K.raw comm) (graph s) src in
+      { dist = st.Bfs_common.dist; frontier = st.Bfs_common.frontier })
+    (fun ctx shards ->
       let kc = Ckpt.comm ctx in
-      let raw = K.raw kc in
-      let shards = Ckpt.shards ctx in
-      (* Derived structure, rebuilt every attempt: each owned shard's slice
-         of the (deterministic, rank-count-independent) graph. *)
-      let graphs =
-        List.map
-          (fun s ->
-            ( s,
-              Graphgen.Generators.generate family ~rank:s ~comm_size:n_shards ~global_n
-                ~avg_degree ~seed ))
-          shards
-      in
-      if not restored then begin
-        Hashtbl.reset data;
-        List.iter
-          (fun (s, g) ->
-            let st = Bfs_common.init raw g src in
-            Hashtbl.replace data s
-              { dist = st.Bfs_common.dist; frontier = st.Bfs_common.frontier; level = 0 })
-          graphs
-      end;
-      Ckpt.establish ctx;
-      let finished = ref false in
-      while not !finished do
-        let empty =
-          List.for_all (fun (s, _) -> V.is_empty (Hashtbl.find data s).frontier) graphs
-        in
-        if K.allreduce_single kc D.bool Mpisim.Op.bool_and empty then finished := true
-        else begin
-          let expansions =
-            List.map
-              (fun (s, g) ->
-                let d = Hashtbl.find data s in
-                let st =
-                  {
-                    Bfs_common.comm = raw;
-                    graph = g;
-                    dist = d.dist;
-                    frontier = d.frontier;
-                    level = d.level;
-                  }
-                in
-                let next_local, remote = Bfs_common.expand st in
-                (d, st, next_local, remote))
-              graphs
-          in
-          let inbox = exchange ctx kc expansions in
-          List.iter
-            (fun ((s, _), (d, st, next_local, _)) ->
-              let received =
-                match Hashtbl.find_opt inbox s with Some v -> v | None -> V.create ()
-              in
-              Bfs_common.absorb st next_local received;
-              d.frontier <- st.Bfs_common.frontier;
-              d.level <- st.Bfs_common.level)
-            (List.combine graphs expansions);
-          Ckpt.maybe_checkpoint ctx
-        end
-      done;
-      on_complete ctx;
-      List.map (fun (s, _) -> (s, (Hashtbl.find data s).dist)) graphs)
+      fun ~round ->
+        let empty = List.for_all (fun (_, d) -> V.is_empty d.frontier) shards in
+        (not (K.allreduce_single kc Mpisim.Datatype.bool Mpisim.Op.bool_and empty))
+        && begin
+             let levels =
+               List.map
+                 (fun (s, d) ->
+                   let st =
+                     {
+                       Bfs_common.comm = K.raw kc;
+                       graph = graph s;
+                       dist = d.dist;
+                       frontier = d.frontier;
+                       level = round;
+                     }
+                   in
+                   let next_local, remote = Bfs_common.expand st in
+                   (s, d, st, next_local, remote))
+                 shards
+             in
+             let inbox =
+               Ckpt.route ctx ids_codec
+                 (List.concat_map
+                    (fun (s, _, _, _, remote) ->
+                      Hashtbl.fold (fun ds v acc -> (s, ds, v) :: acc) remote [])
+                    levels)
+             in
+             List.iter
+               (fun (s, d, st, next_local, _) ->
+                 let received = V.create () in
+                 List.iter (fun (_, ids) -> V.append received ids) (inbox s);
+                 Bfs_common.absorb st next_local received;
+                 d.frontier <- st.Bfs_common.frontier)
+               levels;
+             true
+           end)
+  |> List.map (fun (s, d) -> (s, d.dist))

@@ -12,16 +12,12 @@
     [(shard, distances of that shard's vertex block)] for every shard
     this rank owns when the search completes, ascending by shard.
     Failures detected during the search roll back to the newest
-    checkpoint and resume on the shrunken communicator.  [policy],
-    [failure_rate] and [max_attempts] are passed to
-    {!Ckpt.run_resilient}; [on_complete] observes the engine (checkpoint
-    count, predicted cost, recoveries) right before the final attempt
-    returns. *)
+    checkpoint and resume on the shrunken communicator.  The optional
+    arguments are passed to {!Ckpt.run_sharded}. *)
 val run :
   ?policy:Ckpt.Schedule.policy ->
   ?failure_rate:float ->
   ?max_attempts:int ->
-  ?on_complete:(Ckpt.ctx -> unit) ->
   Kamping.Comm.t ->
   family:Graphgen.Generators.family ->
   n_shards:int ->

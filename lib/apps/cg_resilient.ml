@@ -1,160 +1,80 @@
-(* Checkpointed CG on the row-blocked grid.  Per-shard state is the CG
-   vectors plus the scalar recurrence; the halo rows are re-exchanged
-   every iteration through the owner ranks.  All scalar kernels come
-   from Cg_stencil, and the dots fold per-shard partials over the shard
-   index, so the iterates equal Cg_stencil.solve ~dims:[|n_shards; 1|]
-   bit for bit — with or without failures. *)
+(* Checkpointed CG on the row-blocked grid: Cg_stencil.iterate run over
+   virtual shards on the Ckpt sharded driver.  The registered state is a
+   shard's x, r and p; halo rows travel between owner ranks every
+   iteration, and the dots fold per-shard partials over the shard index,
+   so the iterates equal Cg_stencil.solve ~dims:[|n_shards; 1|] bit for
+   bit — with or without failures. *)
 
 module K = Kamping.Comm
-module D = Mpisim.Datatype
 module G = Graphgen.Distgraph
 module C = Cg_stencil
-
-type shard_state = {
-  x : float array;
-  r : float array;
-  p_ : float array;
-  mutable rr : float;
-  mutable it : int;
-}
 
 let state_codec =
   Serde.Codec.(
     conv ~name:"cg_shard"
-      (fun s -> (s.x, s.r, (s.p_, s.rr, s.it)))
-      (fun (x, r, (p_, rr, it)) -> { x; r; p_; rr; it })
-      (triple (array float) (array float) (triple (array float) float int)))
+      (fun (b : C.block) -> (b.x, b.r, b.p_))
+      (fun (x, r, p_) -> { C.x; r; p_; q = Array.make (Array.length x) 0.0 })
+      (triple (array float) (array float) (array float)))
 
-let halo_codec = Serde.Codec.(list (triple int int (array float)))
+let row_codec = Serde.Codec.(array float)
 let dot_codec = Serde.Codec.(list (pair int float))
 
 let run ?policy ?failure_rate ?max_attempts comm ~n_shards ~nx ~ny ~iters ~seed =
   if nx < n_shards then
     Mpisim.Errors.usage "Cg_resilient: grid rows %d smaller than %d shards" nx n_shards;
-  let data : (int, shard_state) Hashtbl.t = Hashtbl.create 8 in
-  let registry = Ckpt.Registry.create () in
-  Ckpt.register registry ~name:"cg" state_codec
-    ~save:(fun ~shard -> Hashtbl.find data shard)
-    ~restore:(fun ~shard d -> Hashtbl.replace data shard d);
-  let geom s =
-    let gi0, lx = G.block_range ~global_n:nx ~comm_size:n_shards s in
-    (gi0, lx)
-  in
-  Ckpt.run_resilient ?policy ?failure_rate ?max_attempts ~registry ~n_shards comm
-    (fun ctx ~restored ->
-      let kc = Ckpt.comm ctx in
-      let me = K.rank kc and p = K.size kc in
-      let shards = Ckpt.shards ctx in
-      let dot field_of =
-        let mine =
-          List.map
-            (fun s ->
-              let _, lx = geom s in
-              let a, b = field_of (Hashtbl.find data s) in
-              (s, C.partial_dot a b (lx * ny)))
-            shards
-        in
-        let all = K.allgather_serialized kc dot_codec mine in
-        let parts = Array.make n_shards 0.0 in
-        Array.iter (List.iter (fun (s, v) -> parts.(s) <- v)) all;
-        C.combine_partials parts
-      in
-      if not restored then begin
-        Hashtbl.reset data;
-        List.iter
-          (fun s ->
-            let gi0, lx = geom s in
-            let b =
-              Array.init (lx * ny) (fun k -> C.b_at ~seed (gi0 + (k / ny)) (k mod ny) ~ny)
-            in
-            Hashtbl.replace data s
-              { x = Array.make (lx * ny) 0.0; r = Array.copy b; p_ = Array.copy b; rr = 0.0; it = 0 })
-          shards;
-        let rr0 = dot (fun st -> (st.r, st.r)) in
-        List.iter (fun s -> (Hashtbl.find data s).rr <- rr0) shards
-      end;
-      Ckpt.establish ctx;
-      let running = ref true in
-      while !running do
-        let local = List.fold_left (fun m s -> max m (Hashtbl.find data s).it) min_int shards in
-        let it = K.allreduce_single kc D.int Mpisim.Op.int_max local in
-        if it >= iters then running := false
-        else begin
-          (* halo rows: shard s's top row is s-1's south ghost, its
-             bottom row s+1's north ghost; messages carry (dshard,
-             sshard, row) through the owner ranks *)
-          let inbox : (int * int * float array) list ref = ref [] in
-          let outgoing = Array.make p [] in
-          let emit ds msg =
-            let owner = Ckpt.owner_of ctx ds in
-            if owner = me then inbox := msg :: !inbox else outgoing.(owner) <- msg :: outgoing.(owner)
-          in
-          List.iter
-            (fun s ->
-              let _, lx = geom s in
-              let st = Hashtbl.find data s in
-              if s > 0 then emit (s - 1) (s - 1, s, Array.sub st.p_ 0 ny);
-              if s < n_shards - 1 then emit (s + 1) (s + 1, s, Array.sub st.p_ ((lx - 1) * ny) ny))
-            shards;
-          let received = K.alltoallv_serialized kc halo_codec outgoing in
-          let ghosts : (int, float array * float array) Hashtbl.t = Hashtbl.create 8 in
-          List.iter
-            (fun s -> Hashtbl.replace ghosts s (Array.make ny 0.0, Array.make ny 0.0))
-            shards;
-          let deliver (ds, ss, row) =
-            let gn, gs = Hashtbl.find ghosts ds in
-            if ss < ds then Array.blit row 0 gn 0 ny else Array.blit row 0 gs 0 ny
-          in
-          List.iter deliver !inbox;
-          Array.iter (List.iter deliver) received;
-          let rr = match shards with s :: _ -> (Hashtbl.find data s).rr | [] -> 0.0 in
-          let qs =
+  let rows s = G.block_range ~global_n:nx ~comm_size:n_shards s in
+  (* r.r is not registered: every attempt recomputes it from the
+     restored r with the same fold, so it carries the same bits *)
+  let rr = ref nan in
+  let shards =
+    Ckpt.run_sharded ?policy ?failure_rate ?max_attempts ~name:"cg" state_codec ~n_shards comm
+      ~init:(fun s ->
+        let gi0, lx = rows s in
+        C.start_block
+          (Array.init (lx * ny) (fun k -> C.b_at ~seed (gi0 + (k / ny)) (k mod ny) ~ny)))
+      (fun ctx shards ->
+        let kc = Ckpt.comm ctx in
+        let dot f =
+          let mine =
             List.map
-              (fun s ->
-                let _, lx = geom s in
-                let st = Hashtbl.find data s in
-                let gn, gs = Hashtbl.find ghosts s in
-                let q = Array.make (lx * ny) 0.0 in
-                C.apply_block ~lx ~ly:ny ~gn ~gs ~gw:(Array.make lx 0.0) ~ge:(Array.make lx 0.0)
-                  st.p_ q;
-                (s, q))
+              (fun (s, b) ->
+                let u, v = f b in
+                (s, C.partial_dot u v (Array.length u)))
               shards
           in
-          let pq =
-            let mine =
-              List.map
-                (fun (s, q) ->
-                  let _, lx = geom s in
-                  (s, C.partial_dot (Hashtbl.find data s).p_ q (lx * ny)))
-                qs
-            in
-            let all = K.allgather_serialized kc dot_codec mine in
-            let parts = Array.make n_shards 0.0 in
-            Array.iter (List.iter (fun (s, v) -> parts.(s) <- v)) all;
-            C.combine_partials parts
+          let parts = Array.make n_shards 0.0 in
+          Array.iter
+            (List.iter (fun (s, v) -> parts.(s) <- v))
+            (K.allgather_serialized kc dot_codec mine);
+          C.combine_partials parts
+        in
+        (* shard s's top row is s-1's south ghost, its bottom row s+1's
+           north ghost; physical-boundary ghosts stay 0 *)
+        let apply () =
+          let edge (s, (b : C.block)) =
+            let _, lx = rows s in
+            (if s > 0 then [ (s, s - 1, Array.sub b.p_ 0 ny) ] else [])
+            @ if s < n_shards - 1 then [ (s, s + 1, Array.sub b.p_ ((lx - 1) * ny) ny) ] else []
           in
-          let alpha = if pq = 0.0 then 0.0 else rr /. pq in
-          List.iter2
-            (fun s (_, q) ->
-              let _, lx = geom s in
-              let st = Hashtbl.find data s in
-              C.axpy st.x alpha st.p_ (lx * ny);
-              C.axpy st.r (-.alpha) q (lx * ny))
-            shards qs;
-          let rr' = dot (fun st -> (st.r, st.r)) in
-          let beta = if rr = 0.0 then 0.0 else rr' /. rr in
+          let inbox = Ckpt.route ctx row_codec (List.concat_map edge shards) in
           List.iter
-            (fun s ->
-              let _, lx = geom s in
-              let st = Hashtbl.find data s in
-              C.update_p st.p_ st.r beta (lx * ny);
-              st.rr <- rr';
-              st.it <- it + 1)
-            shards;
-          Ckpt.maybe_checkpoint ctx
-        end
-      done;
-      let rr =
-        match shards with s :: _ -> (Hashtbl.find data s).rr | [] -> 0.0
-      in
-      (List.map (fun s -> (s, (Hashtbl.find data s).x)) shards, rr))
+            (fun (s, (b : C.block)) ->
+              let _, lx = rows s in
+              let ghost from =
+                Option.value (List.assoc_opt from (inbox s)) ~default:(Array.make ny 0.0)
+              in
+              let side = Array.make lx 0.0 in
+              C.apply_block ~lx ~ly:ny ~gn:(ghost (s - 1)) ~gs:(ghost (s + 1)) ~gw:side ~ge:side
+                b.p_ b.q)
+            shards
+        in
+        let blocks = List.map snd shards in
+        rr := dot (fun b -> (b.r, b.r));
+        fun ~round ->
+          round < iters
+          && begin
+               rr := C.iterate ~apply ~dot blocks !rr;
+               true
+             end)
+  in
+  (List.map (fun (s, (b : C.block)) -> (s, b.x)) shards, !rr)

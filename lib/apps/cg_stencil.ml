@@ -15,6 +15,14 @@ type transport = P2p | Persistent | Rma
 let transport_name = function P2p -> "p2p" | Persistent -> "persistent" | Rma -> "rma"
 let all_transports = [ P2p; Persistent; Rma ]
 
+(* The CG vectors of one block: the iterate (x, r, p) and the scratch
+   q = A p. *)
+type block = { x : float array; r : float array; p_ : float array; q : float array }
+
+let start_block b =
+  let len = Array.length b in
+  { x = Array.make len 0.0; r = Array.copy b; p_ = Array.copy b; q = Array.make len 0.0 }
+
 type result = { x : float array; rr : float; gi0 : int; gj0 : int; lx : int; ly : int }
 
 (* Right-hand side hashed from the global cell index: deterministic,
@@ -171,6 +179,26 @@ let make_halo transport cart ~lx ~ly =
 
 (* --- the solver ---------------------------------------------------- *)
 
+(* One CG iteration over a rank's blocks, shared by Cg_resilient and
+   [reference]: [apply ()] refreshes the halos and sets
+   q = A p on every block, [dot f] folds the blocks' partial dots of the
+   vector pair [f block] in the fixed global order.  Returns the new
+   r.r. *)
+let iterate ~apply ~dot (blocks : block list) rr =
+  apply ();
+  let pq = dot (fun b -> (b.p_, b.q)) in
+  let alpha = if pq = 0.0 then 0.0 else rr /. pq in
+  List.iter
+    (fun (b : block) ->
+      let len = Array.length b.x in
+      axpy b.x alpha b.p_ len;
+      axpy b.r (-.alpha) b.q len)
+    blocks;
+  let rr' = dot (fun b -> (b.r, b.r)) in
+  let beta = if rr = 0.0 then 0.0 else rr' /. rr in
+  List.iter (fun (b : block) -> update_p b.p_ b.r beta (Array.length b.x)) blocks;
+  rr'
+
 let solve ?(transport = P2p) kc ~dims ~nx ~ny ~iters ~seed =
   let p = K.size kc in
   check_geometry ~dims ~nx ~ny p;
@@ -180,16 +208,18 @@ let solve ?(transport = P2p) kc ~dims ~nx ~ny ~iters ~seed =
   let gi0, lx = G.block_range ~global_n:nx ~comm_size:px coords.(0) in
   let gj0, ly = G.block_range ~global_n:ny ~comm_size:py coords.(1) in
   let len = lx * ly in
-  let b = Array.init len (fun k -> b_at ~seed (gi0 + (k / ly)) (gj0 + (k mod ly)) ~ny) in
-  let x = Array.make len 0.0 in
-  let r = Array.copy b in
-  let p_ = Array.copy b in
-  let q = Array.make len 0.0 in
+  let blk =
+    start_block (Array.init len (fun k -> b_at ~seed (gi0 + (k / ly)) (gj0 + (k mod ly)) ~ny))
+  in
+  let x = blk.x and r = blk.r and p_ = blk.p_ and q = blk.q in
   let halo = make_halo transport cart ~lx ~ly in
   let dot a bv =
     let parts = K.allgather_serialized kc Serde.Codec.float (partial_dot a bv len) in
     combine_partials parts
   in
+  (* [iterate]'s recurrence on the one block, spelled out on its arrays:
+     this loop is the hot path of every plain solve, so it stays free of
+     closures and boxed scalars *)
   let rr = ref (dot r r) in
   for _ = 1 to iters do
     halo.exchange p_;
@@ -211,12 +241,7 @@ let solve ?(transport = P2p) kc ~dims ~nx ~ny ~iters ~seed =
 let reference ~dims ~nx ~ny ~iters ~seed =
   let px = dims.(0) and py = dims.(1) in
   check_geometry ~dims ~nx ~ny (px * py);
-  let len = nx * ny in
-  let b = Array.init len (fun k -> b_at ~seed (k / ny) (k mod ny) ~ny) in
-  let x = Array.make len 0.0 in
-  let r = Array.copy b in
-  let p_ = Array.copy b in
-  let q = Array.make len 0.0 in
+  let blk = start_block (Array.init (nx * ny) (fun k -> b_at ~seed (k / ny) (k mod ny) ~ny)) in
   (* per-rank partial dots in block row-major order, combined over the
      rank index — the very additions the distributed run performs *)
   let blocks =
@@ -225,7 +250,8 @@ let reference ~dims ~nx ~ny ~iters ~seed =
         let gj0, bly = G.block_range ~global_n:ny ~comm_size:py (rank mod py) in
         (gi0, blx, gj0, bly))
   in
-  let dot a bv =
+  let dot f =
+    let a, bv = f blk in
     let parts =
       Array.map
         (fun (gi0, blx, gj0, bly) ->
@@ -241,7 +267,8 @@ let reference ~dims ~nx ~ny ~iters ~seed =
     in
     combine_partials parts
   in
-  let apply src dst =
+  let apply () =
+    let src = blk.p_ and dst = blk.q in
     for i = 0 to nx - 1 do
       for j = 0 to ny - 1 do
         let k = (i * ny) + j in
@@ -254,16 +281,8 @@ let reference ~dims ~nx ~ny ~iters ~seed =
       done
     done
   in
-  let rr = ref (dot r r) in
+  let rr = ref (dot (fun b -> (b.r, b.r))) in
   for _ = 1 to iters do
-    apply p_ q;
-    let pq = dot p_ q in
-    let alpha = if pq = 0.0 then 0.0 else !rr /. pq in
-    axpy x alpha p_ len;
-    axpy r (-.alpha) q len;
-    let rr' = dot r r in
-    let beta = if !rr = 0.0 then 0.0 else rr' /. !rr in
-    update_p p_ r beta len;
-    rr := rr'
+    rr := iterate ~apply ~dot [ blk ] !rr
   done;
-  (x, !rr)
+  (blk.x, !rr)

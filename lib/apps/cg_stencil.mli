@@ -49,8 +49,31 @@ val reference : dims:int array -> nx:int -> ny:int -> iters:int -> seed:int -> f
 
 (** {1 Shared kernels}
 
-    Exposed so the resilient variant performs the exact same scalar
-    operations in the same order (see {!Cg_resilient}). *)
+    {!reference} and {!Cg_resilient} run the same CG step, {!iterate},
+    over their blocks; they differ only in how a block gets its halo and
+    how partial dots travel.  {!solve} runs the same recurrence on its
+    one block with the arrays bound directly, keeping its hot loop free
+    of closures and boxed scalars. *)
+
+(** The CG vectors of one block, row-major: the iterate [x], residual
+    [r] and direction [p_], plus the scratch [q = A p]. *)
+type block = { x : float array; r : float array; p_ : float array; q : float array }
+
+(** [start_block b] is the start of CG for right-hand side [b]:
+    [x = 0], [r = p = b]. *)
+val start_block : float array -> block
+
+(** [iterate ~apply ~dot blocks rr] runs one CG iteration over a rank's
+    blocks, given the current [rr = r.r], and returns the new one.
+    [apply ()] must refresh the halos and set [q = A p] on every block;
+    [dot f] must fold the partial dots of the vector pairs [f block]
+    over all blocks in a fixed global order. *)
+val iterate :
+  apply:(unit -> unit) ->
+  dot:((block -> float array * float array) -> float) ->
+  block list ->
+  float ->
+  float
 
 val b_at : seed:int -> int -> int -> ny:int -> float
 
@@ -67,5 +90,3 @@ val apply_block :
 
 val partial_dot : float array -> float array -> int -> float
 val combine_partials : float array -> float
-val axpy : float array -> float -> float array -> int -> unit
-val update_p : float array -> float array -> float -> int -> unit

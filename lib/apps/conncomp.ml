@@ -9,72 +9,55 @@ module G = Graphgen.Distgraph
 
 let dt_pair = D.pair D.int D.int
 
-(* Undirected adjacency: local out-edges plus the reversals received
-   from the ranks owning our in-neighbors. *)
-let build_adjacency ex variant (graph : G.t) =
-  let local_n = graph.G.local_n in
-  let adj = Array.init local_n (fun _ -> V.create ()) in
-  let buckets : (int, (int * int) V.t) Hashtbl.t = Hashtbl.create 8 in
-  let bucket dst =
-    match Hashtbl.find_opt buckets dst with
-    | Some v -> v
-    | None ->
-        let v = V.create () in
-        Hashtbl.add buckets dst v;
-        v
+(* --- block step kernels, shared with Conncomp_resilient ------------- *)
+
+let out_edges (g : G.t) =
+  let adj = Array.init g.G.local_n (fun _ -> V.create ()) in
+  let reversals =
+    Gexchange.buckets (fun push ->
+        for i = 0 to g.G.local_n - 1 do
+          let u = G.global_of_local g i in
+          G.iter_neighbors g i (fun v ->
+              V.push adj.(i) v;
+              push (G.owner g v) (v, u))
+        done)
   in
-  for i = 0 to local_n - 1 do
-    let u = G.global_of_local graph i in
-    G.iter_neighbors graph i (fun v ->
-        V.push adj.(i) v;
-        V.push (bucket (G.owner graph v)) (v, u))
-  done;
-  let messages = Hashtbl.fold (fun dst v acc -> (dst, v) :: acc) buckets [] in
-  let received = Gexchange.exchange ex variant dt_pair ~messages in
+  (adj, reversals)
+
+let add_reversals (g : G.t) adj payloads =
+  List.iter (V.iter (fun (v, u) -> V.push adj.(v - g.G.first_vertex) u)) payloads
+
+let initial_labels (g : G.t) = Array.init g.G.local_n (fun i -> g.G.first_vertex + i)
+
+let label_offers (g : G.t) adj labels =
+  Gexchange.buckets (fun push ->
+      Array.iteri (fun i nbrs -> V.iter (fun v -> push (G.owner g v) (v, labels.(i))) nbrs) adj)
+
+let absorb_offers (g : G.t) labels payloads =
+  let changed = ref false in
   List.iter
-    (fun (_, payload) ->
-      V.iter (fun (v, u) -> V.push adj.(v - graph.G.first_vertex) u) payload)
-    received;
-  adj
+    (V.iter (fun (v, lbl) ->
+         let i = v - g.G.first_vertex in
+         if lbl < labels.(i) then begin
+           labels.(i) <- lbl;
+           changed := true
+         end))
+    payloads;
+  !changed
 
 let run ?(variant = Gexchange.Sparse) kc (graph : G.t) =
   if graph.G.comm_size <> K.size kc then
     Mpisim.Errors.usage "Conncomp.run: graph built for %d ranks, communicator has %d"
       graph.G.comm_size (K.size kc);
-  let local_n = graph.G.local_n and first = graph.G.first_vertex in
   let ex = Gexchange.create kc ~partners:(G.rank_partners graph) in
-  let adj = build_adjacency ex variant graph in
-  let labels = Array.init local_n (fun i -> first + i) in
+  let exchange messages = List.map snd (Gexchange.exchange ex variant dt_pair ~messages) in
+  let adj, reversals = out_edges graph in
+  add_reversals graph adj (exchange reversals);
+  let labels = initial_labels graph in
   let any_changed = ref true in
   while !any_changed do
-    let changed = ref false in
-    let buckets : (int, (int * int) V.t) Hashtbl.t = Hashtbl.create 8 in
-    let bucket dst =
-      match Hashtbl.find_opt buckets dst with
-      | Some v -> v
-      | None ->
-          let v = V.create () in
-          Hashtbl.add buckets dst v;
-          v
-    in
-    for i = 0 to local_n - 1 do
-      let lbl = labels.(i) in
-      V.iter (fun v -> V.push (bucket (G.owner graph v)) (v, lbl)) adj.(i)
-    done;
-    let messages = Hashtbl.fold (fun dst v acc -> (dst, v) :: acc) buckets [] in
-    let received = Gexchange.exchange ex variant dt_pair ~messages in
-    List.iter
-      (fun (_, payload) ->
-        V.iter
-          (fun (v, lbl) ->
-            let i = v - first in
-            if lbl < labels.(i) then begin
-              labels.(i) <- lbl;
-              changed := true
-            end)
-          payload)
-      received;
-    any_changed := K.allreduce_single kc D.bool Mpisim.Op.bool_or !changed
+    let changed = absorb_offers graph labels (exchange (label_offers graph adj labels)) in
+    any_changed := K.allreduce_single kc D.bool Mpisim.Op.bool_or changed
   done;
   labels
 

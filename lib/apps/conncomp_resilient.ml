@@ -1,135 +1,46 @@
-(* Checkpointed connected components: per-shard label vectors are the
-   registered state; the symmetrized adjacency is derived and rebuilt on
+(* Checkpointed connected components: Conncomp's block kernels run per
+   virtual shard on the Ckpt sharded driver.  The label vectors are the
+   registered state; the undirected adjacency is derived and rebuilt on
    every attempt with a shard-level reversal-edge exchange. *)
 
 module K = Kamping.Comm
-module D = Mpisim.Datatype
-module V = Ds.Vec
-module G = Graphgen.Distgraph
 
-let rev_codec = Serde.Codec.(list (pair int (list (pair int int))))
-let lbl_codec = Serde.Codec.(list (pair int (list (pair int int))))
-
-(* Route per-destination-shard payloads through the owner ranks; the
-   locally owned destinations are delivered directly. *)
-let route ctx kc codec outgoing_of =
-  let me = K.rank kc and p = K.size kc in
-  let inbox : (int, (int * int) list ref) Hashtbl.t = Hashtbl.create 8 in
-  let inbox_for ds =
-    match Hashtbl.find_opt inbox ds with
-    | Some r -> r
-    | None ->
-        let r = ref [] in
-        Hashtbl.add inbox ds r;
-        r
-  in
-  let outgoing = Array.make p [] in
-  outgoing_of (fun ds pairs ->
-      let owner = Ckpt.owner_of ctx ds in
-      if owner = me then inbox_for ds := List.rev_append pairs !(inbox_for ds)
-      else outgoing.(owner) <- (ds, pairs) :: outgoing.(owner));
-  let received = K.alltoallv_serialized kc codec outgoing in
-  Array.iter
-    (List.iter (fun (ds, pairs) -> inbox_for ds := List.rev_append pairs !(inbox_for ds)))
-    received;
-  inbox
+let pair_codec = Serde.Codec.(vec (pair int int))
 
 let run ?policy ?failure_rate ?max_attempts comm ~family ~n_shards ~global_n ~avg_degree ~seed =
-  let data : (int, int array) Hashtbl.t = Hashtbl.create 8 in
-  let registry = Ckpt.Registry.create () in
-  Ckpt.register registry ~name:"conncomp"
+  let graph = Graphgen.Generators.shard_slices family ~n_shards ~global_n ~avg_degree ~seed in
+  Ckpt.run_sharded ?policy ?failure_rate ?max_attempts ~name:"conncomp"
     Serde.Codec.(array int)
-    ~save:(fun ~shard -> Hashtbl.find data shard)
-    ~restore:(fun ~shard d -> Hashtbl.replace data shard d);
-  Ckpt.run_resilient ?policy ?failure_rate ?max_attempts ~registry ~n_shards comm
-    (fun ctx ~restored ->
-      let kc = Ckpt.comm ctx in
-      let shards = Ckpt.shards ctx in
-      let graphs =
-        List.map
-          (fun s ->
-            ( s,
-              Graphgen.Generators.generate family ~rank:s ~comm_size:n_shards ~global_n
-                ~avg_degree ~seed ))
-          shards
-      in
-      if not restored then begin
-        Hashtbl.reset data;
-        List.iter
-          (fun (s, g) ->
-            Hashtbl.replace data s (Array.init g.G.local_n (fun i -> g.G.first_vertex + i)))
-          graphs
-      end;
-      Ckpt.establish ctx;
-      (* derived undirected adjacency, rebuilt every attempt *)
-      let adj_of = Hashtbl.create 8 in
-      List.iter
-        (fun (s, g) -> Hashtbl.replace adj_of s (Array.init g.G.local_n (fun _ -> V.create ())))
-        graphs;
-      let rev_inbox =
-        route ctx kc rev_codec (fun emit ->
-            List.iter
-              (fun (s, g) ->
-                let buckets : (int, (int * int) list ref) Hashtbl.t = Hashtbl.create 8 in
-                let adj : int V.t array = Hashtbl.find adj_of s in
-                for i = 0 to g.G.local_n - 1 do
-                  let u = G.global_of_local g i in
-                  G.iter_neighbors g i (fun v ->
-                      V.push adj.(i) v;
-                      let ds = G.owner g v in
-                      match Hashtbl.find_opt buckets ds with
-                      | Some r -> r := (v, u) :: !r
-                      | None -> Hashtbl.add buckets ds (ref [ (v, u) ]))
-                done;
-                Hashtbl.iter (fun ds r -> emit ds !r) buckets)
-              graphs)
-      in
-      List.iter
-        (fun (s, g) ->
-          let adj : int V.t array = Hashtbl.find adj_of s in
-          match Hashtbl.find_opt rev_inbox s with
-          | Some r -> List.iter (fun (v, u) -> V.push adj.(v - g.G.first_vertex) u) !r
-          | None -> ())
-        graphs;
-      let any_changed = ref true in
-      while !any_changed do
-        let changed = ref false in
+    ~n_shards comm
+    ~init:(fun s -> Conncomp.initial_labels (graph s))
+    (fun ctx shards ->
+      (* one exchange of every owned shard's bucketed pairs *)
+      let exchange make =
         let inbox =
-          route ctx kc lbl_codec (fun emit ->
-              List.iter
-                (fun (s, g) ->
-                  let labels = Hashtbl.find data s in
-                  let adj : int V.t array = Hashtbl.find adj_of s in
-                  let buckets : (int, (int * int) list ref) Hashtbl.t = Hashtbl.create 8 in
-                  for i = 0 to g.G.local_n - 1 do
-                    let lbl = labels.(i) in
-                    V.iter
-                      (fun v ->
-                        let ds = G.owner g v in
-                        match Hashtbl.find_opt buckets ds with
-                        | Some r -> r := (v, lbl) :: !r
-                        | None -> Hashtbl.add buckets ds (ref [ (v, lbl) ]))
-                      adj.(i)
-                  done;
-                  Hashtbl.iter (fun ds r -> emit ds !r) buckets)
-                graphs)
+          Ckpt.route ctx pair_codec
+            (List.concat_map
+               (fun (s, x) -> List.map (fun (ds, v) -> (s, ds, v)) (make s x))
+               shards)
         in
-        List.iter
-          (fun (s, g) ->
-            let labels = Hashtbl.find data s in
-            match Hashtbl.find_opt inbox s with
-            | Some r ->
-                List.iter
-                  (fun (v, lbl) ->
-                    let i = v - g.G.first_vertex in
-                    if lbl < labels.(i) then begin
-                      labels.(i) <- lbl;
-                      changed := true
-                    end)
-                  !r
-            | None -> ())
-          graphs;
-        any_changed := K.allreduce_single kc D.bool Mpisim.Op.bool_or !changed;
-        if !any_changed then Ckpt.maybe_checkpoint ctx
-      done;
-      List.map (fun (s, _) -> (s, Hashtbl.find data s)) graphs)
+        fun s -> List.map snd (inbox s)
+      in
+      let adj = Hashtbl.create 8 in
+      let inbox =
+        exchange (fun s _ ->
+            let a, reversals = Conncomp.out_edges (graph s) in
+            Hashtbl.replace adj s a;
+            reversals)
+      in
+      List.iter
+        (fun (s, _) -> Conncomp.add_reversals (graph s) (Hashtbl.find adj s) (inbox s))
+        shards;
+      fun ~round:_ ->
+        let inbox =
+          exchange (fun s labels -> Conncomp.label_offers (graph s) (Hashtbl.find adj s) labels)
+        in
+        let changed =
+          List.fold_left
+            (fun acc (s, labels) -> Conncomp.absorb_offers (graph s) labels (inbox s) || acc)
+            false shards
+        in
+        K.allreduce_single (Ckpt.comm ctx) Mpisim.Datatype.bool Mpisim.Op.bool_or changed)

@@ -145,3 +145,11 @@ let exchange t variant dt ~messages =
     | Neighbor -> exchange_neighbor t dt out
   in
   deliver t ~self received
+
+let buckets fill =
+  let tbl = Hashtbl.create 8 in
+  fill (fun dst x ->
+      match Hashtbl.find_opt tbl dst with
+      | Some v -> V.push v x
+      | None -> Hashtbl.add tbl dst (V.make 1 x));
+  Hashtbl.fold (fun dst v acc -> (dst, v) :: acc) tbl []

@@ -41,3 +41,8 @@ val partners : t -> int array
     rank outside the declared partner set (plus self). *)
 val exchange :
   t -> variant -> 'a Mpisim.Datatype.t -> messages:(int * 'a Ds.Vec.t) list -> (int * 'a Ds.Vec.t) list
+
+(** [buckets fill] collects what [fill push] pushes, by destination, into
+    the [(dst, payload)] messages {!exchange} takes; each payload keeps
+    push order. *)
+val buckets : ((int -> 'a -> unit) -> unit) -> (int * 'a Ds.Vec.t) list

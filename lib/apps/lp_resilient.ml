@@ -1,192 +1,74 @@
-(* Restartable label propagation: Lp_common's deterministic sweep run per
-   virtual shard, with ghost labels pulled shard-to-shard through one
-   serialized exchange per iteration.  The registered state is the label
-   array plus the remaining-iteration count of every shard; ghosts and
-   graphs are derived and rebuilt after recovery. *)
+(* Restartable label propagation: Lp_common's deterministic sweep run
+   per virtual shard on the Ckpt sharded driver, one sweep per round,
+   with ghost labels pulled shard to shard through one routed exchange
+   per round.  The label arrays are the registered state; the ghost
+   request lists are derived and rebuilt on every attempt. *)
 
 module G = Graphgen.Distgraph
 module K = Kamping.Comm
-module D = Mpisim.Datatype
+module V = Ds.Vec
 
-type shard_data = { labels : int array; mutable remaining : int }
+let ids_codec = Serde.Codec.(array int)
 
-let data_codec =
-  Serde.Codec.(
-    conv ~name:"lp_shard"
-      (fun d -> (d.labels, d.remaining))
-      (fun (labels, remaining) -> { labels; remaining })
-      (pair (array int) int))
+(* The remote vertices a shard's sweep reads, by owner shard, each list
+   ascending. *)
+let needed (g : G.t) =
+  let wanted = Hashtbl.create 64 in
+  for i = 0 to g.G.local_n - 1 do
+    G.iter_neighbors g i (fun u -> if not (G.is_local g u) then Hashtbl.replace wanted u ())
+  done;
+  Gexchange.buckets (fun push -> Hashtbl.iter (fun u () -> push (G.owner g u) u) wanted)
+  |> List.map (fun (o, ids) ->
+         let ids = V.to_array ids in
+         Array.sort compare ids;
+         (o, ids))
 
-(* Per-shard ghost bookkeeping, in shard (not rank) space. *)
-type shard_ghosts = {
-  need : (int * int array) array;  (* (owner shard, my needed ids, sorted) *)
-  send_to : (int * int array) array;  (* (requester shard, my ids to ship) *)
-  ghost_index : (int, int) Hashtbl.t;
-  ghost_values : int array;
-}
-
-(* The static request lists: which of each other shard's vertices a shard
-   needs.  The "who needs mine" direction crosses ranks once per attempt. *)
-let setup_ghosts ctx kc graphs =
-  let me = K.rank kc and p = K.size kc in
-  let needs =
-    List.map
-      (fun (s, g) ->
-        let wanted = Hashtbl.create 64 in
-        for i = 0 to g.G.local_n - 1 do
-          G.iter_neighbors g i (fun u ->
-              if not (G.is_local g u) then Hashtbl.replace wanted u ())
-        done;
-        let by_owner = Hashtbl.create 8 in
-        Hashtbl.iter
-          (fun u () ->
-            let o = G.owner g u in
-            Hashtbl.replace by_owner o (u :: Option.value (Hashtbl.find_opt by_owner o) ~default:[]))
-          wanted;
-        let need =
-          Hashtbl.fold (fun o ids acc -> (o, Array.of_list (List.sort compare ids)) :: acc) by_owner []
-          |> List.sort (fun (a, _) (b, _) -> compare a b)
-          |> Array.of_list
-        in
-        (s, need))
-      graphs
-  in
-  (* Ship each request list to the rank owning the target shard. *)
-  let requests : (int, (int * int list) list) Hashtbl.t = Hashtbl.create 8 in
-  (* owner shard -> (requester shard, ids) received here *)
-  let deliver (oshard, item) =
-    Hashtbl.replace requests oshard
-      (item :: Option.value (Hashtbl.find_opt requests oshard) ~default:[])
-  in
-  let outgoing = Array.make p [] in
-  List.iter
-    (fun (s, need) ->
-      Array.iter
-        (fun (oshard, ids) ->
-          let owner = Ckpt.owner_of ctx oshard in
-          let item = (oshard, (s, Array.to_list ids)) in
-          if owner = me then deliver item
-          else outgoing.(owner) <- item :: outgoing.(owner))
-        need)
-    needs;
-  let messages = Array.map (List.sort compare) outgoing in
-  let received =
-    K.alltoallv_serialized kc
-      Serde.Codec.(list (pair int (pair int (list int))))
-      messages
-  in
-  Array.iter (List.iter deliver) received;
-  List.map
-    (fun (s, need) ->
-      let send_to =
-        Option.value (Hashtbl.find_opt requests s) ~default:[]
-        |> List.sort (fun (a, _) (b, _) -> compare a b)
-        |> List.map (fun (requester, ids) -> (requester, Array.of_list ids))
-        |> Array.of_list
+let run ?policy ?failure_rate ?max_attempts ?on_complete comm ~family ~n_shards ~global_n
+    ~avg_degree ~seed ~iterations ~max_cluster_size =
+  let graph = Graphgen.Generators.shard_slices family ~n_shards ~global_n ~avg_degree ~seed in
+  Ckpt.run_sharded ?policy ?failure_rate ?max_attempts ?on_complete ~name:"lp"
+    Serde.Codec.(array int)
+    ~n_shards comm
+    ~init:(fun s -> Lp_common.init_labels (graph s))
+    (fun ctx shards ->
+      let raw = K.raw (Ckpt.comm ctx) in
+      let needs = List.map (fun (s, _) -> (s, needed (graph s))) shards in
+      (* who needs which of my vertices: the request lists cross ranks
+         once per attempt *)
+      let requests =
+        Ckpt.route ctx ids_codec
+          (List.concat_map (fun (s, need) -> List.map (fun (o, ids) -> (s, o, ids)) need) needs)
       in
-      let ghost_index = Hashtbl.create 64 in
-      let slot = ref 0 in
-      Array.iter
-        (fun (_, ids) ->
-          Array.iter
-            (fun u ->
-              Hashtbl.add ghost_index u !slot;
-              incr slot)
-            ids)
-        need;
-      (s, { need; send_to; ghost_index; ghost_values = Array.make (max !slot 1) (-1) }))
-    needs
-
-(* One iteration's ghost pull: owners push the requested label values back
-   to the requesting shards. *)
-let pull ctx kc graphs ghosts data =
-  let me = K.rank kc and p = K.size kc in
-  let first_vertex = List.map (fun (s, g) -> (s, g.G.first_vertex)) graphs in
-  let value oshard gid =
-    (Hashtbl.find data oshard).labels.(gid - List.assoc oshard first_vertex)
-  in
-  let fills = ref [] in
-  (* (requester shard, owner shard, values) delivered to this rank *)
-  let outgoing = Array.make p [] in
-  List.iter
-    (fun (oshard, sg) ->
-      Array.iter
-        (fun (requester, ids) ->
-          let owner = Ckpt.owner_of ctx requester in
-          let values = Array.to_list (Array.map (value oshard) ids) in
-          if owner = me then fills := (requester, oshard, values) :: !fills
-          else outgoing.(owner) <- (requester, oshard, values) :: outgoing.(owner))
-        sg.send_to)
-    ghosts;
-  let messages = Array.map (List.sort compare) outgoing in
-  let received =
-    K.alltoallv_serialized kc Serde.Codec.(list (triple int int (list int))) messages
-  in
-  Array.iter (List.iter (fun item -> fills := item :: !fills)) received;
-  List.iter
-    (fun (requester, oshard, values) ->
-      let sg = List.assoc requester ghosts in
-      let ids =
-        match Array.find_opt (fun (o, _) -> o = oshard) sg.need with
-        | Some (_, ids) -> ids
-        | None -> Mpisim.Errors.usage "lp_resilient: unexpected ghost fill %d<-%d" requester oshard
-      in
-      List.iteri
-        (fun i v -> sg.ghost_values.(Hashtbl.find sg.ghost_index ids.(i)) <- v)
-        values)
-    !fills
-
-let run ?policy ?failure_rate ?max_attempts ?(on_complete = fun (_ : Ckpt.ctx) -> ()) comm
-    ~family ~n_shards ~global_n ~avg_degree ~seed ~iterations ~max_cluster_size =
-  let data : (int, shard_data) Hashtbl.t = Hashtbl.create 8 in
-  let registry = Ckpt.Registry.create () in
-  Ckpt.register registry ~name:"lp" data_codec
-    ~save:(fun ~shard -> Hashtbl.find data shard)
-    ~restore:(fun ~shard d -> Hashtbl.replace data shard d);
-  Ckpt.run_resilient ?policy ?failure_rate ?max_attempts ~registry ~n_shards comm
-    (fun ctx ~restored ->
-      let kc = Ckpt.comm ctx in
-      let raw = K.raw kc in
-      let shards = Ckpt.shards ctx in
-      let graphs =
-        List.map
-          (fun s ->
-            ( s,
-              Graphgen.Generators.generate family ~rank:s ~comm_size:n_shards ~global_n
-                ~avg_degree ~seed ))
-          shards
-      in
-      if not restored then begin
-        Hashtbl.reset data;
-        List.iter
-          (fun (s, g) ->
-            Hashtbl.replace data s { labels = Lp_common.init_labels g; remaining = iterations })
-          graphs
-      end;
-      let ghosts = setup_ghosts ctx kc graphs in
-      Ckpt.establish ctx;
-      let finished = ref false in
-      while not !finished do
-        let local_rem =
-          List.fold_left (fun acc (s, _) -> Int.max acc (Hashtbl.find data s).remaining) 0 graphs
-        in
-        if K.allreduce_single kc D.int Mpisim.Op.int_max local_rem = 0 then finished := true
-        else begin
-          pull ctx kc graphs ghosts data;
-          List.iter
-            (fun (s, g) ->
-              let d = Hashtbl.find data s in
-              let sg = List.assoc s ghosts in
-              let ghost_label u =
-                match Hashtbl.find_opt sg.ghost_index u with
-                | Some slot -> sg.ghost_values.(slot)
-                | None -> Mpisim.Errors.usage "lp_resilient: vertex %d is not a known ghost" u
-              in
-              ignore (Lp_common.sweep raw g d.labels ~ghost_label ~max_cluster_size);
-              d.remaining <- d.remaining - 1)
-            graphs;
-          Ckpt.maybe_checkpoint ctx
-        end
-      done;
-      on_complete ctx;
-      List.map (fun (s, _) -> (s, (Hashtbl.find data s).labels)) graphs)
+      let ghosts = Hashtbl.create 64 in
+      fun ~round ->
+        round < iterations
+        && begin
+             let fills =
+               Ckpt.route ctx ids_codec
+                 (List.concat_map
+                    (fun (s, labels) ->
+                      let first = (graph s).G.first_vertex in
+                      List.map
+                        (fun (requester, ids) ->
+                          (s, requester, Array.map (fun u -> labels.(u - first)) ids))
+                        (requests s))
+                    shards)
+             in
+             List.iter
+               (fun (s, labels) ->
+                 let need = List.assoc s needs in
+                 List.iter
+                   (fun (o, values) ->
+                     match List.assoc_opt o need with
+                     | Some ids -> Array.iteri (fun i u -> Hashtbl.replace ghosts u values.(i)) ids
+                     | None -> Mpisim.Errors.usage "lp_resilient: unexpected ghost fill")
+                   (fills s);
+                 let ghost_label u =
+                   match Hashtbl.find_opt ghosts u with
+                   | Some l -> l
+                   | None -> Mpisim.Errors.usage "lp_resilient: vertex %d is not a known ghost" u
+                 in
+                 ignore (Lp_common.sweep raw (graph s) labels ~ghost_label ~max_cluster_size))
+               shards;
+             true
+           end)

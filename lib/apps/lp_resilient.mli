@@ -10,7 +10,8 @@
 (** [run comm ~family ~n_shards ~global_n ~avg_degree ~seed ~iterations
     ~max_cluster_size] returns [(shard, labels of that shard's vertex
     block)] for every shard this rank owns after [iterations] sweeps,
-    ascending by shard. *)
+    ascending by shard.  The optional arguments are passed to
+    {!Ckpt.run_sharded}. *)
 val run :
   ?policy:Ckpt.Schedule.policy ->
   ?failure_rate:float ->

@@ -18,47 +18,47 @@ let base_score ~alpha ~n ~dangling =
 let push_weight ~alpha score deg = alpha *. score /. float_of_int deg
 let dangling_weight ~alpha score = alpha *. score
 
+(* --- block step kernels ---------------------------------------------
+   A block is one rank's slice here and one virtual shard's slice in
+   Pagerank_resilient; both drive the same kernels. *)
+
+let initial_scores (g : G.t) = Array.make g.G.local_n (1.0 /. float_of_int g.G.global_n)
+
+let dangling_weights ~alpha (g : G.t) pr =
+  Array.init g.G.local_n (fun i -> if G.degree g i = 0 then dangling_weight ~alpha pr.(i) else 0.0)
+
+let contributions ~alpha (g : G.t) pr =
+  Gexchange.buckets (fun push ->
+      for i = 0 to g.G.local_n - 1 do
+        let deg = G.degree g i in
+        if deg > 0 then begin
+          let c = push_weight ~alpha pr.(i) deg in
+          G.iter_neighbors g i (fun v -> push (G.owner g v) (v, c))
+        end
+      done)
+
+let next_scores ~base (g : G.t) payloads =
+  let first = g.G.first_vertex in
+  let next = Array.make g.G.local_n base in
+  List.iter (V.iter (fun (v, c) -> next.(v - first) <- next.(v - first) +. c)) payloads;
+  next
+
 let run ?(variant = Gexchange.Sparse) kc (graph : G.t) ~alpha ~iters =
   if graph.G.comm_size <> K.size kc then
     Mpisim.Errors.usage "Pagerank.run: graph built for %d ranks, communicator has %d"
       graph.G.comm_size (K.size kc);
-  let n = graph.G.global_n and local_n = graph.G.local_n in
-  let first = graph.G.first_vertex in
   let ex = Gexchange.create kc ~partners:(G.rank_partners graph) in
-  let pr = ref (Array.make local_n (1.0 /. float_of_int n)) in
+  let pr = ref (initial_scores graph) in
   for _ = 1 to iters do
-    let cur = !pr in
-    let dangling_buf =
-      V.init local_n (fun i ->
-          if G.degree graph i = 0 then dangling_weight ~alpha cur.(i) else 0.0)
+    let dangling =
+      Kamping_plugins.Reproducible_reduce.reduce kc D.float ( +. )
+        ~send_buf:(V.of_array (dangling_weights ~alpha graph !pr))
     in
-    let dangling = Kamping_plugins.Reproducible_reduce.reduce kc D.float ( +. ) ~send_buf:dangling_buf in
-    let buckets : (int, (int * float) V.t) Hashtbl.t = Hashtbl.create 8 in
-    let bucket dst =
-      match Hashtbl.find_opt buckets dst with
-      | Some v -> v
-      | None ->
-          let v = V.create () in
-          Hashtbl.add buckets dst v;
-          v
-    in
-    for i = 0 to local_n - 1 do
-      let deg = G.degree graph i in
-      if deg > 0 then begin
-        let c = push_weight ~alpha cur.(i) deg in
-        G.iter_neighbors graph i (fun v -> V.push (bucket (G.owner graph v)) (v, c))
-      end
-    done;
-    let messages = Hashtbl.fold (fun dst v acc -> (dst, v) :: acc) buckets [] in
+    let messages = contributions ~alpha graph !pr in
+    (* received is sorted by source rank *)
     let received = Gexchange.exchange ex variant dt_contrib ~messages in
-    let next = Array.make local_n (base_score ~alpha ~n ~dangling) in
-    (* received is sorted by source rank and each payload is in ascending
-       source-vertex order, so per destination the additions happen in
-       global source order — the reference's order. *)
-    List.iter
-      (fun (_, payload) -> V.iter (fun (v, c) -> next.(v - first) <- next.(v - first) +. c) payload)
-      received;
-    pr := next
+    let base = base_score ~alpha ~n:graph.G.global_n ~dangling in
+    pr := next_scores ~base graph (List.map snd received)
   done;
   !pr
 

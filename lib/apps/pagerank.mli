@@ -9,12 +9,39 @@
     variant, and every schedule, and equals the host-side {!reference}
     bit for bit. *)
 
-(** The shared scalar kernels, exposed so the resilient variant and the
-    reference perform the exact same operations in the same order. *)
+(** The scalar kernels, shared with the {!reference} so it performs the
+    exact same operations in the same order. *)
 
 val base_score : alpha:float -> n:int -> dangling:float -> float
 val push_weight : alpha:float -> float -> int -> float
 val dangling_weight : alpha:float -> float -> float
+
+(** {1 Block step kernels}
+
+    One power iteration on one block of the vertex range — a rank's
+    slice in {!run}, a virtual shard's slice in {!Pagerank_resilient} —
+    so both variants run the same per-block code and differ only in
+    how the dangling mass is folded and the contributions travel. *)
+
+(** [initial_scores g] is the uniform start vector of [g]'s block. *)
+val initial_scores : Graphgen.Distgraph.t -> float array
+
+(** [dangling_weights ~alpha g pr] is each local vertex's dangling
+    contribution ([0.] for vertices with out-edges), in local order. *)
+val dangling_weights : alpha:float -> Graphgen.Distgraph.t -> float array -> float array
+
+(** [contributions ~alpha g pr] buckets the push contributions
+    [(target, weight)] by the block owning the target; each bucket is in
+    ascending source-vertex order. *)
+val contributions :
+  alpha:float -> Graphgen.Distgraph.t -> float array -> (int * (int * float) Ds.Vec.t) list
+
+(** [next_scores ~base g payloads] starts every local vertex at [base]
+    and adds the received contributions in list order.  Passing the
+    payloads in ascending source-block order makes the additions follow
+    the global source order — the {!reference}'s order. *)
+val next_scores :
+  base:float -> Graphgen.Distgraph.t -> (int * float) Ds.Vec.t list -> float array
 
 (** [run ?variant kc graph ~alpha ~iters] returns this rank's block of
     the score vector after [iters] power iterations (damping [alpha],

@@ -1,146 +1,61 @@
-(* Checkpointed PageRank: the Pagerank push iteration run over virtual
-   shards, with the same fixed floating-point order (tree-reduced
-   dangling mass over global indices, contributions in ascending
-   source-vertex order) so recovery is bit-identical to the
-   failure-free run — and to Pagerank.run and Pagerank.reference. *)
+(* Checkpointed PageRank: Pagerank's block kernels run per virtual shard
+   on the Ckpt sharded driver.  The dangling mass folds over the global
+   vertex indices and contributions apply in ascending source-shard
+   order, so recovery is bit-identical to the failure-free run — and to
+   Pagerank.run and Pagerank.reference. *)
 
 module K = Kamping.Comm
-module D = Mpisim.Datatype
-module V = Ds.Vec
 module G = Graphgen.Distgraph
-module R = Kamping_plugins.Reproducible_reduce
 
-type shard_state = { mutable pr : float array; mutable it : int }
+type shard_state = { mutable pr : float array }
 
 let state_codec =
-  Serde.Codec.(
-    conv ~name:"pagerank_shard"
-      (fun s -> (s.pr, s.it))
-      (fun (pr, it) -> { pr; it })
-      (pair (array float) int))
+  Serde.Codec.(conv ~name:"pagerank_shard" (fun s -> s.pr) (fun pr -> { pr }) (array float))
 
-let msg_codec = Serde.Codec.(list (triple int int (list (pair int float))))
 let dang_codec = Serde.Codec.(list (pair int (array float)))
+let contrib_codec = Serde.Codec.(vec (pair int float))
 
 let run ?policy ?failure_rate ?max_attempts comm ~family ~n_shards ~global_n ~avg_degree ~seed
     ~alpha ~iters =
-  let data : (int, shard_state) Hashtbl.t = Hashtbl.create 8 in
-  let registry = Ckpt.Registry.create () in
-  Ckpt.register registry ~name:"pagerank" state_codec
-    ~save:(fun ~shard -> Hashtbl.find data shard)
-    ~restore:(fun ~shard d -> Hashtbl.replace data shard d);
-  Ckpt.run_resilient ?policy ?failure_rate ?max_attempts ~registry ~n_shards comm
-    (fun ctx ~restored ->
+  let graph = Graphgen.Generators.shard_slices family ~n_shards ~global_n ~avg_degree ~seed in
+  Ckpt.run_sharded ?policy ?failure_rate ?max_attempts ~name:"pagerank" state_codec ~n_shards comm
+    ~init:(fun s -> { pr = Pagerank.initial_scores (graph s) })
+    (fun ctx shards ->
       let kc = Ckpt.comm ctx in
-      let me = K.rank kc and p = K.size kc in
-      let shards = Ckpt.shards ctx in
-      let graphs =
-        List.map
-          (fun s ->
-            ( s,
-              Graphgen.Generators.generate family ~rank:s ~comm_size:n_shards ~global_n
-                ~avg_degree ~seed ))
-          shards
-      in
-      if not restored then begin
-        Hashtbl.reset data;
-        List.iter
-          (fun (s, g) ->
-            Hashtbl.replace data s
-              { pr = Array.make g.G.local_n (1.0 /. float_of_int global_n); it = 0 })
-          graphs
-      end;
-      Ckpt.establish ctx;
-      let running = ref true in
-      while !running do
-        let local =
-          List.fold_left (fun m s -> max m (Hashtbl.find data s).it) min_int shards
-        in
-        let it = K.allreduce_single kc D.int Mpisim.Op.int_max local in
-        if it >= iters then running := false
-        else begin
-          (* dangling mass: everyone assembles the full per-vertex
-             contribution vector and folds the reproducible tree over
-             the global indices — the same additions Pagerank.run's
-             plugin reduce performs *)
-          let mine =
-            List.map
-              (fun (s, g) ->
-                let st = Hashtbl.find data s in
-                ( s,
-                  Array.init g.G.local_n (fun i ->
-                      if G.degree g i = 0 then Pagerank.dangling_weight ~alpha st.pr.(i) else 0.0)
-                ))
-              graphs
-          in
-          let all = K.allgather_serialized kc dang_codec mine in
-          let full = Array.make global_n 0.0 in
-          Array.iter
-            (List.iter (fun (s, contribs) ->
-                 let first, _ = G.block_range ~global_n ~comm_size:n_shards s in
-                 Array.blit contribs 0 full first (Array.length contribs)))
-            all;
-          let dangling = R.local_tree_reduce ( +. ) (fun u -> full.(u)) 0 global_n in
-          let base = Pagerank.base_score ~alpha ~n:global_n ~dangling in
-          (* push contributions between shards, routed via owner ranks *)
-          let inbox : (int, (int * (int * float) list) list ref) Hashtbl.t = Hashtbl.create 8 in
-          let inbox_for ds =
-            match Hashtbl.find_opt inbox ds with
-            | Some r -> r
-            | None ->
-                let r = ref [] in
-                Hashtbl.add inbox ds r;
-                r
-          in
-          let outgoing = Array.make p [] in
-          List.iter
-            (fun (s, g) ->
-              let st = Hashtbl.find data s in
-              let buckets : (int, (int * float) V.t) Hashtbl.t = Hashtbl.create 8 in
-              let bucket ds =
-                match Hashtbl.find_opt buckets ds with
-                | Some v -> v
-                | None ->
-                    let v = V.create () in
-                    Hashtbl.add buckets ds v;
-                    v
-              in
-              for i = 0 to g.G.local_n - 1 do
-                let deg = G.degree g i in
-                if deg > 0 then begin
-                  let c = Pagerank.push_weight ~alpha st.pr.(i) deg in
-                  G.iter_neighbors g i (fun v -> V.push (bucket (G.owner g v)) (v, c))
-                end
-              done;
-              Hashtbl.iter
-                (fun ds pairs ->
-                  let owner = Ckpt.owner_of ctx ds in
-                  if owner = me then inbox_for ds := (s, V.to_list pairs) :: !(inbox_for ds)
-                  else outgoing.(owner) <- (s, ds, V.to_list pairs) :: outgoing.(owner))
-                buckets)
-            graphs;
-          let received = K.alltoallv_serialized kc msg_codec outgoing in
-          Array.iter
-            (List.iter (fun (s, ds, pairs) -> inbox_for ds := (s, pairs) :: !(inbox_for ds)))
-            received;
-          List.iter
-            (fun (s, g) ->
-              let st = Hashtbl.find data s in
-              let first = g.G.first_vertex in
-              let next = Array.make g.G.local_n base in
-              let streams =
-                match Hashtbl.find_opt inbox s with
-                | Some r -> List.sort (fun (a, _) (b, _) -> compare a b) !r
-                | None -> []
-              in
-              List.iter
-                (fun (_, pairs) ->
-                  List.iter (fun (v, c) -> next.(v - first) <- next.(v - first) +. c) pairs)
-                streams;
-              st.pr <- next;
-              st.it <- it + 1)
-            graphs;
-          Ckpt.maybe_checkpoint ctx
-        end
-      done;
-      List.map (fun (s, _) -> (s, (Hashtbl.find data s).pr)) graphs)
+      let shards = List.map (fun (s, st) -> (s, graph s, st)) shards in
+      fun ~round ->
+        round < iters
+        && begin
+             (* dangling mass: everyone assembles the full per-vertex
+                vector and folds the reproducible tree over the global
+                indices — the additions Pagerank.run's plugin reduce
+                performs *)
+             let all =
+               K.allgather_serialized kc dang_codec
+                 (List.map (fun (s, g, st) -> (s, Pagerank.dangling_weights ~alpha g st.pr)) shards)
+             in
+             let full = Array.make global_n 0.0 in
+             Array.iter
+               (List.iter (fun (s, w) ->
+                    let first, _ = G.block_range ~global_n ~comm_size:n_shards s in
+                    Array.blit w 0 full first (Array.length w)))
+               all;
+             let dangling =
+               Kamping_plugins.Reproducible_reduce.local_tree_reduce ( +. )
+                 (fun u -> full.(u))
+                 0 global_n
+             in
+             let base = Pagerank.base_score ~alpha ~n:global_n ~dangling in
+             let inbox =
+               Ckpt.route ctx contrib_codec
+                 (List.concat_map
+                    (fun (s, g, st) ->
+                      List.map (fun (ds, v) -> (s, ds, v)) (Pagerank.contributions ~alpha g st.pr))
+                    shards)
+             in
+             List.iter
+               (fun (s, g, st) -> st.pr <- Pagerank.next_scores ~base g (List.map snd (inbox s)))
+               shards;
+             true
+           end)
+  |> List.map (fun (s, st) -> (s, st.pr))

@@ -142,75 +142,34 @@ let run kc cfg =
   A.close agg;
   out
 
-(* --- resilient variant --------------------------------------------- *)
+(* --- resilient variant ---------------------------------------------
 
-type shard_state = { mutable next_window : int; mutable results : window_result list }
-
-let wr_codec =
-  Serde.Codec.(
-    conv ~name:"window_result"
-      (fun r -> (r.top, r.distinct))
-      (fun (top, distinct) -> { top; distinct })
-      (pair (list (pair int int)) int))
-
-let state_codec =
-  Serde.Codec.(
-    conv ~name:"stream_shard"
-      (fun s -> (s.next_window, s.results))
-      (fun (next_window, results) -> { next_window; results })
-      (pair int (list wr_codec)))
+   The driver's round is the stream position, and it is all a shard
+   needs to register: a window is a deterministic replay of its source
+   streams, and the merged results of every closed window are already
+   on every survivor (shrinking recovery only removes ranks). *)
 
 let resilient ?policy ?failure_rate ?max_attempts kc cfg =
   check_cfg cfg;
-  let data : (int, shard_state) Hashtbl.t = Hashtbl.create 8 in
-  let registry = Ckpt.Registry.create () in
-  Ckpt.register registry ~name:"stream" state_codec
-    ~save:(fun ~shard -> Hashtbl.find data shard)
-    ~restore:(fun ~shard d -> Hashtbl.replace data shard d);
-  (* Survivor-local copy of the merged results: replayed windows
-     overwrite their slot with the identical value. *)
-  let acc = Array.make (max cfg.windows 1) None in
-  Ckpt.run_resilient ?policy ?failure_rate ?max_attempts ~registry ~n_shards:cfg.n_shards kc
-    (fun ctx ~restored ->
-      let kc = Ckpt.comm ctx in
-      let shards = Ckpt.shards ctx in
-      if not restored then begin
-        Hashtbl.reset data;
-        List.iter (fun s -> Hashtbl.replace data s { next_window = 0; results = [] }) shards
-      end;
-      Ckpt.establish ctx;
-      let tables = make_tables cfg in
-      let agg = A.create ~threshold:cfg.threshold kc D.int ~handler:(handler cfg tables) in
-      let owner s = Ckpt.owner_of ctx s in
-      let running = ref true in
-      while !running do
-        let local =
-          List.fold_left (fun m s -> max m (Hashtbl.find data s).next_window) min_int shards
-        in
-        let w = K.allreduce_single kc D.int Mpisim.Op.int_max local in
-        if w >= cfg.windows then running := false
-        else begin
-          let res = process_window kc agg cfg tables ~owner ~my_shards:shards ~window:w in
-          acc.(w) <- Some res;
-          List.iter
-            (fun s ->
-              let st = Hashtbl.find data s in
-              st.results <- take w st.results @ [ res ];
-              st.next_window <- w + 1)
-            shards;
-          Ckpt.maybe_checkpoint ctx
-        end
-      done;
-      A.close agg;
-      Array.init cfg.windows (fun w ->
-          match acc.(w) with
-          | Some r -> r
-          | None ->
-              (* this rank never saw window w live (it cannot happen for
-                 ranks alive since the start); fall back to shard state *)
-              (match shards with
-              | s :: _ -> List.nth (Hashtbl.find data s).results w
-              | [] -> Mpisim.Errors.usage "Stream_analytics.resilient: no shard to recover window %d" w)))
+  (* replayed windows overwrite their slot with the identical value *)
+  let acc = Array.make cfg.windows None in
+  ignore
+    (Ckpt.run_sharded ?policy ?failure_rate ?max_attempts ~name:"stream" Serde.Codec.unit
+       ~n_shards:cfg.n_shards kc ~init:ignore (fun ctx shards ->
+         let kc = Ckpt.comm ctx in
+         let tables = make_tables cfg in
+         let agg = A.create ~threshold:cfg.threshold kc D.int ~handler:(handler cfg tables) in
+         let owner s = Ckpt.owner_of ctx s and my_shards = List.map fst shards in
+         fun ~round:w ->
+           if w < cfg.windows then begin
+             acc.(w) <- Some (process_window kc agg cfg tables ~owner ~my_shards ~window:w);
+             true
+           end
+           else begin
+             A.close agg;
+             false
+           end));
+  Array.map Option.get acc
 
 let reference cfg =
   check_cfg cfg;

@@ -11,11 +11,10 @@
     integral: independent of rank count and schedule, and equal to the
     sequential {!reference}.
 
-    {!resilient} runs the same pipeline under {!Ckpt.run_resilient}:
-    window results and the stream position are the per-shard registered
-    state, checkpointed at window boundaries; a mid-window failure
-    replays the window from its deterministic source streams and
-    recovers bit-identically. *)
+    {!resilient} runs the same pipeline on {!Ckpt.run_sharded}, one
+    window per round: the stream position is the checkpointed state,
+    taken at window boundaries; a mid-window failure replays the window
+    from its deterministic source streams and recovers bit-identically. *)
 
 type cfg = {
   n_shards : int;  (** virtual shards (sources and owners) *)

@@ -353,3 +353,63 @@ let run_resilient ?(policy = Schedule.Daly) ?(failure_rate = 0.0) ?(max_attempts
         attempt (tries + 1) ~restored:true
   in
   attempt 0 ~restored:false
+
+(* --- the sharded application driver -------------------------------- *)
+
+let route ctx codec msgs =
+  let me = KC.rank ctx.comm in
+  let outgoing = Array.make (KC.size ctx.comm) [] in
+  let local = ref [] in
+  List.iter
+    (fun ((_, dst, _) as m) ->
+      let o = owner_of ctx dst in
+      if o = me then local := m :: !local else outgoing.(o) <- m :: outgoing.(o))
+    msgs;
+  let received =
+    KC.alltoallv_serialized ctx.comm
+      Serde.Codec.(list (triple int int codec))
+      (Array.map List.rev outgoing)
+  in
+  let inbox = Hashtbl.create 8 in
+  let deliver (src, dst, x) =
+    Hashtbl.replace inbox dst ((src, x) :: Option.value (Hashtbl.find_opt inbox dst) ~default:[])
+  in
+  List.iter deliver (List.rev !local);
+  Array.iter (List.iter deliver) received;
+  (* Every source shard lives on exactly one rank, so a stable sort by
+     source restores a placement-independent order. *)
+  fun dst ->
+    match Hashtbl.find_opt inbox dst with
+    | None -> []
+    | Some rev -> List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) (List.rev rev)
+
+let run_sharded ?policy ?failure_rate ?max_attempts ?(on_complete = ignore) ~name codec
+    ~n_shards comm ~init attempt =
+  let states = Hashtbl.create 8 and round = ref 0 in
+  let registry = Registry.create () in
+  register registry ~name codec
+    ~save:(fun ~shard -> Hashtbl.find states shard)
+    ~restore:(fun ~shard st -> Hashtbl.replace states shard st);
+  (* Restoring sets the live counter, so the checkpoint that ends
+     [recover] saves the restored round next to the restored states. *)
+  register registry ~name:"round" Serde.Codec.int
+    ~save:(fun ~shard:_ -> !round)
+    ~restore:(fun ~shard:_ r -> round := r);
+  run_resilient ?policy ?failure_rate ?max_attempts ~registry ~n_shards comm
+    (fun ctx ~restored ->
+      if restored then begin
+        (* All restored shards come from one epoch; a rank left without
+           shards learns the round from the others. *)
+        let local = if ctx.shards = [] then min_int else !round in
+        round := KC.allreduce_single ctx.comm Mpisim.Datatype.int Mpisim.Op.int_max local
+      end
+      else List.iter (fun s -> Hashtbl.replace states s (init s)) ctx.shards;
+      establish ctx;
+      let shards = List.map (fun s -> (s, Hashtbl.find states s)) ctx.shards in
+      let step = attempt ctx shards in
+      while step ~round:!round do
+        incr round;
+        maybe_checkpoint ctx
+      done;
+      on_complete ctx;
+      shards)

@@ -39,7 +39,12 @@
       after every recovery, and of the measured per-iteration cost at
       each checkpoint), so every rank derives the same period and all
       ranks checkpoint at the same iteration; between checkpoints the
-      decision is purely local. *)
+      decision is purely local.
+
+    - {b Sharded applications.}  {!run_sharded} is the driver every
+      restartable application runs on: it owns the shard table, the
+      registry wiring and the round loop, and {!route} carries
+      messages between shards through their current owners. *)
 
 module Snapshot = Snapshot
 module Registry = Registry
@@ -160,3 +165,52 @@ val run_resilient :
   Kamping.Comm.t ->
   (ctx -> restored:bool -> 'a) ->
   'a
+
+(** {1 Sharded applications}
+
+    The scaffolding every restartable application shares: a per-shard
+    state table registered under one name, a round counter, and
+    owner-routed messages between shards.  An application supplies only
+    its per-shard state, its initial value, and one round of its step. *)
+
+(** [route ctx codec msgs] delivers every [(src_shard, dst_shard,
+    payload)] message to the rank owning [dst_shard]: one
+    [alltoallv_serialized] round, with locally owned destinations
+    short-circuited.  The result maps an owned shard to the
+    [(src_shard, payload)] messages addressed to it, ordered by source
+    shard and, per source, in emission order — the same order whatever
+    the placement, so a recovered run delivers exactly what a
+    failure-free one does.  Collective. *)
+val route : ctx -> 'a Serde.Codec.t -> (int * int * 'a) list -> int -> (int * 'a) list
+
+(** [run_sharded ~name codec ~n_shards comm ~init attempt] runs a
+    round-based application over [n_shards] virtual shards under
+    {!run_resilient}.  Each shard's state (of type ['s], registered as
+    [name]) starts as [init shard]; a shard's state must be mutable in
+    place, since the same value is checkpointed after every round.
+
+    Every attempt — the first and each one after a recovery — calls
+    [attempt ctx shards] once with the owned [(shard, state)] list
+    (ascending); it rebuilds the derived, unregistered structures and
+    returns the step.  The driver then calls [step ~round] with
+    [round = 0, 1, ...] (resuming at the restored round after a
+    recovery), checkpointing per the schedule after every round, until
+    the step returns [false].  A step decides termination itself, on a
+    value agreed across the communicator.  [on_complete ctx] runs after
+    the last round; the result is the final owned [(shard, state)] list.
+
+    The round counter is part of the checkpoint, so a recovered attempt
+    replays from the restored round.  Optional arguments as for
+    {!run_resilient}. *)
+val run_sharded :
+  ?policy:Schedule.policy ->
+  ?failure_rate:float ->
+  ?max_attempts:int ->
+  ?on_complete:(ctx -> unit) ->
+  name:string ->
+  's Serde.Codec.t ->
+  n_shards:int ->
+  Kamping.Comm.t ->
+  init:(int -> 's) ->
+  (ctx -> (int * 's) list -> round:int -> bool) ->
+  (int * 's) list

@@ -108,3 +108,13 @@ let generate family ~rank ~comm_size ~global_n ~avg_degree ~seed =
   | Erdos_renyi -> erdos_renyi ~rank ~comm_size ~global_n ~avg_degree ~seed
   | Rgg2d -> rgg_2d ~rank ~comm_size ~global_n ~avg_degree ~seed
   | Rhg -> rhg_like ~rank ~comm_size ~global_n ~avg_degree ~seed
+
+let shard_slices family ~n_shards ~global_n ~avg_degree ~seed =
+  let made = Hashtbl.create 8 in
+  fun s ->
+    match Hashtbl.find_opt made s with
+    | Some g -> g
+    | None ->
+        let g = generate family ~rank:s ~comm_size:n_shards ~global_n ~avg_degree ~seed in
+        Hashtbl.add made s g;
+        g

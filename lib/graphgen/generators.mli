@@ -38,3 +38,10 @@ val family_name : family -> string
     dispatches on the family tag. *)
 val generate :
   family -> rank:int -> comm_size:int -> global_n:int -> avg_degree:int -> seed:int -> Distgraph.t
+
+(** [shard_slices family ~n_shards ~global_n ~avg_degree ~seed] looks up
+    the [n_shards]-way slices of one graph by shard, generating each on
+    first use and keeping it: a restartable application that adopts a
+    shard after a failure generates only the adopted slice. *)
+val shard_slices :
+  family -> n_shards:int -> global_n:int -> avg_degree:int -> seed:int -> int -> Distgraph.t

@@ -36,8 +36,14 @@ let num_failed comm = Comm.size comm - Array.length (survivors comm)
    the ULFM agreement protocol); the first caller materializes the shared
    state, keyed by (parent id, per-rank shrink epoch), which agrees across
    ranks because shrink is collective.  A barrier on the new communicator
-   provides the synchronization the real protocol would. *)
-let shrink comm =
+   provides the synchronization the real protocol would.  Shrink must
+   succeed despite failures during it: a member that dies before the
+   barrier completes leaves some survivors failing and others blocked on
+   them, so the failing ones revoke the new communicator (releasing the
+   blocked ones) and every survivor shrinks it in turn.  A survivor that
+   already passed the barrier meets the failure in its next operation
+   and shrinks the same communicator from its recovery path. *)
+let rec shrink comm =
   let w = Comm.world comm in
   Profiling.record_call w.World.prof "MPI_Comm_shrink";
   let epoch = Comm.next_shrink_epoch comm in
@@ -61,37 +67,57 @@ let shrink comm =
     go 0
   in
   let fresh = Comm.make w shared ~rank in
-  Collectives.barrier fresh;
-  fresh
+  match Collectives.barrier fresh with
+  | () -> fresh
+  | exception (Errors.Process_failed _ | Errors.Comm_revoked) ->
+      revoke fresh;
+      shrink fresh
 
 (* Agreement: survivors deposit their contribution into a shared cell and
    park until the last one closes the round.  Costs a tree's worth of
-   latency, charged to every participant. *)
+   latency, charged to every participant.  A participant that dies before
+   depositing is dropped from the round once detected (see [World.kill]),
+   and the round then fails uniformly at every survivor.  Unlike ULFM's
+   MPI_Comm_agree, revocation interrupts it like any other operation: a
+   survivor that revokes after a failure moves on to [shrink], so peers
+   parked in an agreement it will never join must follow. *)
 let agree comm v =
+  Comm.check_active comm;
   let w = Comm.world comm in
   Profiling.record_call w.World.prof "MPI_Comm_agree";
   let epoch = Comm.next_agree_epoch comm in
   let key = (Comm.id comm, epoch) in
-  let n_survivors = Array.length (survivors comm) in
+  let live = survivors comm in
   let cell =
     match Hashtbl.find_opt w.World.agree_memo key with
     | Some cell -> cell
     | None ->
-        let cell = { World.acc = -1; remaining = n_survivors; agree_waiters = [] } in
+        let cell =
+          { World.acc = -1; waiting = Array.to_list live; lost = None; agree_waiters = [] }
+        in
         Hashtbl.add w.World.agree_memo key cell;
         cell
   in
-  let rounds = int_of_float (ceil (log (float_of_int (max 2 n_survivors)) /. log 2.0)) in
+  let rounds = int_of_float (ceil (log (float_of_int (max 2 (Array.length live))) /. log 2.0)) in
   let cost = 2.0 *. float_of_int rounds *. (Netmodel.params w.World.net).latency in
   Engine.delay w.World.engine cost;
+  (* A revocation that landed meanwhile has already released the round. *)
+  Comm.check_active comm;
+  let me = Comm.world_rank_of comm (Comm.rank comm) in
   cell.World.acc <- cell.World.acc land v;
-  cell.World.remaining <- cell.World.remaining - 1;
-  if cell.World.remaining > 0 then
+  cell.World.waiting <- List.filter (( <> ) me) cell.World.waiting;
+  if cell.World.waiting <> [] then
     Engine.suspend w.World.engine (fun resumer ->
         cell.World.agree_waiters <- resumer :: cell.World.agree_waiters)
   else begin
     Hashtbl.remove w.World.agree_memo key;
-    let result = cell.World.acc in
-    List.iter (fun resumer -> Engine.resume resumer result) cell.World.agree_waiters;
-    result
+    match cell.World.lost with
+    | Some r ->
+        let e = Errors.Process_failed { world_rank = r } in
+        List.iter (fun resumer -> Engine.fail resumer e) cell.World.agree_waiters;
+        raise e
+    | None ->
+        let result = cell.World.acc in
+        List.iter (fun resumer -> Engine.resume resumer result) cell.World.agree_waiters;
+        result
   end

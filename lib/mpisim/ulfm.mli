@@ -37,9 +37,15 @@ val num_failed : Comm.t -> int
 
 (** [shrink comm] is collective over the survivors: returns a fresh
     (non-revoked) communicator containing exactly the live members of
-    [comm], in their original relative order. *)
+    [comm], in their original relative order.  It succeeds despite
+    failures during the call; a member that dies during it may still be
+    in the result, and operations on it then report the failure. *)
 val shrink : Comm.t -> Comm.t
 
 (** [agree comm v] reaches agreement on the bitwise AND of [v] over all
-    surviving members (collective over survivors). *)
+    surviving members (collective over survivors).
+    @raise Errors.Process_failed at every survivor when a member dies
+    during the call before contributing.
+    @raise Errors.Comm_revoked when [comm] is or gets revoked: unlike
+    ULFM's [MPI_Comm_agree], revocation interrupts the agreement. *)
 val agree : Comm.t -> int -> int

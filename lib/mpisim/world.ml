@@ -28,7 +28,8 @@ type t = {
 
 and agree_cell = {
   mutable acc : int;
-  mutable remaining : int;
+  mutable waiting : int list;
+  mutable lost : int option;
   mutable agree_waiters : int Engine.resumer list;
 }
 
@@ -165,7 +166,19 @@ let kill w r =
         Array.iter
           (fun mb ->
             Msg.fail_matching mb ~pred:expects_dead ~exn:(Errors.Process_failed { world_rank = r }))
-          w.mailboxes)
+          w.mailboxes;
+        (* Agreements [r] never joined close without it, and fail. *)
+        Hashtbl.fold (fun key cell acc -> if List.mem r cell.waiting then (key, cell) :: acc else acc)
+          w.agree_memo []
+        |> List.iter (fun (key, cell) ->
+               cell.waiting <- List.filter (( <> ) r) cell.waiting;
+               if cell.lost = None then cell.lost <- Some r;
+               if cell.waiting = [] then begin
+                 Hashtbl.remove w.agree_memo key;
+                 List.iter
+                   (fun resumer -> Engine.fail resumer (Errors.Process_failed { world_rank = r }))
+                   cell.agree_waiters
+               end))
   end
 
 let revoke w shared =
@@ -179,5 +192,10 @@ let revoke w shared =
             Msg.fail_matching mb
               ~pred:(fun pr -> pr.want_comm = shared.cid)
               ~exn:Errors.Comm_revoked)
-          w.mailboxes)
+          w.mailboxes;
+        Hashtbl.fold (fun ((cid, _) as key) cell acc -> if cid = shared.cid then (key, cell) :: acc else acc)
+          w.agree_memo []
+        |> List.iter (fun (key, cell) ->
+               Hashtbl.remove w.agree_memo key;
+               List.iter (fun resumer -> Engine.fail resumer Errors.Comm_revoked) cell.agree_waiters))
   end

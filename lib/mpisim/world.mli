@@ -49,7 +49,10 @@ type t = {
     contribution and park until the last one completes the round. *)
 and agree_cell = {
   mutable acc : int;
-  mutable remaining : int;
+  mutable waiting : int list;  (** world ranks that have not deposited yet *)
+  mutable lost : int option;
+      (** a participant that died before depositing: the round then fails
+          with [Process_failed] at every survivor *)
   mutable agree_waiters : int Simnet.Engine.resumer list;
 }
 
@@ -131,9 +134,9 @@ val any_dead : t -> int array -> int option
     resumption, its posted receives vanish, and every posted receive
     anywhere that expects a message from [r] (directly or via wildcard over
     a group containing [r]) fails with [Process_failed] after the detection
-    delay. *)
+    delay, as does every pending agreement [r] had not yet joined. *)
 val kill : t -> int -> unit
 
 (** [revoke w shared] marks the communicator revoked and fails every posted
-    receive on it with [Comm_revoked]. *)
+    receive and pending agreement on it with [Comm_revoked]. *)
 val revoke : t -> comm_shared -> unit

@@ -383,6 +383,143 @@ let test_lp_bit_identical () =
   in
   check_against_reference "lp recovered" reference res ~n_shards
 
+(* ---------- the sharded driver ---------- *)
+
+(* Every shard sends two messages to its successor, one to the shard
+   three ahead and one to itself; whatever the placement, each inbox
+   lists its messages by source shard, in emission order per source. *)
+let test_route_placement_independent () =
+  let n_shards = 5 in
+  let emitted s =
+    let next = (s + 1) mod n_shards in
+    [ (next, "a"); ((s + 3) mod n_shards, "b"); (s, "c"); (next, "d") ]
+  in
+  let expected d =
+    List.concat_map
+      (fun s -> List.filter_map (fun (dst, x) -> if dst = d then Some (s, x) else None) (emitted s))
+      (List.init n_shards Fun.id)
+  in
+  let inbox_codec =
+    Serde.Codec.(conv ~name:"inbox" (fun r -> !r) (fun l -> ref l) (list (pair int string)))
+  in
+  List.iter
+    (fun ranks ->
+      let res =
+        Tutil.run ~ranks (fun comm ->
+            Ckpt.run_sharded ~name:"inbox" inbox_codec ~n_shards (K.wrap comm)
+              ~init:(fun _ -> ref [])
+              (fun ctx shards ~round ->
+                round = 0
+                && begin
+                     let inbox =
+                       Ckpt.route ctx Serde.Codec.string
+                         (List.concat_map
+                            (fun (s, _) -> List.map (fun (d, x) -> (s, d, x)) (emitted s))
+                            shards)
+                     in
+                     List.iter (fun (s, got) -> got := inbox s) shards;
+                     true
+                   end))
+      in
+      let seen = Hashtbl.create 8 in
+      Array.iter (List.iter (fun (s, got) -> Hashtbl.replace seen s !got)) res;
+      Alcotest.(check int) (Printf.sprintf "p=%d: every shard reported" ranks) n_shards
+        (Hashtbl.length seen);
+      Hashtbl.iter
+        (fun d got ->
+          Alcotest.(check (list (pair int string)))
+            (Printf.sprintf "p=%d: inbox of shard %d" ranks d)
+            (expected d) got)
+        seen)
+    [ 1; 2; 3; 5 ]
+
+(* A ring accumulator over three shards: every round each shard folds
+   its predecessor's value into its own.  Returns each rank's shard
+   values and its recovery count. *)
+let acc_shards = 3
+
+let run_acc ?fail_at ?(policy = S.Every_n 2) ?(rounds = 12) ~ranks () =
+  let acc_codec = Serde.Codec.(conv ~name:"acc" (fun r -> !r) (fun v -> ref v) int) in
+  Mpisim.Mpi.run ?fail_at ~ranks (fun comm ->
+      let recovered = ref 0 in
+      let shards =
+        Ckpt.run_sharded ~policy ~name:"acc" acc_codec ~n_shards:acc_shards (K.wrap comm)
+          ~on_complete:(fun ctx -> recovered := Ckpt.recoveries ctx)
+          ~init:(fun s -> ref (s + 1))
+          (fun ctx shards ~round ->
+            round < rounds
+            && begin
+                 let inbox =
+                   Ckpt.route ctx Serde.Codec.int
+                     (List.map (fun (s, acc) -> (s, (s + 1) mod acc_shards, !acc + round)) shards)
+                 in
+                 List.iter
+                   (fun (s, acc) -> List.iter (fun (_, v) -> acc := (3 * !acc) + v) (inbox s))
+                   shards;
+                 Kamping.Comm.compute (Ckpt.comm ctx) 1e-6;
+                 true
+               end)
+      in
+      (List.map (fun (s, acc) -> (s, [| !acc |])) shards, !recovered))
+
+let acc_reference ?rounds () =
+  let free = run_acc ?rounds ~ranks:acc_shards () in
+  let reference = Array.make acc_shards [||] in
+  Array.iter
+    (function Ok (l, _) -> List.iter (fun (s, v) -> reference.(s) <- v) l | Error _ -> ())
+    free.Mpisim.Mpi.results;
+  reference
+
+let strip_recoveries (r : _ Mpisim.Mpi.run_result) =
+  { r with Mpisim.Mpi.results = Array.map (Result.map fst) r.Mpisim.Mpi.results }
+
+(* Four ranks, so one rank owns no shard: after a kill the survivors
+   resume at the restored round (the shard-less rank learns it from the
+   others) and end with the failure-free values. *)
+let test_sharded_round_survives_recovery () =
+  let reference = acc_reference () in
+  let base = run_acc ~ranks:4 () in
+  let killed = run_acc ~ranks:4 ~fail_at:[ (1, 0.5 *. base.Mpisim.Mpi.sim_time) ] () in
+  check_against_reference "failure-free p=4" reference (strip_recoveries base)
+    ~n_shards:acc_shards;
+  check_against_reference "recovered p=4" reference (strip_recoveries killed)
+    ~n_shards:acc_shards;
+  Array.iteri
+    (fun r slot ->
+      match slot with
+      | Ok (_, recoveries) ->
+          Alcotest.(check int) (Printf.sprintf "rank %d recovered once" r) 1 recoveries
+      | Error _ -> Alcotest.(check int) "only the victim dies" 1 r)
+    killed.Mpisim.Mpi.results
+
+(* A second kill after the first one, swept across the recovery and the
+   rounds that follow it.  Killed during the recovery, every survivor
+   must go back into recovery instead of some staying parked in shrink or
+   in the epoch agreement.  Killed after it but before the next scheduled
+   checkpoint, the survivors restore the epoch written at the end of the
+   recovery, which must carry the restored round, not the round the
+   failed attempt had reached. *)
+let test_sharded_second_kill () =
+  let rounds = 24 and policy = S.Every_n 6 in
+  let reference = acc_reference ~rounds () in
+  let t = (run_acc ~policy ~rounds ~ranks:5 ()).Mpisim.Mpi.sim_time in
+  List.iter
+    (fun frac ->
+      let res =
+        run_acc ~policy ~rounds ~ranks:5
+          ~fail_at:[ (1, 0.2 *. t); (2, frac *. t) ]
+          ()
+      in
+      let label = Printf.sprintf "second kill at %.2f" frac in
+      check_against_reference label reference (strip_recoveries res) ~n_shards:acc_shards;
+      Array.iteri
+        (fun r slot ->
+          match slot with
+          | Ok _ -> ()
+          | Error _ -> Alcotest.(check bool) (label ^ ": only the victims die") true (r = 1 || r = 2))
+        res.Mpisim.Mpi.results)
+    [ 0.24; 0.27; 0.28; 0.30; 0.31; 0.35; 0.40; 0.45; 0.50 ]
+
 (* ---------- checker interplay ---------- *)
 
 (* A recovery cycle (buddy sendrecvs cut short by the failure, revoke,
@@ -469,6 +606,12 @@ let suite =
     Alcotest.test_case "run_resilient validation" `Quick test_run_resilient_validation;
     Alcotest.test_case "lp: bit-identical with and without failure" `Quick
       test_lp_bit_identical;
+    Alcotest.test_case "sharded: route order is placement-independent" `Quick
+      test_route_placement_independent;
+    Alcotest.test_case "sharded: round counter survives recovery" `Quick
+      test_sharded_round_survives_recovery;
+    Alcotest.test_case "sharded: second kill during and after recovery" `Quick
+      test_sharded_second_kill;
     Alcotest.test_case "recovery is checker-clean" `Quick test_recovery_checker_clean;
     Alcotest.test_case "fail_at: deterministic schedule" `Quick test_fail_at_deterministic;
   ]

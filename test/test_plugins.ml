@@ -517,6 +517,53 @@ let test_ulfm_agree () =
         | Error e -> raise e)
     res.Mpisim.Mpi.results
 
+(* A member that dies before contributing fails the agreement at every
+   survivor instead of leaving them parked for good. *)
+let test_ulfm_agree_member_dies () =
+  let res =
+    Tutil.run_full ~ranks:4
+      ~failures:[ (5.0e-6, 2) ]
+      (fun raw ->
+        let comm = Comm.wrap raw in
+        if Comm.rank comm = 2 then Comm.compute comm 1.0;
+        match Kamping_plugins.Ulfm.agree comm 1 with
+        | v -> Ok v
+        | exception Mpisim.Errors.Process_failed { world_rank } -> Error world_rank)
+  in
+  Array.iteri
+    (fun r outcome ->
+      if r <> 2 then
+        match outcome with
+        | Ok (Error 2) -> ()
+        | Ok _ -> Alcotest.failf "agree@%d completed without rank 2" r
+        | Error e -> raise e)
+    res.Mpisim.Mpi.results
+
+(* Revocation interrupts a pending agreement, and a later call on the
+   revoked communicator fails at once. *)
+let test_ulfm_agree_revoked () =
+  let res =
+    Tutil.run_full ~ranks:3 (fun raw ->
+        let comm = Comm.wrap raw in
+        let attempt () =
+          match Kamping_plugins.Ulfm.agree comm 1 with
+          | _ -> false
+          | exception Mpisim.Errors.Comm_revoked -> true
+        in
+        if Comm.rank comm = 2 then begin
+          Comm.compute comm 50.0e-6;
+          Kamping_plugins.Ulfm.revoke comm;
+          attempt ()
+        end
+        else attempt ())
+  in
+  Array.iteri
+    (fun r outcome ->
+      match outcome with
+      | Ok interrupted -> Alcotest.(check bool) (Printf.sprintf "agree@%d revoked" r) true interrupted
+      | Error e -> raise e)
+    res.Mpisim.Mpi.results
+
 let suite =
   [
     Alcotest.test_case "nbx: ring pattern" `Quick test_sparse_basic;
@@ -546,4 +593,7 @@ let suite =
     Alcotest.test_case "ulfm: with_recovery combinator" `Quick test_ulfm_with_recovery_combinator;
     Alcotest.test_case "ulfm: max_attempts exhaustion" `Quick test_ulfm_max_attempts_exhausted;
     Alcotest.test_case "ulfm: agreement" `Quick test_ulfm_agree;
+    Alcotest.test_case "ulfm: agreement fails when a member dies" `Quick
+      test_ulfm_agree_member_dies;
+    Alcotest.test_case "ulfm: revocation interrupts agreement" `Quick test_ulfm_agree_revoked;
   ]
