@@ -123,3 +123,16 @@ MPISIM_EXPLORE=random:42 MPISIM_CHECK=communication dune exec examples/stream_wi
 MPISIM_CHECK=communication dune exec test/test_main.exe -- test scenarios
 dune exec bench/main.exe -- apps
 test -s BENCH_apps.json
+
+# Tenth pass: the repository benchmark's correctness gates (perfbench/).
+# One short end-to-end run per workload checks the oracle outputs (BFS
+# distances, CG field and residual, recovered PageRank) and determinism
+# (simulated time, events, messages, bytes, calls and allocation identical
+# across repeats).  The per-layer run of bfs_rgg adds the pure-observer
+# checks (checker levels, tracing, profiling) and the zero-overhead gate:
+# Bfs_mpi must simulate exactly like Bfs_kamping.  run.py exits non-zero
+# on an incorrect result.
+for w in bfs_rgg cg_fabric pagerank_ckpt; do
+  python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 --trace 0
+done
+python3 perfbench/run.py --workload bfs_rgg --seed 1 --seconds 1 --trace 1

@@ -4,7 +4,17 @@
     container that communication wrappers receive into, resize according to a
     {!Kamping.Resize_policy.t}, and return by value.  It exposes its backing
     store through {!unsafe_data} so that communication layers can copy
-    elements without bounds checks on the hot path. *)
+    elements without bounds checks on the hot path.
+
+    {b Space safety.}  The backing store has spare capacity beyond
+    {!length}, and those slots still hold values: {!pop}, {!clear} and a
+    shrinking {!resize} lower the length but leave the removed elements in
+    place, and growth fills the new spare slots with a witness element (the
+    pushed or appended element, or the first stored one for {!reserve}).
+    Anything in spare capacity stays reachable for the garbage collector.
+    A caller that stores closures or large buffers must overwrite vacated
+    slots itself (with {!set} before shrinking, or on the array from
+    {!unsafe_data}) if it must not keep them alive. *)
 
 type 'a t
 
@@ -41,18 +51,21 @@ val get : 'a t -> int -> 'a
 val set : 'a t -> int -> 'a -> unit
 
 (** [push v x] appends [x], growing the backing store geometrically if
-    needed. *)
+    needed; growth fills the new spare slots with [x]. *)
 val push : 'a t -> 'a -> unit
 
-(** [pop v] removes and returns the last element.
+(** [pop v] removes and returns the last element.  The element stays in
+    the vacated slot, so the vector keeps it reachable.
     @raise Invalid_argument on an empty vector. *)
 val pop : 'a t -> 'a
 
-(** [clear v] resets the length to [0] without releasing storage. *)
+(** [clear v] resets the length to [0] without releasing storage; the
+    elements stay reachable from it. *)
 val clear : 'a t -> unit
 
 (** [resize v n x] sets the length to [n]; new slots are filled with [x].
-    Shrinking keeps the backing store. *)
+    Shrinking keeps the backing store, with the removed elements still in
+    it. *)
 val resize : 'a t -> int -> 'a -> unit
 
 (** [reserve v n] ensures the backing store holds at least [n] elements. *)

@@ -436,17 +436,17 @@ let post_all_exchange comm dt ~tag ~scount_of ~spos_of ~rcount_of ~rpos_of ~send
   let p = Comm.size comm and r = Comm.rank comm in
   Array.blit sendbuf (spos_of r) recvbuf (rpos_of r) (scount_of r);
   let recv_reqs =
-    List.init (p - 1) (fun i ->
+    Array.init (p - 1) (fun i ->
         let src = (r - 1 - i + p) mod p in
         P2p.irecv ~ctx:Internal ~pos:(rpos_of src) ~count:(rcount_of src) comm dt recvbuf ~src ~tag)
   in
   let send_reqs =
-    List.init (p - 1) (fun i ->
+    Array.init (p - 1) (fun i ->
         let dst = (r + 1 + i) mod p in
         P2p.isend ~ctx:Internal ~pos:(spos_of dst) ~count:(scount_of dst) comm dt sendbuf ~dst ~tag)
   in
-  ignore (Request.wait_all recv_reqs);
-  ignore (Request.wait_all send_reqs)
+  Array.iter (fun req -> ignore (Request.wait req)) recv_reqs;
+  Array.iter (fun req -> ignore (Request.wait req)) send_reqs
 
 let alltoall_pairwise comm dt ~sendbuf ~recvbuf ~count ~tag =
   post_all_exchange comm dt ~tag

@@ -52,13 +52,35 @@ type probe_waiter = {
   mutable p_live : bool;
 }
 
+(* Posted receives sit in one array-backed FIFO: [posted.(lo .. hi - 1)]
+   is the window in post order.  A receive that is matched, failed or
+   cancelled is overwritten in place with [vacant], and the window shrinks
+   past vacant slots at either end.  Every slot outside the window holds
+   [vacant] too, so the queue never keeps a retired receive's [deliver]
+   closure (and the receive buffer it captures) reachable. *)
 type mailbox = {
   unexpected : envelope Ds.Vec.t;
-  mutable posted : pending_recv list;
+  mutable posted : pending_recv array;
+  mutable lo : int;
+  mutable hi : int;
   mutable probes : probe_waiter list;
 }
 
-let create () = { unexpected = Ds.Vec.create (); posted = []; probes = [] }
+let vacant =
+  {
+    want_src = any_source;
+    want_tag = any_tag;
+    want_comm = -1;
+    want_ctx = Internal;
+    src_world = -1;
+    comm_group = [||];
+    deliver = ignore;
+    on_fail = ignore;
+    owner_world = -1;
+    live = false;
+  }
+
+let create () = { unexpected = Ds.Vec.create (); posted = [||]; lo = 0; hi = 0; probes = [] }
 
 (* {2 Envelope pool} *)
 
@@ -124,42 +146,112 @@ let probe_matches pw env =
   && (pw.p_src = any_source || pw.p_src = env.src)
   && (pw.p_tag = any_tag || pw.p_tag = env.tag)
 
+(* {2 Posted-receive queue} *)
+
+(* Shrink the window past retired slots at both ends; an emptied window
+   restarts at slot 0. *)
+let trim mb =
+  let q = mb.posted in
+  while mb.lo < mb.hi && not q.(mb.lo).live do
+    q.(mb.lo) <- vacant;
+    mb.lo <- mb.lo + 1
+  done;
+  while mb.hi > mb.lo && not q.(mb.hi - 1).live do
+    q.(mb.hi - 1) <- vacant;
+    mb.hi <- mb.hi - 1
+  done;
+  if mb.lo = mb.hi then begin
+    mb.lo <- 0;
+    mb.hi <- 0
+  end
+
+let vacate mb i =
+  mb.posted.(i) <- vacant;
+  trim mb
+
+(* Pack the live receives that [keep] accepts to the front of the array,
+   in post order, and return the live ones it rejects, in post order.
+   Retired slots are dropped on the way. *)
+let filter_posted mb keep =
+  let q = mb.posted in
+  let w = ref 0 and rejected = ref [] in
+  for i = mb.lo to mb.hi - 1 do
+    let pr = q.(i) in
+    if pr.live then
+      if keep pr then begin
+        q.(!w) <- pr;
+        incr w
+      end
+      else rejected := pr :: !rejected
+  done;
+  Array.fill q !w (mb.hi - !w) vacant;
+  mb.lo <- 0;
+  mb.hi <- !w;
+  List.rev !rejected
+
+let post mb pr =
+  if mb.hi = Array.length mb.posted then begin
+    (* Full: pack the live receives, and double the array when they fill
+       half of it or more.  Posting stays amortized O(1), and the window a
+       scan crosses never exceeds twice the peak number of live receives. *)
+    ignore (filter_posted mb (fun _ -> true));
+    let cap = Array.length mb.posted in
+    if 2 * mb.hi >= cap then begin
+      let q = Array.make (max 8 (2 * cap)) vacant in
+      Array.blit mb.posted 0 q 0 mb.hi;
+      mb.posted <- q
+    end
+  end;
+  mb.posted.(mb.hi) <- pr;
+  mb.hi <- mb.hi + 1
+
+(* The first live posted receive matching [env], in post order, or -1. *)
+let rec find_posted mb env i =
+  if i >= mb.hi then -1
+  else
+    let pr = mb.posted.(i) in
+    if pr.live && matches pr env then i else find_posted mb env (i + 1)
+
+let cancel mb pr =
+  if pr.live then begin
+    pr.live <- false;
+    let rec go i = if i < mb.hi then if mb.posted.(i) == pr then vacate mb i else go (i + 1) in
+    go mb.lo
+  end
+
 let arrive pool mb env =
   (* Probe waiters observe the message without consuming it. *)
-  let notified, waiting = List.partition (fun pw -> pw.p_live && probe_matches pw env) mb.probes in
-  mb.probes <- waiting;
-  List.iter
-    (fun pw ->
-      pw.p_live <- false;
-      pw.notify env)
-    notified;
-  let rec find_posted acc = function
-    | [] -> None
-    | pr :: rest when pr.live && matches pr env ->
-        mb.posted <- List.rev_append acc rest;
-        Some pr
-    | pr :: rest -> find_posted (pr :: acc) rest
-  in
-  match find_posted [] mb.posted with
-  | Some pr ->
-      pr.live <- false;
-      (match env.on_matched with Some hook -> hook () | None -> ());
-      pr.deliver env;
-      (* deliver consumes the envelope synchronously (copy into the
-         receive window, then resume/complete), so it can go back to the
-         pool.  Unexpected envelopes stay queued and are released by the
-         take_unexpected fast paths in {!P2p}. *)
-      release pool env
-  | None -> Ds.Vec.push mb.unexpected env
+  (match mb.probes with
+  | [] -> ()
+  | probes ->
+      let notified, waiting = List.partition (fun pw -> pw.p_live && probe_matches pw env) probes in
+      mb.probes <- waiting;
+      List.iter
+        (fun pw ->
+          pw.p_live <- false;
+          pw.notify env)
+        notified);
+  let i = find_posted mb env mb.lo in
+  if i < 0 then Ds.Vec.push mb.unexpected env
+  else begin
+    let pr = mb.posted.(i) in
+    vacate mb i;
+    pr.live <- false;
+    (match env.on_matched with Some hook -> hook () | None -> ());
+    pr.deliver env;
+    (* deliver consumes the envelope synchronously (copy into the
+       receive window, then resume/complete), so it can go back to the
+       pool.  Unexpected envelopes stay queued and are released by the
+       take_unexpected fast paths in {!P2p}. *)
+    release pool env
+  end
 
-let find_unexpected mb ~src ~tag ~comm ~ctx =
-  let n = Ds.Vec.length mb.unexpected in
-  let rec go i =
-    if i >= n then None
-    else if pattern_matches ~src ~tag ~comm ~ctx (Ds.Vec.get mb.unexpected i) then Some i
-    else go (i + 1)
-  in
-  go 0
+(* Index of the oldest queued envelope at or after [i] that matches the
+   pattern, or -1. *)
+let rec find_unexpected mb ~src ~tag ~comm ~ctx i =
+  if i >= Ds.Vec.length mb.unexpected then -1
+  else if pattern_matches ~src ~tag ~comm ~ctx (Ds.Vec.get mb.unexpected i) then i
+  else find_unexpected mb ~src ~tag ~comm ~ctx (i + 1)
 
 let remove_unexpected mb i =
   let env = Ds.Vec.get mb.unexpected i in
@@ -193,37 +285,34 @@ let candidate_sources mb ~tag ~comm ~ctx =
   List.rev !acc
 
 let take_unexpected ?choose mb ~src ~tag ~comm ~ctx =
-  let pick =
+  let i =
     match (choose, src = any_source) with
     | Some c, true -> (
         match candidate_sources mb ~tag ~comm ~ctx with
-        | [] -> None
-        | [ (i, _) ] -> Some i
+        | [] -> -1
+        | [ (i, _) ] -> i
         | cands ->
             let arr = Array.of_list cands in
             let j = c (Array.map snd arr) in
             let j = if j < 0 || j >= Array.length arr then 0 else j in
-            Some (fst arr.(j)))
-    | _ -> find_unexpected mb ~src ~tag ~comm ~ctx
+            fst arr.(j))
+    | _ -> find_unexpected mb ~src ~tag ~comm ~ctx 0
   in
-  match pick with
-  | Some i ->
-      let env = remove_unexpected mb i in
-      (match env.on_matched with Some hook -> hook () | None -> ());
-      Some env
-  | None -> None
+  if i < 0 then None
+  else begin
+    let env = remove_unexpected mb i in
+    (match env.on_matched with Some hook -> hook () | None -> ());
+    Some env
+  end
 
 let peek_unexpected mb ~src ~tag ~comm ~ctx =
-  match find_unexpected mb ~src ~tag ~comm ~ctx with
-  | Some i -> Some (Ds.Vec.get mb.unexpected i)
-  | None -> None
+  let i = find_unexpected mb ~src ~tag ~comm ~ctx 0 in
+  if i < 0 then None else Some (Ds.Vec.get mb.unexpected i)
 
-let post mb pr = mb.posted <- mb.posted @ [ pr ]
 let post_probe mb pw = mb.probes <- mb.probes @ [ pw ]
 
 let fail_matching mb ~pred ~exn =
-  let failing, keep = List.partition (fun pr -> pr.live && pred pr) mb.posted in
-  mb.posted <- keep;
+  let failing = filter_posted mb (fun pr -> not (pred pr)) in
   List.iter
     (fun pr ->
       pr.live <- false;
@@ -253,21 +342,21 @@ let fail_matching mb ~pred ~exn =
     failing_probes
 
 let drop_owned mb ~world_rank =
-  mb.posted <-
-    List.filter
-      (fun pr ->
-        if pr.owner_world = world_rank then begin
-          pr.live <- false;
-          false
-        end
-        else true)
-      mb.posted
+  List.iter
+    (fun pr -> pr.live <- false)
+    (filter_posted mb (fun pr -> pr.owner_world <> world_rank))
 
-let pending_count mb = List.length (List.filter (fun pr -> pr.live) mb.posted)
 let unexpected_count mb = Ds.Vec.length mb.unexpected
 
 (* Checker views: the correctness layer inspects mailbox contents at
    quiesce and finalize without consuming anything. *)
-let live_posted mb = List.filter (fun pr -> pr.live) mb.posted
+let live_posted mb =
+  let acc = ref [] in
+  for i = mb.hi - 1 downto mb.lo do
+    if mb.posted.(i).live then acc := mb.posted.(i) :: !acc
+  done;
+  !acc
+
+let pending_count mb = List.length (live_posted mb)
 let live_probes mb = List.filter (fun pw -> pw.p_live) mb.probes
 let iter_unexpected mb f = Ds.Vec.iter f mb.unexpected

@@ -59,6 +59,8 @@ type pending_recv = {
   on_fail : exn -> unit;
   owner_world : int;  (** the receiving rank *)
   mutable live : bool;
+      (** cleared when the receive is matched, failed or dropped; retire a
+          receive early with {!cancel}, not by writing this field *)
 }
 
 (** A parked blocking probe: notified (without consuming) when a matching
@@ -143,8 +145,14 @@ val take_unexpected :
     without removing (probe). *)
 val peek_unexpected : mailbox -> src:int -> tag:int -> comm:int -> ctx:ctx -> envelope option
 
-(** [post mb pr] appends a pending receive. *)
+(** [post mb pr] appends a pending receive (amortized O(1)). *)
 val post : mailbox -> pending_recv -> unit
+
+(** [cancel mb pr] retires the posted receive [pr] without delivering or
+    failing it, and removes it from [mb], so the queue no longer keeps its
+    closures and receive buffer reachable.  A no-op when [pr] is no longer
+    live. *)
+val cancel : mailbox -> pending_recv -> unit
 
 (** [post_probe mb pw] parks a blocking probe. *)
 val post_probe : mailbox -> probe_waiter -> unit
@@ -153,8 +161,8 @@ val post_probe : mailbox -> probe_waiter -> unit
     receive satisfying [pred] — used for failure injection and revocation. *)
 val fail_matching : mailbox -> pred:(pending_recv -> bool) -> exn:exn -> unit
 
-(** [drop_owned mb ~world_rank] deactivates posted receives owned by a dead
-    rank. *)
+(** [drop_owned mb ~world_rank] deactivates and removes the posted receives
+    owned by a dead rank. *)
 val drop_owned : mailbox -> world_rank:int -> unit
 
 (** [pending_count mb] is the number of live posted receives (diagnostics). *)

@@ -32,29 +32,31 @@ let record_mismatch comm ~op ~src ~tag e =
   Checker.record_match_error (Comm.world comm).World.check ~rank:(my_world comm)
     ~comm:(Comm.id comm) ~op ~src ~tag e
 
-(* Record a call span around [f] when this is a user-level call on a traced
-   run.  [Fun.protect] spans the fiber's suspensions, so the span covers the
-   full blocking time of the call; exceptional exits are closed too. *)
-let traced ~ctx comm ~op f =
+(* Only user-level calls on a traced run record call spans. *)
+let tracing ~ctx w = ctx = Msg.User && Trace.Recorder.active w.World.trace
+
+(* Record a call span around [f].  [Fun.protect] spans the fiber's
+   suspensions, so the span covers the full blocking time of the call;
+   exceptional exits are closed too. *)
+let span comm ~op f =
   let w = Comm.world comm in
-  if ctx <> Msg.User || not (Trace.Recorder.active w.World.trace) then f ()
-  else begin
-    let rank = my_world comm in
-    let t0 = World.now w in
-    Fun.protect
-      ~finally:(fun () ->
-        Trace.Recorder.add_span w.World.trace
-          {
-            Trace.Event.sp_rank = rank;
-            sp_op = op;
-            sp_cat = "p2p";
-            sp_comm = Comm.id comm;
-            sp_seq = -1;
-            sp_t0 = t0;
-            sp_t1 = World.now w;
-          })
-      f
-  end
+  let rank = my_world comm in
+  let t0 = World.now w in
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.Recorder.add_span w.World.trace
+        {
+          Trace.Event.sp_rank = rank;
+          sp_op = op;
+          sp_cat = "p2p";
+          sp_comm = Comm.id comm;
+          sp_seq = -1;
+          sp_t0 = t0;
+          sp_t1 = World.now w;
+        })
+    f
+
+let traced ~ctx comm ~op f = if tracing ~ctx (Comm.world comm) then span comm ~op f else f ()
 
 (* Stamp the receive-side timestamps on a matched message's trace record. *)
 let stamp_env_match (env : Msg.envelope) ~posted ~time =
@@ -110,7 +112,7 @@ let inject_raw comm dt ~count ~dst ~tag ~ctx ~on_matched ~payload =
   if World.is_alive w dst_world then begin
     let env =
       Msg.make_envelope w.World.env_pool ~src:(Comm.rank comm) ~src_world ~tag
-        ~comm_id:(Comm.id comm) ~ctx ~count ~bytes ~sent_at:now ~payload:(payload ())
+        ~comm_id:(Comm.id comm) ~ctx ~count ~bytes ~sent_at:now ~payload
         ~on_matched ~trace:trace_msg
     in
     Engine.schedule w.World.engine
@@ -128,14 +130,29 @@ let inject comm dt buf pos count ~dst ~tag ~ctx ~on_matched =
   let count = window_bounds ~what:"send" buf pos count in
   charge_setup ~ctx comm;
   inject_raw comm dt ~count ~dst ~tag ~ctx ~on_matched
-    ~payload:(fun () -> Msg.Packed (dt, Array.sub buf pos count))
+    ~payload:(Msg.Packed (dt, Array.sub buf pos count))
+
+(* The hot point-to-point calls ([send], [isend], [recv], [irecv]) keep
+   their bodies in top-level functions and call them directly unless a
+   span is recorded, so an untraced call allocates no [traced] closure. *)
+let send_body w comm dt buf pos count ~dst ~tag ~ctx =
+  let injected = inject comm dt buf pos count ~dst ~tag ~ctx ~on_matched:None in
+  Engine.delay w.World.engine (injected -. World.now w)
 
 let send ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~dst ~tag =
   let w = Comm.world comm in
   if ctx = Msg.User then record w "MPI_Send";
-  traced ~ctx comm ~op:"MPI_Send" @@ fun () ->
+  if tracing ~ctx w then
+    span comm ~op:"MPI_Send" (fun () -> send_body w comm dt buf pos count ~dst ~tag ~ctx)
+  else send_body w comm dt buf pos count ~dst ~tag ~ctx
+
+let isend_body w comm dt buf pos count ~dst ~tag ~ctx req count' =
   let injected = inject comm dt buf pos count ~dst ~tag ~ctx ~on_matched:None in
-  Engine.delay w.World.engine (injected -. World.now w)
+  let st = { Request.source = dst; tag; count = count' } in
+  Engine.schedule w.World.engine
+    ~delay:(injected -. World.now w)
+    (fun () -> Request.complete req st);
+  req
 
 let isend ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~dst ~tag =
   let w = Comm.world comm in
@@ -143,12 +160,10 @@ let isend ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~dst ~tag =
   let req = Request.create w.World.engine in
   if ctx = Msg.User then track comm ~op:"MPI_Isend" req;
   let count' = window_bounds ~what:"isend" buf pos count in
-  traced ~ctx comm ~op:"MPI_Isend" @@ fun () ->
-  let injected = inject comm dt buf pos count ~dst ~tag ~ctx ~on_matched:None in
-  Engine.schedule w.World.engine
-    ~delay:(injected -. World.now w)
-    (fun () -> Request.complete req { source = dst; tag; count = count' });
-  req
+  if tracing ~ctx w then
+    span comm ~op:"MPI_Isend" (fun () ->
+        isend_body w comm dt buf pos count ~dst ~tag ~ctx req count')
+  else isend_body w comm dt buf pos count ~dst ~tag ~ctx req count'
 
 let issend ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~dst ~tag =
   let w = Comm.world comm in
@@ -235,14 +250,7 @@ let make_pending comm ~src ~tag ~ctx ~deliver ~on_fail : Msg.pending_recv =
     live = true;
   }
 
-let recv ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~src ~tag =
-  Comm.check_active comm;
-  check_recv_tag ~ctx tag;
-  Datatype.mark_committed dt;
-  let capacity = window_bounds ~what:"recv" buf pos count in
-  let w = Comm.world comm in
-  if ctx = Msg.User then record w "MPI_Recv";
-  traced ~ctx comm ~op:"MPI_Recv" @@ fun () ->
+let recv_body w comm dt buf pos capacity ~src ~tag ~ctx =
   charge_setup ~ctx comm;
   let posted = World.now w in
   let mb = w.World.mailboxes.(my_world comm) in
@@ -278,19 +286,21 @@ let recv ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~src ~tag =
               Msg.post mb (make_pending comm ~src ~tag ~ctx ~deliver ~on_fail))
     end
 
-let irecv ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~src ~tag =
+let recv ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~src ~tag =
   Comm.check_active comm;
   check_recv_tag ~ctx tag;
   Datatype.mark_committed dt;
-  let capacity = window_bounds ~what:"irecv" buf pos count in
+  let capacity = window_bounds ~what:"recv" buf pos count in
   let w = Comm.world comm in
-  if ctx = Msg.User then record w "MPI_Irecv";
-  let req = Request.create w.World.engine in
-  if ctx = Msg.User then track comm ~op:"MPI_Irecv" req;
-  let mb = w.World.mailboxes.(my_world comm) in
-  traced ~ctx comm ~op:"MPI_Irecv" @@ fun () ->
+  if ctx = Msg.User then record w "MPI_Recv";
+  if tracing ~ctx w then
+    span comm ~op:"MPI_Recv" (fun () -> recv_body w comm dt buf pos capacity ~src ~tag ~ctx)
+  else recv_body w comm dt buf pos capacity ~src ~tag ~ctx
+
+let irecv_body w comm dt buf pos capacity ~src ~tag ~ctx req =
   charge_setup ~ctx comm;
   let posted = World.now w in
+  let mb = w.World.mailboxes.(my_world comm) in
   (match
      Msg.take_unexpected ?choose:(World.match_chooser w) mb ~src ~tag ~comm:(Comm.id comm) ~ctx
    with
@@ -322,6 +332,20 @@ let irecv ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~src ~tag =
           Msg.post mb (make_pending comm ~src ~tag ~ctx ~deliver ~on_fail)
     end);
   req
+
+let irecv ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~src ~tag =
+  Comm.check_active comm;
+  check_recv_tag ~ctx tag;
+  Datatype.mark_committed dt;
+  let capacity = window_bounds ~what:"irecv" buf pos count in
+  let w = Comm.world comm in
+  if ctx = Msg.User then record w "MPI_Irecv";
+  let req = Request.create w.World.engine in
+  if ctx = Msg.User then track comm ~op:"MPI_Irecv" req;
+  if tracing ~ctx w then
+    span comm ~op:"MPI_Irecv" (fun () ->
+        irecv_body w comm dt buf pos capacity ~src ~tag ~ctx req)
+  else irecv_body w comm dt buf pos capacity ~src ~tag ~ctx req
 
 let probe ?(ctx = Msg.User) comm ~src ~tag =
   Comm.check_active comm;
@@ -402,7 +426,7 @@ let send_sparse ?(ctx = Msg.User) comm dt ~count ~dst ~tag =
   charge_setup ~ctx comm;
   let injected =
     inject_raw comm dt ~count ~dst ~tag ~ctx ~on_matched:None
-      ~payload:(fun () -> Msg.Sparse (dt, count))
+      ~payload:(Msg.Sparse (dt, count))
   in
   Engine.delay w.World.engine (injected -. World.now w)
 
@@ -478,6 +502,7 @@ let send_init_gen ~sync ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~dst ~ta
   traced ~ctx comm ~op @@ fun () ->
   charge_setup ~ctx comm;
   let latency = (Netmodel.params w.World.net).Netmodel.latency in
+  let st = { Request.source = dst; tag; count } in
   let start h =
     Comm.check_active comm;
     traced ~ctx comm ~op:"MPI_Start" @@ fun () ->
@@ -487,18 +512,17 @@ let send_init_gen ~sync ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~dst ~ta
         Some
           (fun () ->
             (* synchronous mode: complete when the matching ack returns *)
-            Engine.schedule w.World.engine ~delay:latency (fun () ->
-                Request.complete req { source = dst; tag; count }))
+            Engine.schedule w.World.engine ~delay:latency (fun () -> Request.complete req st))
       else None
     in
     let injected =
       inject_raw comm dt ~count ~dst ~tag ~ctx ~on_matched
-        ~payload:(fun () -> Msg.Packed (dt, Array.sub buf pos count))
+        ~payload:(Msg.Packed (dt, Array.sub buf pos count))
     in
     if not sync then
       Engine.schedule w.World.engine
         ~delay:(injected -. World.now w)
-        (fun () -> Request.complete req { source = dst; tag; count })
+        (fun () -> Request.complete req st)
   in
   let h =
     Persist.make w.World.engine ~op
@@ -578,9 +602,7 @@ let recv_init ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~src ~tag =
       end
   in
   let cancel h =
-    (match !current with
-    | Some (pr : Msg.pending_recv) -> pr.Msg.live <- false
-    | None -> ());
+    (match !current with Some pr -> Msg.cancel mb pr | None -> ());
     current := None;
     (* park the round's request failed so a later [start] can rearm it;
        the handle is inactive after cancel, so nothing observes [Exit] *)
@@ -642,7 +664,7 @@ let psend_init ?(ctx = Msg.User) comm dt buf ~partitions ~count ~dst ~tag =
     let req = Persist.request h in
     let injected =
       inject_raw comm dt ~count ~dst ~tag:(ptag ~tag i) ~ctx:Msg.Internal ~on_matched:None
-        ~payload:(fun () -> Msg.Packed (dt, Array.sub buf (i * count) count))
+        ~payload:(Msg.Packed (dt, Array.sub buf (i * count) count))
     in
     decr remaining;
     if !remaining = 0 then
@@ -732,7 +754,7 @@ let precv_init ?(ctx = Msg.User) comm dt buf ~partitions ~count ~src ~tag =
   let cancel h =
     Array.iteri
       (fun i pr ->
-        (match pr with Some (pr : Msg.pending_recv) -> pr.Msg.live <- false | None -> ());
+        (match pr with Some pr -> Msg.cancel mb pr | None -> ());
         pendings.(i) <- None)
       pendings;
     Request.abort (Persist.request h) Exit

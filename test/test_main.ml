@@ -5,6 +5,7 @@ let () =
       ("simnet", Test_simnet.suite);
       ("serde", Test_serde.suite);
       ("mpisim", Test_mpisim.suite);
+      ("msg", Test_msg.suite);
       ("coll-algos", Test_coll_algos.suite);
       ("kamping", Test_kamping.suite);
       ("plugins", Test_plugins.suite);
