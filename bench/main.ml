@@ -5,12 +5,13 @@
    Usage:  dune exec bench/main.exe -- experiment ...
    Experiments: table1 fig8 fig10 types overhead suffix labelprop raxml
                 ulfm reprored ablation colltuning trace ckpt explore serving
-                engine mpi4 micro all
+                engine mpi4 apps micro all
    "colltuning" writes BENCH_collectives.json; "trace" writes
    BENCH_trace.json; "ckpt" writes BENCH_ckpt.json; "explore" writes
    BENCH_explore.json; "serving" writes BENCH_serving.json; "engine"
-   writes BENCH_engine.json; "mpi4" writes BENCH_mpi4.json.  With no
-   arguments (or --help) the usage is printed. *)
+   writes BENCH_engine.json; "mpi4" writes BENCH_mpi4.json; "apps" writes
+   BENCH_apps.json.  With no arguments (or --help) the usage is
+   printed. *)
 
 module K = Kamping.Comm
 module D = Mpisim.Datatype
@@ -99,25 +100,6 @@ let microbench () =
         (100.0 *. ((kamping /. plain) -. 1.0))
   | _ -> ()
 
-(* ---------------- collective-tuning sweep ---------------- *)
-
-(* Runs the crossover sweep, prints the table, and leaves the raw numbers
-   in BENCH_collectives.json for machine consumption. *)
-let colltuning () =
-  let cases = Experiments.Coll_tuning_exp.sweep () in
-  Experiments.Coll_tuning_exp.print cases;
-  let report = Experiments.Coll_tuning_exp.hier_sweep () in
-  Experiments.Coll_tuning_exp.print_hier report;
-  let path = "BENCH_collectives.json" in
-  let json = Experiments.Coll_tuning_exp.to_json cases report in
-  let oc = open_out path in
-  output_string oc json;
-  close_out oc;
-  (* self-validating: round-trip the file and require every gate in its
-     "checks" object (hierarchical speedups, crossover agreement) to hold *)
-  Experiments.Coll_tuning_exp.validate_json ~path ~json;
-  Printf.printf "  wrote %s (checks passed)\n%!" path
-
 (* ---------------- dispatch ---------------- *)
 
 let experiments =
@@ -133,7 +115,7 @@ let experiments =
     ("ulfm", Experiments.Ulfm_exp.run);
     ("reprored", Experiments.Reprored_exp.run);
     ("ablation", Experiments.Ablation.run);
-    ("colltuning", colltuning);
+    ("colltuning", Experiments.Coll_tuning_exp.run);
     ("trace", Experiments.Trace_exp.run);
     ("ckpt", Experiments.Ckpt_exp.run);
     ("explore", Experiments.Explore_exp.run);

@@ -128,24 +128,6 @@ let stream_run () =
   let per_rank = Mpisim.Mpi.results_exn res in
   (res.Mpisim.Mpi.sim_time, Array.for_all (fun r -> r = expect) per_rank)
 
-(* ---------------- self-validation ---------------- *)
-
-let validate_json ~path ~json =
-  let ic = open_in path in
-  let text = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  if not (J.equal (J.parse text) json) then
-    failwith (Printf.sprintf "apps: %s did not round-trip through Serde.Json" path);
-  let checks =
-    match J.member "checks" (J.parse text) with
-    | Some (J.Obj kvs) -> kvs
-    | _ -> failwith "apps: BENCH_apps.json lacks a checks object"
-  in
-  List.iter
-    (fun (name, v) ->
-      if v <> J.Bool true then failwith (Printf.sprintf "apps: check %S failed" name))
-    checks
-
 let run () =
   Printf.printf "Application gallery: exchange crossover, CG halo transports, streaming windows\n\n";
   let pr_rows = List.map (fun (f, d) -> pagerank_cell f d) pr_cells in
@@ -228,19 +210,12 @@ let run () =
             (("p2p_vs_persistent_spread", J.Num cg_noise)
              :: List.map (fun r -> (C.transport_name r.transport, J.Num r.time)) cg_rows) );
         ("stream_sim_time_s", J.Num stream_time);
-        ( "checks",
-          J.Obj
-            [
-              ("pagerank_variants_oracle_exact", J.Bool pr_ok);
-              ("cg_transports_bit_identical", J.Bool cg_exact);
-              ("cg_p2p_persistent_within_noise", J.Bool cg_noise_ok);
-              ("stream_oracle_exact", J.Bool stream_ok);
-            ] );
       ]
   in
-  let path = "BENCH_apps.json" in
-  let oc = open_out path in
-  output_string oc (J.to_string json);
-  close_out oc;
-  validate_json ~path ~json;
-  Printf.printf "wrote %s (all checks green)\n" path
+  Bench_report.report ~name:"apps" ~path:"BENCH_apps.json" json
+    [
+      ("pagerank_variants_oracle_exact", pr_ok);
+      ("cg_transports_bit_identical", cg_exact);
+      ("cg_p2p_persistent_within_noise", cg_noise_ok);
+      ("stream_oracle_exact", stream_ok);
+    ]

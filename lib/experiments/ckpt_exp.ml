@@ -274,22 +274,6 @@ let json_of_row r =
       ("identical_to_reference", J.Bool r.identical);
     ]
 
-let validate_json ~path ~json =
-  let ic = open_in path in
-  let text = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  if not (J.equal (J.parse text) json) then
-    failwith (Printf.sprintf "ckpt: %s did not round-trip through Serde.Json" path);
-  let checks =
-    match J.member "checks" (J.parse text) with
-    | Some (J.Obj kvs) -> kvs
-    | _ -> failwith "ckpt: BENCH_ckpt.json lacks a checks object"
-  in
-  List.iter
-    (fun (name, v) ->
-      if v <> J.Bool true then failwith (Printf.sprintf "ckpt: check %S failed" name))
-    checks
-
 let run () =
   let free, probe, columns, overhead_runs = sweep () in
   Printf.printf "restartable label propagation: %d ranks, %d shards\n" ranks n_shards;
@@ -329,8 +313,6 @@ let run () =
       Printf.printf "  checkpoint overhead at Daly interval (rate %.0f/s): %.1f%%\n" rate
         (100. *. o))
     rates overheads;
-  Printf.printf "  all outputs bit-identical to reference: %b\n" all_identical;
-  Printf.printf "  Daly minimal in every sweep column:     %b\n" daly_minimal;
   let json =
     J.Obj
       [
@@ -355,18 +337,11 @@ let run () =
         ("overhead_at_daly", J.List (List.map (fun o -> J.Num o) overheads));
         ( "bfs_identity",
           J.Obj (List.map (fun (name, ok) -> (name, J.Bool ok)) bfs) );
-        ( "checks",
-          J.Obj
-            [
-              ("recovered_runs_bit_identical", J.Bool all_identical);
-              ("daly_interval_minimal_in_sweep", J.Bool daly_minimal);
-              ("daly_overhead_below_10_percent", J.Bool overhead_ok);
-            ] );
       ]
   in
-  let path = "BENCH_ckpt.json" in
-  let oc = open_out path in
-  output_string oc (J.to_string json);
-  close_out oc;
-  validate_json ~path ~json;
-  Printf.printf "  wrote %s (validated: identity, Daly minimality, overhead)\n%!" path
+  Bench_report.report ~name:"ckpt" ~path:"BENCH_ckpt.json" json
+    [
+      ("recovered_runs_bit_identical", all_identical);
+      ("daly_interval_minimal_in_sweep", daly_minimal);
+      ("daly_overhead_below_10_percent", overhead_ok);
+    ]

@@ -398,90 +398,71 @@ let print_hier report =
 
 let speedup_of report coll = try List.assoc coll report.hr_speedups with Not_found -> 0.0
 
-let to_json cases report =
-  let b = Buffer.create 8192 in
-  Buffer.add_string b "{\n  \"experiment\": \"collective_tuning\",\n  \"cases\": [\n";
-  List.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"coll\": %S, \"p\": %d, \"count\": %d, \"bytes\": %d, \"selected\": %S, \
-            \"incumbent\": %S, \"fastest\": %S, \"results\": ["
-           c.coll c.p c.count c.bytes c.selected c.incumbent (fastest c).algo);
-      List.iteri
-        (fun j r ->
-          if j > 0 then Buffer.add_string b ", ";
-          Buffer.add_string b
-            (Printf.sprintf "{\"algo\": %S, \"predicted\": %.9e, \"simulated\": %.9e}" r.algo
-               r.predicted r.simulated))
-        c.results;
-      Buffer.add_string b "]}")
-    cases;
-  Buffer.add_string b "\n  ],\n";
-  Buffer.add_string b
-    (Printf.sprintf "  \"topology\": {\n    \"ranks\": %d, \"node_size\": %d,\n    \"cases\": [\n"
-       report.hr_ranks report.hr_node_size);
-  List.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b
-        (Printf.sprintf
-           "      {\"coll\": %S, \"count\": %d, \"bytes\": %d, \"flat_algo\": %S, \
-            \"flat_time\": %.9e, \"tuned_algo\": %S, \"tuned_time\": %.9e, \"speedup\": %.3f, \
-            \"predicted\": %S, \"simulated\": %S, \"results\": ["
-           c.hc_coll c.hc_count c.hc_bytes c.hc_flat_algo c.hc_flat_time c.hc_tuned_algo
-           c.hc_tuned_time
-           (c.hc_flat_time /. c.hc_tuned_time)
-           c.hc_predicted c.hc_simulated);
-      List.iteri
-        (fun j r ->
-          if j > 0 then Buffer.add_string b ", ";
-          Buffer.add_string b
-            (Printf.sprintf "{\"algo\": %S, \"predicted\": %.9e, \"simulated\": %.9e}" r.algo
-               r.predicted r.simulated))
-        c.hc_results;
-      Buffer.add_string b "]}")
-    report.hr_cases;
-  Buffer.add_string b "\n    ],\n";
-  Buffer.add_string b
-    (Printf.sprintf "    \"speedups\": {%s}\n  },\n"
-       (String.concat ", "
-          (List.map (fun (coll, s) -> Printf.sprintf "%S: %.3f" coll s) report.hr_speedups)));
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"checks\": {\n\
-       \    \"hier_bcast_speedup_ge_1_2\": %b,\n\
-       \    \"hier_allreduce_speedup_ge_1_2\": %b,\n\
-       \    \"crossovers_within_one_sweep_step\": %b,\n\
-       \    \"tuned_dispatch_matches_prediction\": %b\n\
-       \  }\n\
-        }\n"
-       (speedup_of report "bcast" >= 1.2)
-       (speedup_of report "allreduce" >= 1.2)
-       report.hr_crossover_ok report.hr_table_ok);
-  Buffer.contents b
+module J = Serde.Json
 
-(* Self-validation, in the style of [Engine_exp.validate_json]: the file
-   must round-trip through Serde.Json and every entry of its "checks"
-   object must be [true]. *)
-let validate_json ~path ~json =
-  let module J = Serde.Json in
-  let ic = open_in path in
-  let text = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  if not (J.equal (J.parse text) (J.parse json)) then
-    failwith (Printf.sprintf "colltuning: %s did not round-trip through Serde.Json" path);
-  let checks =
-    match J.member "checks" (J.parse text) with
-    | Some (J.Obj kvs) -> kvs
-    | _ -> failwith "colltuning: BENCH_collectives.json lacks a checks object"
+let num_of_int i = J.Num (float_of_int i)
+
+let results_json results =
+  J.List
+    (List.map
+       (fun r ->
+         J.Obj
+           [ ("algo", J.Str r.algo); ("predicted", J.Num r.predicted); ("simulated", J.Num r.simulated) ])
+       results)
+
+let to_json cases report =
+  let case_json c =
+    J.Obj
+      [
+        ("coll", J.Str c.coll);
+        ("p", num_of_int c.p);
+        ("count", num_of_int c.count);
+        ("bytes", num_of_int c.bytes);
+        ("selected", J.Str c.selected);
+        ("incumbent", J.Str c.incumbent);
+        ("fastest", J.Str (fastest c).algo);
+        ("results", results_json c.results);
+      ]
   in
-  List.iter
-    (fun (name, v) ->
-      if v <> J.Bool true then failwith (Printf.sprintf "colltuning: check %S failed" name))
-    checks
+  let hier_case_json c =
+    J.Obj
+      [
+        ("coll", J.Str c.hc_coll);
+        ("count", num_of_int c.hc_count);
+        ("bytes", num_of_int c.hc_bytes);
+        ("flat_algo", J.Str c.hc_flat_algo);
+        ("flat_time", J.Num c.hc_flat_time);
+        ("tuned_algo", J.Str c.hc_tuned_algo);
+        ("tuned_time", J.Num c.hc_tuned_time);
+        ("speedup", J.Num (c.hc_flat_time /. c.hc_tuned_time));
+        ("predicted", J.Str c.hc_predicted);
+        ("simulated", J.Str c.hc_simulated);
+        ("results", results_json c.hc_results);
+      ]
+  in
+  J.Obj
+    [
+      ("experiment", J.Str "collective_tuning");
+      ("cases", J.List (List.map case_json cases));
+      ( "topology",
+        J.Obj
+          [
+            ("ranks", num_of_int report.hr_ranks);
+            ("node_size", num_of_int report.hr_node_size);
+            ("cases", J.List (List.map hier_case_json report.hr_cases));
+            ("speedups", J.Obj (List.map (fun (coll, s) -> (coll, J.Num s)) report.hr_speedups));
+          ] );
+    ]
 
 let run () =
-  print (sweep ());
-  print_hier (hier_sweep ())
+  let cases = sweep () in
+  print cases;
+  let report = hier_sweep () in
+  print_hier report;
+  Bench_report.report ~name:"colltuning" ~path:"BENCH_collectives.json" (to_json cases report)
+    [
+      ("hier_bcast_speedup_ge_1_2", speedup_of report "bcast" >= 1.2);
+      ("hier_allreduce_speedup_ge_1_2", speedup_of report "allreduce" >= 1.2);
+      ("crossovers_within_one_sweep_step", report.hr_crossover_ok);
+      ("tuned_dispatch_matches_prediction", report.hr_table_ok);
+    ]

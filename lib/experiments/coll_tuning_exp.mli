@@ -2,80 +2,19 @@
     candidate algorithm pinned, over a message-size x rank-count grid, and
     compare the LogGP cost-model predictions against the simulated times.
     The table shows where the crossovers sit and that the selector's choice
-    tracks the fastest simulated variant. *)
+    tracks the fastest simulated variant.
 
-(** One pinned variant's outcome for a sweep point. *)
-type algo_result = {
-  algo : string;
-  predicted : float;  (** cost-model estimate, seconds *)
-  simulated : float;  (** max simulated completion time across ranks *)
-}
+    A second sweep repeats the exercise on the acceptance fabric — a
+    two-tier cluster of 48-rank shared-memory nodes — with the
+    hierarchical candidates unlocked: every feasible variant is pinned and
+    simulated, the [Topology.Autotune] pin table is installed and timed
+    end-to-end, and both are compared against the flat (topology-blind)
+    cost-based default. *)
 
-(** One (collective, rank count, element count) sweep point. *)
-type case = {
-  coll : string;
-  p : int;
-  count : int;  (** elements (per block for allgather/alltoall) *)
-  bytes : int;  (** payload bytes the cost model sees *)
-  selected : string;  (** the selector's cost-based choice *)
-  incumbent : string;  (** the pre-tuning hardcoded algorithm *)
-  results : algo_result list;
-}
-
-(** [sweep ()] runs the whole flat grid (deterministic). *)
-val sweep : unit -> case list
-
-(** [print cases] renders the crossover tables. *)
-val print : case list -> unit
-
-(** {1 Topology-aware sweep}
-
-    The same exercise on the acceptance fabric — a two-tier cluster of
-    48-rank shared-memory nodes — with the hierarchical candidates
-    unlocked: every feasible variant is pinned and simulated, the
-    [Topology.Autotune] pin table is installed and timed end-to-end, and
-    both are compared against the flat (topology-blind) cost-based
-    default. *)
-
-(** One (collective, payload) point on the hierarchical fabric. *)
-type hier_case = {
-  hc_coll : string;
-  hc_count : int;
-  hc_bytes : int;
-  hc_flat_algo : string;  (** the pre-topology cost-based choice *)
-  hc_flat_time : float;
-  hc_tuned_algo : string;  (** what the installed pin table dispatches *)
-  hc_tuned_time : float;
-  hc_predicted : string;  (** topology-aware cost-model winner *)
-  hc_simulated : string;  (** empirically fastest pinned variant *)
-  hc_results : algo_result list;
-}
-
-type hier_report = {
-  hr_ranks : int;
-  hr_node_size : int;
-  hr_cases : hier_case list;
-  hr_speedups : (string * float) list;
-      (** per collective: best flat-default / auto-tuned time ratio *)
-  hr_crossover_ok : bool;
-      (** predicted crossovers track simulated ones within one sweep step *)
-  hr_table_ok : bool;  (** pin-table dispatch = predicted winner everywhere *)
-}
-
-(** [hier_sweep ()] runs the fabric grid (deterministic). *)
-val hier_sweep : unit -> hier_report
-
-val print_hier : hier_report -> unit
-
-(** [to_json cases report] is the machine-readable dump written to
-    [BENCH_collectives.json]: the flat sweep, the topology sweep, and a
-    ["checks"] object of gate booleans (hierarchical speedup >= 1.2x on
-    bcast and allreduce, crossover agreement, table consistency). *)
-val to_json : case list -> hier_report -> string
-
-(** [validate_json ~path ~json] re-reads the written file, requires it to
-    round-trip through [Serde.Json], and fails if any ["checks"] entry is
-    not [true]. *)
-val validate_json : path:string -> json:string -> unit
-
+(** [run ()] runs both sweeps, prints their tables, and writes
+    [BENCH_collectives.json] through {!Bench_report}: the flat sweep, the
+    topology sweep, and checks that the hierarchical speedup is >= 1.2x
+    on bcast and allreduce, that predicted crossovers track simulated
+    ones within one sweep step, and that the installed pin table
+    dispatches the predicted winner. *)
 val run : unit -> unit

@@ -1,14 +1,13 @@
 (* The [engine] experiment: scale and overhead of the simulator core.
 
-   Four measurements, all written to BENCH_engine.json and self-validated
-   (the file is re-read; every entry of its "checks" object must be true):
+   Four measurements, all written to BENCH_engine.json through
+   {!Bench_report} (every entry of its "checks" object must be true):
 
-   - {b Speedup} — an identical synthetic halo-exchange workload runs on
-     the frozen pre-refactor engine ({!Simnet.Legacy_engine}: binary heap,
-     boxed queue entries, unpruned fiber list) and on the calendar-queue
-     {!Simnet.Engine}; the events/sec ratio at p=4096 is the refactor's
-     measured win and must clear 5x.
-   - {b Ranks scaling} — the calendar engine's events/sec across
+   - {b Throughput} — a synthetic halo-exchange workload on the
+     calendar-queue {!Simnet.Engine} at p=4096 (median of 3 runs, which
+     must execute identical event counts) must clear an absolute
+     events/sec floor.
+   - {b Ranks scaling} — the engine's events/sec across
      p in {256, 1024, 4096, 16384}.  The queue is O(1) amortized per
      event, so throughput must stay roughly flat (within 4x of the best
      point) instead of degrading with the O(log p) heap slope, and the
@@ -16,7 +15,7 @@
    - {b Zero-alloc steady state} — [Gc.minor_words] across the run,
      divided by events executed: the pooled event loop must stay under a
      small constant per event (the workload's own boxed-float argument
-     passing included); the legacy engine's figure is reported alongside.
+     passing included).
    - {b Gallery subset} — events/sec over real MPI programs (three
      gallery examples via {!Mpisim.Mpi.with_run_collector}), plus the
      host-profiler pure-observer check: digests, event counts and
@@ -24,17 +23,7 @@
 
 module J = Serde.Json
 module Profile = Simnet.Profile
-
-(* The engine surface the synthetic workload needs — satisfied by both
-   the calendar engine and the frozen legacy engine. *)
-module type CORE = sig
-  type t
-
-  val create : unit -> t
-  val events_processed : t -> int
-  val schedule : t -> delay:float -> (unit -> unit) -> unit
-  val run : t -> unit
-end
+module E = Simnet.Engine
 
 (* Synthetic halo exchange, shaped to be queue-dominated: every rank
    keeps [fanout] self-rescheduling callback chains in flight (its
@@ -44,54 +33,45 @@ end
    [ranks * fanout * rounds] runs out.  The closures are preallocated —
    one per chain, reused every round — and the budget counter is a
    single hot cell, so the steady state measures the engine, not the
-   workload.  The budget drains identically on any engine that executes
-   the same schedule, so event counts must agree across engines. *)
-module Synth (E : CORE) = struct
-  let run ~ranks ~fanout ~rounds =
-    let e = E.create () in
-    let budget = ref (ranks * fanout * rounds) in
-    for r = 0 to ranks - 1 do
-      for lane = 0 to fanout - 1 do
-        let jitter =
-          float_of_int (((r * 2654435761) + (lane * 40503)) land 1023) *. 1e-9
-        in
-        let d = 1e-6 +. jitter in
-        let rec fire () =
-          decr budget;
-          if !budget > 0 then E.schedule e ~delay:d fire
-        in
-        E.schedule e ~delay:((float_of_int lane *. 1e-7) +. jitter) fire
-      done
-    done;
-    let w0 = Gc.minor_words () in
-    let t0 = Profile.now_ns () in
-    E.run e;
-    let t1 = Profile.now_ns () in
-    let w1 = Gc.minor_words () in
-    let events = E.events_processed e in
-    let wall = float_of_int (t1 - t0) /. 1e9 in
-    (events, wall, (w1 -. w0) /. float_of_int events)
+   workload.  The budget drains identically on every run of the same
+   schedule, so repeat runs must execute identical event counts. *)
+let synth ~ranks ~fanout ~rounds =
+  let e = E.create () in
+  let budget = ref (ranks * fanout * rounds) in
+  for r = 0 to ranks - 1 do
+    for lane = 0 to fanout - 1 do
+      let jitter = float_of_int (((r * 2654435761) + (lane * 40503)) land 1023) *. 1e-9 in
+      let d = 1e-6 +. jitter in
+      let rec fire () =
+        decr budget;
+        if !budget > 0 then E.schedule e ~delay:d fire
+      in
+      E.schedule e ~delay:((float_of_int lane *. 1e-7) +. jitter) fire
+    done
+  done;
+  let w0 = Gc.minor_words () in
+  let t0 = Profile.now_ns () in
+  E.run e;
+  let t1 = Profile.now_ns () in
+  let w1 = Gc.minor_words () in
+  let events = E.events_processed e in
+  let wall = float_of_int (t1 - t0) /. 1e9 in
+  (events, wall, (w1 -. w0) /. float_of_int events)
 
-  (* Median wall-clock of [n] identical runs: the speedup gate must not
-     flap on one noisy measurement. *)
-  let median ~n ~ranks ~fanout ~rounds =
-    let runs = List.init n (fun _ -> run ~ranks ~fanout ~rounds) in
-    let events, _, _ = List.hd runs in
-    List.iter
-      (fun (ev, _, _) ->
-        if ev <> events then failwith "engine: event count varied across repeat runs")
-      runs;
-    let walls = List.sort Float.compare (List.map (fun (_, w, _) -> w) runs) in
-    let wpes = List.sort Float.compare (List.map (fun (_, _, a) -> a) runs) in
-    (events, List.nth walls (n / 2), List.nth wpes (n / 2))
-end
-
-module Calendar = Synth (Simnet.Engine)
-module Legacy = Synth (Simnet.Legacy_engine)
+(* Median wall-clock of [n] identical runs, so the throughput floor does
+   not flap on one noisy measurement; [same_events] is whether every run
+   executed the same number of events. *)
+let synth_median ~n ~ranks ~fanout ~rounds =
+  let runs = List.init n (fun _ -> synth ~ranks ~fanout ~rounds) in
+  let events, _, _ = List.hd runs in
+  let same_events = List.for_all (fun (ev, _, _) -> ev = events) runs in
+  let walls = List.sort Float.compare (List.map (fun (_, w, _) -> w) runs) in
+  let wpes = List.sort Float.compare (List.map (fun (_, _, a) -> a) runs) in
+  (events, same_events, List.nth walls (n / 2), List.nth wpes (n / 2))
 
 (* One self-rescheduling exchange chain per rank: the p=4096 point then
    holds 4096 concurrent events, the regime the calendar queue is sized
-   for (and where the legacy heap pays its full O(log n) depth). *)
+   for. *)
 let fanout = 1
 let event_target = 2_000_000
 
@@ -129,23 +109,7 @@ let observe_gallery () =
     g_wall = float_of_int (t1 - t0) /. 1e9;
   }
 
-(* ---------------- self-validation ---------------- *)
-
-let validate_json ~path ~json =
-  let ic = open_in path in
-  let text = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  if not (J.equal (J.parse text) json) then
-    failwith (Printf.sprintf "engine: %s did not round-trip through Serde.Json" path);
-  let checks =
-    match J.member "checks" (J.parse text) with
-    | Some (J.Obj kvs) -> kvs
-    | _ -> failwith "engine: BENCH_engine.json lacks a checks object"
-  in
-  List.iter
-    (fun (name, v) ->
-      if v <> J.Bool true then failwith (Printf.sprintf "engine: check %S failed" name))
-    checks
+(* ---------------- gates ---------------- *)
 
 (* Conservative absolute floor for the calendar engine on the p=4096
    synthetic exchange.  Calibrated at roughly 1/10 of the throughput on
@@ -156,8 +120,7 @@ let evps_floor = 1_000_000.0
 
 (* Per-event minor-heap budget for the pooled loop, in words.  The
    workload itself boxes one float argument per event (~3 words); the
-   engine must add nothing on the steady-state path.  The legacy engine
-   measures ~4-5x this. *)
+   engine must add nothing on the steady-state path. *)
 let words_per_event_budget = 8.0
 
 (* Host-seconds budget for the p=16384 scaling point (CI smoke). *)
@@ -168,27 +131,20 @@ let run () =
   Printf.printf "synthetic halo exchange: %d lanes/rank, ~%d events per point\n\n" fanout
     event_target;
 
-  (* speedup at the headline size: median of 3 runs per engine *)
-  let rounds = rounds_for p_main in
-  let l_events, l_wall, l_wpe = Legacy.median ~n:3 ~ranks:p_main ~fanout ~rounds in
-  let c_events, c_wall, c_wpe = Calendar.median ~n:3 ~ranks:p_main ~fanout ~rounds in
-  if l_events <> c_events then
-    failwith
-      (Printf.sprintf "engine: legacy and calendar event counts diverged (%d vs %d)" l_events
-         c_events);
-  let l_evps = evps l_events l_wall and c_evps = evps c_events c_wall in
-  let speedup = c_evps /. l_evps in
-  Printf.printf "p=%d (%d events):\n" p_main c_events;
-  Printf.printf "  legacy   (binary heap): %10.0f events/s  %5.1f words/event\n" l_evps l_wpe;
-  Printf.printf "  calendar (this PR):     %10.0f events/s  %5.1f words/event\n" c_evps c_wpe;
-  Printf.printf "  speedup: %.2fx\n\n" speedup;
+  (* throughput at the headline size: median of 3 runs *)
+  let c_events, same_events, c_wall, c_wpe =
+    synth_median ~n:3 ~ranks:p_main ~fanout ~rounds:(rounds_for p_main)
+  in
+  let c_evps = evps c_events c_wall in
+  Printf.printf "p=%d (%d events): %10.0f events/s  %5.1f words/event\n\n" p_main c_events
+    c_evps c_wpe;
 
-  (* ranks scaling on the calendar engine *)
+  (* ranks scaling *)
   let sizes = [ 256; 1024; 4096; 16384 ] in
   let scaling =
     List.map
       (fun p ->
-        let events, wall, _ = Calendar.run ~ranks:p ~fanout ~rounds:(rounds_for p) in
+        let events, wall, _ = synth ~ranks:p ~fanout ~rounds:(rounds_for p) in
         let e = evps events wall in
         Printf.printf "  p=%-6d %10.0f events/s  (%d events, %.2fs)\n" p e events wall;
         (p, e, wall))
@@ -228,20 +184,6 @@ let run () =
     env_reused
     (100.0 *. float_of_int env_reused /. float_of_int (max 1 (env_made + env_reused)));
 
-  let checks =
-    [
-      ("synthetic_events_equal", true);
-      ("speedup_ge_5x", speedup >= 5.0);
-      ("calendar_evps_floor", c_evps >= evps_floor);
-      ("scaling_flat_within_4x", scaling_flat);
-      ("p16384_in_budget", p16384_wall <= p16384_budget_s);
-      ("zero_alloc_steady_state", c_wpe <= words_per_event_budget);
-      ("profiler_pure_observer", pure_observer);
-      ("envelopes_reused", env_reused > env_made);
-    ]
-  in
-  List.iter (fun (name, ok) -> Printf.printf "  %-28s %b\n" name ok) checks;
-
   let json =
     J.Obj
       [
@@ -252,10 +194,7 @@ let run () =
               ("ranks", J.Num (float_of_int p_main));
               ("fanout", J.Num (float_of_int fanout));
               ("events", J.Num (float_of_int c_events));
-              ("legacy_events_per_s", J.Num l_evps);
               ("calendar_events_per_s", J.Num c_evps);
-              ("speedup", J.Num speedup);
-              ("legacy_minor_words_per_event", J.Num l_wpe);
               ("calendar_minor_words_per_event", J.Num c_wpe);
             ] );
         ( "scaling",
@@ -279,13 +218,15 @@ let run () =
               ("envelopes_made", J.Num (float_of_int env_made));
               ("envelopes_reused", J.Num (float_of_int env_reused));
             ] );
-        ("checks", J.Obj (List.map (fun (n, ok) -> (n, J.Bool ok)) checks));
       ]
   in
-  let path = "BENCH_engine.json" in
-  let oc = open_out path in
-  output_string oc (J.to_string json);
-  output_string oc "\n";
-  close_out oc;
-  validate_json ~path ~json;
-  Printf.printf "\n  wrote %s (all checks pass)\n%!" path
+  Bench_report.report ~name:"engine" ~path:"BENCH_engine.json" json
+    [
+      ("synthetic_events_equal", same_events);
+      ("calendar_evps_floor", c_evps >= evps_floor);
+      ("scaling_flat_within_4x", scaling_flat);
+      ("p16384_in_budget", p16384_wall <= p16384_budget_s);
+      ("zero_alloc_steady_state", c_wpe <= words_per_event_budget);
+      ("profiler_pure_observer", pure_observer);
+      ("envelopes_reused", env_reused > env_made);
+    ]

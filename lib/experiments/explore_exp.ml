@@ -68,27 +68,13 @@ let run () =
   Printf.printf "\n  default-strategy host overhead over off: %+.1f%%\n"
     (100.0 *. ((host dflt /. host off) -. 1.0));
 
-  (* (a) Default is a pure observer at the simulation level *)
+  (* (a) every Default run simulates exactly like the exploration-off run;
+     (b) every random schedule agrees with Default on the result *)
   let o = List.hd off and d = List.hd dflt in
-  if o.sim_time <> d.sim_time || o.events <> d.events then
-    failwith
-      (Printf.sprintf
-         "explore: Default is not a pure observer (off: %g s / %d events, default: %g s / %d events)"
-         o.sim_time o.events d.sim_time d.events);
-  List.iter
-    (fun s ->
-      if s.sim_time <> d.sim_time || s.events <> d.events then
-        failwith "explore: Default runs are not reproducible")
-    dflt;
-
-  (* (b) every random schedule agreed on the result *)
-  let ref_digest = d.digest in
-  List.iter
-    (fun s ->
-      if s.digest <> ref_digest then
-        failwith "explore: random schedule produced a different result digest")
-    rand;
-  Printf.printf "  default pure observer: yes; %d random schedules agree: yes\n" (List.length rand);
+  let pure_observer =
+    List.for_all (fun s -> s.sim_time = o.sim_time && s.events = o.events) dflt
+  in
+  let schedules_agree = List.for_all (fun s -> s.digest = d.digest) rand in
 
   let mode_json name samples =
     let s = List.hd samples in
@@ -108,12 +94,7 @@ let run () =
         ("n_per_rank", J.Num (float_of_int n_per_rank));
         ("repeats", J.Num (float_of_int repeats));
         ("modes", J.List [ mode_json "off" off; mode_json "default" dflt; mode_json "random" rand ]);
-        ("default_pure_observer", J.Bool true);
-        ("random_schedules_agree", J.Bool true);
       ]
   in
-  let path = "BENCH_explore.json" in
-  let oc = open_out path in
-  output_string oc (J.to_string json);
-  close_out oc;
-  Printf.printf "  wrote %s\n%!" path
+  Bench_report.report ~name:"explore" ~path:"BENCH_explore.json" json
+    [ ("default_pure_observer", pure_observer); ("random_schedules_agree", schedules_agree) ]

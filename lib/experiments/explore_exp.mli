@@ -6,11 +6,11 @@
     0 everywhere) and under [Random] exploration, and reports the host
     wall-clock per run alongside the simulated time and event count.
 
-    The results are written to [BENCH_explore.json] and self-validated:
-    the experiment exits non-zero unless (a) the [Default] strategy is a
-    pure observer — simulated time, event count and MPI-call profile are
-    bit-identical to the exploration-off run — and (b) every random
-    schedule produces the reference result digest (the workload is
-    schedule-independent). *)
+    The results are written to [BENCH_explore.json] through
+    {!Bench_report} with two checks, and the experiment fails naming
+    each false one: [default_pure_observer] (every [Default] run has the
+    simulated time and event count of the exploration-off run) and
+    [random_schedules_agree] (every random schedule produces the
+    [Default] result digest; the workload is schedule-independent). *)
 
 val run : unit -> unit

@@ -123,24 +123,6 @@ let halo_digests () =
   done;
   (reference, !divergent)
 
-(* ---------------- self-validation ---------------- *)
-
-let validate_json ~path ~json =
-  let ic = open_in path in
-  let text = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  if not (J.equal (J.parse text) json) then
-    failwith (Printf.sprintf "mpi4: %s did not round-trip through Serde.Json" path);
-  let checks =
-    match J.member "checks" (J.parse text) with
-    | Some (J.Obj kvs) -> kvs
-    | _ -> failwith "mpi4: BENCH_mpi4.json lacks a checks object"
-  in
-  List.iter
-    (fun (name, v) ->
-      if v <> J.Bool true then failwith (Printf.sprintf "mpi4: check %S failed" name))
-    checks
-
 let run () =
   Printf.printf "MPI-4 surface: persistent channels, partitioned transfer, idle-handle cost\n\n";
 
@@ -189,9 +171,6 @@ let run () =
          idle.extra_algo
   in
   let halo_ok = divergent = 0 in
-  Printf.printf "  persistent serving >= 1.15x + exact stores: %b\n" serving_ok;
-  Printf.printf "  idle handles profile-invisible:             %b\n" idle_ok;
-  Printf.printf "  transports bit-identical over %2d schedules: %b\n" schedules halo_ok;
 
   let json_of_report (r : Serve.report) =
     J.Obj
@@ -239,18 +218,11 @@ let run () =
               ("schedules", J.Num (float_of_int schedules));
               ("divergent", J.Num (float_of_int divergent));
             ] );
-        ( "checks",
-          J.Obj
-            [
-              ("persistent_serving_speedup_over_15_percent", J.Bool serving_ok);
-              ("idle_handles_profile_invisible", J.Bool idle_ok);
-              ("transports_bit_identical_across_schedules", J.Bool halo_ok);
-            ] );
       ]
   in
-  let path = "BENCH_mpi4.json" in
-  let oc = open_out path in
-  output_string oc (J.to_string json);
-  close_out oc;
-  validate_json ~path ~json;
-  Printf.printf "  wrote %s (all checks passed)\n%!" path
+  Bench_report.report ~name:"mpi4" ~path:"BENCH_mpi4.json" json
+    [
+      ("persistent_serving_speedup_over_15_percent", serving_ok);
+      ("idle_handles_profile_invisible", idle_ok);
+      ("transports_bit_identical_across_schedules", halo_ok);
+    ]

@@ -76,24 +76,6 @@ let chaos_run cfg =
         c_token = Explore.token_to_string o.Explore.token;
       }
 
-(* ---------------- self-validation ---------------- *)
-
-let validate_json ~path ~json =
-  let ic = open_in path in
-  let text = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  if not (J.equal (J.parse text) json) then
-    failwith (Printf.sprintf "serving: %s did not round-trip through Serde.Json" path);
-  let checks =
-    match J.member "checks" (J.parse text) with
-    | Some (J.Obj kvs) -> kvs
-    | _ -> failwith "serving: BENCH_serving.json lacks a checks object"
-  in
-  List.iter
-    (fun (name, v) ->
-      if v <> J.Bool true then failwith (Printf.sprintf "serving: check %S failed" name))
-    checks
-
 let run () =
   Printf.printf "sharded request serving: %d ranks, %d shards, %d keys, zipf s=%.1f\n"
     ranks base.Serve.n_shards base.Serve.n_keys base.Serve.zipf_s;
@@ -178,11 +160,7 @@ let run () =
   let chaos_ok =
     chaos.c_digest_ok && chaos.c_killed = 1 && chaos.c_report.Serve.recoveries >= 1
   in
-  Printf.printf "  batching monotone to crossover: %b (peak %.2fx)\n" monotone speedup;
-  Printf.printf "  caching cuts p50:               %b\n" caching_cuts_p50;
-  Printf.printf "  rebalancing reduces imbalance:  %b\n" rebalance_ok;
-  Printf.printf "  chaos run recovered exactly:    %b\n" chaos_ok;
-  Printf.printf "  all stores match the oracle:    %b\n" all_digests_ok;
+  Printf.printf "  batching peak speedup: %.2fx\n" speedup;
 
   let json_of_report (r : Serve.report) =
     J.Obj
@@ -247,22 +225,15 @@ let run () =
               ("digest_ok", J.Bool chaos.c_digest_ok);
               ("replay_token", J.Str chaos.c_token);
             ] );
-        ( "checks",
-          J.Obj
-            [
-              ("batching_monotone_to_crossover", J.Bool monotone);
-              ("batching_speedup_at_peak_over_5_percent", J.Bool (speedup >= 1.05));
-              ("caching_cuts_p50", J.Bool caching_cuts_p50);
-              ("rebalancing_reduces_imbalance", J.Bool rebalance_ok);
-              ("chaos_recovers_bit_identical", J.Bool chaos_ok);
-              ("chaos_p99_finite", J.Bool chaos_p99_finite);
-              ("store_digests_match_oracle", J.Bool all_digests_ok);
-            ] );
       ]
   in
-  let path = "BENCH_serving.json" in
-  let oc = open_out path in
-  output_string oc (J.to_string json);
-  close_out oc;
-  validate_json ~path ~json;
-  Printf.printf "  wrote %s (all checks passed)\n%!" path
+  Bench_report.report ~name:"serving" ~path:"BENCH_serving.json" json
+    [
+      ("batching_monotone_to_crossover", monotone);
+      ("batching_speedup_at_peak_over_5_percent", speedup >= 1.05);
+      ("caching_cuts_p50", caching_cuts_p50);
+      ("rebalancing_reduces_imbalance", rebalance_ok);
+      ("chaos_recovers_bit_identical", chaos_ok);
+      ("chaos_p99_finite", chaos_p99_finite);
+      ("store_digests_match_oracle", all_digests_ok);
+    ]

@@ -25,17 +25,10 @@ let bfs_trace ~ranks =
       let (_ : int array) = Apps.Bfs_kamping.bfs comm graph ~src:0 in
       ())
 
-(* Structural checks on the written file: it must parse back to the same
-   value, contain a complete-event track for every rank of every process
-   group, and pair every matched message's flow start with its finish. *)
-let validate ~path ~json ~groups =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  let parsed = J.parse text in
-  if not (J.equal parsed json) then
-    failwith (Printf.sprintf "trace: %s did not round-trip through Serde.Json" path);
+(* Structural checks on the file as read back: it must contain a
+   complete-event track for every rank of every process group, and pair
+   every matched message's flow start with its finish. *)
+let validate ~path ~parsed ~groups =
   let evs =
     match J.member "traceEvents" parsed with
     | Some (J.List evs) -> evs
@@ -89,10 +82,8 @@ let run () =
   in
   let json = Trace.Chrome.wrap events in
   let path = "BENCH_trace.json" in
-  let oc = open_out path in
-  output_string oc (J.to_string json);
-  close_out oc;
-  validate ~path ~json
+  let parsed = Bench_report.write ~name:"trace" ~path json in
+  validate ~path ~parsed
     ~groups:[ (0, ranks, matched_count sort); (1, ranks, matched_count bfs) ];
   Printf.printf "\n  wrote %s (%d events; validated round-trip, tracks and flows)\n%!" path
     (List.length events)

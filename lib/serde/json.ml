@@ -23,8 +23,10 @@ let escape buf s =
     s;
   Buffer.add_char buf '"'
 
+(* JSON has no NaN or infinities; they print as [null]. *)
 let number_to_string f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  if not (Float.is_finite f) then "null"
+  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
   else Printf.sprintf "%.17g" f
 
 let to_string v =

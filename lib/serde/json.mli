@@ -16,7 +16,8 @@ type t =
 exception Parse_error of int * string
 
 (** [to_string v] prints compact JSON (escaping control characters and
-    quotes). *)
+    quotes).  Non-finite numbers (NaN, infinities) have no JSON form and
+    print as [null]. *)
 val to_string : t -> string
 
 (** [parse s] parses one JSON value (trailing whitespace allowed). *)

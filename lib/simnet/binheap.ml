@@ -1,6 +1,5 @@
 (* The pre-calendar-queue binary heap, kept verbatim as the differential
-   oracle for the calendar queue (test/test_engine_scale.ml) and as the
-   event queue of the frozen {!Legacy_engine} perf baseline.  Do not
+   oracle for the calendar queue (test/test_engine_scale.ml).  Do not
    "improve" this module: its value is that it is the old code. *)
 
 type 'a entry = { time : float; seq : int; value : 'a }

@@ -1,10 +1,9 @@
 (** Binary min-heap priority queue keyed by [(time, sequence)] pairs.
 
-    This is the engine's pre-refactor event queue, frozen.  It serves two
-    purposes: the differential oracle that the calendar queue ({!Pqueue})
-    must agree with entry for entry, and the event queue of the
-    {!Legacy_engine} baseline that the engine bench measures speedups
-    against.  The live engine no longer uses it. *)
+    This is the engine's pre-refactor event queue, frozen.  It is the
+    reference heap of the differential test that the calendar queue
+    ({!Pqueue}) must agree with entry for entry; the live engine does not
+    use it. *)
 
 type 'a t
 

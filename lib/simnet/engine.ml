@@ -1,10 +1,9 @@
 (* Discrete-event engine on the exact-order calendar queue ({!Pqueue}).
 
-   The pre-refactor engine is frozen verbatim as {!Legacy_engine}; this
-   rewrite keeps its observable semantics bit-identical (same (time, seq)
-   execution order, same chooser candidate order, same Deadlock /
-   Limit_exceeded behaviour) while fixing the structural costs the scale
-   tests exposed:
+   This rewrite of the original binary-heap engine kept its observable
+   semantics bit-identical (same (time, seq) execution order, same
+   chooser candidate order, same Deadlock / Limit_exceeded behaviour)
+   while fixing the structural costs the scale tests exposed:
 
    - the event queue is the calendar queue: O(1) amortized push/pop with
      unboxed float keys instead of an O(log n) heap of boxed entries;
@@ -221,8 +220,8 @@ let exec t f =
   f ()
 
 (* Chooser mode: gather the full same-time ready set into the scratch
-   vectors (candidates in (time, seq) order, exactly the legacy candidate
-   order), let the chooser pick, re-push the rest with their original
+   vectors (candidates in (time, seq) order, the order the chooser has
+   always seen), let the chooser pick, re-push the rest with their original
    seqs so non-picked events keep their relative order. *)
 let exec_chosen t =
   let time = t.clock.(0) in

@@ -1,6 +1,7 @@
 (** Calendar event queue keyed by [(time, sequence)] pairs.
 
-    Drop-in successor of the binary-heap queue (frozen as {!Binheap}):
+    Drop-in successor of the binary-heap queue (kept as {!Binheap}, the
+    reference of the differential test):
     the dequeue order is the exact total [(time, seq)] order — events at
     the same simulated time fire in insertion order — so every schedule
     the old heap produced replays bit-identically.  Internally it is a

@@ -29,4 +29,5 @@ let () =
       ("engine-scale", Test_engine_scale.suite);
       ("persist", Test_persist.suite);
       ("topology", Test_topology.suite);
+      ("bench-report", Test_bench_report.suite);
     ]

@@ -98,6 +98,14 @@ let test_json_numbers () =
   | _ -> Alcotest.fail "expected number");
   Alcotest.(check string) "integral printing" "42" (Json.to_string (Json.Num 42.0))
 
+let test_json_non_finite () =
+  List.iter
+    (fun (name, f) ->
+      let text = Json.to_string (Json.Obj [ ("x", Json.Num f) ]) in
+      Alcotest.(check bool) (name ^ " reads back as null") true
+        (Json.equal (Json.parse text) (Json.Obj [ ("x", Json.Null) ])))
+    [ ("nan", Float.nan); ("infinity", Float.infinity); ("neg_infinity", Float.neg_infinity) ]
+
 (* ---------- checkpoint snapshot wire format (lib/ckpt) ---------- *)
 
 let snap epoch rank payload = { Ckpt.Snapshot.epoch; rank; payload = Bytes.of_string payload }
@@ -188,6 +196,7 @@ let suite =
     Alcotest.test_case "json print/parse" `Quick test_json_print_parse;
     Alcotest.test_case "json parse errors" `Quick test_json_parse_errors;
     Alcotest.test_case "json numbers" `Quick test_json_numbers;
+    Alcotest.test_case "json non-finite numbers print as null" `Quick test_json_non_finite;
     Alcotest.test_case "snapshot roundtrip" `Quick test_snapshot_roundtrip;
     Alcotest.test_case "snapshot rejects corrupt buffers" `Quick
       test_snapshot_rejects_corrupt;
