@@ -21,8 +21,12 @@ dune runtest
 #                        the file through Serde.Json and exits non-zero
 #                        naming every false entry of its "checks" object.
 #   perf:WORKLOAD:TRACE  python3 perfbench/run.py for one workload
+#   lint:observe         the mpisim call layers reach Checker, Trace and
+#                        Profiling only through Observe
 #
 # What the passes cover, in order:
+# - lint:observe: one observation point per MPI operation; a call layer
+#   that records a count, a checker entry or a span itself fails here.
 # - runtest under the strictest MUST-style checker, under event tracing
 #   (the recorder must be a pure observer: determinism and profiling
 #   equality stay green), and under seeded random schedule exploration
@@ -61,6 +65,7 @@ dune runtest
 #   pure-observer checks and the zero-overhead gate (Bfs_mpi simulates
 #   exactly like Bfs_kamping).
 passes='
+-                                                        lint:observe
 MPISIM_CHECK=communication                               runtest
 MPISIM_TRACE=1                                           runtest
 -                                                        bench:trace
@@ -100,6 +105,14 @@ run_suite() {
     perf:*)
       spec=${1#perf:}
       python3 perfbench/run.py --workload "${spec%:*}" --seed 1 --seconds 1 --trace "${spec#*:}"
+      ;;
+    lint:observe)
+      cd lib/mpisim
+      if grep -n 'Checker\.\|Trace\.\|Profiling\.' p2p.ml collectives.ml win.ml ulfm.ml \
+        cart.ml topology.ml group.ml persist.ml coll_impl.ml; then
+        echo "ci.sh: call layers must observe through Observe only" >&2
+        exit 1
+      fi
       ;;
     *) echo "ci.sh: unknown suite $1" >&2; exit 2 ;;
   esac

@@ -23,28 +23,8 @@ let default_tag = 0
 
 (* ---------------- tracing accessors ---------------- *)
 
-let recorder t = (Mpisim.Comm.world t.c).Mpisim.World.trace
-let tracing t = Trace.Recorder.active (recorder t)
-
-let with_region t name f =
-  let tr = recorder t in
-  if not (Trace.Recorder.active tr) then f ()
-  else begin
-    let t0 = now t in
-    Fun.protect
-      ~finally:(fun () ->
-        Trace.Recorder.add_span tr
-          {
-            Trace.Event.sp_rank = Mpisim.Comm.world_rank_of t.c (rank t);
-            sp_op = name;
-            sp_cat = "user";
-            sp_comm = Mpisim.Comm.id t.c;
-            sp_seq = -1;
-            sp_t0 = t0;
-            sp_t1 = now t;
-          })
-      f
-  end
+let tracing t = Mpisim.Observe.tracing t.c
+let with_region t name f = Mpisim.Observe.span ~ctx:User User t.c name f
 
 (* ---------------- helpers ---------------- *)
 

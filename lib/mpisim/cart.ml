@@ -26,7 +26,7 @@ let create comm ~dims ~periodic =
       (Comm.size comm);
   if Array.length periodic <> Array.length dims then
     Errors.usage "Cart.create: periodic must have one entry per dimension";
-  Profiling.record_call (Comm.world comm).World.prof "MPI_Cart_create";
+  Observe.call Comm_mgmt comm "MPI_Cart_create" @@ fun () ->
   Collectives.barrier comm;
   { comm; dims = Array.copy dims; periodic = Array.copy periodic }
 
@@ -81,8 +81,8 @@ let shift t ~dim ~disp =
   (neighbor t ~dim ~disp:(-disp), neighbor t ~dim ~disp)
 
 let halo_exchange t dt ~dim ~send_low ~send_high ~recv_low ~recv_high =
-  Profiling.record_call (Comm.world t.comm).World.prof "MPI_Halo_exchange";
   let low = neighbor t ~dim ~disp:(-1) and high = neighbor t ~dim ~disp:1 in
+  Observe.call Comm_mgmt t.comm "MPI_Halo_exchange" @@ fun () ->
   let tag_up = Comm.next_collective_tag t.comm in
   let tag_down = Comm.next_collective_tag t.comm in
   let reqs = ref [] in

@@ -83,8 +83,6 @@ let pp fmt d = Format.pp_print_string fmt (to_string d)
 (* Per-world state.                                                    *)
 (* ------------------------------------------------------------------ *)
 
-type window_token = { mutable freed : bool }
-
 type tracked_request = {
   tr_rank : int;
   tr_comm : int;
@@ -92,7 +90,7 @@ type tracked_request = {
   tr_at : float;  (* simulated time the request was created *)
   tr_req : Request.t;
 }
-type tracked_window = { tw_rank : int; tw_comm : int; tw_tok : window_token }
+type tracked_window = { tw_rank : int; tw_comm : int; tw_freed : bool ref }
 
 (* Persistent handles are tracked through closures (reading the handle's
    phase/round counter at finalize time) so the checker does not depend on
@@ -109,7 +107,6 @@ type tracked_persistent = {
 type state = {
   diags : diagnostic V.t;
   coll_log : (int, coll_sig V.t) Hashtbl.t; (* cid -> agreed call sequence *)
-  coll_pos : (int * int, int ref) Hashtbl.t; (* (cid, world rank) -> next index *)
   reqs : tracked_request V.t;
   windows : tracked_window V.t;
   persistents : tracked_persistent V.t;
@@ -119,25 +116,12 @@ let create () =
   {
     diags = V.create ();
     coll_log = Hashtbl.create 8;
-    coll_pos = Hashtbl.create 16;
     reqs = V.create ();
     windows = V.create ();
     persistents = V.create ();
   }
 
-let collector : (diagnostic -> unit) option ref = ref None
-
-let with_collector f =
-  let saved = !collector in
-  let seen = V.create () in
-  collector := Some (fun d -> V.push seen d);
-  let finally () = collector := saved in
-  let result = Fun.protect ~finally f in
-  (result, V.to_list seen)
-
-let report st d =
-  V.push st.diags d;
-  match !collector with Some tee -> tee d | None -> ()
+let report st d = V.push st.diags d
 
 let diagnostics st = V.to_list st.diags
 
@@ -159,17 +143,9 @@ let first_disagreement expected got =
     Some "datatype"
   else None
 
-let record_collective st ~rank ~comm ~op ~root ~count ~datatype =
+let record_collective st ~rank ~comm ~index ~op ~root ~count ~datatype =
   if enabled Communication then begin
     let got = { coll_op = op; coll_root = root; coll_count = count; coll_dt = datatype } in
-    let pos =
-      match Hashtbl.find_opt st.coll_pos (comm, rank) with
-      | Some r -> r
-      | None ->
-          let r = ref 0 in
-          Hashtbl.add st.coll_pos (comm, rank) r;
-          r
-    in
     let log =
       match Hashtbl.find_opt st.coll_log comm with
       | Some l -> l
@@ -178,8 +154,6 @@ let record_collective st ~rank ~comm ~op ~root ~count ~datatype =
           Hashtbl.add st.coll_log comm l;
           l
     in
-    let index = !pos in
-    incr pos;
     if index >= V.length log then V.push log got
     else begin
       let expected = V.get log index in
@@ -204,9 +178,7 @@ let record_collective st ~rank ~comm ~op ~root ~count ~datatype =
 (* Match-time errors.                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let record_match_error st ~rank ~comm ~op ~src ~tag e =
-  ignore src;
-  ignore tag;
+let record_match_error st ~rank ~comm ~op e =
   if enabled Light then
     match e with
     | Errors.Truncated { sent; capacity } ->
@@ -230,17 +202,8 @@ let track_persistent st ~rank ~comm ~op ~at ~freed ~starts =
       { tp_rank = rank; tp_comm = comm; tp_op = op; tp_at = at; tp_freed = freed;
         tp_starts = starts }
 
-let inert_token = { freed = true }
-
-let track_window st ~rank ~comm =
-  if enabled Heavy then begin
-    let tok = { freed = false } in
-    V.push st.windows { tw_rank = rank; tw_comm = comm; tw_tok = tok };
-    tok
-  end
-  else inert_token
-
-let release_window tok = tok.freed <- true
+let track_window st ~rank ~comm ~freed =
+  if enabled Heavy then V.push st.windows { tw_rank = rank; tw_comm = comm; tw_freed = freed }
 
 (* ------------------------------------------------------------------ *)
 (* Deadlock diagnosis.                                                 *)
@@ -406,7 +369,7 @@ let finalize st ~mailboxes ~rank_alive ~comm_revoked ~comm_failed_at =
       st.persistents;
     V.iter
       (fun tw ->
-        if (not tw.tw_tok.freed) && rank_alive tw.tw_rank then
+        if (not !(tw.tw_freed)) && rank_alive tw.tw_rank then
           report st
             {
               rank = tw.tw_rank;

@@ -91,9 +91,10 @@ val pp : Format.formatter -> diagnostic -> unit
 
 (** {1 Per-world state and hooks}
 
-    One [state] lives in each {!World.t}; the hooks below are called by the
-    p2p, collective, request and window layers.  They are cheap no-ops
-    below their gating level. *)
+    One [state] lives in each {!World.t}.  The call layers reach the
+    recording hooks below only through {!Observe}, after validating the
+    call's arguments; each hook returns after one level comparison when
+    the checker is below its gating level. *)
 
 type state
 
@@ -102,20 +103,28 @@ val create : unit -> state
 (** [diagnostics st] is every finding recorded so far, in order. *)
 val diagnostics : state -> diagnostic list
 
-(** [record_collective st ~rank ~comm ~op ~root ~count ~datatype] logs the
-    calling rank's next collective on communicator [comm] and verifies it
-    against the other ranks' sequences.  Pass [root = -1] for non-rooted
-    operations, [count = -1] / [datatype = ""] to skip those fields.
-    Active at {!Communication}.
+(** [record_collective st ~rank ~comm ~index ~op ~root ~count ~datatype]
+    logs the calling rank's [index]-th collective on communicator [comm]
+    (see {!Comm.next_coll_index}) and verifies it against the other ranks'
+    entries at that index.  Pass [root = -1] for non-rooted operations,
+    [count = -1] / [datatype = ""] to skip those fields.  Active at
+    {!Communication}.
     @raise Violation on disagreement (after recording the diagnostic). *)
 val record_collective :
-  state -> rank:int -> comm:int -> op:string -> root:int -> count:int -> datatype:string -> unit
+  state ->
+  rank:int ->
+  comm:int ->
+  index:int ->
+  op:string ->
+  root:int ->
+  count:int ->
+  datatype:string ->
+  unit
 
-(** [record_match_error st ~rank ~comm ~op ~src ~tag e] records a
-    truncation or datatype mismatch detected while matching a message.
-    Active at {!Light}. *)
-val record_match_error :
-  state -> rank:int -> comm:int -> op:string -> src:int -> tag:int -> exn -> unit
+(** [record_match_error st ~rank ~comm ~op e] records a truncation or
+    datatype mismatch detected while matching a message.  Active at
+    {!Light}. *)
+val record_match_error : state -> rank:int -> comm:int -> op:string -> exn -> unit
 
 (** [track_request st ~rank ~comm ~op ~at req] registers a user-visible
     request for the finalize leak check; [at] is the simulated creation
@@ -138,15 +147,10 @@ val track_persistent :
   starts:(unit -> int) ->
   unit
 
-(** Handle for one rank's view of an RMA window, used by the leak check. *)
-type window_token
-
-(** [track_window st ~rank ~comm] registers a window created by [rank].
-    Active at {!Heavy} (below it, the returned token is inert). *)
-val track_window : state -> rank:int -> comm:int -> window_token
-
-(** [release_window tok] marks the window freed (called by [Win.free]). *)
-val release_window : window_token -> unit
+(** [track_window st ~rank ~comm ~freed] registers an RMA window created
+    by [rank]; it is reported as a {!Window_leak} if [!freed] is still
+    false at finalize.  Active at {!Heavy}. *)
+val track_window : state -> rank:int -> comm:int -> freed:bool ref -> unit
 
 (** [diagnose_deadlock st ~mailboxes ~parked ~rank_alive] builds the
     structured deadlock report from the posted-receive queues and the list
@@ -177,10 +181,3 @@ val finalize :
   comm_revoked:(int -> bool) ->
   comm_failed_at:(int -> float) ->
   unit
-
-(** {1 Cross-world collection}
-
-    [with_collector f] additionally tees every diagnostic recorded in any
-    world created while running [f] into a list — the regression sweep uses
-    it to assert that whole example programs run clean. *)
-val with_collector : (unit -> 'a) -> 'a * diagnostic list

@@ -2,42 +2,6 @@ module Engine = Simnet.Engine
 module Algo = Coll_algos.Algo
 module Select = Coll_algos.Select
 
-let record comm name = Profiling.record_call (Comm.world comm).World.prof name
-
-(* Annotated algorithm choice, e.g. "MPI_Allreduce[rabenseifner]"; kept in
-   a separate profiling category so plain call counts stay exact. *)
-let record_algo comm name algo =
-  Profiling.record_algo (Comm.world comm).World.prof (Printf.sprintf "%s[%s]" name algo)
-
-(* Record a collective call span around [f] on traced runs.  Each span
-   draws a per-(rank, communicator) sequence number; since every rank must
-   issue the same sequence of collectives on a communicator, the k-th
-   collective lines up across ranks — the analysis pass groups spans by
-   (comm, seq) to measure arrival imbalance. *)
-let traced comm ~op f =
-  let w = Comm.world comm in
-  let tr = w.World.trace in
-  if not (Trace.Recorder.active tr) then f ()
-  else begin
-    let rank = Comm.world_rank_of comm (Comm.rank comm) in
-    let cid = Comm.id comm in
-    let seq = Trace.Recorder.next_coll_seq tr ~rank ~comm:cid in
-    let t0 = World.now w in
-    Fun.protect
-      ~finally:(fun () ->
-        Trace.Recorder.add_span tr
-          {
-            Trace.Event.sp_rank = rank;
-            sp_op = op;
-            sp_cat = "coll";
-            sp_comm = cid;
-            sp_seq = seq;
-            sp_t0 = t0;
-            sp_t1 = World.now w;
-          })
-      f
-  end
-
 let check_root comm root =
   if root < 0 || root >= Comm.size comm then
     Errors.usage "root %d out of range for communicator of size %d" root (Comm.size comm)
@@ -45,21 +9,26 @@ let check_root comm root =
 let check_count what count =
   if count < 0 then Errors.usage "%s: negative count %d" what count
 
-(* Communication-level ordering check: log this rank's next collective on
-   the communicator and verify it against the sequence the other ranks
-   issued.  [root]/[count]/[datatype] default to "not checked" (v-variants
-   legitimately differ per rank in their counts). *)
-let check_coll ?(root = -1) ?(count = -1) ?datatype comm ~op dt_opt =
-  if Checker.enabled Communication then begin
-    let datatype =
-      match datatype with
-      | Some n -> n
-      | None -> ( match dt_opt with Some dt -> Datatype.name dt | None -> "")
-    in
-    Checker.record_collective (Comm.world comm).World.check
-      ~rank:(Comm.world_rank_of comm (Comm.rank comm))
-      ~comm:(Comm.id comm) ~op ~root ~count ~datatype
-  end
+(* [buf]'s window [pos, pos + count) must lie inside it. *)
+let check_window what name buf pos count =
+  if pos < 0 || pos + count > Array.length buf then
+    Errors.usage "%s: %s window [%d, %d) exceeds its length %d" what name pos (pos + count)
+      (Array.length buf)
+
+(* A v-collective's layout: one count and one displacement per rank, none
+   negative, every block inside [buf]. *)
+let check_layout what comm ~counts ~displs ~names buf =
+  let p = Comm.size comm in
+  if Array.length counts <> p || Array.length displs <> p then
+    Errors.usage "%s: %s must have one entry per rank" what names;
+  for i = 0 to p - 1 do
+    let c = counts.(i) and d = displs.(i) in
+    if c < 0 || d < 0 then
+      Errors.usage "%s: %s has a negative entry for rank %d (%d, %d)" what names i c d;
+    if d + c > Array.length buf then
+      Errors.usage "%s: %s block of rank %d, [%d, %d), exceeds the buffer of length %d" what
+        names i d (d + c) (Array.length buf)
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Algorithm selection.                                                *)
@@ -174,31 +143,23 @@ let run_alltoall comm dt ~sendbuf ~recvbuf ~count algo ~tags:(t1, t2, t3, t4) =
 
 let barrier comm =
   Comm.check_active comm;
-  record comm "MPI_Barrier";
-  check_coll comm ~op:"MPI_Barrier" None;
-  traced comm ~op:"MPI_Barrier" @@ fun () ->
+  Observe.coll comm "MPI_Barrier" @@ fun () ->
   Coll_impl.dissemination comm ~tag:(Comm.next_collective_tag comm)
 
 let bcast ?(pos = 0) ?count comm dt buf ~root =
   Comm.check_active comm;
-  record comm "MPI_Bcast";
   check_root comm root;
   let count = match count with Some c -> c | None -> Array.length buf - pos in
   check_count "bcast" count;
-  check_coll comm ~op:"MPI_Bcast" ~root ~count (Some dt);
-  traced comm ~op:"MPI_Bcast" @@ fun () ->
-  let tags = draw2 comm in
   let algo = select_bcast comm dt count in
-  record_algo comm "MPI_Bcast" (Algo.bcast_name algo);
-  run_bcast comm dt buf pos count ~root algo ~tags
+  Observe.coll ~root ~count ~dt ~algo:(Algo.bcast_name algo) comm "MPI_Bcast" @@ fun () ->
+  run_bcast comm dt buf pos count ~root algo ~tags:(draw2 comm)
 
 let reduce ?(pos = 0) ?recvbuf comm dt op ~sendbuf ~count ~root =
   Comm.check_active comm;
-  record comm "MPI_Reduce";
   check_root comm root;
   check_count "reduce" count;
-  check_coll comm ~op:"MPI_Reduce" ~root ~count (Some dt);
-  traced comm ~op:"MPI_Reduce" @@ fun () ->
+  Observe.coll ~root ~count ~dt comm "MPI_Reduce" @@ fun () ->
   let tag = Comm.next_collective_tag comm in
   let acc = Coll_impl.reduce_binomial comm dt op ~sendbuf ~pos ~count ~root ~tag in
   if Comm.rank comm = root then begin
@@ -209,24 +170,17 @@ let reduce ?(pos = 0) ?recvbuf comm dt op ~sendbuf ~count ~root =
 
 let allreduce ?(pos = 0) comm dt op ~sendbuf ~recvbuf ~count =
   Comm.check_active comm;
-  record comm "MPI_Allreduce";
   check_count "allreduce" count;
-  check_coll comm ~op:"MPI_Allreduce" ~count (Some dt);
-  traced comm ~op:"MPI_Allreduce" @@ fun () ->
-  let tags = draw4 comm in
   let algo = select_allreduce comm dt op count in
-  record_algo comm "MPI_Allreduce" (Algo.allreduce_name algo);
-  run_allreduce comm dt op ~sendbuf ~pos ~recvbuf ~count algo ~tags
+  Observe.coll ~count ~dt ~algo:(Algo.allreduce_name algo) comm "MPI_Allreduce" @@ fun () ->
+  run_allreduce comm dt op ~sendbuf ~pos ~recvbuf ~count algo ~tags:(draw4 comm)
 
 let allgather ?(inplace = false) ?(spos = 0) ?(rpos = 0) comm dt ~sendbuf ~recvbuf ~count =
   Comm.check_active comm;
-  record comm "MPI_Allgather";
   check_count "allgather" count;
-  check_coll comm ~op:"MPI_Allgather" ~count (Some dt);
-  traced comm ~op:"MPI_Allgather" @@ fun () ->
-  let tag = Comm.next_collective_tag comm in
   let algo = select_allgather comm dt count in
-  record_algo comm "MPI_Allgather" (Algo.allgather_name algo);
+  Observe.coll ~count ~dt ~algo:(Algo.allgather_name algo) comm "MPI_Allgather" @@ fun () ->
+  let tag = Comm.next_collective_tag comm in
   let my_block_buf, my_block_pos =
     if inplace then (recvbuf, rpos + (Comm.rank comm * count)) else (sendbuf, spos)
   in
@@ -237,15 +191,12 @@ let allgather ?(inplace = false) ?(spos = 0) ?(rpos = 0) comm dt ~sendbuf ~recvb
    model preserves per-link FIFO order (injection rate >= wire rate). *)
 let allgatherv ?(inplace = false) ?(spos = 0) comm dt ~sendbuf ~scount ~recvbuf ~rcounts ~rdispls =
   Comm.check_active comm;
-  record comm "MPI_Allgatherv";
-  check_count "allgatherv" scount;
   let p = Comm.size comm and r = Comm.rank comm in
-  if Array.length rcounts <> p || Array.length rdispls <> p then
-    Errors.usage "allgatherv: rcounts/rdispls must have one entry per rank";
+  check_layout "allgatherv" comm ~counts:rcounts ~displs:rdispls ~names:"rcounts/rdispls" recvbuf;
   if scount <> rcounts.(r) then
     Errors.usage "allgatherv: send count %d disagrees with rcounts.(%d) = %d" scount r rcounts.(r);
-  check_coll comm ~op:"MPI_Allgatherv" (Some dt);
-  traced comm ~op:"MPI_Allgatherv" @@ fun () ->
+  if not inplace then check_window "allgatherv" "sendbuf" sendbuf spos scount;
+  Observe.coll ~dt comm "MPI_Allgatherv" @@ fun () ->
   let tag = Comm.next_collective_tag comm in
   if not inplace then Array.blit sendbuf spos recvbuf rdispls.(r) scount;
   if p > 1 then begin
@@ -266,11 +217,9 @@ let allgatherv ?(inplace = false) ?(spos = 0) comm dt ~sendbuf ~scount ~recvbuf 
 
 let gather ?(spos = 0) ?(rpos = 0) ?recvbuf comm dt ~sendbuf ~count ~root =
   Comm.check_active comm;
-  record comm "MPI_Gather";
   check_root comm root;
   check_count "gather" count;
-  check_coll comm ~op:"MPI_Gather" ~root ~count (Some dt);
-  traced comm ~op:"MPI_Gather" @@ fun () ->
+  Observe.coll ~root ~count ~dt comm "MPI_Gather" @@ fun () ->
   let p = Comm.size comm and r = Comm.rank comm in
   let tag = Comm.next_collective_tag comm in
   if r = root then begin
@@ -289,35 +238,37 @@ let gather ?(spos = 0) ?(rpos = 0) ?recvbuf comm dt ~sendbuf ~count ~root =
 
 let gatherv ?(spos = 0) ?recvbuf ?rcounts ?rdispls comm dt ~sendbuf ~scount ~root =
   Comm.check_active comm;
-  record comm "MPI_Gatherv";
   check_root comm root;
   check_count "gatherv" scount;
-  check_coll comm ~op:"MPI_Gatherv" ~root (Some dt);
-  traced comm ~op:"MPI_Gatherv" @@ fun () ->
+  check_window "gatherv" "sendbuf" sendbuf spos scount;
   let p = Comm.size comm and r = Comm.rank comm in
-  let tag = Comm.next_collective_tag comm in
-  if r = root then begin
-    let recvbuf, rcounts, rdispls =
+  let at_root =
+    if r <> root then None
+    else
       match (recvbuf, rcounts, rdispls) with
-      | Some rb, Some rc, Some rd -> (rb, rc, rd)
+      | Some rb, Some rc, Some rd ->
+          check_layout "gatherv" comm ~counts:rc ~displs:rd ~names:"rcounts/rdispls" rb;
+          Some (rb, rc, rd)
       | _ -> Errors.usage "gatherv: the root rank needs recvbuf, rcounts and rdispls"
-    in
-    Array.blit sendbuf spos recvbuf rdispls.(r) scount;
-    for src = 0 to p - 1 do
-      if src <> root then
-        ignore
-          (P2p.recv ~ctx:Internal ~pos:rdispls.(src) ~count:rcounts.(src) comm dt recvbuf ~src ~tag)
-    done
-  end
-  else P2p.send ~ctx:Internal ~pos:spos ~count:scount comm dt sendbuf ~dst:root ~tag
+  in
+  Observe.coll ~root ~dt comm "MPI_Gatherv" @@ fun () ->
+  let tag = Comm.next_collective_tag comm in
+  match at_root with
+  | Some (recvbuf, rcounts, rdispls) ->
+      Array.blit sendbuf spos recvbuf rdispls.(r) scount;
+      for src = 0 to p - 1 do
+        if src <> root then
+          ignore
+            (P2p.recv ~ctx:Internal ~pos:rdispls.(src) ~count:rcounts.(src) comm dt recvbuf ~src
+               ~tag)
+      done
+  | None -> P2p.send ~ctx:Internal ~pos:spos ~count:scount comm dt sendbuf ~dst:root ~tag
 
 let scatter ?(spos = 0) ?(rpos = 0) ?sendbuf comm dt ~recvbuf ~count ~root =
   Comm.check_active comm;
-  record comm "MPI_Scatter";
   check_root comm root;
   check_count "scatter" count;
-  check_coll comm ~op:"MPI_Scatter" ~root ~count (Some dt);
-  traced comm ~op:"MPI_Scatter" @@ fun () ->
+  Observe.coll ~root ~count ~dt comm "MPI_Scatter" @@ fun () ->
   let p = Comm.size comm and r = Comm.rank comm in
   let tag = Comm.next_collective_tag comm in
   if r = root then begin
@@ -336,58 +287,55 @@ let scatter ?(spos = 0) ?(rpos = 0) ?sendbuf comm dt ~recvbuf ~count ~root =
 
 let scatterv ?(rpos = 0) ?sendbuf ?scounts ?sdispls comm dt ~recvbuf ~rcount ~root =
   Comm.check_active comm;
-  record comm "MPI_Scatterv";
   check_root comm root;
   check_count "scatterv" rcount;
-  check_coll comm ~op:"MPI_Scatterv" ~root (Some dt);
-  traced comm ~op:"MPI_Scatterv" @@ fun () ->
+  check_window "scatterv" "recvbuf" recvbuf rpos rcount;
   let p = Comm.size comm and r = Comm.rank comm in
-  let tag = Comm.next_collective_tag comm in
-  if r = root then begin
-    let sendbuf, scounts, sdispls =
+  let at_root =
+    if r <> root then None
+    else
       match (sendbuf, scounts, sdispls) with
-      | Some sb, Some sc, Some sd -> (sb, sc, sd)
+      | Some sb, Some sc, Some sd ->
+          check_layout "scatterv" comm ~counts:sc ~displs:sd ~names:"scounts/sdispls" sb;
+          Some (sb, sc, sd)
       | _ -> Errors.usage "scatterv: the root rank needs sendbuf, scounts and sdispls"
-    in
-    Array.blit sendbuf sdispls.(r) recvbuf rpos scounts.(r);
-    for dst = 0 to p - 1 do
-      if dst <> root then
-        P2p.send ~ctx:Internal ~pos:sdispls.(dst) ~count:scounts.(dst) comm dt sendbuf ~dst ~tag
-    done
-  end
-  else ignore (P2p.recv ~ctx:Internal ~pos:rpos ~count:rcount comm dt recvbuf ~src:root ~tag)
+  in
+  Observe.coll ~root ~dt comm "MPI_Scatterv" @@ fun () ->
+  let tag = Comm.next_collective_tag comm in
+  match at_root with
+  | Some (sendbuf, scounts, sdispls) ->
+      Array.blit sendbuf sdispls.(r) recvbuf rpos scounts.(r);
+      for dst = 0 to p - 1 do
+        if dst <> root then
+          P2p.send ~ctx:Internal ~pos:sdispls.(dst) ~count:scounts.(dst) comm dt sendbuf ~dst ~tag
+      done
+  | None -> ignore (P2p.recv ~ctx:Internal ~pos:rpos ~count:rcount comm dt recvbuf ~src:root ~tag)
 
 let alltoall comm dt ~sendbuf ~recvbuf ~count =
   Comm.check_active comm;
-  record comm "MPI_Alltoall";
   check_count "alltoall" count;
-  check_coll comm ~op:"MPI_Alltoall" ~count (Some dt);
-  traced comm ~op:"MPI_Alltoall" @@ fun () ->
-  let tags = draw4 comm in
   let algo = select_alltoall comm dt count in
-  record_algo comm "MPI_Alltoall" (Algo.alltoall_name algo);
-  run_alltoall comm dt ~sendbuf ~recvbuf ~count algo ~tags
+  Observe.coll ~count ~dt ~algo:(Algo.alltoall_name algo) comm "MPI_Alltoall" @@ fun () ->
+  run_alltoall comm dt ~sendbuf ~recvbuf ~count algo ~tags:(draw4 comm)
 
-let check_v_arrays what comm scounts sdispls rcounts rdispls =
-  let p = Comm.size comm in
-  if
-    Array.length scounts <> p || Array.length sdispls <> p || Array.length rcounts <> p
-    || Array.length rdispls <> p
-  then Errors.usage "%s: counts/displacements must have one entry per rank" what
+let check_v_arrays what comm ~sendbuf ~scounts ~sdispls ~recvbuf ~rcounts ~rdispls =
+  check_layout what comm ~counts:scounts ~displs:sdispls ~names:"scounts/sdispls" sendbuf;
+  check_layout what comm ~counts:rcounts ~displs:rdispls ~names:"rcounts/rdispls" recvbuf
 
-let alltoallv comm dt ~sendbuf ~scounts ~sdispls ~recvbuf ~rcounts ~rdispls =
-  Comm.check_active comm;
-  record comm "MPI_Alltoallv";
-  check_v_arrays "alltoallv" comm scounts sdispls rcounts rdispls;
-  check_coll comm ~op:"MPI_Alltoallv" (Some dt);
-  traced comm ~op:"MPI_Alltoallv" @@ fun () ->
-  let tag = Comm.next_collective_tag comm in
+let exchange_v comm dt ~tag ~sendbuf ~scounts ~sdispls ~recvbuf ~rcounts ~rdispls =
   Coll_impl.post_all_exchange comm dt ~tag
     ~scount_of:(fun d -> scounts.(d))
     ~spos_of:(fun d -> sdispls.(d))
     ~rcount_of:(fun s -> rcounts.(s))
     ~rpos_of:(fun s -> rdispls.(s))
     ~sendbuf ~recvbuf
+
+let alltoallv comm dt ~sendbuf ~scounts ~sdispls ~recvbuf ~rcounts ~rdispls =
+  Comm.check_active comm;
+  check_v_arrays "alltoallv" comm ~sendbuf ~scounts ~sdispls ~recvbuf ~rcounts ~rdispls;
+  Observe.coll ~dt comm "MPI_Alltoallv" @@ fun () ->
+  let tag = Comm.next_collective_tag comm in
+  exchange_v comm dt ~tag ~sendbuf ~scounts ~sdispls ~recvbuf ~rcounts ~rdispls
 
 (* The Alltoallw fallback (MPL's path): same linear posting as alltoallv,
    plus a derived-datatype setup per peer and the generic datatype engine
@@ -395,31 +343,22 @@ let alltoallv comm dt ~sendbuf ~scounts ~sdispls ~recvbuf ~rcounts ~rdispls =
    measurably slower and less scalable (Ghosh et al., paper Sec. II). *)
 let alltoallw_style comm dt ~sendbuf ~scounts ~sdispls ~recvbuf ~rcounts ~rdispls =
   Comm.check_active comm;
-  record comm "MPI_Alltoallw";
-  check_v_arrays "alltoallw" comm scounts sdispls rcounts rdispls;
-  check_coll comm ~op:"MPI_Alltoallw" (Some dt);
-  traced comm ~op:"MPI_Alltoallw" @@ fun () ->
+  check_v_arrays "alltoallw" comm ~sendbuf ~scounts ~sdispls ~recvbuf ~rcounts ~rdispls;
+  Observe.coll ~dt comm "MPI_Alltoallw" @@ fun () ->
   let p = Comm.size comm in
   let tag = Comm.next_collective_tag comm in
   let type_setup_cost = 0.3e-6 in
   let datatype_engine_cost = 0.4e-6 (* per message, send and receive side *) in
   Comm.compute comm (float_of_int (2 * p) *. (type_setup_cost +. datatype_engine_cost));
-  Coll_impl.post_all_exchange comm dt ~tag
-    ~scount_of:(fun d -> scounts.(d))
-    ~spos_of:(fun d -> sdispls.(d))
-    ~rcount_of:(fun s -> rcounts.(s))
-    ~rpos_of:(fun s -> rdispls.(s))
-    ~sendbuf ~recvbuf
+  exchange_v comm dt ~tag ~sendbuf ~scounts ~sdispls ~recvbuf ~rcounts ~rdispls
 
 (* Reduce-scatter with equal block sizes: reduce to root, then scatter the
    blocks (the simple algorithm; tuned implementations exist but the cost
    shape — full reduction volume plus a scatter — is the same). *)
 let reduce_scatter_block comm dt op ~sendbuf ~recvbuf ~count =
   Comm.check_active comm;
-  record comm "MPI_Reduce_scatter_block";
   check_count "reduce_scatter_block" count;
-  check_coll comm ~op:"MPI_Reduce_scatter_block" ~count (Some dt);
-  traced comm ~op:"MPI_Reduce_scatter_block" @@ fun () ->
+  Observe.coll ~count ~dt comm "MPI_Reduce_scatter_block" @@ fun () ->
   let p = Comm.size comm and r = Comm.rank comm in
   let total = p * count in
   let tag = Comm.next_collective_tag comm in
@@ -436,10 +375,8 @@ let reduce_scatter_block comm dt op ~sendbuf ~recvbuf ~count =
 (* Recursive-doubling inclusive scan. *)
 let scan comm dt op ~sendbuf ~recvbuf ~count =
   Comm.check_active comm;
-  record comm "MPI_Scan";
   check_count "scan" count;
-  check_coll comm ~op:"MPI_Scan" ~count (Some dt);
-  traced comm ~op:"MPI_Scan" @@ fun () ->
+  Observe.coll ~count ~dt comm "MPI_Scan" @@ fun () ->
   let p = Comm.size comm and r = Comm.rank comm in
   let tag = Comm.next_collective_tag comm in
   Array.blit sendbuf 0 recvbuf 0 count;
@@ -468,10 +405,8 @@ let scan comm dt op ~sendbuf ~recvbuf ~count =
 
 let exscan comm dt op ~sendbuf ~recvbuf ~count =
   Comm.check_active comm;
-  record comm "MPI_Exscan";
   check_count "exscan" count;
-  check_coll comm ~op:"MPI_Exscan" ~count (Some dt);
-  traced comm ~op:"MPI_Exscan" @@ fun () ->
+  Observe.coll ~count ~dt comm "MPI_Exscan" @@ fun () ->
   let p = Comm.size comm and r = Comm.rank comm in
   let tag = Comm.next_collective_tag comm in
   if p > 1 && count > 0 then begin
@@ -499,18 +434,13 @@ let exscan comm dt op ~sendbuf ~recvbuf ~count =
   end
 
 (* Non-blocking collectives: a helper fiber (standing in for an MPI
-   progress thread) runs the blocking algorithm and completes the request.
-   Internal tags — and the algorithm choice — are fixed at call time so
-   they line up across ranks regardless of how the helper fibers
+   progress thread) runs the blocking algorithm and completes the request
+   [req].  Internal tags — and the algorithm choice — are fixed at call
+   time so they line up across ranks regardless of how the helper fibers
    interleave. *)
-let spawn_collective comm ~label body =
-  let w = Comm.world comm in
-  let req = Request.create w.World.engine in
-  Checker.track_request w.World.check
-    ~rank:(Comm.world_rank_of comm (Comm.rank comm))
-    ~comm:(Comm.id comm) ~op:label ~at:(World.now w) req;
+let spawn_collective comm ~label req body =
   let _ : Engine.fiber =
-    Engine.spawn w.World.engine ~label (fun () ->
+    Engine.spawn (Comm.world comm).World.engine ~label (fun () ->
         match body () with
         | () -> Request.complete req { source = -1; tag = 0; count = 0 }
         | exception ((Errors.Process_failed _ | Errors.Comm_revoked) as e) ->
@@ -520,26 +450,27 @@ let spawn_collective comm ~label body =
   in
   req
 
+let new_request comm = Request.create (Comm.world comm).World.engine
+
 let ibarrier comm =
   Comm.check_active comm;
-  record comm "MPI_Ibarrier";
-  check_coll comm ~op:"MPI_Ibarrier" None;
-  traced comm ~op:"MPI_Ibarrier" @@ fun () ->
+  let req = new_request comm in
+  Observe.coll ~track:(Request req) comm "MPI_Ibarrier" @@ fun () ->
   let tag = Comm.next_collective_tag comm in
-  spawn_collective comm ~label:"ibarrier" (fun () -> Coll_impl.dissemination comm ~tag)
+  spawn_collective comm ~label:"ibarrier" req (fun () -> Coll_impl.dissemination comm ~tag)
 
 let ibcast ?(pos = 0) ?count comm dt buf ~root =
   Comm.check_active comm;
-  record comm "MPI_Ibcast";
   check_root comm root;
   let count = match count with Some c -> c | None -> Array.length buf - pos in
   check_count "ibcast" count;
-  check_coll comm ~op:"MPI_Ibcast" ~root ~count (Some dt);
-  traced comm ~op:"MPI_Ibcast" @@ fun () ->
+  let algo = select_bcast comm dt count and req = new_request comm in
+  Observe.coll ~root ~count ~dt ~algo:(Algo.bcast_name algo) ~track:(Request req) comm
+    "MPI_Ibcast"
+  @@ fun () ->
   let tags = draw2 comm in
-  let algo = select_bcast comm dt count in
-  record_algo comm "MPI_Ibcast" (Algo.bcast_name algo);
-  spawn_collective comm ~label:"ibcast" (fun () -> run_bcast comm dt buf pos count ~root algo ~tags)
+  spawn_collective comm ~label:"ibcast" req (fun () ->
+      run_bcast comm dt buf pos count ~root algo ~tags)
 
 (* Persistent collective (MPI-4 §6.13): everything rank-coordinated —
    ordering check, tag draw, algorithm selection — happens once at init,
@@ -549,22 +480,15 @@ let ibcast ?(pos = 0) ?count comm dt buf ~root =
    for persistent collectives). *)
 let bcast_init ?(pos = 0) ?count comm dt buf ~root =
   Comm.check_active comm;
-  record comm "MPI_Bcast_init";
   check_root comm root;
   let count = match count with Some c -> c | None -> Array.length buf - pos in
   check_count "bcast_init" count;
-  if pos < 0 || pos + count > Array.length buf then
-    Errors.usage "bcast_init: window [%d, %d) exceeds buffer of length %d" pos (pos + count)
-      (Array.length buf);
-  check_coll comm ~op:"MPI_Bcast_init" ~root ~count (Some dt);
-  traced comm ~op:"MPI_Bcast_init" @@ fun () ->
+  check_window "bcast_init" "buf" buf pos count;
   let w = Comm.world comm in
-  let tags = draw2 comm in
-  let algo = select_bcast comm dt count in
-  record_algo comm "MPI_Bcast_init" (Algo.bcast_name algo);
+  let algo = select_bcast comm dt count and tags = draw2 comm in
   let start h =
     Comm.check_active comm;
-    traced comm ~op:"MPI_Start" @@ fun () ->
+    Observe.span ~ctx:User Coll comm "MPI_Start" @@ fun () ->
     let req = Persist.request h in
     let _ : Engine.fiber =
       Engine.spawn w.World.engine ~label:"bcast_init" (fun () ->
@@ -575,42 +499,31 @@ let bcast_init ?(pos = 0) ?count comm dt buf ~root =
   in
   let h =
     Persist.make w.World.engine ~op:"MPI_Bcast_init"
-      ~around_wait:(fun _ f -> traced comm ~op:"MPI_Wait" f)
+      ~around_wait:(fun _ f -> Observe.span ~ctx:User Coll comm "MPI_Wait" f)
       start
   in
-  Checker.track_persistent w.World.check
-    ~rank:(Comm.world_rank_of comm (Comm.rank comm))
-    ~comm:(Comm.id comm) ~op:"MPI_Bcast_init" ~at:(World.now w)
-    ~freed:(fun () -> Persist.is_freed h)
-    ~starts:(fun () -> Persist.starts h);
-  h
+  Observe.coll ~root ~count ~dt ~algo:(Algo.bcast_name algo) ~track:(Persistent h) comm
+    "MPI_Bcast_init" (fun () -> h)
 
 let iallreduce comm dt op ~sendbuf ~recvbuf ~count =
   Comm.check_active comm;
-  record comm "MPI_Iallreduce";
   check_count "iallreduce" count;
-  check_coll comm ~op:"MPI_Iallreduce" ~count (Some dt);
-  traced comm ~op:"MPI_Iallreduce" @@ fun () ->
+  let algo = select_allreduce comm dt op count and req = new_request comm in
+  Observe.coll ~count ~dt ~algo:(Algo.allreduce_name algo) ~track:(Request req) comm
+    "MPI_Iallreduce"
+  @@ fun () ->
   let tags = draw4 comm in
-  let algo = select_allreduce comm dt op count in
-  record_algo comm "MPI_Iallreduce" (Algo.allreduce_name algo);
-  spawn_collective comm ~label:"iallreduce" (fun () ->
+  spawn_collective comm ~label:"iallreduce" req (fun () ->
       run_allreduce comm dt op ~sendbuf ~pos:0 ~recvbuf ~count algo ~tags)
 
 let ialltoallv comm dt ~sendbuf ~scounts ~sdispls ~recvbuf ~rcounts ~rdispls =
   Comm.check_active comm;
-  record comm "MPI_Ialltoallv";
-  check_v_arrays "ialltoallv" comm scounts sdispls rcounts rdispls;
-  check_coll comm ~op:"MPI_Ialltoallv" (Some dt);
-  traced comm ~op:"MPI_Ialltoallv" @@ fun () ->
+  check_v_arrays "ialltoallv" comm ~sendbuf ~scounts ~sdispls ~recvbuf ~rcounts ~rdispls;
+  let req = new_request comm in
+  Observe.coll ~dt ~track:(Request req) comm "MPI_Ialltoallv" @@ fun () ->
   let tag = Comm.next_collective_tag comm in
-  spawn_collective comm ~label:"ialltoallv" (fun () ->
-      Coll_impl.post_all_exchange comm dt ~tag
-        ~scount_of:(fun d -> scounts.(d))
-        ~spos_of:(fun d -> sdispls.(d))
-        ~rcount_of:(fun s -> rcounts.(s))
-        ~rpos_of:(fun s -> rdispls.(s))
-        ~sendbuf ~recvbuf)
+  spawn_collective comm ~label:"ialltoallv" req (fun () ->
+      exchange_v comm dt ~tag ~sendbuf ~scounts ~sdispls ~recvbuf ~rcounts ~rdispls)
 
 (* ------------------------------------------------------------------ *)
 (* Communicator management.                                            *)
@@ -646,9 +559,7 @@ let position a x =
 
 let dup comm =
   Comm.check_active comm;
-  record comm "MPI_Comm_dup";
-  check_coll comm ~op:"MPI_Comm_dup" None;
-  traced comm ~op:"MPI_Comm_dup" @@ fun () ->
+  Observe.coll comm "MPI_Comm_dup" @@ fun () ->
   let w = Comm.world comm in
   let tag = Comm.next_collective_tag comm in
   let members = Array.init (Comm.size comm) Fun.id in
@@ -659,9 +570,7 @@ let dup comm =
 
 let split comm ~color ~key =
   Comm.check_active comm;
-  record comm "MPI_Comm_split";
-  check_coll comm ~op:"MPI_Comm_split" None;
-  traced comm ~op:"MPI_Comm_split" @@ fun () ->
+  Observe.coll comm "MPI_Comm_split" @@ fun () ->
   let w = Comm.world comm in
   let p = Comm.size comm and r = Comm.rank comm in
   let dt = Datatype.triple Datatype.int Datatype.int Datatype.int in

@@ -3,11 +3,13 @@ type t = {
   shared : World.comm_shared;
   rank : int;
   mutable coll_seq : int;
+  mutable coll_index : int;
   mutable shrink_seq : int;
   mutable agree_seq : int;
 }
 
-let make world shared ~rank = { world; shared; rank; coll_seq = 0; shrink_seq = 0; agree_seq = 0 }
+let make world shared ~rank =
+  { world; shared; rank; coll_seq = 0; coll_index = 0; shrink_seq = 0; agree_seq = 0 }
 let world c = c.world
 let shared c = c.shared
 let rank c = c.rank
@@ -31,6 +33,10 @@ let check_active c = if c.shared.revoked then raise Errors.Comm_revoked
 let next_collective_tag c =
   c.coll_seq <- c.coll_seq + 1;
   -10 - (c.coll_seq land 0xFFFFF)
+
+let next_coll_index c =
+  c.coll_index <- c.coll_index + 1;
+  c.coll_index - 1
 
 let next_shrink_epoch c =
   c.shrink_seq <- c.shrink_seq + 1;

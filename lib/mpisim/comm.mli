@@ -53,6 +53,11 @@ val check_active : t -> unit
     counters agree and successive collectives never cross-match. *)
 val next_collective_tag : t -> int
 
+(** [next_coll_index comm] numbers this rank's collective calls on this
+    communicator 0, 1, ...; the k-th collective lines up across ranks, so
+    the checker compares it and the tracer groups its spans by it. *)
+val next_coll_index : t -> int
+
 (** [next_shrink_epoch comm] numbers this rank's shrink calls (used to agree
     on the shrunk communicator's identity). *)
 val next_shrink_epoch : t -> int

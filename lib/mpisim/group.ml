@@ -57,7 +57,6 @@ let dt_comm : World.comm_shared Datatype.t = Datatype.custom ~name:"MPI_Comm_gro
 
 let comm_create_group comm g ~tag =
   Comm.check_active comm;
-  Profiling.record_call (Comm.world comm).World.prof "MPI_Comm_create_group";
   if tag < 0 then Errors.usage "comm_create_group: tag must be non-negative";
   let my_world = Comm.world_rank_of comm (Comm.rank comm) in
   let my_pos =
@@ -65,6 +64,7 @@ let comm_create_group comm g ~tag =
     | Some i -> i
     | None -> Errors.usage "comm_create_group: the caller is not a group member"
   in
+  Observe.call Comm_mgmt comm "MPI_Comm_create_group" @@ fun () ->
   let w = Comm.world comm in
   (* translate group members to parent comm ranks for the distribution *)
   let parent_rank_of wr =

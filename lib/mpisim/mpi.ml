@@ -16,24 +16,24 @@ type run_summary = {
   rs_sim_time : float;
   rs_events : int;
   rs_profile : Profiling.snapshot;
+  rs_diagnostics : Checker.diagnostic list;
 }
 
-(* Tee of every completed run's summary, for tests that drive polymorphic
-   programs through a uniform harness (mirrors Checker.with_collector). *)
-let run_collector : (run_summary -> unit) option ref = ref None
+(* The run tee: every active [with_run_collector] sees every run that ends
+   inside it, normally or by raising out of [run]. *)
+let collectors : run_summary Ds.Vec.t Stack.t = Stack.create ()
 
 let with_run_collector f =
-  let acc = ref [] in
-  let old = !run_collector in
-  run_collector := Some (fun s -> acc := s :: !acc);
-  let finish () = run_collector := old in
-  match f () with
-  | v ->
-      finish ();
-      (v, List.rev !acc)
-  | exception e ->
-      finish ();
-      raise e
+  let seen = Ds.Vec.create () in
+  Stack.push seen collectors;
+  let result = Fun.protect ~finally:(fun () -> ignore (Stack.pop collectors)) f in
+  (result, Ds.Vec.to_list seen)
+
+let tee rs_sim_time rs_events rs_profile rs_diagnostics =
+  if not (Stack.is_empty collectors) then begin
+    let s = { rs_sim_time; rs_events; rs_profile; rs_diagnostics } in
+    Stack.iter (fun seen -> Ds.Vec.push seen s) collectors
+  end
 
 let run ?(net = Netmodel.default) ?node ?fabric ?(failures = []) ?(fail_at = []) ?trace ?hooks
     ?deadline ~ranks f =
@@ -108,7 +108,14 @@ let run ?(net = Netmodel.default) ?node ?fabric ?(failures = []) ?(fail_at = [])
       Array.iteri (fun r fib -> if Engine.is_parked fib then parked := r :: !parked) fibers;
       ignore
         (Checker.diagnose_deadlock w.World.check ~mailboxes:w.World.mailboxes
-           ~parked:(List.rev !parked) ~rank_alive:(World.is_alive w)));
+           ~parked:(List.rev !parked) ~rank_alive:(World.is_alive w))
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      tee (Engine.now w.World.engine)
+        (Engine.events_processed w.World.engine)
+        (Profiling.snapshot w.World.prof)
+        (Checker.diagnostics w.World.check);
+      Printexc.raise_with_backtrace e bt);
   if Simnet.Profile.fine () then begin
     let made, reused = Msg.pool_stats w.World.env_pool in
     Simnet.Profile.record_max "mpi.envelopes_made" made;
@@ -127,15 +134,7 @@ let run ?(net = Netmodel.default) ?node ?fabric ?(failures = []) ?(fail_at = [])
          else None);
     }
   in
-  (match !run_collector with
-  | Some tee ->
-      tee
-        {
-          rs_sim_time = result.sim_time;
-          rs_events = result.events;
-          rs_profile = result.profile;
-        }
-  | None -> ());
+  tee result.sim_time result.events result.profile result.diagnostics;
   result
 
 let results_exn r =

@@ -75,18 +75,22 @@ val results_exn : 'a run_result -> 'a array
 
 (** {1 Run observation}
 
-    A monomorphic digest of a completed run, teed to
-    {!with_run_collector} — lets a test harness compare observable run
-    behaviour (time, event count, profile) across configurations for
-    programs whose ['a run_result] types differ. *)
+    A monomorphic digest of a run, teed to {!with_run_collector} — lets a
+    test harness compare observable run behaviour (time, event count,
+    profile, checker findings) across configurations for programs whose
+    ['a run_result] types differ. *)
 
 type run_summary = {
   rs_sim_time : float;
   rs_events : int;
   rs_profile : Profiling.snapshot;
+  rs_diagnostics : Checker.diagnostic list;
+      (** every checker finding of the run, as in [run_result.diagnostics] *)
 }
 
 (** [with_run_collector f] runs [f] while collecting a {!run_summary} for
-    every {!run} that completes inside it (in completion order), restoring
-    the previous collector afterwards. *)
+    every {!run} that ends inside it, in order.  A run that ends by raising
+    out of {!run} (e.g. {!Simnet.Engine.Deadlock} below [Heavy]) is
+    collected too, with what it recorded up to the exception.  Nested
+    collectors each see every run inside them. *)
 val with_run_collector : (unit -> 'a) -> 'a * run_summary list

@@ -4,13 +4,15 @@ module Netmodel = Simnet.Netmodel
 let any_source = Msg.any_source
 let any_tag = Msg.any_tag
 
-let check_tag ~ctx tag =
-  match (ctx : Msg.ctx) with
-  | User -> if tag < 0 then Errors.usage "user message tags must be non-negative (got %d)" tag
-  | Internal -> ()
-
-(* Receive-side patterns may use the wildcard. *)
-let check_recv_tag ~ctx tag = if tag <> any_tag then check_tag ~ctx tag
+(* What every call checks first: an active communicator, a non-negative
+   user tag (receive patterns may use the wildcard) and a committed
+   datatype.  Every entry point validates its arguments before it calls
+   [Observe], so a rejected call is neither counted nor tracked. *)
+let check ?(recv = false) ~ctx comm dt tag =
+  Comm.check_active comm;
+  if ctx = Msg.User && tag < 0 && not (recv && tag = any_tag) then
+    Errors.usage "user message tags must be non-negative (got %d)" tag;
+  Datatype.mark_committed dt
 
 let window_bounds ~what buf pos count =
   let len = Array.length buf in
@@ -19,50 +21,7 @@ let window_bounds ~what buf pos count =
     Errors.usage "%s: window [%d, %d) exceeds buffer of length %d" what pos (pos + count) len;
   count
 
-let record w name = Profiling.record_call w.World.prof name
-
 let my_world comm = Comm.world_rank_of comm (Comm.rank comm)
-
-let track comm ~op req =
-  let w = Comm.world comm in
-  Checker.track_request w.World.check ~rank:(my_world comm) ~comm:(Comm.id comm) ~op
-    ~at:(World.now w) req
-
-let record_mismatch comm ~op ~src ~tag e =
-  Checker.record_match_error (Comm.world comm).World.check ~rank:(my_world comm)
-    ~comm:(Comm.id comm) ~op ~src ~tag e
-
-(* Only user-level calls on a traced run record call spans. *)
-let tracing ~ctx w = ctx = Msg.User && Trace.Recorder.active w.World.trace
-
-(* Record a call span around [f].  [Fun.protect] spans the fiber's
-   suspensions, so the span covers the full blocking time of the call;
-   exceptional exits are closed too. *)
-let span comm ~op f =
-  let w = Comm.world comm in
-  let rank = my_world comm in
-  let t0 = World.now w in
-  Fun.protect
-    ~finally:(fun () ->
-      Trace.Recorder.add_span w.World.trace
-        {
-          Trace.Event.sp_rank = rank;
-          sp_op = op;
-          sp_cat = "p2p";
-          sp_comm = Comm.id comm;
-          sp_seq = -1;
-          sp_t0 = t0;
-          sp_t1 = World.now w;
-        })
-    f
-
-let traced ~ctx comm ~op f = if tracing ~ctx (Comm.world comm) then span comm ~op f else f ()
-
-(* Stamp the receive-side timestamps on a matched message's trace record. *)
-let stamp_env_match (env : Msg.envelope) ~posted ~time =
-  match env.Msg.trace with
-  | Some m -> Trace.Event.stamp_match m ~posted ~time
-  | None -> ()
 
 (* Per-call software initiation cost (argument validation, matching setup).
    Only user-level ephemeral calls pay it; persistent operations charge it
@@ -84,7 +43,6 @@ let inject_raw comm dt ~count ~dst ~tag ~ctx ~on_matched ~payload =
   let src_world = Comm.world_rank_of comm (Comm.rank comm) in
   let dst_world = Comm.world_rank_of comm dst in
   let bytes = Datatype.bytes dt count in
-  Profiling.record_message w.World.prof ~bytes;
   let now = World.now w in
   let injected, arrival =
     Netmodel.transfer w.World.net ~now ~src:src_world ~dst:dst_world ~bytes
@@ -98,16 +56,13 @@ let inject_raw comm dt ~count ~dst ~tag ~ctx ~on_matched ~payload =
     | None -> arrival
     | Some adj -> Float.max arrival (adj ~src:src_world ~dst:dst_world ~arrival)
   in
-  (* Record every injected message — internal collective traffic included,
-     so the critical path can thread through collectives.  The arrival time
-     is known now (the network model is deterministic), so no extra event is
-     scheduled: tracing must not perturb the event count. *)
+  (* Count every injected message; a traced run records each one —
+     internal collective traffic included, so the critical path can thread
+     through collectives.  The arrival time is known now (the network model
+     is deterministic), so tracing schedules no extra event. *)
   let trace_msg =
-    if Trace.Recorder.active w.World.trace then
-      Some
-        (Trace.Recorder.add_message w.World.trace ~src:src_world ~dst:dst_world ~tag ~bytes
-           ~user:(ctx = Msg.User) ~sent:now ~arrived:arrival)
-    else None
+    Observe.message w ~src:src_world ~dst:dst_world ~tag ~bytes ~user:(ctx = Msg.User) ~sent:now
+      ~arrived:arrival
   in
   if World.is_alive w dst_world then begin
     let env =
@@ -121,65 +76,60 @@ let inject_raw comm dt ~count ~dst ~tag ~ctx ~on_matched ~payload =
   end;
   injected
 
-(* Validate, charge the per-call setup cost, and inject — the ephemeral
-   send path. *)
+(* Charge the per-call setup cost and inject — the ephemeral send path. *)
 let inject comm dt buf pos count ~dst ~tag ~ctx ~on_matched =
-  Comm.check_active comm;
-  check_tag ~ctx tag;
-  Datatype.mark_committed dt;
-  let count = window_bounds ~what:"send" buf pos count in
   charge_setup ~ctx comm;
   inject_raw comm dt ~count ~dst ~tag ~ctx ~on_matched
     ~payload:(Msg.Packed (dt, Array.sub buf pos count))
 
 (* The hot point-to-point calls ([send], [isend], [recv], [irecv]) keep
    their bodies in top-level functions and call them directly unless a
-   span is recorded, so an untraced call allocates no [traced] closure. *)
+   span is recorded, so an untraced call allocates no closure. *)
 let send_body w comm dt buf pos count ~dst ~tag ~ctx =
   let injected = inject comm dt buf pos count ~dst ~tag ~ctx ~on_matched:None in
   Engine.delay w.World.engine (injected -. World.now w)
 
 let send ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~dst ~tag =
+  check ~ctx comm dt tag;
+  let count = window_bounds ~what:"send" buf pos count in
   let w = Comm.world comm in
-  if ctx = Msg.User then record w "MPI_Send";
-  if tracing ~ctx w then
-    span comm ~op:"MPI_Send" (fun () -> send_body w comm dt buf pos count ~dst ~tag ~ctx)
+  if Observe.p2p ~ctx comm "MPI_Send" then
+    Observe.span ~ctx P2p comm "MPI_Send" (fun () ->
+        send_body w comm dt buf pos count ~dst ~tag ~ctx)
   else send_body w comm dt buf pos count ~dst ~tag ~ctx
 
-let isend_body w comm dt buf pos count ~dst ~tag ~ctx req count' =
+let isend_body w comm dt buf pos count ~dst ~tag ~ctx req =
   let injected = inject comm dt buf pos count ~dst ~tag ~ctx ~on_matched:None in
-  let st = { Request.source = dst; tag; count = count' } in
+  let st = { Request.source = dst; tag; count } in
   Engine.schedule w.World.engine
     ~delay:(injected -. World.now w)
     (fun () -> Request.complete req st);
   req
 
 let isend ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~dst ~tag =
+  check ~ctx comm dt tag;
+  let count = window_bounds ~what:"isend" buf pos count in
   let w = Comm.world comm in
-  if ctx = Msg.User then record w "MPI_Isend";
   let req = Request.create w.World.engine in
-  if ctx = Msg.User then track comm ~op:"MPI_Isend" req;
-  let count' = window_bounds ~what:"isend" buf pos count in
-  if tracing ~ctx w then
-    span comm ~op:"MPI_Isend" (fun () ->
-        isend_body w comm dt buf pos count ~dst ~tag ~ctx req count')
-  else isend_body w comm dt buf pos count ~dst ~tag ~ctx req count'
+  if Observe.p2p_request ~ctx comm "MPI_Isend" req then
+    Observe.span ~ctx P2p comm "MPI_Isend" (fun () ->
+        isend_body w comm dt buf pos count ~dst ~tag ~ctx req)
+  else isend_body w comm dt buf pos count ~dst ~tag ~ctx req
 
 let issend ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~dst ~tag =
+  check ~ctx comm dt tag;
+  let count = window_bounds ~what:"issend" buf pos count in
   let w = Comm.world comm in
-  if ctx = Msg.User then record w "MPI_Issend";
   let req = Request.create w.World.engine in
-  if ctx = Msg.User then track comm ~op:"MPI_Issend" req;
-  let count' = window_bounds ~what:"issend" buf pos count in
+  Observe.call ~ctx ~track:(Request req) P2p comm "MPI_Issend" @@ fun () ->
   let latency = (Netmodel.params w.World.net).latency in
   let on_matched =
     Some
       (fun () ->
         (* The acknowledgment travels back to the sender. *)
         Engine.schedule w.World.engine ~delay:latency (fun () ->
-            Request.complete req { source = dst; tag; count = count' }))
+            Request.complete req { source = dst; tag; count }))
   in
-  traced ~ctx comm ~op:"MPI_Issend" @@ fun () ->
   ignore (inject comm dt buf pos count ~dst ~tag ~ctx ~on_matched);
   req
 
@@ -258,14 +208,11 @@ let recv_body w comm dt buf pos capacity ~src ~tag ~ctx =
     Msg.take_unexpected ?choose:(World.match_chooser w) mb ~src ~tag ~comm:(Comm.id comm) ~ctx
   with
   | Some env -> begin
-      stamp_env_match env ~posted ~time:(World.now w);
-      let copied = copy_payload env dt buf pos capacity in
+      let copied =
+        Observe.matched comm ~op:"MPI_Recv" ~posted env (copy_payload env dt buf pos capacity)
+      in
       Msg.release w.World.env_pool env;
-      match copied with
-      | Ok st -> st
-      | Error e ->
-          record_mismatch comm ~op:"MPI_Recv" ~src ~tag e;
-          raise e
+      match copied with Ok st -> st | Error e -> raise e
     end
   | None -> begin
       match dead_peer comm ~src with
@@ -275,26 +222,24 @@ let recv_body w comm dt buf pos capacity ~src ~tag ~ctx =
       | None ->
           Engine.suspend w.World.engine (fun resumer ->
               let deliver env =
-                stamp_env_match env ~posted ~time:(World.now w);
-                match copy_payload env dt buf pos capacity with
+                match
+                  Observe.matched comm ~op:"MPI_Recv" ~posted env
+                    (copy_payload env dt buf pos capacity)
+                with
                 | Ok st -> Engine.resume resumer st
-                | Error e ->
-                    record_mismatch comm ~op:"MPI_Recv" ~src ~tag e;
-                    Engine.fail resumer e
+                | Error e -> Engine.fail resumer e
               in
               let on_fail e = Engine.fail resumer e in
               Msg.post mb (make_pending comm ~src ~tag ~ctx ~deliver ~on_fail))
     end
 
 let recv ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~src ~tag =
-  Comm.check_active comm;
-  check_recv_tag ~ctx tag;
-  Datatype.mark_committed dt;
+  check ~recv:true ~ctx comm dt tag;
   let capacity = window_bounds ~what:"recv" buf pos count in
   let w = Comm.world comm in
-  if ctx = Msg.User then record w "MPI_Recv";
-  if tracing ~ctx w then
-    span comm ~op:"MPI_Recv" (fun () -> recv_body w comm dt buf pos capacity ~src ~tag ~ctx)
+  if Observe.p2p ~ctx comm "MPI_Recv" then
+    Observe.span ~ctx P2p comm "MPI_Recv" (fun () ->
+        recv_body w comm dt buf pos capacity ~src ~tag ~ctx)
   else recv_body w comm dt buf pos capacity ~src ~tag ~ctx
 
 let irecv_body w comm dt buf pos capacity ~src ~tag ~ctx req =
@@ -305,14 +250,11 @@ let irecv_body w comm dt buf pos capacity ~src ~tag ~ctx req =
      Msg.take_unexpected ?choose:(World.match_chooser w) mb ~src ~tag ~comm:(Comm.id comm) ~ctx
    with
   | Some env -> begin
-      stamp_env_match env ~posted ~time:(World.now w);
-      let copied = copy_payload env dt buf pos capacity in
+      let copied =
+        Observe.matched comm ~op:"MPI_Irecv" ~posted env (copy_payload env dt buf pos capacity)
+      in
       Msg.release w.World.env_pool env;
-      match copied with
-      | Ok st -> Request.complete req st
-      | Error e ->
-          record_mismatch comm ~op:"MPI_Irecv" ~src ~tag e;
-          Request.abort req e
+      match copied with Ok st -> Request.complete req st | Error e -> Request.abort req e
     end
   | None -> begin
       match dead_peer comm ~src with
@@ -321,12 +263,12 @@ let irecv_body w comm dt buf pos capacity ~src ~tag ~ctx req =
               Request.abort req (Errors.Process_failed { world_rank = wr }))
       | None ->
           let deliver env =
-            stamp_env_match env ~posted ~time:(World.now w);
-            match copy_payload env dt buf pos capacity with
+            match
+              Observe.matched comm ~op:"MPI_Irecv" ~posted env
+                (copy_payload env dt buf pos capacity)
+            with
             | Ok st -> Request.complete req st
-            | Error e ->
-                record_mismatch comm ~op:"MPI_Irecv" ~src ~tag e;
-                Request.abort req e
+            | Error e -> Request.abort req e
           in
           let on_fail e = Request.abort req e in
           Msg.post mb (make_pending comm ~src ~tag ~ctx ~deliver ~on_fail)
@@ -334,25 +276,20 @@ let irecv_body w comm dt buf pos capacity ~src ~tag ~ctx req =
   req
 
 let irecv ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~src ~tag =
-  Comm.check_active comm;
-  check_recv_tag ~ctx tag;
-  Datatype.mark_committed dt;
+  check ~recv:true ~ctx comm dt tag;
   let capacity = window_bounds ~what:"irecv" buf pos count in
   let w = Comm.world comm in
-  if ctx = Msg.User then record w "MPI_Irecv";
   let req = Request.create w.World.engine in
-  if ctx = Msg.User then track comm ~op:"MPI_Irecv" req;
-  if tracing ~ctx w then
-    span comm ~op:"MPI_Irecv" (fun () ->
+  if Observe.p2p_request ~ctx comm "MPI_Irecv" req then
+    Observe.span ~ctx P2p comm "MPI_Irecv" (fun () ->
         irecv_body w comm dt buf pos capacity ~src ~tag ~ctx req)
   else irecv_body w comm dt buf pos capacity ~src ~tag ~ctx req
 
 let probe ?(ctx = Msg.User) comm ~src ~tag =
   Comm.check_active comm;
   let w = Comm.world comm in
-  if ctx = Msg.User then record w "MPI_Probe";
-  traced ~ctx comm ~op:"MPI_Probe" @@ fun () ->
-  let mb = w.World.mailboxes.(Comm.world_rank_of comm (Comm.rank comm)) in
+  Observe.call ~ctx P2p comm "MPI_Probe" @@ fun () ->
+  let mb = w.World.mailboxes.(my_world comm) in
   match Msg.peek_unexpected mb ~src ~tag ~comm:(Comm.id comm) ~ctx with
   | Some env -> { Request.source = env.Msg.src; tag = env.Msg.tag; count = env.Msg.count }
   | None -> begin
@@ -384,26 +321,23 @@ let probe ?(ctx = Msg.User) comm ~src ~tag =
 let iprobe ?(ctx = Msg.User) comm ~src ~tag =
   Comm.check_active comm;
   let w = Comm.world comm in
-  if ctx = Msg.User then record w "MPI_Iprobe";
-  let mb = w.World.mailboxes.(Comm.world_rank_of comm (Comm.rank comm)) in
+  (* an instantaneous poll: counted, but no span *)
+  ignore (Observe.p2p ~ctx comm "MPI_Iprobe" : bool);
+  let mb = w.World.mailboxes.(my_world comm) in
   Msg.peek_unexpected mb ~src ~tag ~comm:(Comm.id comm) ~ctx
   |> Option.map (fun (env : Msg.envelope) ->
          { Request.source = env.src; tag = env.tag; count = env.count })
 
 let sendrecv ?(ctx = Msg.User) comm dt ~send:sbuf ?(send_pos = 0) ?send_count ~dst ~stag ~recv:rbuf
     ?(recv_pos = 0) ?recv_count ~src ~rtag () =
-  let w = Comm.world comm in
-  if ctx = Msg.User then record w "MPI_Sendrecv";
-  traced ~ctx comm ~op:"MPI_Sendrecv" @@ fun () ->
+  Observe.call ~ctx P2p comm "MPI_Sendrecv" @@ fun () ->
   let sreq = isend ~ctx ~pos:send_pos ?count:send_count comm dt sbuf ~dst ~tag:stag in
   let status = recv ~ctx ~pos:recv_pos ?count:recv_count comm dt rbuf ~src ~tag:rtag in
   ignore (Request.wait sreq);
   status
 
 let sendrecv_replace ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~dst ~stag ~src ~rtag =
-  let w = Comm.world comm in
-  if ctx = Msg.User then record w "MPI_Sendrecv_replace";
-  traced ~ctx comm ~op:"MPI_Sendrecv_replace" @@ fun () ->
+  Observe.call ~ctx P2p comm "MPI_Sendrecv_replace" @@ fun () ->
   (* the outgoing data is snapshotted at injection time (the runtime copies
      payloads eagerly), so receiving into the same window is safe *)
   let sreq = isend ~ctx ~pos ?count comm dt buf ~dst ~tag:stag in
@@ -416,13 +350,10 @@ let sendrecv_replace ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~dst ~stag 
 (* ------------------------------------------------------------------ *)
 
 let send_sparse ?(ctx = Msg.User) comm dt ~count ~dst ~tag =
-  Comm.check_active comm;
-  check_tag ~ctx tag;
-  Datatype.mark_committed dt;
+  check ~ctx comm dt tag;
   ignore (Datatype.bytes dt count) (* count >= 0 and byte size representable *);
   let w = Comm.world comm in
-  if ctx = Msg.User then record w "MPI_Send";
-  traced ~ctx comm ~op:"MPI_Send" @@ fun () ->
+  Observe.call ~ctx P2p comm "MPI_Send" @@ fun () ->
   charge_setup ~ctx comm;
   let injected =
     inject_raw comm dt ~count ~dst ~tag ~ctx ~on_matched:None
@@ -431,13 +362,10 @@ let send_sparse ?(ctx = Msg.User) comm dt ~count ~dst ~tag =
   Engine.delay w.World.engine (injected -. World.now w)
 
 let recv_sparse ?(ctx = Msg.User) comm dt ~capacity ~src ~tag =
-  Comm.check_active comm;
-  check_recv_tag ~ctx tag;
-  Datatype.mark_committed dt;
+  check ~recv:true ~ctx comm dt tag;
   ignore (Datatype.bytes dt capacity);
   let w = Comm.world comm in
-  if ctx = Msg.User then record w "MPI_Recv";
-  traced ~ctx comm ~op:"MPI_Recv" @@ fun () ->
+  Observe.call ~ctx P2p comm "MPI_Recv" @@ fun () ->
   charge_setup ~ctx comm;
   let posted = World.now w in
   let mb = w.World.mailboxes.(my_world comm) in
@@ -445,14 +373,11 @@ let recv_sparse ?(ctx = Msg.User) comm dt ~capacity ~src ~tag =
     Msg.take_unexpected ?choose:(World.match_chooser w) mb ~src ~tag ~comm:(Comm.id comm) ~ctx
   with
   | Some env -> begin
-      stamp_env_match env ~posted ~time:(World.now w);
-      let checked = verify_payload env dt capacity in
+      let checked =
+        Observe.matched comm ~op:"MPI_Recv" ~posted env (verify_payload env dt capacity)
+      in
       Msg.release w.World.env_pool env;
-      match checked with
-      | Ok st -> st
-      | Error e ->
-          record_mismatch comm ~op:"MPI_Recv" ~src ~tag e;
-          raise e
+      match checked with Ok st -> st | Error e -> raise e
     end
   | None -> begin
       match dead_peer comm ~src with
@@ -462,12 +387,11 @@ let recv_sparse ?(ctx = Msg.User) comm dt ~capacity ~src ~tag =
       | None ->
           Engine.suspend w.World.engine (fun resumer ->
               let deliver env =
-                stamp_env_match env ~posted ~time:(World.now w);
-                match verify_payload env dt capacity with
+                match
+                  Observe.matched comm ~op:"MPI_Recv" ~posted env (verify_payload env dt capacity)
+                with
                 | Ok st -> Engine.resume resumer st
-                | Error e ->
-                    record_mismatch comm ~op:"MPI_Recv" ~src ~tag e;
-                    Engine.fail resumer e
+                | Error e -> Engine.fail resumer e
               in
               let on_fail e = Engine.fail resumer e in
               Msg.post mb (make_pending comm ~src ~tag ~ctx ~deliver ~on_fail))
@@ -483,29 +407,24 @@ let recv_sparse ?(ctx = Msg.User) comm dt ~capacity ~src ~tag =
 (* with the world's pooled envelopes) and charges nothing.             *)
 (* ------------------------------------------------------------------ *)
 
-let track_persist comm ~op h =
-  let w = Comm.world comm in
-  Checker.track_persistent w.World.check ~rank:(my_world comm) ~comm:(Comm.id comm) ~op
-    ~at:(World.now w)
-    ~freed:(fun () -> Persist.is_freed h)
-    ~starts:(fun () -> Persist.starts h)
+(* Observe a persistent init once its handle is built; the call's span
+   covers the per-call setup cost. *)
+let observe_init ~ctx comm op h =
+  Observe.call ~ctx ~track:(Persistent h) P2p comm op (fun () ->
+      charge_setup ~ctx comm;
+      h)
 
 let send_init_gen ~sync ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~dst ~tag =
-  Comm.check_active comm;
-  check_tag ~ctx tag;
-  Datatype.mark_committed dt;
   let op = if sync then "MPI_Ssend_init" else "MPI_Send_init" in
+  check ~ctx comm dt tag;
   let count = window_bounds ~what:op buf pos count in
   let w = Comm.world comm in
   ignore (Comm.world_rank_of comm dst);
-  if ctx = Msg.User then record w op;
-  traced ~ctx comm ~op @@ fun () ->
-  charge_setup ~ctx comm;
   let latency = (Netmodel.params w.World.net).Netmodel.latency in
   let st = { Request.source = dst; tag; count } in
   let start h =
     Comm.check_active comm;
-    traced ~ctx comm ~op:"MPI_Start" @@ fun () ->
+    Observe.span ~ctx P2p comm "MPI_Start" @@ fun () ->
     let req = Persist.request h in
     let on_matched =
       if sync then
@@ -526,11 +445,10 @@ let send_init_gen ~sync ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~dst ~ta
   in
   let h =
     Persist.make w.World.engine ~op
-      ~around_wait:(fun _ f -> traced ~ctx comm ~op:"MPI_Wait" f)
+      ~around_wait:(fun _ f -> Observe.span ~ctx P2p comm "MPI_Wait" f)
       start
   in
-  if ctx = Msg.User then track_persist comm ~op h;
-  h
+  observe_init ~ctx comm op h
 
 let send_init ?ctx ?pos ?count comm dt buf ~dst ~tag =
   send_init_gen ~sync:false ?ctx ?pos ?count comm dt buf ~dst ~tag
@@ -539,23 +457,18 @@ let ssend_init ?ctx ?pos ?count comm dt buf ~dst ~tag =
   send_init_gen ~sync:true ?ctx ?pos ?count comm dt buf ~dst ~tag
 
 let recv_init ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~src ~tag =
-  Comm.check_active comm;
-  check_recv_tag ~ctx tag;
-  Datatype.mark_committed dt;
   let op = "MPI_Recv_init" in
+  check ~recv:true ~ctx comm dt tag;
   let capacity = window_bounds ~what:op buf pos count in
   let w = Comm.world comm in
   if src <> any_source then ignore (Comm.world_rank_of comm src);
-  if ctx = Msg.User then record w op;
-  traced ~ctx comm ~op @@ fun () ->
-  charge_setup ~ctx comm;
   let mb = w.World.mailboxes.(my_world comm) in
   (* the live posted receive of the active round, so [cancel] can retire a
      standing channel that will never be matched again *)
   let current = ref None in
   let start h =
     Comm.check_active comm;
-    traced ~ctx comm ~op:"MPI_Start" @@ fun () ->
+    Observe.span ~ctx P2p comm "MPI_Start" @@ fun () ->
     let req = Persist.request h in
     current := None;
     let posted = World.now w in
@@ -563,14 +476,9 @@ let recv_init ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~src ~tag =
       Msg.take_unexpected ?choose:(World.match_chooser w) mb ~src ~tag ~comm:(Comm.id comm) ~ctx
     with
     | Some env -> begin
-        stamp_env_match env ~posted ~time:(World.now w);
-        let copied = copy_payload env dt buf pos capacity in
+        let copied = Observe.matched comm ~op ~posted env (copy_payload env dt buf pos capacity) in
         Msg.release w.World.env_pool env;
-        match copied with
-        | Ok st -> Request.complete req st
-        | Error e ->
-            record_mismatch comm ~op ~src ~tag e;
-            Request.abort req e
+        match copied with Ok st -> Request.complete req st | Error e -> Request.abort req e
       end
     | None -> begin
         match dead_peer comm ~src with
@@ -585,12 +493,9 @@ let recv_init ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~src ~tag =
         | None ->
             let deliver env =
               current := None;
-              stamp_env_match env ~posted ~time:(World.now w);
-              match copy_payload env dt buf pos capacity with
+              match Observe.matched comm ~op ~posted env (copy_payload env dt buf pos capacity) with
               | Ok st -> Request.complete req st
-              | Error e ->
-                  record_mismatch comm ~op ~src ~tag e;
-                  Request.abort req e
+              | Error e -> Request.abort req e
             in
             let on_fail e =
               current := None;
@@ -610,11 +515,10 @@ let recv_init ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~src ~tag =
   in
   let h =
     Persist.make w.World.engine ~op ~cancel
-      ~around_wait:(fun _ f -> traced ~ctx comm ~op:"MPI_Wait" f)
+      ~around_wait:(fun _ f -> Observe.span ~ctx P2p comm "MPI_Wait" f)
       start
   in
-  if ctx = Msg.User then track_persist comm ~op h;
-  h
+  observe_init ~ctx comm op h
 
 (* ------------------------------------------------------------------ *)
 (* Partitioned communication (MPI-4 §4).                               *)
@@ -638,28 +542,23 @@ let check_partitioned ~op ~partitions ~count buf =
       count (Array.length buf)
 
 let psend_init ?(ctx = Msg.User) comm dt buf ~partitions ~count ~dst ~tag =
-  Comm.check_active comm;
-  check_tag ~ctx tag;
-  Datatype.mark_committed dt;
+  check ~ctx comm dt tag;
   let op = "MPI_Psend_init" in
   check_partitioned ~op ~partitions ~count buf;
   let w = Comm.world comm in
   ignore (Comm.world_rank_of comm dst);
-  if ctx = Msg.User then record w op;
-  traced ~ctx comm ~op @@ fun () ->
-  charge_setup ~ctx comm;
   let readied = Array.make partitions false in
   let remaining = ref partitions in
   let start _h =
     Comm.check_active comm;
-    traced ~ctx comm ~op:"MPI_Start" @@ fun () ->
+    Observe.span ~ctx P2p comm "MPI_Start" @@ fun () ->
     Array.fill readied 0 partitions false;
     remaining := partitions
   in
   let pready h i =
     Comm.check_active comm;
     if readied.(i) then Errors.usage "%s: partition %d readied twice" op i;
-    traced ~ctx comm ~op:"MPI_Pready" @@ fun () ->
+    Observe.span ~ctx P2p comm "MPI_Pready" @@ fun () ->
     readied.(i) <- true;
     let req = Persist.request h in
     let injected =
@@ -676,30 +575,24 @@ let psend_init ?(ctx = Msg.User) comm dt buf ~partitions ~count ~dst ~tag =
   in
   let h =
     Persist.make w.World.engine ~op ~partitions ~pready
-      ~around_wait:(fun _ f -> traced ~ctx comm ~op:"MPI_Wait" f)
+      ~around_wait:(fun _ f -> Observe.span ~ctx P2p comm "MPI_Wait" f)
       start
   in
-  if ctx = Msg.User then track_persist comm ~op h;
-  h
+  observe_init ~ctx comm op h
 
 let precv_init ?(ctx = Msg.User) comm dt buf ~partitions ~count ~src ~tag =
-  Comm.check_active comm;
-  check_tag ~ctx tag;
+  check ~ctx comm dt tag;
   if src = any_source then Errors.usage "MPI_Precv_init: wildcard source is not allowed";
-  Datatype.mark_committed dt;
   let op = "MPI_Precv_init" in
   check_partitioned ~op ~partitions ~count buf;
   let w = Comm.world comm in
   ignore (Comm.world_rank_of comm src);
-  if ctx = Msg.User then record w op;
-  traced ~ctx comm ~op @@ fun () ->
-  charge_setup ~ctx comm;
   let mb = w.World.mailboxes.(my_world comm) in
   let arrived = Array.make partitions false in
   let pendings : Msg.pending_recv option array = Array.make partitions None in
   let start h =
     Comm.check_active comm;
-    traced ~ctx comm ~op:"MPI_Start" @@ fun () ->
+    Observe.span ~ctx P2p comm "MPI_Start" @@ fun () ->
     let req = Persist.request h in
     Array.fill arrived 0 partitions false;
     Array.fill pendings 0 partitions None;
@@ -723,23 +616,19 @@ let precv_init ?(ctx = Msg.User) comm dt buf ~partitions ~count ~src ~tag =
           let tag_i = ptag ~tag i in
           match Msg.take_unexpected mb ~src ~tag:tag_i ~comm:(Comm.id comm) ~ctx:Msg.Internal with
           | Some env -> begin
-              stamp_env_match env ~posted ~time:(World.now w);
-              let copied = copy_payload env dt buf (i * count) count in
+              let copied =
+                Observe.matched comm ~op ~posted env (copy_payload env dt buf (i * count) count)
+              in
               Msg.release w.World.env_pool env;
-              match copied with
-              | Ok _ -> finish_one i
-              | Error e ->
-                  record_mismatch comm ~op ~src ~tag e;
-                  Request.abort req e
+              match copied with Ok _ -> finish_one i | Error e -> Request.abort req e
             end
           | None ->
               let deliver env =
-                stamp_env_match env ~posted ~time:(World.now w);
-                match copy_payload env dt buf (i * count) count with
+                match
+                  Observe.matched comm ~op ~posted env (copy_payload env dt buf (i * count) count)
+                with
                 | Ok _ -> finish_one i
-                | Error e ->
-                    record_mismatch comm ~op ~src ~tag e;
-                    Request.abort req e
+                | Error e -> Request.abort req e
               in
               let on_fail e =
                 pendings.(i) <- None;
@@ -761,8 +650,7 @@ let precv_init ?(ctx = Msg.User) comm dt buf ~partitions ~count ~src ~tag =
   in
   let h =
     Persist.make w.World.engine ~op ~partitions ~parrived ~cancel
-      ~around_wait:(fun _ f -> traced ~ctx comm ~op:"MPI_Wait" f)
+      ~around_wait:(fun _ f -> Observe.span ~ctx P2p comm "MPI_Wait" f)
       start
   in
-  if ctx = Msg.User then track_persist comm ~op h;
-  h
+  observe_init ~ctx comm op h

@@ -28,8 +28,8 @@
 
     The module is deliberately independent of [Comm]/[World]: the concrete
     operation behaviour is injected as closures by {!P2p} and
-    {!Collectives}, which also register the handle with the {!Checker}
-    (an inactive handle never freed is a leak). *)
+    {!Collectives}, whose [*_init] calls register the handle through
+    {!Observe} (an inactive handle never freed is a leak). *)
 
 type phase = Inactive | Active | Freed
 type t

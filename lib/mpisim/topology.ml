@@ -5,12 +5,12 @@ type t = { comm : Comm.t; sources : int array; destinations : int array }
    that with a barrier (synchronization) plus a per-edge setup cost. *)
 let dist_graph_create_adjacent comm ~sources ~destinations =
   Comm.check_active comm;
-  Profiling.record_call (Comm.world comm).World.prof "MPI_Dist_graph_create_adjacent";
   let check_rank what r =
     if r < 0 || r >= Comm.size comm then Errors.usage "dist_graph_create_adjacent: bad %s rank %d" what r
   in
   Array.iter (check_rank "source") sources;
   Array.iter (check_rank "destination") destinations;
+  Observe.call Comm_mgmt comm "MPI_Dist_graph_create_adjacent" @@ fun () ->
   let per_edge_setup = 0.2e-6 in
   Comm.compute comm
     (float_of_int (Array.length sources + Array.length destinations) *. per_edge_setup);
@@ -35,7 +35,7 @@ let outdegree topo = Array.length topo.destinations
 let neighbor_exchange topo dt ~sendbuf ~scounts ~sdispls ~recvbuf ~rcounts ~rdispls ~name =
   let comm = topo.comm in
   Comm.check_active comm;
-  Profiling.record_call (Comm.world comm).World.prof name;
+  Observe.call Comm_mgmt comm name @@ fun () ->
   let tag = Comm.next_collective_tag comm in
   let recv_reqs =
     List.init (Array.length topo.sources) (fun j ->

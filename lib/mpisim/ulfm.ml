@@ -19,8 +19,8 @@ let schedule_failures w ~fail_at =
   List.iter (fun (world_rank, at) -> schedule_failure w ~at ~world_rank) fail_at
 
 let revoke comm =
-  Profiling.record_call (Comm.world comm).World.prof "MPI_Comm_revoke";
-  World.revoke (Comm.world comm) (Comm.shared comm)
+  Observe.call Comm_mgmt comm "MPI_Comm_revoke" (fun () ->
+      World.revoke (Comm.world comm) (Comm.shared comm))
 
 let is_revoked = Comm.is_revoked
 
@@ -44,8 +44,8 @@ let num_failed comm = Comm.size comm - Array.length (survivors comm)
    already passed the barrier meets the failure in its next operation
    and shrinks the same communicator from its recovery path. *)
 let rec shrink comm =
+  Observe.call Comm_mgmt comm "MPI_Comm_shrink" @@ fun () ->
   let w = Comm.world comm in
-  Profiling.record_call w.World.prof "MPI_Comm_shrink";
   let epoch = Comm.next_shrink_epoch comm in
   let key = (Comm.id comm, epoch) in
   let shared =
@@ -83,8 +83,8 @@ let rec shrink comm =
    parked in an agreement it will never join must follow. *)
 let agree comm v =
   Comm.check_active comm;
+  Observe.call Comm_mgmt comm "MPI_Comm_agree" @@ fun () ->
   let w = Comm.world comm in
-  Profiling.record_call w.World.prof "MPI_Comm_agree";
   let epoch = Comm.next_agree_epoch comm in
   let key = (Comm.id comm, epoch) in
   let live = survivors comm in

@@ -17,7 +17,7 @@ type 'a t = {
   segment : 'a array;
   sizes : int array;
   queues : 'a queued V.t array; (* per target, in issue order *)
-  tok : Checker.window_token;
+  freed : bool ref;
 }
 
 (* The op-stream datatype must be the SAME value on every member of the
@@ -52,37 +52,11 @@ let distribute_op_dt (type a) comm (dt : a Datatype.t) : a Op.t Datatype.t =
     | None -> Errors.usage "Win.create: members passed different window datatypes"
   end
 
-(* RMA call spans on traced runs (category "rma"); queueing calls are
+(* RMA calls are spanned in category "rma"; queueing calls are
    instantaneous, the fence carries the communication time. *)
-let traced comm ~op f =
-  let w = Comm.world comm in
-  if not (Trace.Recorder.active w.World.trace) then f ()
-  else begin
-    let rank = Comm.world_rank_of comm (Comm.rank comm) in
-    let t0 = World.now w in
-    Fun.protect
-      ~finally:(fun () ->
-        Trace.Recorder.add_span w.World.trace
-          {
-            Trace.Event.sp_rank = rank;
-            sp_op = op;
-            sp_cat = "rma";
-            sp_comm = Comm.id comm;
-            sp_seq = -1;
-            sp_t0 = t0;
-            sp_t1 = World.now w;
-          })
-      f
-  end
-
 let create comm dt segment =
-  Profiling.record_call (Comm.world comm).World.prof "MPI_Win_create";
-  traced comm ~op:"MPI_Win_create" @@ fun () ->
-  let tok =
-    Checker.track_window (Comm.world comm).World.check
-      ~rank:(Comm.world_rank_of comm (Comm.rank comm))
-      ~comm:(Comm.id comm)
-  in
+  let freed = ref false in
+  Observe.call ~track:(Window freed) Rma comm "MPI_Win_create" @@ fun () ->
   let p = Comm.size comm in
   let sizes = Array.make p 0 in
   Collectives.allgather comm Datatype.int ~sendbuf:[| Array.length segment |] ~recvbuf:sizes
@@ -94,12 +68,10 @@ let create comm dt segment =
     segment;
     sizes;
     queues = Array.init p (fun _ -> V.create ());
-    tok;
+    freed;
   }
 
-let free win =
-  Profiling.record_call (Comm.world win.comm).World.prof "MPI_Win_free";
-  traced win.comm ~op:"MPI_Win_free" @@ fun () -> Checker.release_window win.tok
+let free win = Observe.call Rma win.comm "MPI_Win_free" (fun () -> win.freed := true)
 
 let local win = win.segment
 let size_of win target = win.sizes.(target)
@@ -112,21 +84,18 @@ let check_range win ~what ~target ~target_pos ~count =
       target_pos (target_pos + count) win.sizes.(target)
 
 let put win ~target ~target_pos data =
-  Profiling.record_call (Comm.world win.comm).World.prof "MPI_Put";
-  traced win.comm ~op:"MPI_Put" @@ fun () ->
   check_range win ~what:"put" ~target ~target_pos ~count:(Array.length data);
+  Observe.call Rma win.comm "MPI_Put" @@ fun () ->
   V.push win.queues.(target) (Q_put { pos = target_pos; data = Array.copy data })
 
 let accumulate win ~target ~target_pos op data =
-  Profiling.record_call (Comm.world win.comm).World.prof "MPI_Accumulate";
-  traced win.comm ~op:"MPI_Accumulate" @@ fun () ->
   check_range win ~what:"accumulate" ~target ~target_pos ~count:(Array.length data);
+  Observe.call Rma win.comm "MPI_Accumulate" @@ fun () ->
   V.push win.queues.(target) (Q_acc { pos = target_pos; op; data = Array.copy data })
 
 let get win ~target ~target_pos ~count =
-  Profiling.record_call (Comm.world win.comm).World.prof "MPI_Get";
-  traced win.comm ~op:"MPI_Get" @@ fun () ->
   check_range win ~what:"get" ~target ~target_pos ~count;
+  Observe.call Rma win.comm "MPI_Get" @@ fun () ->
   let g = { g_pos = target_pos; g_count = count; result = None } in
   V.push win.queues.(target) (Q_get g);
   g
@@ -182,8 +151,7 @@ let fill_of win =
 
 let fence win =
   let comm = win.comm in
-  Profiling.record_call (Comm.world comm).World.prof "MPI_Win_fence";
-  traced comm ~op:"MPI_Win_fence" @@ fun () ->
+  Observe.call Rma comm "MPI_Win_fence" @@ fun () ->
   let p = Comm.size comm in
   (* encode the queues: control triples, payload stream, op stream, and the
      per-target list of pending gets in issue order *)

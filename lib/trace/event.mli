@@ -4,7 +4,8 @@
     simulated time and world rank:
 
     - {b spans}: enter/exit of each logical MPI call (collectives,
-      point-to-point, RMA) plus user-annotated regions;
+      point-to-point, RMA, communicator management) plus user-annotated
+      regions;
     - {b messages}: one record per injected message — user or
       library-internal — carrying the four timestamps that wait-state
       analysis needs (sent, arrived, receive posted, matched);
@@ -18,7 +19,7 @@
 type span = {
   sp_rank : int;  (** world rank *)
   sp_op : string;  (** operation name, e.g. ["MPI_Allreduce"] *)
-  sp_cat : string;  (** ["coll"], ["p2p"], ["rma"] or ["user"] *)
+  sp_cat : string;  (** ["coll"], ["p2p"], ["rma"], ["comm"] or ["user"] *)
   sp_comm : int;  (** communicator id, [-1] when not applicable *)
   sp_seq : int;
       (** per-(rank, communicator) collective index used to line the same

@@ -5,7 +5,6 @@ type t = {
   messages : Event.message Ds.Vec.t;
   waits : Event.wait Ds.Vec.t;
   rank_end : float array;
-  coll_seq : (int * int, int ref) Hashtbl.t;
   mutable next_msg_id : int;
 }
 
@@ -17,7 +16,6 @@ let make act ranks =
     messages = Ds.Vec.create ();
     waits = Ds.Vec.create ();
     rank_end = Array.make (max ranks 1) (-1.0);
-    coll_seq = Hashtbl.create 16;
     next_msg_id = 0;
   }
 
@@ -25,22 +23,6 @@ let inert = make false 0
 let create ~ranks = make true ranks
 let active t = t.act
 let add_span t span = if t.act then Ds.Vec.push t.spans span
-
-let next_coll_seq t ~rank ~comm =
-  if not t.act then -1
-  else
-    let key = (rank, comm) in
-    let r =
-      match Hashtbl.find_opt t.coll_seq key with
-      | Some r -> r
-      | None ->
-          let r = ref 0 in
-          Hashtbl.add t.coll_seq key r;
-          r
-    in
-    let v = !r in
-    incr r;
-    v
 
 let add_message t ~src ~dst ~tag ~bytes ~user ~sent ~arrived =
   let id = t.next_msg_id in

@@ -1,10 +1,12 @@
 (** Event recorder: the write side of the tracing subsystem.
 
     A recorder is either {e active} (allocated per traced run, accumulates
-    events) or the shared {!inert} instance that every hook point treats as
-    "tracing disabled".  All recording entry points first check {!active},
-    so a disabled recorder costs one load and branch per hook — the same
-    zero-overhead discipline the correctness checker follows. *)
+    events) or the shared {!inert} instance that means "tracing disabled".
+    In the simulator, only [Mpisim.Observe] (one call per MPI operation)
+    and the run driver write to it, and they check {!active} first, so a
+    disabled recorder costs one load and branch per operation — the same
+    zero-overhead discipline the correctness checker follows.  Collective
+    spans carry the sequence number [Mpisim.Comm.next_coll_index] draws. *)
 
 type t
 
@@ -20,11 +22,6 @@ val active : t -> bool
 
 (** [add_span t span] appends a completed call span. *)
 val add_span : t -> Event.span -> unit
-
-(** [next_coll_seq t ~rank ~comm] draws the next collective sequence number
-    for [(rank, comm)] — the k-th collective a rank enters on a communicator
-    gets index k, which lines the same logical collective up across ranks. *)
-val next_coll_seq : t -> rank:int -> comm:int -> int
 
 (** [add_message t ~src ~dst ~tag ~bytes ~user ~sent ~arrived] records an
     injected message and returns the (mutable) record so the receive side

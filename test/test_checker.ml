@@ -159,7 +159,91 @@ let test_request_leak () =
       match d.Ck.detail with
       | Ck.Request_leak -> d.Ck.rank = 0 && d.Ck.op = "MPI_Isend" && d.Ck.location = "finalize"
       | _ -> false)
-    res
+    res;
+  (* an unwaited nonblocking collective is reported under its MPI name *)
+  List.iter
+    (fun (op, start) ->
+      let res = with_heavy (fun () -> Mpi.run ~ranks:2 (fun comm -> ignore (start comm))) in
+      check_found (op ^ " leak")
+        (fun d ->
+          match d.Ck.detail with
+          | Ck.Request_leak -> d.Ck.op = op && d.Ck.location = "finalize"
+          | _ -> false)
+        res)
+    [
+      ("MPI_Ibarrier", Collectives.ibarrier);
+      ("MPI_Ibcast", fun comm -> Collectives.ibcast comm Datatype.int [| 1 |] ~root:0);
+      ( "MPI_Iallreduce",
+        fun comm ->
+          Collectives.iallreduce comm Datatype.int Op.int_sum ~sendbuf:[| 1 |] ~recvbuf:[| 0 |]
+            ~count:1 );
+      ( "MPI_Ialltoallv",
+        fun comm ->
+          Collectives.ialltoallv comm Datatype.int ~sendbuf:[| 1; 2 |] ~scounts:[| 1; 1 |]
+            ~sdispls:[| 0; 1 |] ~recvbuf:[| 0; 0 |] ~rcounts:[| 1; 1 |] ~rdispls:[| 0; 1 |] );
+    ]
+
+(* ------------- the run tee ------------- *)
+
+(* [Mpi.with_run_collector] reports every run's diagnostics, including a
+   run that raises out of [Mpi.run]: here a [Light] run that records a
+   truncation and then deadlocks. *)
+let test_run_tee_diagnostics () =
+  let leak comm =
+    if Comm.rank comm = 0 then ignore (P2p.isend comm Datatype.int [| 9 |] ~dst:1 ~tag:0)
+    else ignore (P2p.recv comm Datatype.int [| 0 |] ~src:0 ~tag:0)
+  in
+  let truncate_then_hang comm =
+    if Comm.rank comm = 0 then begin
+      P2p.send comm Datatype.int [| 1; 2; 3 |] ~dst:1 ~tag:0;
+      ignore (P2p.recv comm Datatype.int [| 0 |] ~src:1 ~tag:1)
+    end
+    else ignore (P2p.recv comm Datatype.int [| 0 |] ~src:0 ~tag:0)
+  in
+  let (), runs =
+    Mpi.with_run_collector (fun () ->
+        ignore (with_heavy (fun () -> Mpi.run ~ranks:2 leak));
+        ignore (Mpi.run ~ranks:2 Collectives.barrier);
+        Ck.with_level Ck.Light (fun () ->
+            match Mpi.run ~ranks:2 truncate_then_hang with
+            | (_ : unit Mpi.run_result) -> Alcotest.fail "expected a deadlock"
+            | exception Simnet.Engine.Deadlock _ -> ()))
+  in
+  Alcotest.(check (list (list string)))
+    "diagnostics of each run"
+    [
+      [ "[finalize] rank 0, comm 0, MPI_Isend: request leak: completion never waited for or tested" ];
+      [];
+      [ "[p2p-match] rank 1, comm 0, MPI_Recv: truncation: 3 elements sent into capacity 1" ];
+    ]
+    (List.map (fun (s : Mpi.run_summary) -> List.map Ck.to_string s.rs_diagnostics) runs);
+  Alcotest.(check int) "the raising run's profile" 1
+    (Profiling.calls_of "MPI_Send" (List.nth runs 2).Mpi.rs_profile)
+
+(* A call rejected by argument validation hands out no request, so the
+   finalize scan must not report one as leaked. *)
+let test_rejected_call_is_not_a_leak () =
+  let rejected what f =
+    let res =
+      with_heavy (fun () ->
+          Mpi.run ~ranks:2 (fun comm ->
+              match f comm ~dst:(1 - Comm.rank comm) with
+              | (_ : Request.t) -> false
+              | exception Errors.Usage_error _ -> true))
+    in
+    Array.iter
+      (fun r -> Alcotest.(check bool) (what ^ ": rejected") true (r = Ok true))
+      res.Mpi.results;
+    Alcotest.(check (list string))
+      (what ^ ": no diagnostics") []
+      (List.map Ck.to_string res.Mpi.diagnostics)
+  in
+  rejected "isend, negative tag" (fun comm ~dst ->
+      P2p.isend comm Datatype.int [| 1 |] ~dst ~tag:(-1));
+  rejected "isend, window past the buffer" (fun comm ~dst ->
+      P2p.isend ~pos:3 comm Datatype.int [| 1 |] ~dst ~tag:0);
+  rejected "issend, window past the buffer" (fun comm ~dst ->
+      P2p.issend ~pos:3 comm Datatype.int [| 1 |] ~dst ~tag:0)
 
 let test_waited_request_is_clean () =
   let results =
@@ -458,6 +542,8 @@ let suite =
     Alcotest.test_case "datatype mismatch diagnosed" `Quick test_datatype_mismatch_diagnosed;
     Alcotest.test_case "request leak" `Quick test_request_leak;
     Alcotest.test_case "waited request is clean" `Quick test_waited_request_is_clean;
+    Alcotest.test_case "rejected call is not a leak" `Quick test_rejected_call_is_not_a_leak;
+    Alcotest.test_case "run tee reports every run's diagnostics" `Quick test_run_tee_diagnostics;
     Alcotest.test_case "unmatched send" `Quick test_unmatched_send;
     Alcotest.test_case "damaged-comm traffic not flagged" `Quick
       test_damaged_comm_traffic_not_flagged;

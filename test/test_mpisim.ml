@@ -655,6 +655,69 @@ let test_profiling_edge_cases () =
   Alcotest.(check (list (pair string int))) "identical snapshots: empty diff" []
     d_same.Profiling.calls
 
+(* Misused v-collective layouts fail as a [Usage_error] naming the call and
+   the argument on every rank, never as an internal exception or an error
+   about the runtime's own p2p calls.  Every rank passes the bad argument,
+   so no rank is left waiting for a peer that gave up. *)
+let test_v_collective_layout_errors () =
+  let contains s sub =
+    let n = String.length sub in
+    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+    go 0
+  in
+  let expect name ~mentions f =
+    let res = Mpi.run ~ranks:4 f in
+    Array.iteri
+      (fun r -> function
+        | Error (Errors.Usage_error msg) ->
+            List.iter
+              (fun m ->
+                if not (contains msg m) then
+                  Alcotest.failf "%s: rank %d: %S does not mention %S" name r msg m)
+              mentions
+        | Error e -> Alcotest.failf "%s: rank %d raised %s" name r (Printexc.to_string e)
+        | Ok () -> Alcotest.failf "%s: rank %d accepted the call" name r)
+      res.Mpi.results
+  in
+  let ints n = Array.make n 0 and displs p k = Array.init p (fun i -> k * i) in
+  expect "alltoallv: scounts past the send buffer" ~mentions:[ "alltoallv"; "scounts" ]
+    (fun comm ->
+      let p = Comm.size comm in
+      Collectives.alltoallv comm Datatype.int ~sendbuf:(ints p) ~scounts:(Array.make p 2)
+        ~sdispls:(displs p 1) ~recvbuf:(ints (2 * p)) ~rcounts:(Array.make p 2)
+        ~rdispls:(displs p 2));
+  expect "alltoallv: negative sdispls" ~mentions:[ "alltoallv"; "sdispls" ] (fun comm ->
+      let p = Comm.size comm in
+      Collectives.alltoallv comm Datatype.int ~sendbuf:(ints p) ~scounts:(Array.make p 1)
+        ~sdispls:(Array.make p (-1)) ~recvbuf:(ints p) ~rcounts:(Array.make p 1)
+        ~rdispls:(displs p 1));
+  expect "ialltoallv: rcounts past the receive buffer" ~mentions:[ "ialltoallv"; "rcounts" ]
+    (fun comm ->
+      let p = Comm.size comm in
+      ignore
+        (Collectives.ialltoallv comm Datatype.int ~sendbuf:(ints p) ~scounts:(Array.make p 1)
+           ~sdispls:(displs p 1) ~recvbuf:(ints p) ~rcounts:(Array.make p 2)
+           ~rdispls:(displs p 1)));
+  expect "allgatherv: negative rcounts entry" ~mentions:[ "allgatherv"; "rcounts" ] (fun comm ->
+      let p = Comm.size comm and r = Comm.rank comm in
+      let rcounts = Array.init p (fun i -> if i = 2 then -1 else 1) in
+      Collectives.allgatherv comm Datatype.int ~sendbuf:[| r |] ~scount:rcounts.(r)
+        ~recvbuf:(ints p) ~rcounts ~rdispls:(displs p 1));
+  expect "allgatherv: rdispls past the receive buffer" ~mentions:[ "allgatherv"; "rdispls" ]
+    (fun comm ->
+      let p = Comm.size comm in
+      Collectives.allgatherv comm Datatype.int ~sendbuf:[| 0 |] ~scount:1 ~recvbuf:(ints p)
+        ~rcounts:(Array.make p 1) ~rdispls:(displs p 2));
+  expect "gatherv: send window past the buffer" ~mentions:[ "gatherv"; "sendbuf" ] (fun comm ->
+      let p = Comm.size comm in
+      Collectives.gatherv comm Datatype.int ~sendbuf:(ints 1) ~scount:2 ~recvbuf:(ints (2 * p))
+        ~rcounts:(Array.make p 2) ~rdispls:(displs p 2) ~root:0);
+  expect "scatterv: receive window past the buffer" ~mentions:[ "scatterv"; "recvbuf" ]
+    (fun comm ->
+      let p = Comm.size comm in
+      Collectives.scatterv comm Datatype.int ~sendbuf:(ints (2 * p)) ~scounts:(Array.make p 2)
+        ~sdispls:(displs p 2) ~recvbuf:(ints 1) ~rcount:2 ~root:0)
+
 let test_run_determinism () =
   let go () =
     Tutil.run_full ~ranks:8 (fun comm ->
@@ -697,6 +760,7 @@ let suite =
     Alcotest.test_case "alltoall (pairwise)" `Quick test_alltoall;
     Alcotest.test_case "alltoallv" `Quick test_alltoallv;
     Alcotest.test_case "alltoallw-style path" `Quick test_alltoallw_style;
+    Alcotest.test_case "v-collective layout errors" `Quick test_v_collective_layout_errors;
     prop_alltoallv_random;
     Alcotest.test_case "scan/exscan" `Quick test_scan_exscan;
     Alcotest.test_case "scan non-commutative order" `Quick test_scan_non_commutative;

@@ -264,6 +264,70 @@ let test_chrome_export () =
 (* Enablement plumbing                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* ------------------------------------------------------------------ *)
+(* Span inventory                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The multiset of (category, op) spans a traced run records: a dropped
+   or renamed span site changes it.  Collective spans must also carry
+   gap-free sequence numbers 0, 1, ... per (rank, communicator). *)
+let inventory (data : Trace.Event.data) =
+  let counts = Hashtbl.create 16 and seqs = Hashtbl.create 16 in
+  List.iter
+    (fun (s : Trace.Event.span) ->
+      let key = s.sp_cat ^ "/" ^ s.sp_op in
+      Hashtbl.replace counts key (1 + Option.value ~default:0 (Hashtbl.find_opt counts key));
+      if s.sp_cat = "coll" then
+        Hashtbl.replace seqs (s.sp_rank, s.sp_comm)
+          (s.sp_seq :: Option.value ~default:[] (Hashtbl.find_opt seqs (s.sp_rank, s.sp_comm))))
+    data.spans;
+  Hashtbl.iter
+    (fun (rank, comm) l ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "rank %d comm %d: collective sequence" rank comm)
+        (List.init (List.length l) Fun.id) (List.sort compare l))
+    seqs;
+  Hashtbl.fold (fun k n acc -> (k, n) :: acc) counts [] |> List.sort compare
+
+let check_inventory name run expected =
+  let res = Trace.Recorder.with_default true run in
+  ignore (Mpi.results_exn res);
+  Alcotest.(check (list (pair string int)))
+    (name ^ ": spans") expected
+    (inventory (Option.get res.Mpi.trace))
+
+let test_span_inventory () =
+  check_inventory "tracing_example" Gallery.Tracing_example.compute
+    [ ("p2p/MPI_Recv", 3); ("p2p/MPI_Send", 3); ("user/stage-work", 4) ];
+  check_inventory "persistent_halo"
+    (fun () -> Gallery.Persistent_halo.compute ~ranks:4 ~cells_per_rank:8 ~steps:3 ())
+    [
+      ("p2p/MPI_Pready", 12);
+      ("p2p/MPI_Precv_init", 3);
+      ("p2p/MPI_Psend_init", 3);
+      ("p2p/MPI_Recv_init", 6);
+      ("p2p/MPI_Send_init", 6);
+      ("p2p/MPI_Start", 42);
+      ("p2p/MPI_Wait", 42);
+    ];
+  check_inventory "persistent_halo (ephemeral)"
+    (fun () ->
+      Gallery.Persistent_halo.compute ~persistent:false ~ranks:4 ~cells_per_rank:8 ~steps:3 ())
+    [ ("p2p/MPI_Irecv", 18); ("p2p/MPI_Isend", 18); ("p2p/MPI_Recv", 3); ("p2p/MPI_Send", 3) ];
+  check_inventory "one_sided"
+    (Gallery.One_sided.compute ~ranks:4 ~samples_per_rank:20 ~buckets_per_rank:2)
+    [
+      ("coll/MPI_Allgather", 4);
+      ("coll/MPI_Alltoall", 32);
+      ("coll/MPI_Alltoallv", 32);
+      ("coll/MPI_Barrier", 8);
+      ("rma/MPI_Accumulate", 80);
+      ("rma/MPI_Get", 4);
+      ("rma/MPI_Win_create", 4);
+      ("rma/MPI_Win_fence", 8);
+      ("rma/MPI_Win_free", 4);
+    ]
+
 let test_enablement () =
   let prog raw = ignore (K.rank (K.wrap raw)) in
   let trace_of res = res.Mpi.trace in
@@ -292,6 +356,7 @@ let suite =
     Alcotest.test_case "wait-at-collective classified" `Quick test_wait_at_collective;
     Alcotest.test_case "chrome export" `Quick test_chrome_export;
     Alcotest.test_case "enablement plumbing" `Quick test_enablement;
+    Alcotest.test_case "span inventory of the gallery" `Quick test_span_inventory;
     observer "quickstart" Gallery.Quickstart.run;
     observer "vector_allgather" Gallery.Vector_allgather.run;
     observer "sample_sort_example" Gallery.Sample_sort_example.run;

@@ -94,11 +94,13 @@ let run_checked ?(level = Mpisim.Checker.Communication) ?net ?node ?fabric ?fail
    to [level], collecting diagnostics across all the worlds it creates,
    and fails the test if any were recorded. *)
 let check_clean ?(level = Mpisim.Checker.Communication) name f =
-  let result, diags =
+  let result, runs =
     Mpisim.Checker.with_level level (fun () ->
-        Mpisim.Checker.with_collector (fun () -> watchdog name f))
+        Mpisim.Mpi.with_run_collector (fun () -> watchdog name f))
   in
-  (match diags with [] -> () | ds -> diag_fail name ds);
+  (match List.concat_map (fun (s : Mpisim.Mpi.run_summary) -> s.rs_diagnostics) runs with
+  | [] -> ()
+  | ds -> diag_fail name ds);
   result
 
 (* ------------------------------------------------------------------ *)
