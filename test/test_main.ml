@@ -30,4 +30,5 @@ let () =
       ("persist", Test_persist.suite);
       ("topology", Test_topology.suite);
       ("bench-report", Test_bench_report.suite);
+      ("coll-schedules", Test_coll_schedules.suite);
     ]
