@@ -23,10 +23,13 @@ dune runtest
 #   perf:WORKLOAD:TRACE  python3 perfbench/run.py for one workload
 #   lint:observe         the mpisim call layers reach Checker, Trace and
 #                        Profiling only through Observe
+#   lint:coll            lib/mpisim/collectives.ml sends no message itself
 #
 # What the passes cover, in order:
 # - lint:observe: one observation point per MPI operation; a call layer
 #   that records a count, a checker entry or a span itself fails here.
+# - lint:coll: every collective schedule has one home, Coll_impl;
+#   Collectives only validates, selects, observes and dispatches.
 # - runtest under the strictest MUST-style checker, under event tracing
 #   (the recorder must be a pure observer: determinism and profiling
 #   equality stay green), and under seeded random schedule exploration
@@ -66,6 +69,7 @@ dune runtest
 #   exactly like Bfs_kamping).
 passes='
 -                                                        lint:observe
+-                                                        lint:coll
 MPISIM_CHECK=communication                               runtest
 MPISIM_TRACE=1                                           runtest
 -                                                        bench:trace
@@ -111,6 +115,12 @@ run_suite() {
       if grep -n 'Checker\.\|Trace\.\|Profiling\.' p2p.ml collectives.ml win.ml ulfm.ml \
         cart.ml topology.ml group.ml persist.ml coll_impl.ml; then
         echo "ci.sh: call layers must observe through Observe only" >&2
+        exit 1
+      fi
+      ;;
+    lint:coll)
+      if grep -n 'P2p\.' lib/mpisim/collectives.ml; then
+        echo "ci.sh: collective schedules belong in Coll_impl, not Collectives" >&2
         exit 1
       fi
       ;;

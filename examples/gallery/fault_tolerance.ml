@@ -9,7 +9,7 @@ module D = Mpisim.Datatype
 
 let compute ~verbose () =
   Mpisim.Mpi.run ~ranks:6
-    ~failures:[ (100.0e-6, 2) ] (* rank 2 fails after 100 us *)
+    ~fail_at:[ (2, 100.0e-6) ] (* rank 2 fails after 100 us *)
     (fun raw ->
       let comm = ref (K.wrap raw) in
       let completed = ref 0 in

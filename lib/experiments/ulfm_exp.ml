@@ -15,9 +15,9 @@ type outcome = {
 }
 
 let scenario ~ranks ~failures ~rounds =
-  let failure_times = List.init failures (fun i -> (float_of_int (i + 1) *. 120.0e-6, (i * 3) + 1)) in
+  let fail_at = List.init failures (fun i -> ((i * 3) + 1, float_of_int (i + 1) *. 120.0e-6)) in
   let res =
-    Mpisim.Mpi.run ~ranks ~failures:failure_times (fun raw ->
+    Mpisim.Mpi.run ~ranks ~fail_at (fun raw ->
         let comm = ref (K.wrap raw) in
         let completed = ref 0 in
         let attempts = ref 0 in

@@ -1,19 +1,50 @@
-(* Algorithm bodies for the tuned-collective subsystem.  Selection lives in
-   Coll_algos.Select; dispatch and profiling live in Collectives.  Bodies
-   rely on two simulator guarantees: isend copies its payload eagerly (so
-   buffers may be reused immediately), and messages on one (src, dst, tag)
-   link match in FIFO order. *)
+(* Every message schedule of the collectives.  Selection lives in
+   Coll_algos.Select; validation, dispatch and observation live in
+   Collectives, which sends no message itself.
 
-let combine comm op acc tmp count ~received_left =
+   Five schedule primitives are written once here and composed by the
+   algorithm bodies: the binomial tree ([bcast_binomial],
+   [reduce_binomial]), recursive doubling ([allreduce_rd] with its one
+   fold/unfold pair), the rooted linear loops ([gather_linear],
+   [scatter_linear]), two ring loops ([ring_allgatherv], which sends every
+   block, and [ring_blocks], which skips empty ones) and the prefix scan
+   ([prefix_scan]).  The tree and doubling primitives run over a member
+   mapping, so the node-leader algorithms reuse them on member lists.
+
+   Bodies rely on two simulator guarantees: isend copies its payload
+   eagerly (so buffers may be reused immediately), and messages on one
+   (src, dst, tag) link match in FIFO order. *)
+
+(* Fold [tmp.(pos ..)] into [acc.(pos ..)] element-wise and charge the
+   reduction cost. *)
+let combine comm op acc tmp ~pos count ~received_left =
   if received_left then
-    for i = 0 to count - 1 do
+    for i = pos to pos + count - 1 do
       acc.(i) <- Op.apply op tmp.(i) acc.(i)
     done
   else
-    for i = 0 to count - 1 do
+    for i = pos to pos + count - 1 do
       acc.(i) <- Op.apply op acc.(i) tmp.(i)
     done;
   if count > 0 then Comm.compute comm (float_of_int count *. Op.cost_per_element op)
+
+type members = Rotation of int | Ranks of int array
+
+let group_size comm = function Rotation _ -> Comm.size comm | Ranks a -> Array.length a
+
+let index_in a x =
+  let n = Array.length a in
+  let rec go i = if i >= n then -1 else if a.(i) = x then i else go (i + 1) in
+  go 0
+
+(* The communicator rank at schedule position [i]. *)
+let member comm m i =
+  match m with Rotation root -> (i + root) mod Comm.size comm | Ranks a -> a.(i)
+
+(* The caller's schedule position, or -1 when it is not a member. *)
+let position comm = function
+  | Rotation root -> (Comm.rank comm - root + Comm.size comm) mod Comm.size comm
+  | Ranks a -> index_in a (Comm.rank comm)
 
 (* Dissemination barrier: round k talks to ranks +-2^k; all offsets are
    distinct mod p, so one tag suffices. *)
@@ -35,31 +66,272 @@ let largest_pow2 p =
   go 1
 
 (* ------------------------------------------------------------------ *)
-(* Broadcast.                                                          *)
+(* Binomial tree.                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Binomial-tree broadcast (MPICH-style). *)
-let bcast_binomial comm dt buf pos count ~root ~tag =
-  let p = Comm.size comm and r = Comm.rank comm in
-  if p > 1 && count > 0 then begin
-    let rel = (r - root + p) mod p in
+(* Binomial-tree broadcast (MPICH-style) from position 0 of [members]. *)
+let bcast_binomial comm dt buf pos count ~members ~tag =
+  let p = group_size comm members and me = position comm members in
+  if me >= 0 && p > 1 && count > 0 then begin
     let mask = ref 1 in
-    while !mask < p && rel land !mask = 0 do
+    while !mask < p && me land !mask = 0 do
       mask := !mask lsl 1
     done;
-    if rel <> 0 then begin
-      let src = (rel - !mask + root + p) mod p in
-      ignore (P2p.recv ~ctx:Internal ~pos ~count comm dt buf ~src ~tag)
-    end;
+    if me <> 0 then
+      ignore
+        (P2p.recv ~ctx:Internal ~pos ~count comm dt buf ~src:(member comm members (me - !mask)) ~tag);
     mask := !mask lsr 1;
     while !mask > 0 do
-      if rel + !mask < p then begin
-        let dst = (rel + !mask + root) mod p in
-        P2p.send ~ctx:Internal ~pos ~count comm dt buf ~dst ~tag
-      end;
+      if me + !mask < p then
+        P2p.send ~ctx:Internal ~pos ~count comm dt buf ~dst:(member comm members (me + !mask)) ~tag;
       mask := !mask lsr 1
     done
   end
+
+(* Binomial-tree reduction into [acc] at position 0 of [members].  A
+   received contribution comes from higher positions and is combined on
+   the right.  Reassociates (and, for the receive-combines, commutes) the
+   operation — the canonical source of float irreproducibility across
+   different p that Sec. V-C addresses. *)
+let reduce_binomial comm dt op ~acc ~tmp ~count ~members ~tag =
+  let p = group_size comm members and me = position comm members in
+  if me >= 0 && p > 1 && count > 0 then begin
+    let mask = ref 1 in
+    let running = ref true in
+    while !running && !mask < p do
+      if me land !mask = 0 then begin
+        let src = me lor !mask in
+        if src < p then begin
+          ignore (P2p.recv ~ctx:Internal ~count comm dt tmp ~src:(member comm members src) ~tag);
+          combine comm op acc tmp ~pos:0 count ~received_left:false
+        end
+      end
+      else begin
+        P2p.send ~ctx:Internal ~count comm dt acc ~dst:(member comm members (me lxor !mask)) ~tag;
+        running := false
+      end;
+      mask := !mask lsl 1
+    done
+  end
+
+(* Binomial reduction of [sendbuf.(pos ..)] over the whole communicator;
+   returns the accumulated vector (meaningful at [root]). *)
+let reduce_to_root comm dt op ~sendbuf ~pos ~count ~root ~tag =
+  let acc = Array.sub sendbuf pos count in
+  if Comm.size comm > 1 && count > 0 then
+    reduce_binomial comm dt op ~acc ~tmp:(Array.copy acc) ~count ~members:(Rotation root) ~tag;
+  acc
+
+let reduce comm dt op ~sendbuf ~pos ~recvbuf ~count ~root ~tag =
+  let acc = reduce_to_root comm dt op ~sendbuf ~pos ~count ~root ~tag in
+  if Comm.rank comm = root then Array.blit acc 0 recvbuf 0 count
+
+(* ------------------------------------------------------------------ *)
+(* Recursive doubling.                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Fold the positions beyond the largest power of two into their even
+   neighbours (MPICH rem-handling): afterwards [pof2] "new ranks"
+   participate in the power-of-two schedule, the rest wait for the result.
+   Returns the new rank, or -1 for a parked position. *)
+let fold_to_pow2 comm dt op ~recvbuf ~tmp ~count ~members ~me ~rem ~tag_fold =
+  if me < 2 * rem then
+    if me land 1 = 0 then begin
+      P2p.send ~ctx:Internal ~count comm dt recvbuf ~dst:(member comm members (me + 1)) ~tag:tag_fold;
+      -1
+    end
+    else begin
+      ignore
+        (P2p.recv ~ctx:Internal ~count comm dt tmp ~src:(member comm members (me - 1)) ~tag:tag_fold);
+      (* the sender's position is lower: its data goes on the left *)
+      combine comm op recvbuf tmp ~pos:0 count ~received_left:true;
+      me asr 1
+    end
+  else me - rem
+
+(* Return the folded-out positions' results. *)
+let unfold_from_pow2 comm dt ~recvbuf ~count ~members ~me ~rem ~tag_fold =
+  if me < 2 * rem then
+    if me land 1 = 1 then
+      P2p.send ~ctx:Internal ~count comm dt recvbuf ~dst:(member comm members (me - 1)) ~tag:tag_fold
+    else
+      ignore
+        (P2p.recv ~ctx:Internal ~count comm dt recvbuf ~src:(member comm members (me + 1))
+           ~tag:tag_fold)
+
+let real_of_new ~rem nd = if nd < rem then (nd * 2) + 1 else nd + rem
+
+(* Recursive-doubling allreduce of [recvbuf] over [members], with the
+   non-power-of-two fold. *)
+let allreduce_rd comm dt op ~recvbuf ~tmp ~count ~members ~tag_fold ~tag =
+  let p = group_size comm members and me = position comm members in
+  if me >= 0 && p > 1 && count > 0 then begin
+    let pof2 = largest_pow2 p in
+    let rem = p - pof2 in
+    let newrank = fold_to_pow2 comm dt op ~recvbuf ~tmp ~count ~members ~me ~rem ~tag_fold in
+    if newrank >= 0 then begin
+      let mask = ref 1 in
+      while !mask < pof2 do
+        let newdst = newrank lxor !mask in
+        let dst = member comm members (real_of_new ~rem newdst) in
+        let req = P2p.isend ~ctx:Internal ~count comm dt recvbuf ~dst ~tag in
+        ignore (P2p.recv ~ctx:Internal ~count comm dt tmp ~src:dst ~tag);
+        ignore (Request.wait req);
+        combine comm op recvbuf tmp ~pos:0 count ~received_left:(newdst < newrank);
+        mask := !mask lsl 1
+      done
+    end;
+    unfold_from_pow2 comm dt ~recvbuf ~count ~members ~me ~rem ~tag_fold
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Rings.                                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Ring allgather of the blocks [recvbuf.(pos_of i ..)] of [count_of i]
+   elements: p - 1 neighbour steps, each forwarding the block received in
+   the previous one.  Every block travels, empty ones included.
+   Successive messages between the same neighbours share a tag; the
+   network model preserves per-link FIFO order. *)
+let ring_allgatherv comm dt ~recvbuf ~pos_of ~count_of ~tag =
+  let p = Comm.size comm and r = Comm.rank comm in
+  let dst = (r + 1) mod p and src = (r - 1 + p) mod p in
+  for step = 1 to p - 1 do
+    let sb = (r - step + 1 + p) mod p and rb = (r - step + p) mod p in
+    let req =
+      P2p.isend ~ctx:Internal ~pos:(pos_of sb) ~count:(count_of sb) comm dt recvbuf ~dst ~tag
+    in
+    ignore (P2p.recv ~ctx:Internal ~pos:(pos_of rb) ~count:(count_of rb) comm dt recvbuf ~src ~tag);
+    ignore (Request.wait req)
+  done
+
+(* p - 1 neighbour steps over the blocks [start i, start (i + 1)) of [buf]:
+   in step s ring position [me] sends block (me - s + 1) to [dst] and
+   receives block (me - s) from [src], skipping empty blocks.  With [fold]
+   = (op, tmp) each received block lands in [tmp] and is combined into
+   [buf] on the left (the partial sum it carries starts at the block's
+   owner). *)
+let ring_blocks ?fold comm dt buf ~start ~me ~dst ~src ~tag =
+  let p = Comm.size comm in
+  for s = 1 to p - 1 do
+    let sb = (me - s + 1 + p) mod p and rb = (me - s + p) mod p in
+    let s_lo = start sb and s_n = start (sb + 1) - start sb in
+    let r_lo = start rb and r_n = start (rb + 1) - start rb in
+    let req =
+      if s_n > 0 then Some (P2p.isend ~ctx:Internal ~pos:s_lo ~count:s_n comm dt buf ~dst ~tag)
+      else None
+    in
+    (if r_n > 0 then
+       match fold with
+       | None -> ignore (P2p.recv ~ctx:Internal ~pos:r_lo ~count:r_n comm dt buf ~src ~tag)
+       | Some (op, tmp) ->
+           ignore (P2p.recv ~ctx:Internal ~pos:r_lo ~count:r_n comm dt tmp ~src ~tag);
+           combine comm op buf tmp ~pos:r_lo r_n ~received_left:true);
+    match req with Some req -> ignore (Request.wait req) | None -> ()
+  done
+
+(* ------------------------------------------------------------------ *)
+(* Rooted linear loops, the prefix scan, fixed collectives.            *)
+(* ------------------------------------------------------------------ *)
+
+(* Linear gather: the root copies its own block and receives every other
+   rank's in rank order; [recvbuf] is used at the root only. *)
+let gather_linear comm dt ~sendbuf ~spos ~scount ~recvbuf ~rpos_of ~rcount_of ~root ~tag =
+  let r = Comm.rank comm in
+  if r = root then begin
+    Array.blit sendbuf spos recvbuf (rpos_of r) scount;
+    for src = 0 to Comm.size comm - 1 do
+      if src <> root then
+        ignore
+          (P2p.recv ~ctx:Internal ~pos:(rpos_of src) ~count:(rcount_of src) comm dt recvbuf ~src ~tag)
+    done
+  end
+  else P2p.send ~ctx:Internal ~pos:spos ~count:scount comm dt sendbuf ~dst:root ~tag
+
+(* Linear scatter: the root copies its own block and sends every other
+   rank's in rank order; [sendbuf] is used at the root only. *)
+let scatter_linear comm dt ~sendbuf ~spos_of ~scount_of ~recvbuf ~rpos ~rcount ~root ~tag =
+  let r = Comm.rank comm in
+  if r = root then begin
+    Array.blit sendbuf (spos_of r) recvbuf rpos (scount_of r);
+    for dst = 0 to Comm.size comm - 1 do
+      if dst <> root then
+        P2p.send ~ctx:Internal ~pos:(spos_of dst) ~count:(scount_of dst) comm dt sendbuf ~dst ~tag
+    done
+  end
+  else ignore (P2p.recv ~ctx:Internal ~pos:rpos ~count:rcount comm dt recvbuf ~src:root ~tag)
+
+(* Recursive-doubling prefix scan: in round k every rank passes its
+   running partial to rank + 2^k.  The inclusive scan seeds [recvbuf] with
+   the caller's own data; the exclusive one leaves it untouched until the
+   first contribution arrives (so rank 0's stays as it was, as in MPI). *)
+let prefix_scan comm dt op ~sendbuf ~recvbuf ~count ~tag ~inclusive =
+  let p = Comm.size comm and r = Comm.rank comm in
+  if inclusive then Array.blit sendbuf 0 recvbuf 0 count;
+  if p > 1 && count > 0 then begin
+    let partial = Array.sub sendbuf 0 count in
+    let tmp = Array.copy partial in
+    let have_result = ref inclusive in
+    let mask = ref 1 in
+    while !mask < p do
+      let dst = r + !mask and src = r - !mask in
+      let req =
+        if dst < p then Some (P2p.isend ~ctx:Internal ~count comm dt partial ~dst ~tag) else None
+      in
+      if src >= 0 then begin
+        ignore (P2p.recv ~ctx:Internal ~count comm dt tmp ~src ~tag);
+        (* tmp covers ranks below src inclusive: combine on the left. *)
+        for i = 0 to count - 1 do
+          partial.(i) <- Op.apply op tmp.(i) partial.(i);
+          recvbuf.(i) <- (if !have_result then Op.apply op tmp.(i) recvbuf.(i) else tmp.(i))
+        done;
+        have_result := true;
+        Comm.compute comm (2.0 *. float_of_int count *. Op.cost_per_element op)
+      end;
+      (match req with Some req -> ignore (Request.wait req) | None -> ());
+      mask := !mask lsl 1
+    done
+  end
+
+(* Reduce-scatter with equal block sizes: reduce to rank 0, then scatter
+   the blocks from there (the simple algorithm; tuned implementations
+   exist but the cost shape — full reduction volume plus a scatter — is
+   the same). *)
+let reduce_scatter_block comm dt op ~sendbuf ~recvbuf ~count ~tag ~tag2 =
+  let acc =
+    reduce_to_root comm dt op ~sendbuf ~pos:0 ~count:(Comm.size comm * count) ~root:0 ~tag
+  in
+  scatter_linear comm dt ~sendbuf:acc
+    ~spos_of:(fun d -> d * count)
+    ~scount_of:(fun _ -> count)
+    ~recvbuf ~rpos:0 ~rcount:count ~root:0 ~tag:tag2
+
+(* Communicator handles travel between ranks as ordinary (tiny) messages;
+   a dedicated opaque datatype keeps that honest in the cost model. *)
+let dt_comm : World.comm_shared Datatype.t = Datatype.custom ~name:"MPI_Comm" ~extent:16 ()
+
+(* The leader creates the new shared state and distributes it to the other
+   members over the parent communicator. *)
+let distribute_shared comm ~members ~tag make_shared =
+  let r = Comm.rank comm in
+  let leader = members.(0) in
+  if r = leader then begin
+    let shared = make_shared () in
+    let box = [| shared |] in
+    Array.iter
+      (fun m -> if m <> leader then P2p.send ~ctx:Internal comm dt_comm box ~dst:m ~tag)
+      members;
+    shared
+  end
+  else begin
+    let box = [| Comm.shared comm |] in
+    ignore (P2p.recv ~ctx:Internal comm dt_comm box ~src:leader ~tag);
+    box.(0)
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Broadcast.                                                          *)
+(* ------------------------------------------------------------------ *)
 
 (* van de Geijn broadcast: binomial scatter of p roughly equal blocks
    (block i belongs to relative rank i), then a ring allgather of the
@@ -96,57 +368,12 @@ let bcast_scatter_allgather comm dt buf pos count ~root ~tag ~tag2 =
       mask := !mask lsr 1
     done;
     (* Ring allgather of the p blocks over relative ranks. *)
-    let dst = (((rel + 1) mod p) + root) mod p and src = (((rel - 1 + p) mod p) + root) mod p in
-    for step = 1 to p - 1 do
-      let sb = (rel - step + 1 + p) mod p and rb = (rel - step + p) mod p in
-      let s_lo = start sb and s_hi = start (sb + 1) in
-      let r_lo = start rb and r_hi = start (rb + 1) in
-      let req =
-        if s_hi > s_lo then
-          Some
-            (P2p.isend ~ctx:Internal ~pos:(pos + s_lo) ~count:(s_hi - s_lo) comm dt buf ~dst
-               ~tag:tag2)
-        else None
-      in
-      if r_hi > r_lo then
-        ignore (P2p.recv ~ctx:Internal ~pos:(pos + r_lo) ~count:(r_hi - r_lo) comm dt buf ~src ~tag:tag2);
-      match req with Some req -> ignore (Request.wait req) | None -> ()
-    done
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Reduce.                                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* Binomial-tree reduction.  Reassociates (and, for the receive-combines,
-   commutes) the operation — the canonical source of float irreproducibility
-   across different p that Sec. V-C addresses. *)
-let reduce_binomial comm dt op ~sendbuf ~pos ~count ~root ~tag =
-  let p = Comm.size comm and r = Comm.rank comm in
-  let acc = Array.sub sendbuf pos count in
-  if p = 1 || count = 0 then acc
-  else begin
-    let tmp = Array.copy acc in
-    let rel = (r - root + p) mod p in
-    let mask = ref 1 in
-    let running = ref true in
-    while !running && !mask < p do
-      if rel land !mask = 0 then begin
-        let src_rel = rel lor !mask in
-        if src_rel < p then begin
-          let src = (src_rel + root) mod p in
-          ignore (P2p.recv ~ctx:Internal ~count comm dt tmp ~src ~tag);
-          combine comm op acc tmp count ~received_left:false
-        end
-      end
-      else begin
-        let dst = ((rel lxor !mask) + root) mod p in
-        P2p.send ~ctx:Internal ~count comm dt acc ~dst ~tag;
-        running := false
-      end;
-      mask := !mask lsl 1
-    done;
-    acc
+    ring_blocks comm dt buf
+      ~start:(fun i -> pos + start i)
+      ~me:rel
+      ~dst:(((rel + 1) mod p + root) mod p)
+      ~src:(((rel - 1 + p) mod p + root) mod p)
+      ~tag:tag2
   end
 
 (* ------------------------------------------------------------------ *)
@@ -154,72 +381,27 @@ let reduce_binomial comm dt op ~sendbuf ~pos ~count ~root ~tag =
 (* ------------------------------------------------------------------ *)
 
 let allreduce_reduce_bcast comm dt op ~sendbuf ~pos ~recvbuf ~count ~tag ~tag2 =
-  let acc = reduce_binomial comm dt op ~sendbuf ~pos ~count ~root:0 ~tag in
-  if Comm.rank comm = 0 then Array.blit acc 0 recvbuf 0 count;
-  bcast_binomial comm dt recvbuf 0 count ~root:0 ~tag:tag2
-
-(* Fold the ranks beyond the largest power of two into their even
-   neighbours (MPICH rem-handling): afterwards [pof2] "new ranks"
-   participate in the power-of-two schedule, the rest wait for the result.
-   Returns the new rank, or -1 for a parked rank. *)
-let fold_to_pow2 comm dt op ~recvbuf ~tmp ~count ~rem ~tag_fold =
-  let r = Comm.rank comm in
-  if r < 2 * rem then
-    if r land 1 = 0 then begin
-      P2p.send ~ctx:Internal ~count comm dt recvbuf ~dst:(r + 1) ~tag:tag_fold;
-      -1
-    end
-    else begin
-      ignore (P2p.recv ~ctx:Internal ~count comm dt tmp ~src:(r - 1) ~tag:tag_fold);
-      (* the sender's rank is lower: its data goes on the left *)
-      combine comm op recvbuf tmp count ~received_left:true;
-      r asr 1
-    end
-  else r - rem
-
-(* Return the folded-out ranks' results. *)
-let unfold_from_pow2 comm dt ~recvbuf ~count ~rem ~tag_fold =
-  let r = Comm.rank comm in
-  if r < 2 * rem then
-    if r land 1 = 1 then P2p.send ~ctx:Internal ~count comm dt recvbuf ~dst:(r - 1) ~tag:tag_fold
-    else ignore (P2p.recv ~ctx:Internal ~count comm dt recvbuf ~src:(r + 1) ~tag:tag_fold)
-
-let real_of_new ~rem nd = if nd < rem then (nd * 2) + 1 else nd + rem
+  reduce comm dt op ~sendbuf ~pos ~recvbuf ~count ~root:0 ~tag;
+  bcast_binomial comm dt recvbuf 0 count ~members:(Rotation 0) ~tag:tag2
 
 let allreduce_recursive_doubling comm dt op ~sendbuf ~pos ~recvbuf ~count ~tag_fold ~tag =
-  let p = Comm.size comm in
   Array.blit sendbuf pos recvbuf 0 count;
-  if p > 1 && count > 0 then begin
-    let tmp = Array.sub sendbuf pos count in
-    let pof2 = largest_pow2 p in
-    let rem = p - pof2 in
-    let newrank = fold_to_pow2 comm dt op ~recvbuf ~tmp ~count ~rem ~tag_fold in
-    if newrank >= 0 then begin
-      let mask = ref 1 in
-      while !mask < pof2 do
-        let newdst = newrank lxor !mask in
-        let dst = real_of_new ~rem newdst in
-        let req = P2p.isend ~ctx:Internal ~count comm dt recvbuf ~dst ~tag in
-        ignore (P2p.recv ~ctx:Internal ~count comm dt tmp ~src:dst ~tag);
-        ignore (Request.wait req);
-        combine comm op recvbuf tmp count ~received_left:(newdst < newrank);
-        mask := !mask lsl 1
-      done
-    end;
-    unfold_from_pow2 comm dt ~recvbuf ~count ~rem ~tag_fold
-  end
+  if Comm.size comm > 1 && count > 0 then
+    allreduce_rd comm dt op ~recvbuf ~tmp:(Array.sub sendbuf pos count) ~count
+      ~members:(Rotation 0) ~tag_fold ~tag
 
 (* Rabenseifner: recursive-halving reduce-scatter followed by a
    recursive-doubling allgather over the reduced blocks (ported from the
    MPICH reduce_scatter_allgather schedule). *)
 let allreduce_rabenseifner comm dt op ~sendbuf ~pos ~recvbuf ~count ~tag_fold ~tag_rs ~tag_ag =
-  let p = Comm.size comm in
+  let p = Comm.size comm and r = Comm.rank comm in
   Array.blit sendbuf pos recvbuf 0 count;
   if p > 1 && count > 0 then begin
     let tmp = Array.sub sendbuf pos count in
     let pof2 = largest_pow2 p in
     let rem = p - pof2 in
-    let newrank = fold_to_pow2 comm dt op ~recvbuf ~tmp ~count ~rem ~tag_fold in
+    let members = Rotation 0 in
+    let newrank = fold_to_pow2 comm dt op ~recvbuf ~tmp ~count ~members ~me:r ~rem ~tag_fold in
     if newrank >= 0 && pof2 > 1 then begin
       let cnts = Array.init pof2 (fun i -> (count / pof2) + if i < count mod pof2 then 1 else 0) in
       let disps = Array.make pof2 0 in
@@ -264,13 +446,10 @@ let allreduce_rabenseifner comm dt op ~sendbuf ~pos ~recvbuf ~count ~tag_fold ~t
         in
         exchange ~tag:tag_rs ~send_idx:!send_idx ~send_cnt ~recv_idx:!recv_idx ~recv_cnt ~dst
           ~into:tmp;
-        if recv_cnt > 0 then begin
-          (* fold the received segment into the kept one *)
-          let off = disps.(!recv_idx) in
-          let acc = Array.sub recvbuf off recv_cnt and inc = Array.sub tmp off recv_cnt in
-          combine comm op acc inc recv_cnt ~received_left:(newdst < newrank);
-          Array.blit acc 0 recvbuf off recv_cnt
-        end;
+        (* fold the received segment into the kept one *)
+        if recv_cnt > 0 then
+          combine comm op recvbuf tmp ~pos:disps.(!recv_idx) recv_cnt
+            ~received_left:(newdst < newrank);
         send_idx := !recv_idx;
         mask := !mask lsl 1;
         if !mask < pof2 then last_idx := !recv_idx + (pof2 / !mask)
@@ -298,51 +477,24 @@ let allreduce_rabenseifner comm dt op ~sendbuf ~pos ~recvbuf ~count ~tag_fold ~t
         mask := !mask asr 1
       done
     end;
-    unfold_from_pow2 comm dt ~recvbuf ~count ~rem ~tag_fold
+    unfold_from_pow2 comm dt ~recvbuf ~count ~members ~me:r ~rem ~tag_fold
   end
 
 (* Ring allreduce: reduce-scatter around the ring (p-1 steps), then a ring
-   allgather of the reduced blocks.  Linear startups, optimal volume. *)
+   allgather of the reduced blocks.  Linear startups, optimal volume.
+   Block i holds count/p elements, plus one for i < count mod p. *)
 let allreduce_ring comm dt op ~sendbuf ~pos ~recvbuf ~count ~tag_rs ~tag_ag =
   let p = Comm.size comm and r = Comm.rank comm in
   Array.blit sendbuf pos recvbuf 0 count;
   if p > 1 && count > 0 then begin
     let tmp = Array.sub sendbuf pos count in
-    let cnts = Array.init p (fun i -> (count / p) + if i < count mod p then 1 else 0) in
-    let disps = Array.make p 0 in
-    for i = 1 to p - 1 do
-      disps.(i) <- disps.(i - 1) + cnts.(i - 1)
-    done;
+    let start i = (i * (count / p)) + min i (count mod p) in
     let dst = (r + 1) mod p and src = (r - 1 + p) mod p in
-    let step_exchange ~tag ~sb ~rb ~into ~fold =
-      let req =
-        if cnts.(sb) > 0 then
-          Some (P2p.isend ~ctx:Internal ~pos:disps.(sb) ~count:cnts.(sb) comm dt recvbuf ~dst ~tag)
-        else None
-      in
-      if cnts.(rb) > 0 then begin
-        ignore (P2p.recv ~ctx:Internal ~pos:disps.(rb) ~count:cnts.(rb) comm dt into ~src ~tag);
-        if fold then begin
-          let acc = Array.sub recvbuf disps.(rb) cnts.(rb)
-          and inc = Array.sub tmp disps.(rb) cnts.(rb) in
-          (* the incoming partial sum starts at the block's owner: left *)
-          combine comm op acc inc cnts.(rb) ~received_left:true;
-          Array.blit acc 0 recvbuf disps.(rb) cnts.(rb)
-        end
-      end;
-      match req with Some req -> ignore (Request.wait req) | None -> ()
-    in
     (* Reduce-scatter: after step s rank r has accumulated s+1 inputs into
        block (r - s); rank r ends owning block (r + 1) mod p. *)
-    for s = 1 to p - 1 do
-      let sb = (r - s + 1 + p) mod p and rb = (r - s + p) mod p in
-      step_exchange ~tag:tag_rs ~sb ~rb ~into:tmp ~fold:true
-    done;
+    ring_blocks ~fold:(op, tmp) comm dt recvbuf ~start ~me:r ~dst ~src ~tag:tag_rs;
     (* Allgather: circulate the reduced blocks. *)
-    for s = 0 to p - 2 do
-      let sb = (r + 1 - s + (2 * p)) mod p and rb = (r - s + p) mod p in
-      step_exchange ~tag:tag_ag ~sb ~rb ~into:recvbuf ~fold:false
-    done
+    ring_blocks comm dt recvbuf ~start ~me:((r + 1) mod p) ~dst ~src ~tag:tag_ag
   end
 
 (* ------------------------------------------------------------------ *)
@@ -380,23 +532,11 @@ let allgather_bruck comm dt ~recvbuf ~rpos ~count ~tag ~my_block_pos ~my_block_b
     end
   end
 
-(* Ring allgather: p-1 neighbour steps, each forwarding the block received
-   in the previous step. *)
+(* Ring allgather: the v-ring on the uniform layout. *)
 let allgather_ring comm dt ~recvbuf ~rpos ~count ~tag ~my_block_pos ~my_block_buf =
-  let p = Comm.size comm and r = Comm.rank comm in
   if count > 0 then begin
-    seed_own_block recvbuf rpos count ~my_block_pos ~my_block_buf ~block:(r * count);
-    if p > 1 then begin
-      let dst = (r + 1) mod p and src = (r - 1 + p) mod p in
-      for step = 1 to p - 1 do
-        let sb = (r - step + 1 + p) mod p and rb = (r - step + p) mod p in
-        let req =
-          P2p.isend ~ctx:Internal ~pos:(rpos + (sb * count)) ~count comm dt recvbuf ~dst ~tag
-        in
-        ignore (P2p.recv ~ctx:Internal ~pos:(rpos + (rb * count)) ~count comm dt recvbuf ~src ~tag);
-        ignore (Request.wait req)
-      done
-    end
+    seed_own_block recvbuf rpos count ~my_block_pos ~my_block_buf ~block:(Comm.rank comm * count);
+    ring_allgatherv comm dt ~recvbuf ~pos_of:(fun i -> rpos + (i * count)) ~count_of:(fun _ -> count) ~tag
   end
 
 (* Recursive doubling (power-of-two p): round k swaps the 2^k blocks held
@@ -527,92 +667,6 @@ let distinct_nodes nodes =
   Array.iter (fun nd -> match !acc with x :: _ when x = nd -> () | _ -> acc := nd :: !acc) sorted;
   Array.of_list (List.rev !acc)
 
-let index_in a x =
-  let n = Array.length a in
-  let rec go i = if i >= n then -1 else if a.(i) = x then i else go (i + 1) in
-  go 0
-
-(* Binomial broadcast over [members] (comm ranks), rooted at members.(0);
-   [me] is the caller's index in [members]. *)
-let bcast_binomial_over comm dt buf pos count ~members ~me ~tag =
-  let p = Array.length members in
-  if p > 1 && count > 0 then begin
-    let mask = ref 1 in
-    while !mask < p && me land !mask = 0 do
-      mask := !mask lsl 1
-    done;
-    if me <> 0 then
-      ignore (P2p.recv ~ctx:Internal ~pos ~count comm dt buf ~src:members.(me - !mask) ~tag);
-    mask := !mask lsr 1;
-    while !mask > 0 do
-      if me + !mask < p then
-        P2p.send ~ctx:Internal ~pos ~count comm dt buf ~dst:members.(me + !mask) ~tag;
-      mask := !mask lsr 1
-    done
-  end
-
-(* Binomial reduction over [members] into [acc]; the result lands at
-   members.(0).  Receives always combine a higher-ranked contribution on
-   the right, matching [reduce_binomial]. *)
-let reduce_binomial_over comm dt op ~acc ~tmp ~count ~members ~me ~tag =
-  let p = Array.length members in
-  if p > 1 && count > 0 then begin
-    let mask = ref 1 in
-    let running = ref true in
-    while !running && !mask < p do
-      if me land !mask = 0 then begin
-        let src = me lor !mask in
-        if src < p then begin
-          ignore (P2p.recv ~ctx:Internal ~count comm dt tmp ~src:members.(src) ~tag);
-          combine comm op acc tmp count ~received_left:false
-        end
-      end
-      else begin
-        P2p.send ~ctx:Internal ~count comm dt acc ~dst:members.(me lxor !mask) ~tag;
-        running := false
-      end;
-      mask := !mask lsl 1
-    done
-  end
-
-(* Recursive-doubling allreduce over [members] (the inter-leader phase of
-   the node-leader allreduce), with the usual non-power-of-two fold. *)
-let allreduce_rd_over comm dt op ~recvbuf ~tmp ~count ~members ~me ~tag_fold ~tag =
-  let p = Array.length members in
-  if p > 1 && count > 0 then begin
-    let pof2 = largest_pow2 p in
-    let rem = p - pof2 in
-    let newrank =
-      if me < 2 * rem then
-        if me land 1 = 0 then begin
-          P2p.send ~ctx:Internal ~count comm dt recvbuf ~dst:members.(me + 1) ~tag:tag_fold;
-          -1
-        end
-        else begin
-          ignore (P2p.recv ~ctx:Internal ~count comm dt tmp ~src:members.(me - 1) ~tag:tag_fold);
-          combine comm op recvbuf tmp count ~received_left:true;
-          me asr 1
-        end
-      else me - rem
-    in
-    if newrank >= 0 then begin
-      let mask = ref 1 in
-      while !mask < pof2 do
-        let newdst = newrank lxor !mask in
-        let dst = members.(real_of_new ~rem newdst) in
-        let req = P2p.isend ~ctx:Internal ~count comm dt recvbuf ~dst ~tag in
-        ignore (P2p.recv ~ctx:Internal ~count comm dt tmp ~src:dst ~tag);
-        ignore (Request.wait req);
-        combine comm op recvbuf tmp count ~received_left:(newdst < newrank);
-        mask := !mask lsl 1
-      done
-    end;
-    if me < 2 * rem then
-      if me land 1 = 1 then
-        P2p.send ~ctx:Internal ~count comm dt recvbuf ~dst:members.(me - 1) ~tag:tag_fold
-      else ignore (P2p.recv ~ctx:Internal ~count comm dt recvbuf ~src:members.(me + 1) ~tag:tag_fold)
-  end
-
 (* Node-leader broadcast: binomial over one representative per node (the
    root itself for the root's node, the lowest rank elsewhere), then
    binomial within each node from its representative.  The root's node
@@ -628,13 +682,12 @@ let bcast_node_leader comm dt buf pos count ~root ~nodes ~tag ~tag2 =
     (* Rotate the root's representative (the root itself) to the front. *)
     let ri = index_in reps root in
     let leaders = Array.init (Array.length reps) (fun i -> reps.((i + ri) mod Array.length reps)) in
-    let li = index_in leaders r in
-    if li >= 0 then bcast_binomial_over comm dt buf pos count ~members:leaders ~me:li ~tag;
+    bcast_binomial comm dt buf pos count ~members:(Ranks leaders) ~tag;
     (* Intra-node phase, rooted at this node's representative. *)
     let my = members_of_node nodes nodes.(r) in
     let rep = rep_of nodes.(r) in
     let intra = Array.of_list (rep :: List.filter (fun m -> m <> rep) (Array.to_list my)) in
-    bcast_binomial_over comm dt buf pos count ~members:intra ~me:(index_in intra r) ~tag:tag2
+    bcast_binomial comm dt buf pos count ~members:(Ranks intra) ~tag:tag2
   end
 
 (* Node-leader allreduce: binomial reduce to each node's leader, recursive
@@ -645,16 +698,12 @@ let allreduce_node_leader comm dt op ~sendbuf ~pos ~recvbuf ~count ~nodes ~tag_u
   Array.blit sendbuf pos recvbuf 0 count;
   if Comm.size comm > 1 && count > 0 then begin
     let tmp = Array.sub sendbuf pos count in
-    let my = members_of_node nodes nodes.(r) in
-    let me = index_in my r in
-    reduce_binomial_over comm dt op ~acc:recvbuf ~tmp ~count ~members:my ~me ~tag:tag_up;
+    let my = Ranks (members_of_node nodes nodes.(r)) in
+    reduce_binomial comm dt op ~acc:recvbuf ~tmp ~count ~members:my ~tag:tag_up;
     let leaders = Array.map (fun nd -> (members_of_node nodes nd).(0)) (distinct_nodes nodes) in
     Array.sort compare leaders;
-    let li = index_in leaders r in
-    if li >= 0 then
-      allreduce_rd_over comm dt op ~recvbuf ~tmp ~count ~members:leaders ~me:li ~tag_fold
-        ~tag:tag_rd;
-    bcast_binomial_over comm dt recvbuf 0 count ~members:my ~me ~tag:tag_down
+    allreduce_rd comm dt op ~recvbuf ~tmp ~count ~members:(Ranks leaders) ~tag_fold ~tag:tag_rd;
+    bcast_binomial comm dt recvbuf 0 count ~members:my ~tag:tag_down
   end
 
 (* SMP-aware alltoall: blocks for on-node peers go directly; blocks for
@@ -801,13 +850,7 @@ let alltoall_hypergrid comm dt ~sendbuf ~recvbuf ~count ~tag ~tag2 =
     if p = 1 || rows * cols <> p then begin
       (* Degenerate grid (p prime collapses to p x 1): fall back to the
          direct exchange rather than simulate a pointless relabelling. *)
-      if cols = 1 || rows = 1 then
-        post_all_exchange comm dt ~tag
-          ~scount_of:(fun _ -> count)
-          ~spos_of:(fun d -> d * count)
-          ~rcount_of:(fun _ -> count)
-          ~rpos_of:(fun s -> s * count)
-          ~sendbuf ~recvbuf
+      if cols = 1 || rows = 1 then alltoall_pairwise comm dt ~sendbuf ~recvbuf ~count ~tag
       else assert false
     end
     else begin
@@ -875,3 +918,51 @@ let alltoall_hypergrid comm dt ~sendbuf ~recvbuf ~count ~tag ~tag2 =
       ignore (Request.wait_all phase2_send)
     end
   end
+
+(* ------------------------------------------------------------------ *)
+(* Dispatch by algorithm.                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Node id of every communicator rank — the structure the hierarchical
+   bodies derive their leader/member ordering from. *)
+let nodes_of comm =
+  let net = (Comm.world comm).World.net in
+  Array.map (fun wr -> Simnet.Netmodel.node_of net wr) (Comm.group comm)
+
+let bcast comm dt buf pos count ~root algo ~tags:(tag, tag2) =
+  match (algo : Coll_algos.Algo.bcast) with
+  | Bcast_binomial -> bcast_binomial comm dt buf pos count ~members:(Rotation root) ~tag
+  | Bcast_scatter_allgather -> bcast_scatter_allgather comm dt buf pos count ~root ~tag ~tag2
+  | Bcast_node_leader ->
+      bcast_node_leader comm dt buf pos count ~root ~nodes:(nodes_of comm) ~tag ~tag2
+
+let allreduce comm dt op ~sendbuf ~pos ~recvbuf ~count algo ~tags:(t1, t2, t3, t4) =
+  match (algo : Coll_algos.Algo.allreduce) with
+  | Ar_reduce_bcast -> allreduce_reduce_bcast comm dt op ~sendbuf ~pos ~recvbuf ~count ~tag:t1 ~tag2:t2
+  | Ar_recursive_doubling ->
+      allreduce_recursive_doubling comm dt op ~sendbuf ~pos ~recvbuf ~count ~tag_fold:t1 ~tag:t2
+  | Ar_rabenseifner ->
+      allreduce_rabenseifner comm dt op ~sendbuf ~pos ~recvbuf ~count ~tag_fold:t1 ~tag_rs:t2
+        ~tag_ag:t3
+  | Ar_ring -> allreduce_ring comm dt op ~sendbuf ~pos ~recvbuf ~count ~tag_rs:t1 ~tag_ag:t2
+  | Ar_node_leader ->
+      allreduce_node_leader comm dt op ~sendbuf ~pos ~recvbuf ~count ~nodes:(nodes_of comm)
+        ~tag_up:t1 ~tag_fold:t2 ~tag_rd:t3 ~tag_down:t4
+
+let allgather comm dt ~recvbuf ~rpos ~count ~my_block_pos ~my_block_buf algo ~tag =
+  let f =
+    match (algo : Coll_algos.Algo.allgather) with
+    | Ag_bruck -> allgather_bruck
+    | Ag_ring -> allgather_ring
+    | Ag_recursive_doubling -> allgather_recursive_doubling
+  in
+  f comm dt ~recvbuf ~rpos ~count ~tag ~my_block_pos ~my_block_buf
+
+let alltoall comm dt ~sendbuf ~recvbuf ~count algo ~tags:(t1, t2, t3, t4) =
+  match (algo : Coll_algos.Algo.alltoall) with
+  | A2a_pairwise -> alltoall_pairwise comm dt ~sendbuf ~recvbuf ~count ~tag:t1
+  | A2a_bruck -> alltoall_bruck comm dt ~sendbuf ~recvbuf ~count ~tag:t1
+  | A2a_smp ->
+      alltoall_smp comm dt ~sendbuf ~recvbuf ~count ~nodes:(nodes_of comm) ~tag_local:t1 ~tag_up:t2
+        ~tag_net:t3 ~tag_down:t4
+  | A2a_hypergrid -> alltoall_hypergrid comm dt ~sendbuf ~recvbuf ~count ~tag:t1 ~tag2:t2

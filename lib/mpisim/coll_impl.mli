@@ -1,150 +1,186 @@
-(** Collective algorithm bodies, implemented on point-to-point messaging.
+(** Every message schedule of the collectives, implemented on
+    point-to-point messaging.
 
     This is the runtime half of the tuned-collective subsystem: the
     algorithm catalogue and the cost-driven selection live in
     {!Coll_algos}, while this module holds one body per
-    [Coll_algos.Algo.*] constructor, plus the shared building blocks the
-    irregular collectives use.  All bodies take their internal tags
-    explicitly so the non-blocking wrappers can allocate tags at call time
-    (keeping rank-local tag counters aligned) and run the body inside a
-    helper fiber.
+    [Coll_algos.Algo.*] constructor and the schedules of the fixed
+    collectives.  {!Collectives} validates, selects, observes and
+    dispatches here; it sends no message itself.
 
-    Bodies are not individually profiled; the dispatching layer
-    ({!Collectives}) records both the plain MPI call name and the
-    annotated algorithm choice. *)
+    The bodies compose five schedule primitives, each written once: the
+    binomial tree (broadcast and reduce), recursive doubling (allreduce,
+    with one fold/unfold pair for non-power-of-two sizes), the rooted
+    linear loops ({!gather_linear}, {!scatter_linear}), the rings
+    ({!ring_allgatherv}, which sends every block, and a block ring that
+    skips empty ones) and the prefix scan ({!prefix_scan}).  The tree and
+    doubling primitives run over a member mapping: a rotation of the whole
+    communicator, computed on the fly, or a member list, which is how the
+    node-leader algorithms reuse them.
 
-(** [combine comm op acc tmp count ~received_left] element-wise folds [tmp]
-    into [acc] and charges the reduction cost; [received_left] puts the
-    received data on the left of the operator (its origin ranks are lower),
-    which keeps deterministic ordering for the reduction schedules. *)
-val combine :
-  Comm.t -> 'a Op.t -> 'a array -> 'a array -> int -> received_left:bool -> unit
+    All bodies take their internal tags explicitly so the non-blocking
+    wrappers can allocate tags at call time (keeping rank-local tag
+    counters aligned) and run the body inside a helper fiber.  Bodies are
+    not individually profiled; the dispatching layer records both the
+    plain MPI call name and the annotated algorithm choice. *)
 
 (** Dissemination barrier: [ceil(log2 p)] rounds of +-2^k exchanges. *)
 val dissemination : Comm.t -> tag:int -> unit
 
-(** {1 Broadcast} *)
+(** {1 Tuned collectives}
 
-val bcast_binomial :
-  Comm.t -> 'a Datatype.t -> 'a array -> int -> int -> root:int -> tag:int -> unit
+    Each runs the body of the given algorithm; [tags] are the internal
+    tags the caller drew for it.  The hierarchical algorithms derive the
+    node of every rank from the world's network model, and every rank
+    derives the same node-membership structure from it — a node's members
+    are its comm ranks ascending, its leader the lowest — so no routing
+    envelopes are needed and results are bit-identical to the flat
+    incumbents for exact (integer) operations. *)
 
-(** van de Geijn: binomial scatter of the payload, then a ring allgather of
-    the blocks.  [tag] covers the scatter phase, [tag2] the allgather. *)
-val bcast_scatter_allgather :
-  Comm.t -> 'a Datatype.t -> 'a array -> int -> int -> root:int -> tag:int -> tag2:int -> unit
+(** [bcast comm dt buf pos count ~root algo ~tags] broadcasts
+    [buf.(pos .. pos+count-1)] from [root]. *)
+val bcast :
+  Comm.t ->
+  'a Datatype.t ->
+  'a array ->
+  int ->
+  int ->
+  root:int ->
+  Coll_algos.Algo.bcast ->
+  tags:int * int ->
+  unit
 
-(** {1 Reduce} *)
-
-(** Binomial-tree reduction; returns the accumulated vector (meaningful at
-    the root). *)
-val reduce_binomial :
+(** Leaves the reduced [sendbuf.(pos .. pos+count-1)] in
+    [recvbuf.(0 .. count-1)] on every rank. *)
+val allreduce :
   Comm.t ->
   'a Datatype.t ->
   'a Op.t ->
   sendbuf:'a array ->
   pos:int ->
+  recvbuf:'a array ->
+  count:int ->
+  Coll_algos.Algo.allreduce ->
+  tags:int * int * int * int ->
+  unit
+
+(** [my_block_buf.(my_block_pos ..)] is the caller's block; the
+    concatenation lands in [recvbuf.(rpos ..)].  Recursive doubling
+    requires a power-of-two communicator size. *)
+val allgather :
+  Comm.t ->
+  'a Datatype.t ->
+  recvbuf:'a array ->
+  rpos:int ->
+  count:int ->
+  my_block_pos:int ->
+  my_block_buf:'a array ->
+  Coll_algos.Algo.allgather ->
+  tag:int ->
+  unit
+
+val alltoall :
+  Comm.t ->
+  'a Datatype.t ->
+  sendbuf:'a array ->
+  recvbuf:'a array ->
+  count:int ->
+  Coll_algos.Algo.alltoall ->
+  tags:int * int * int * int ->
+  unit
+
+(** {1 Fixed collectives} *)
+
+(** Binomial reduction of [sendbuf.(pos .. pos+count-1)] into
+    [recvbuf.(0 .. count-1)] at [root] ([recvbuf] is used there only). *)
+val reduce :
+  Comm.t ->
+  'a Datatype.t ->
+  'a Op.t ->
+  sendbuf:'a array ->
+  pos:int ->
+  recvbuf:'a array ->
   count:int ->
   root:int ->
   tag:int ->
-  'a array
+  unit
 
-(** {1 Allreduce}
+(** Ring allgather: [p - 1] neighbour steps over the blocks
+    [recvbuf.(pos_of i ..)] of [count_of i] elements.  Every block is
+    sent, empty ones included; the caller seeds its own block. *)
+val ring_allgatherv :
+  Comm.t ->
+  'a Datatype.t ->
+  recvbuf:'a array ->
+  pos_of:(int -> int) ->
+  count_of:(int -> int) ->
+  tag:int ->
+  unit
 
-    All bodies leave the reduced vector in [recvbuf.(0 .. count-1)] on
-    every rank. *)
+(** Linear gather to [root]: every other rank sends [sendbuf.(spos ..)]
+    ([scount] elements); the root copies its own block and receives rank
+    [i]'s, in rank order, at [recvbuf.(rpos_of i ..)] ([rcount_of i]
+    elements).  [recvbuf] is used at the root only. *)
+val gather_linear :
+  Comm.t ->
+  'a Datatype.t ->
+  sendbuf:'a array ->
+  spos:int ->
+  scount:int ->
+  recvbuf:'a array ->
+  rpos_of:(int -> int) ->
+  rcount_of:(int -> int) ->
+  root:int ->
+  tag:int ->
+  unit
 
-val allreduce_reduce_bcast :
+(** Linear scatter from [root], the mirror of {!gather_linear}: rank [i]
+    gets [sendbuf.(spos_of i ..)] ([scount_of i] elements) in
+    [recvbuf.(rpos ..)] ([rcount] elements).  [sendbuf] is used at the
+    root only. *)
+val scatter_linear :
+  Comm.t ->
+  'a Datatype.t ->
+  sendbuf:'a array ->
+  spos_of:(int -> int) ->
+  scount_of:(int -> int) ->
+  recvbuf:'a array ->
+  rpos:int ->
+  rcount:int ->
+  root:int ->
+  tag:int ->
+  unit
+
+(** Recursive-doubling prefix reduction of [count] elements: the
+    inclusive scan with [~inclusive:true], else the exclusive scan (rank
+    0's [recvbuf] is left untouched, as in MPI). *)
+val prefix_scan :
   Comm.t ->
   'a Datatype.t ->
   'a Op.t ->
   sendbuf:'a array ->
-  pos:int ->
+  recvbuf:'a array ->
+  count:int ->
+  tag:int ->
+  inclusive:bool ->
+  unit
+
+(** Reduce-scatter with equal blocks: binomial reduction of [p * count]
+    elements to rank 0 ([tag]), then {!scatter_linear} of the blocks
+    ([tag2]). *)
+val reduce_scatter_block :
+  Comm.t ->
+  'a Datatype.t ->
+  'a Op.t ->
+  sendbuf:'a array ->
   recvbuf:'a array ->
   count:int ->
   tag:int ->
   tag2:int ->
   unit
 
-val allreduce_recursive_doubling :
-  Comm.t ->
-  'a Datatype.t ->
-  'a Op.t ->
-  sendbuf:'a array ->
-  pos:int ->
-  recvbuf:'a array ->
-  count:int ->
-  tag_fold:int ->
-  tag:int ->
-  unit
-
-val allreduce_rabenseifner :
-  Comm.t ->
-  'a Datatype.t ->
-  'a Op.t ->
-  sendbuf:'a array ->
-  pos:int ->
-  recvbuf:'a array ->
-  count:int ->
-  tag_fold:int ->
-  tag_rs:int ->
-  tag_ag:int ->
-  unit
-
-val allreduce_ring :
-  Comm.t ->
-  'a Datatype.t ->
-  'a Op.t ->
-  sendbuf:'a array ->
-  pos:int ->
-  recvbuf:'a array ->
-  count:int ->
-  tag_rs:int ->
-  tag_ag:int ->
-  unit
-
-(** {1 Allgather}
-
-    [my_block_buf.(my_block_pos ..)] is the caller's block; the
-    concatenation lands in [recvbuf.(rpos ..)]. *)
-
-val allgather_bruck :
-  Comm.t ->
-  'a Datatype.t ->
-  recvbuf:'a array ->
-  rpos:int ->
-  count:int ->
-  tag:int ->
-  my_block_pos:int ->
-  my_block_buf:'a array ->
-  unit
-
-val allgather_ring :
-  Comm.t ->
-  'a Datatype.t ->
-  recvbuf:'a array ->
-  rpos:int ->
-  count:int ->
-  tag:int ->
-  my_block_pos:int ->
-  my_block_buf:'a array ->
-  unit
-
-(** Requires a power-of-two communicator size. *)
-val allgather_recursive_doubling :
-  Comm.t ->
-  'a Datatype.t ->
-  recvbuf:'a array ->
-  rpos:int ->
-  count:int ->
-  tag:int ->
-  my_block_pos:int ->
-  my_block_buf:'a array ->
-  unit
-
-(** {1 Alltoall} *)
-
-(** The generic posted-exchange engine shared by alltoall(v/w): every peer
-    pair gets a message, all requests posted up front. *)
+(** The posted exchange of alltoall(v/w): every peer pair gets a message,
+    empty ones included, all requests posted up front. *)
 val post_all_exchange :
   Comm.t ->
   'a Datatype.t ->
@@ -157,83 +193,8 @@ val post_all_exchange :
   recvbuf:'a array ->
   unit
 
-val alltoall_pairwise :
-  Comm.t -> 'a Datatype.t -> sendbuf:'a array -> recvbuf:'a array -> count:int -> tag:int -> unit
-
-(** Bruck's alltoall: log rounds of aggregated blocks — fewer startups than
-    pairwise at the price of shipping each element ~log2(p)/2 times. *)
-val alltoall_bruck :
-  Comm.t -> 'a Datatype.t -> sendbuf:'a array -> recvbuf:'a array -> count:int -> tag:int -> unit
-
-(** {1 Hierarchical bodies}
-
-    Each takes [nodes]: the node id of every communicator rank (from
-    [Simnet.Netmodel.node_of] over the communicator's group).  All ranks
-    derive the same node-membership structure from it — a node's members
-    are its comm ranks ascending, its leader the lowest — so no routing
-    envelopes are needed and results are bit-identical to the flat
-    incumbents for exact (integer) operations. *)
-
-(** Node-leader broadcast: binomial over one representative per node (the
-    root for its own node), then binomial within each node.  [tag] covers
-    the inter-leader phase, [tag2] the intra-node phase. *)
-val bcast_node_leader :
-  Comm.t ->
-  'a Datatype.t ->
-  'a array ->
-  int ->
-  int ->
-  root:int ->
-  nodes:int array ->
-  tag:int ->
-  tag2:int ->
-  unit
-
-(** Node-leader allreduce: binomial reduce to each node's leader
-    ([tag_up]), recursive doubling across leaders ([tag_fold]/[tag_rd]),
-    binomial broadcast back down ([tag_down]). *)
-val allreduce_node_leader :
-  Comm.t ->
-  'a Datatype.t ->
-  'a Op.t ->
-  sendbuf:'a array ->
-  pos:int ->
-  recvbuf:'a array ->
-  count:int ->
-  nodes:int array ->
-  tag_up:int ->
-  tag_fold:int ->
-  tag_rd:int ->
-  tag_down:int ->
-  unit
-
-(** SMP-aware alltoall: on-node blocks exchanged directly ([tag_local]);
-    remote blocks gathered at the node leader ([tag_up]), shipped as one
-    bundle per node pair ([tag_net]) and scattered on arrival
-    ([tag_down]). *)
-val alltoall_smp :
-  Comm.t ->
-  'a Datatype.t ->
-  sendbuf:'a array ->
-  recvbuf:'a array ->
-  count:int ->
-  nodes:int array ->
-  tag_local:int ->
-  tag_up:int ->
-  tag_net:int ->
-  tag_down:int ->
-  unit
-
-(** Grid alltoall (the paper's Fig. 9): two coordinate-fixing phases over
-    a near-square grid ([Coll_algos.Cost.grid_dims]), [O(sqrt p)] startups
-    per rank.  Falls back to the direct exchange when the grid degenerates
-    to a line (prime [p]). *)
-val alltoall_hypergrid :
-  Comm.t ->
-  'a Datatype.t ->
-  sendbuf:'a array ->
-  recvbuf:'a array ->
-  count:int ->
-  tag:int ->
-  tag2:int ->
-  unit
+(** [distribute_shared comm ~members ~tag make] runs [make] at
+    [members.(0)] and sends the new communicator state to the other
+    members (comm ranks); every member returns it. *)
+val distribute_shared :
+  Comm.t -> members:int array -> tag:int -> (unit -> World.comm_shared) -> World.comm_shared

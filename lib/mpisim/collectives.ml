@@ -30,6 +30,39 @@ let check_layout what comm ~counts ~displs ~names buf =
         names i d (d + c) (Array.length buf)
   done
 
+(* A buffer only the root uses: required and window-checked there; other
+   ranks get an empty stand-in. *)
+let root_buffer what comm ~root ~name buf pos count =
+  if Comm.rank comm <> root then [||]
+  else
+    match buf with
+    | Some b ->
+        check_window what name b pos count;
+        b
+    | None -> Errors.usage "%s: the root rank needs %s" what name
+
+(* A v-collective's root-only buffer and layout, likewise. *)
+let root_layout what comm ~root ~names ~needs = function
+  | _ when Comm.rank comm <> root -> ([||], [||], [||])
+  | Some b, Some counts, Some displs ->
+      check_layout what comm ~counts ~displs ~names b;
+      (b, counts, displs)
+  | _ -> Errors.usage "%s: the root rank needs %s" what needs
+
+(* A broadcast's element count (the rest of [buf] unless given), checked
+   against the buffer. *)
+let bcast_count what buf pos count =
+  let count = match count with Some c -> c | None -> Array.length buf - pos in
+  check_count what count;
+  check_window what "buf" buf pos count;
+  count
+
+(* A reduction's [count]-element send and receive windows. *)
+let check_reduce_buffers what ~sendbuf ~pos ~recvbuf ~count =
+  check_count what count;
+  check_window what "sendbuf" sendbuf pos count;
+  check_window what "recvbuf" recvbuf 0 count
+
 (* ------------------------------------------------------------------ *)
 (* Algorithm selection.                                                *)
 (* ------------------------------------------------------------------ *)
@@ -47,12 +80,6 @@ let params_for comm =
    fabrics, where selection must stay exactly pre-topology). *)
 let hier_for comm =
   Simnet.Netmodel.hier_for_group (Comm.world comm).World.net (Comm.group comm)
-
-(* Node id of every communicator rank — the structure the hierarchical
-   bodies derive their leader/member ordering from. *)
-let nodes_for comm =
-  let net = (Comm.world comm).World.net in
-  Array.map (fun wr -> Simnet.Netmodel.node_of net wr) (Comm.group comm)
 
 let pin_algorithm comm ~coll ~algo = Select.pin (tuning comm) ~cid:(Comm.id comm) ~coll ~algo
 
@@ -96,47 +123,6 @@ let draw4 comm =
   let d = Comm.next_collective_tag comm in
   (a, b, c, d)
 
-let run_bcast comm dt buf pos count ~root algo ~tags:(tag, tag2) =
-  match (algo : Algo.bcast) with
-  | Bcast_binomial -> Coll_impl.bcast_binomial comm dt buf pos count ~root ~tag
-  | Bcast_scatter_allgather ->
-      Coll_impl.bcast_scatter_allgather comm dt buf pos count ~root ~tag ~tag2
-  | Bcast_node_leader ->
-      Coll_impl.bcast_node_leader comm dt buf pos count ~root ~nodes:(nodes_for comm) ~tag ~tag2
-
-let run_allreduce comm dt op ~sendbuf ~pos ~recvbuf ~count algo ~tags:(t1, t2, t3, t4) =
-  match (algo : Algo.allreduce) with
-  | Ar_reduce_bcast ->
-      Coll_impl.allreduce_reduce_bcast comm dt op ~sendbuf ~pos ~recvbuf ~count ~tag:t1 ~tag2:t2
-  | Ar_recursive_doubling ->
-      Coll_impl.allreduce_recursive_doubling comm dt op ~sendbuf ~pos ~recvbuf ~count ~tag_fold:t1
-        ~tag:t2
-  | Ar_rabenseifner ->
-      Coll_impl.allreduce_rabenseifner comm dt op ~sendbuf ~pos ~recvbuf ~count ~tag_fold:t1
-        ~tag_rs:t2 ~tag_ag:t3
-  | Ar_ring -> Coll_impl.allreduce_ring comm dt op ~sendbuf ~pos ~recvbuf ~count ~tag_rs:t1 ~tag_ag:t2
-  | Ar_node_leader ->
-      Coll_impl.allreduce_node_leader comm dt op ~sendbuf ~pos ~recvbuf ~count
-        ~nodes:(nodes_for comm) ~tag_up:t1 ~tag_fold:t2 ~tag_rd:t3 ~tag_down:t4
-
-let run_allgather comm dt ~recvbuf ~rpos ~count ~my_block_pos ~my_block_buf algo ~tag =
-  let f =
-    match (algo : Algo.allgather) with
-    | Ag_bruck -> Coll_impl.allgather_bruck
-    | Ag_ring -> Coll_impl.allgather_ring
-    | Ag_recursive_doubling -> Coll_impl.allgather_recursive_doubling
-  in
-  f comm dt ~recvbuf ~rpos ~count ~tag ~my_block_pos ~my_block_buf
-
-let run_alltoall comm dt ~sendbuf ~recvbuf ~count algo ~tags:(t1, t2, t3, t4) =
-  match (algo : Algo.alltoall) with
-  | A2a_pairwise -> Coll_impl.alltoall_pairwise comm dt ~sendbuf ~recvbuf ~count ~tag:t1
-  | A2a_bruck -> Coll_impl.alltoall_bruck comm dt ~sendbuf ~recvbuf ~count ~tag:t1
-  | A2a_smp ->
-      Coll_impl.alltoall_smp comm dt ~sendbuf ~recvbuf ~count ~nodes:(nodes_for comm) ~tag_local:t1
-        ~tag_up:t2 ~tag_net:t3 ~tag_down:t4
-  | A2a_hypergrid -> Coll_impl.alltoall_hypergrid comm dt ~sendbuf ~recvbuf ~count ~tag:t1 ~tag2:t2
-
 (* ------------------------------------------------------------------ *)
 (* Public operations.                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -149,49 +135,44 @@ let barrier comm =
 let bcast ?(pos = 0) ?count comm dt buf ~root =
   Comm.check_active comm;
   check_root comm root;
-  let count = match count with Some c -> c | None -> Array.length buf - pos in
-  check_count "bcast" count;
+  let count = bcast_count "bcast" buf pos count in
   let algo = select_bcast comm dt count in
   Observe.coll ~root ~count ~dt ~algo:(Algo.bcast_name algo) comm "MPI_Bcast" @@ fun () ->
-  run_bcast comm dt buf pos count ~root algo ~tags:(draw2 comm)
+  Coll_impl.bcast comm dt buf pos count ~root algo ~tags:(draw2 comm)
 
 let reduce ?(pos = 0) ?recvbuf comm dt op ~sendbuf ~count ~root =
   Comm.check_active comm;
   check_root comm root;
   check_count "reduce" count;
+  check_window "reduce" "sendbuf" sendbuf pos count;
+  let recvbuf = root_buffer "reduce" comm ~root ~name:"recvbuf" recvbuf 0 count in
   Observe.coll ~root ~count ~dt comm "MPI_Reduce" @@ fun () ->
-  let tag = Comm.next_collective_tag comm in
-  let acc = Coll_impl.reduce_binomial comm dt op ~sendbuf ~pos ~count ~root ~tag in
-  if Comm.rank comm = root then begin
-    match recvbuf with
-    | Some rb -> Array.blit acc 0 rb 0 count
-    | None -> Errors.usage "reduce: the root rank needs a receive buffer"
-  end
+  Coll_impl.reduce comm dt op ~sendbuf ~pos ~recvbuf ~count ~root
+    ~tag:(Comm.next_collective_tag comm)
 
 let allreduce ?(pos = 0) comm dt op ~sendbuf ~recvbuf ~count =
   Comm.check_active comm;
-  check_count "allreduce" count;
+  check_reduce_buffers "allreduce" ~sendbuf ~pos ~recvbuf ~count;
   let algo = select_allreduce comm dt op count in
   Observe.coll ~count ~dt ~algo:(Algo.allreduce_name algo) comm "MPI_Allreduce" @@ fun () ->
-  run_allreduce comm dt op ~sendbuf ~pos ~recvbuf ~count algo ~tags:(draw4 comm)
+  Coll_impl.allreduce comm dt op ~sendbuf ~pos ~recvbuf ~count algo ~tags:(draw4 comm)
 
 let allgather ?(inplace = false) ?(spos = 0) ?(rpos = 0) comm dt ~sendbuf ~recvbuf ~count =
   Comm.check_active comm;
   check_count "allgather" count;
+  if not inplace then check_window "allgather" "sendbuf" sendbuf spos count;
+  check_window "allgather" "recvbuf" recvbuf rpos (Comm.size comm * count);
   let algo = select_allgather comm dt count in
   Observe.coll ~count ~dt ~algo:(Algo.allgather_name algo) comm "MPI_Allgather" @@ fun () ->
   let tag = Comm.next_collective_tag comm in
   let my_block_buf, my_block_pos =
     if inplace then (recvbuf, rpos + (Comm.rank comm * count)) else (sendbuf, spos)
   in
-  run_allgather comm dt ~recvbuf ~rpos ~count ~my_block_pos ~my_block_buf algo ~tag
+  Coll_impl.allgather comm dt ~recvbuf ~rpos ~count ~my_block_pos ~my_block_buf algo ~tag
 
-(* Ring allgatherv: in step s, pass along the block received in step s-1.
-   Successive messages between the same neighbours share a tag; the network
-   model preserves per-link FIFO order (injection rate >= wire rate). *)
 let allgatherv ?(inplace = false) ?(spos = 0) comm dt ~sendbuf ~scount ~recvbuf ~rcounts ~rdispls =
   Comm.check_active comm;
-  let p = Comm.size comm and r = Comm.rank comm in
+  let r = Comm.rank comm in
   check_layout "allgatherv" comm ~counts:rcounts ~displs:rdispls ~names:"rcounts/rdispls" recvbuf;
   if scount <> rcounts.(r) then
     Errors.usage "allgatherv: send count %d disagrees with rcounts.(%d) = %d" scount r rcounts.(r);
@@ -199,124 +180,72 @@ let allgatherv ?(inplace = false) ?(spos = 0) comm dt ~sendbuf ~scount ~recvbuf 
   Observe.coll ~dt comm "MPI_Allgatherv" @@ fun () ->
   let tag = Comm.next_collective_tag comm in
   if not inplace then Array.blit sendbuf spos recvbuf rdispls.(r) scount;
-  if p > 1 then begin
-    let dst = (r + 1) mod p and src = (r - 1 + p) mod p in
-    for step = 1 to p - 1 do
-      let send_block = (r - step + 1 + p) mod p in
-      let recv_block = (r - step + p) mod p in
-      let req =
-        P2p.isend ~ctx:Internal ~pos:rdispls.(send_block) ~count:rcounts.(send_block) comm dt
-          recvbuf ~dst ~tag
-      in
-      ignore
-        (P2p.recv ~ctx:Internal ~pos:rdispls.(recv_block) ~count:rcounts.(recv_block) comm dt
-           recvbuf ~src ~tag);
-      ignore (Request.wait req)
-    done
-  end
+  Coll_impl.ring_allgatherv comm dt ~recvbuf ~pos_of:(Array.get rdispls)
+    ~count_of:(Array.get rcounts) ~tag
 
 let gather ?(spos = 0) ?(rpos = 0) ?recvbuf comm dt ~sendbuf ~count ~root =
   Comm.check_active comm;
   check_root comm root;
   check_count "gather" count;
+  check_window "gather" "sendbuf" sendbuf spos count;
+  let recvbuf =
+    root_buffer "gather" comm ~root ~name:"recvbuf" recvbuf rpos (Comm.size comm * count)
+  in
   Observe.coll ~root ~count ~dt comm "MPI_Gather" @@ fun () ->
-  let p = Comm.size comm and r = Comm.rank comm in
-  let tag = Comm.next_collective_tag comm in
-  if r = root then begin
-    let recvbuf =
-      match recvbuf with
-      | Some rb -> rb
-      | None -> Errors.usage "gather: the root rank needs a receive buffer"
-    in
-    Array.blit sendbuf spos recvbuf (rpos + (r * count)) count;
-    for src = 0 to p - 1 do
-      if src <> root then
-        ignore (P2p.recv ~ctx:Internal ~pos:(rpos + (src * count)) ~count comm dt recvbuf ~src ~tag)
-    done
-  end
-  else P2p.send ~ctx:Internal ~pos:spos ~count comm dt sendbuf ~dst:root ~tag
+  Coll_impl.gather_linear comm dt ~sendbuf ~spos ~scount:count ~recvbuf
+    ~rpos_of:(fun i -> rpos + (i * count))
+    ~rcount_of:(fun _ -> count)
+    ~root ~tag:(Comm.next_collective_tag comm)
 
 let gatherv ?(spos = 0) ?recvbuf ?rcounts ?rdispls comm dt ~sendbuf ~scount ~root =
   Comm.check_active comm;
   check_root comm root;
   check_count "gatherv" scount;
   check_window "gatherv" "sendbuf" sendbuf spos scount;
-  let p = Comm.size comm and r = Comm.rank comm in
-  let at_root =
-    if r <> root then None
-    else
-      match (recvbuf, rcounts, rdispls) with
-      | Some rb, Some rc, Some rd ->
-          check_layout "gatherv" comm ~counts:rc ~displs:rd ~names:"rcounts/rdispls" rb;
-          Some (rb, rc, rd)
-      | _ -> Errors.usage "gatherv: the root rank needs recvbuf, rcounts and rdispls"
+  let recvbuf, rcounts, rdispls =
+    root_layout "gatherv" comm ~root ~names:"rcounts/rdispls" ~needs:"recvbuf, rcounts and rdispls"
+      (recvbuf, rcounts, rdispls)
   in
   Observe.coll ~root ~dt comm "MPI_Gatherv" @@ fun () ->
-  let tag = Comm.next_collective_tag comm in
-  match at_root with
-  | Some (recvbuf, rcounts, rdispls) ->
-      Array.blit sendbuf spos recvbuf rdispls.(r) scount;
-      for src = 0 to p - 1 do
-        if src <> root then
-          ignore
-            (P2p.recv ~ctx:Internal ~pos:rdispls.(src) ~count:rcounts.(src) comm dt recvbuf ~src
-               ~tag)
-      done
-  | None -> P2p.send ~ctx:Internal ~pos:spos ~count:scount comm dt sendbuf ~dst:root ~tag
+  Coll_impl.gather_linear comm dt ~sendbuf ~spos ~scount ~recvbuf ~rpos_of:(Array.get rdispls)
+    ~rcount_of:(Array.get rcounts) ~root ~tag:(Comm.next_collective_tag comm)
 
 let scatter ?(spos = 0) ?(rpos = 0) ?sendbuf comm dt ~recvbuf ~count ~root =
   Comm.check_active comm;
   check_root comm root;
   check_count "scatter" count;
+  check_window "scatter" "recvbuf" recvbuf rpos count;
+  let sendbuf =
+    root_buffer "scatter" comm ~root ~name:"sendbuf" sendbuf spos (Comm.size comm * count)
+  in
   Observe.coll ~root ~count ~dt comm "MPI_Scatter" @@ fun () ->
-  let p = Comm.size comm and r = Comm.rank comm in
-  let tag = Comm.next_collective_tag comm in
-  if r = root then begin
-    let sendbuf =
-      match sendbuf with
-      | Some sb -> sb
-      | None -> Errors.usage "scatter: the root rank needs a send buffer"
-    in
-    Array.blit sendbuf (spos + (r * count)) recvbuf rpos count;
-    for dst = 0 to p - 1 do
-      if dst <> root then
-        P2p.send ~ctx:Internal ~pos:(spos + (dst * count)) ~count comm dt sendbuf ~dst ~tag
-    done
-  end
-  else ignore (P2p.recv ~ctx:Internal ~pos:rpos ~count comm dt recvbuf ~src:root ~tag)
+  Coll_impl.scatter_linear comm dt ~sendbuf
+    ~spos_of:(fun i -> spos + (i * count))
+    ~scount_of:(fun _ -> count)
+    ~recvbuf ~rpos ~rcount:count ~root ~tag:(Comm.next_collective_tag comm)
 
 let scatterv ?(rpos = 0) ?sendbuf ?scounts ?sdispls comm dt ~recvbuf ~rcount ~root =
   Comm.check_active comm;
   check_root comm root;
   check_count "scatterv" rcount;
   check_window "scatterv" "recvbuf" recvbuf rpos rcount;
-  let p = Comm.size comm and r = Comm.rank comm in
-  let at_root =
-    if r <> root then None
-    else
-      match (sendbuf, scounts, sdispls) with
-      | Some sb, Some sc, Some sd ->
-          check_layout "scatterv" comm ~counts:sc ~displs:sd ~names:"scounts/sdispls" sb;
-          Some (sb, sc, sd)
-      | _ -> Errors.usage "scatterv: the root rank needs sendbuf, scounts and sdispls"
+  let sendbuf, scounts, sdispls =
+    root_layout "scatterv" comm ~root ~names:"scounts/sdispls" ~needs:"sendbuf, scounts and sdispls"
+      (sendbuf, scounts, sdispls)
   in
   Observe.coll ~root ~dt comm "MPI_Scatterv" @@ fun () ->
-  let tag = Comm.next_collective_tag comm in
-  match at_root with
-  | Some (sendbuf, scounts, sdispls) ->
-      Array.blit sendbuf sdispls.(r) recvbuf rpos scounts.(r);
-      for dst = 0 to p - 1 do
-        if dst <> root then
-          P2p.send ~ctx:Internal ~pos:sdispls.(dst) ~count:scounts.(dst) comm dt sendbuf ~dst ~tag
-      done
-  | None -> ignore (P2p.recv ~ctx:Internal ~pos:rpos ~count:rcount comm dt recvbuf ~src:root ~tag)
+  Coll_impl.scatter_linear comm dt ~sendbuf ~spos_of:(Array.get sdispls)
+    ~scount_of:(Array.get scounts) ~recvbuf ~rpos ~rcount ~root
+    ~tag:(Comm.next_collective_tag comm)
 
 let alltoall comm dt ~sendbuf ~recvbuf ~count =
   Comm.check_active comm;
   check_count "alltoall" count;
+  check_window "alltoall" "sendbuf" sendbuf 0 (Comm.size comm * count);
+  check_window "alltoall" "recvbuf" recvbuf 0 (Comm.size comm * count);
   let algo = select_alltoall comm dt count in
   Observe.coll ~count ~dt ~algo:(Algo.alltoall_name algo) comm "MPI_Alltoall" @@ fun () ->
-  run_alltoall comm dt ~sendbuf ~recvbuf ~count algo ~tags:(draw4 comm)
+  Coll_impl.alltoall comm dt ~sendbuf ~recvbuf ~count algo ~tags:(draw4 comm)
 
 let check_v_arrays what comm ~sendbuf ~scounts ~sdispls ~recvbuf ~rcounts ~rdispls =
   check_layout what comm ~counts:scounts ~displs:sdispls ~names:"scounts/sdispls" sendbuf;
@@ -352,86 +281,28 @@ let alltoallw_style comm dt ~sendbuf ~scounts ~sdispls ~recvbuf ~rcounts ~rdispl
   Comm.compute comm (float_of_int (2 * p) *. (type_setup_cost +. datatype_engine_cost));
   exchange_v comm dt ~tag ~sendbuf ~scounts ~sdispls ~recvbuf ~rcounts ~rdispls
 
-(* Reduce-scatter with equal block sizes: reduce to root, then scatter the
-   blocks (the simple algorithm; tuned implementations exist but the cost
-   shape — full reduction volume plus a scatter — is the same). *)
 let reduce_scatter_block comm dt op ~sendbuf ~recvbuf ~count =
   Comm.check_active comm;
   check_count "reduce_scatter_block" count;
+  check_window "reduce_scatter_block" "sendbuf" sendbuf 0 (Comm.size comm * count);
+  check_window "reduce_scatter_block" "recvbuf" recvbuf 0 count;
   Observe.coll ~count ~dt comm "MPI_Reduce_scatter_block" @@ fun () ->
-  let p = Comm.size comm and r = Comm.rank comm in
-  let total = p * count in
-  let tag = Comm.next_collective_tag comm in
-  let acc = Coll_impl.reduce_binomial comm dt op ~sendbuf ~pos:0 ~count:total ~root:0 ~tag in
-  let stag = Comm.next_collective_tag comm in
-  if r = 0 then begin
-    Array.blit acc 0 recvbuf 0 count;
-    for dst = 1 to p - 1 do
-      P2p.send ~ctx:Internal ~pos:(dst * count) ~count comm dt acc ~dst ~tag:stag
-    done
-  end
-  else ignore (P2p.recv ~ctx:Internal ~count comm dt recvbuf ~src:0 ~tag:stag)
+  let tag, tag2 = draw2 comm in
+  Coll_impl.reduce_scatter_block comm dt op ~sendbuf ~recvbuf ~count ~tag ~tag2
 
-(* Recursive-doubling inclusive scan. *)
 let scan comm dt op ~sendbuf ~recvbuf ~count =
   Comm.check_active comm;
-  check_count "scan" count;
+  check_reduce_buffers "scan" ~sendbuf ~pos:0 ~recvbuf ~count;
   Observe.coll ~count ~dt comm "MPI_Scan" @@ fun () ->
-  let p = Comm.size comm and r = Comm.rank comm in
-  let tag = Comm.next_collective_tag comm in
-  Array.blit sendbuf 0 recvbuf 0 count;
-  if p > 1 && count > 0 then begin
-    let partial = Array.sub sendbuf 0 count in
-    let tmp = Array.copy partial in
-    let mask = ref 1 in
-    while !mask < p do
-      let dst = r + !mask and src = r - !mask in
-      let req =
-        if dst < p then Some (P2p.isend ~ctx:Internal ~count comm dt partial ~dst ~tag) else None
-      in
-      if src >= 0 then begin
-        ignore (P2p.recv ~ctx:Internal ~count comm dt tmp ~src ~tag);
-        (* tmp covers ranks below src inclusive: combine on the left. *)
-        for i = 0 to count - 1 do
-          partial.(i) <- Op.apply op tmp.(i) partial.(i);
-          recvbuf.(i) <- Op.apply op tmp.(i) recvbuf.(i)
-        done;
-        Comm.compute comm (2.0 *. float_of_int count *. Op.cost_per_element op)
-      end;
-      (match req with Some req -> ignore (Request.wait req) | None -> ());
-      mask := !mask lsl 1
-    done
-  end
+  Coll_impl.prefix_scan comm dt op ~sendbuf ~recvbuf ~count
+    ~tag:(Comm.next_collective_tag comm) ~inclusive:true
 
 let exscan comm dt op ~sendbuf ~recvbuf ~count =
   Comm.check_active comm;
-  check_count "exscan" count;
+  check_reduce_buffers "exscan" ~sendbuf ~pos:0 ~recvbuf ~count;
   Observe.coll ~count ~dt comm "MPI_Exscan" @@ fun () ->
-  let p = Comm.size comm and r = Comm.rank comm in
-  let tag = Comm.next_collective_tag comm in
-  if p > 1 && count > 0 then begin
-    let partial = Array.sub sendbuf 0 count in
-    let tmp = Array.copy partial in
-    let have_result = ref false in
-    let mask = ref 1 in
-    while !mask < p do
-      let dst = r + !mask and src = r - !mask in
-      let req =
-        if dst < p then Some (P2p.isend ~ctx:Internal ~count comm dt partial ~dst ~tag) else None
-      in
-      if src >= 0 then begin
-        ignore (P2p.recv ~ctx:Internal ~count comm dt tmp ~src ~tag);
-        for i = 0 to count - 1 do
-          partial.(i) <- Op.apply op tmp.(i) partial.(i);
-          recvbuf.(i) <- (if !have_result then Op.apply op tmp.(i) recvbuf.(i) else tmp.(i))
-        done;
-        have_result := true;
-        Comm.compute comm (2.0 *. float_of_int count *. Op.cost_per_element op)
-      end;
-      (match req with Some req -> ignore (Request.wait req) | None -> ());
-      mask := !mask lsl 1
-    done
-  end
+  Coll_impl.prefix_scan comm dt op ~sendbuf ~recvbuf ~count
+    ~tag:(Comm.next_collective_tag comm) ~inclusive:false
 
 (* Non-blocking collectives: a helper fiber (standing in for an MPI
    progress thread) runs the blocking algorithm and completes the request
@@ -462,15 +333,14 @@ let ibarrier comm =
 let ibcast ?(pos = 0) ?count comm dt buf ~root =
   Comm.check_active comm;
   check_root comm root;
-  let count = match count with Some c -> c | None -> Array.length buf - pos in
-  check_count "ibcast" count;
+  let count = bcast_count "ibcast" buf pos count in
   let algo = select_bcast comm dt count and req = new_request comm in
   Observe.coll ~root ~count ~dt ~algo:(Algo.bcast_name algo) ~track:(Request req) comm
     "MPI_Ibcast"
   @@ fun () ->
   let tags = draw2 comm in
   spawn_collective comm ~label:"ibcast" req (fun () ->
-      run_bcast comm dt buf pos count ~root algo ~tags)
+      Coll_impl.bcast comm dt buf pos count ~root algo ~tags)
 
 (* Persistent collective (MPI-4 §6.13): everything rank-coordinated —
    ordering check, tag draw, algorithm selection — happens once at init,
@@ -481,9 +351,7 @@ let ibcast ?(pos = 0) ?count comm dt buf ~root =
 let bcast_init ?(pos = 0) ?count comm dt buf ~root =
   Comm.check_active comm;
   check_root comm root;
-  let count = match count with Some c -> c | None -> Array.length buf - pos in
-  check_count "bcast_init" count;
-  check_window "bcast_init" "buf" buf pos count;
+  let count = bcast_count "bcast_init" buf pos count in
   let w = Comm.world comm in
   let algo = select_bcast comm dt count and tags = draw2 comm in
   let start h =
@@ -492,7 +360,7 @@ let bcast_init ?(pos = 0) ?count comm dt buf ~root =
     let req = Persist.request h in
     let _ : Engine.fiber =
       Engine.spawn w.World.engine ~label:"bcast_init" (fun () ->
-          run_bcast comm dt buf pos count ~root algo ~tags;
+          Coll_impl.bcast comm dt buf pos count ~root algo ~tags;
           Request.complete req { source = -1; tag = 0; count })
     in
     ()
@@ -507,14 +375,14 @@ let bcast_init ?(pos = 0) ?count comm dt buf ~root =
 
 let iallreduce comm dt op ~sendbuf ~recvbuf ~count =
   Comm.check_active comm;
-  check_count "iallreduce" count;
+  check_reduce_buffers "iallreduce" ~sendbuf ~pos:0 ~recvbuf ~count;
   let algo = select_allreduce comm dt op count and req = new_request comm in
   Observe.coll ~count ~dt ~algo:(Algo.allreduce_name algo) ~track:(Request req) comm
     "MPI_Iallreduce"
   @@ fun () ->
   let tags = draw4 comm in
   spawn_collective comm ~label:"iallreduce" req (fun () ->
-      run_allreduce comm dt op ~sendbuf ~pos:0 ~recvbuf ~count algo ~tags)
+      Coll_impl.allreduce comm dt op ~sendbuf ~pos:0 ~recvbuf ~count algo ~tags)
 
 let ialltoallv comm dt ~sendbuf ~scounts ~sdispls ~recvbuf ~rcounts ~rdispls =
   Comm.check_active comm;
@@ -529,29 +397,6 @@ let ialltoallv comm dt ~sendbuf ~scounts ~sdispls ~recvbuf ~rcounts ~rdispls =
 (* Communicator management.                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Communicator handles travel between ranks as ordinary (tiny) messages;
-   a dedicated opaque datatype keeps that honest in the cost model. *)
-let dt_comm : World.comm_shared Datatype.t = Datatype.custom ~name:"MPI_Comm" ~extent:16 ()
-
-(* The leader creates the new shared state and distributes it to the other
-   members over the parent communicator. *)
-let distribute_shared comm ~members ~tag make_shared =
-  let r = Comm.rank comm in
-  let leader = members.(0) in
-  if r = leader then begin
-    let shared = make_shared () in
-    let box = [| shared |] in
-    Array.iter
-      (fun m -> if m <> leader then P2p.send ~ctx:Internal comm dt_comm box ~dst:m ~tag)
-      members;
-    shared
-  end
-  else begin
-    let box = [| Comm.shared comm |] in
-    ignore (P2p.recv ~ctx:Internal comm dt_comm box ~src:leader ~tag);
-    box.(0)
-  end
-
 let position a x =
   let n = Array.length a in
   let rec go i = if i >= n then Errors.usage "internal: rank not in group" else if a.(i) = x then i else go (i + 1) in
@@ -564,7 +409,7 @@ let dup comm =
   let tag = Comm.next_collective_tag comm in
   let members = Array.init (Comm.size comm) Fun.id in
   let shared =
-    distribute_shared comm ~members ~tag (fun () -> World.fresh_comm w (Array.copy (Comm.group comm)))
+    Coll_impl.distribute_shared comm ~members ~tag (fun () -> World.fresh_comm w (Array.copy (Comm.group comm)))
   in
   Comm.make w shared ~rank:(Comm.rank comm)
 
@@ -576,8 +421,8 @@ let split comm ~color ~key =
   let dt = Datatype.triple Datatype.int Datatype.int Datatype.int in
   let entries = Array.make p (0, 0, 0) in
   let tag = Comm.next_collective_tag comm in
-  Coll_impl.allgather_bruck comm dt ~recvbuf:entries ~rpos:0 ~count:1 ~tag ~my_block_pos:0
-    ~my_block_buf:[| (color, key, r) |];
+  Coll_impl.allgather comm dt ~recvbuf:entries ~rpos:0 ~count:1 ~my_block_pos:0
+    ~my_block_buf:[| (color, key, r) |] Ag_bruck ~tag;
   let dist_tag = Comm.next_collective_tag comm in
   if color < 0 then None
   else begin
@@ -589,7 +434,7 @@ let split comm ~color ~key =
       |> Array.of_list
     in
     let shared =
-      distribute_shared comm ~members ~tag:dist_tag (fun () ->
+      Coll_impl.distribute_shared comm ~members ~tag:dist_tag (fun () ->
           World.fresh_comm w (Array.map (Comm.world_rank_of comm) members))
     in
     Some (Comm.make w shared ~rank:(position members r))

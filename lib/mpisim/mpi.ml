@@ -35,7 +35,7 @@ let tee rs_sim_time rs_events rs_profile rs_diagnostics =
     Stack.iter (fun seen -> Ds.Vec.push seen s) collectors
   end
 
-let run ?(net = Netmodel.default) ?node ?fabric ?(failures = []) ?(fail_at = []) ?trace ?hooks
+let run ?(net = Netmodel.default) ?node ?fabric ?(fail_at = []) ?trace ?hooks
     ?deadline ~ranks f =
   let tracing =
     match trace with Some b -> b | None -> Trace.Recorder.default_enabled ()
@@ -91,7 +91,6 @@ let run ?(net = Netmodel.default) ?node ?fabric ?(failures = []) ?(fail_at = [])
             Trace.Recorder.rank_done recorder ~rank:r ~time:(World.now w)))
   in
   w.World.fibers <- fibers;
-  List.iter (fun (at, rank) -> Ulfm.schedule_failure w ~at ~world_rank:rank) failures;
   Ulfm.schedule_failures w ~fail_at;
   (* [Simnet.Profile.span] is the host profiler: exactly [Engine.run] when
      profiling is off, wall-time attribution when on.  Fine-level envelope

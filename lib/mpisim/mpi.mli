@@ -22,7 +22,7 @@ type 'a run_result = {
           feed it to {!Trace.Analysis.analyze} or {!Trace.Chrome.to_json} *)
 }
 
-(** [run ?net ?node ?failures ?trace ~ranks f] executes the SPMD program.
+(** [run ?net ?node ?fail_at ?trace ~ranks f] executes the SPMD program.
 
     @param net network cost-model parameters (default {!Simnet.Netmodel.default})
     @param node [(intra-node params, node size)] switches to the legacy
@@ -33,10 +33,8 @@ type 'a run_result = {
     {!Simnet.Netmodel.fabric_of_spec} spec such as ["two:48"] or
     ["fat:48:4:8"]) supplies one — unset or empty keeps the flat model,
     replaying every pre-topology schedule bit-identically
-    @param failures [(time, world_rank)] process failures to inject
     @param fail_at [(world_rank, time)] deterministic time-based failure
-    schedule, armed via {!Ulfm.schedule_failures} (validated up front;
-    both parameters may be combined)
+    schedule, armed via {!Ulfm.schedule_failures} (validated up front)
     @param trace record an event trace of the run (default: the
     [MPISIM_TRACE] environment toggle, see {!Trace.Recorder.default_enabled});
     tracing is a pure observer — it changes no timing, event count or profile
@@ -57,7 +55,6 @@ val run :
   ?net:Simnet.Netmodel.params ->
   ?node:Simnet.Netmodel.params * int ->
   ?fabric:Simnet.Netmodel.fabric ->
-  ?failures:(float * int) list ->
   ?fail_at:(int * float) list ->
   ?trace:bool ->
   ?hooks:Exhook.t ->

@@ -1,12 +1,6 @@
 module Engine = Simnet.Engine
 module Netmodel = Simnet.Netmodel
 
-let schedule_failure w ~at ~world_rank =
-  if world_rank < 0 || world_rank >= w.World.size then
-    Errors.usage "schedule_failure: bad rank %d" world_rank;
-  let delay = Float.max 0.0 (at -. World.now w) in
-  Engine.schedule w.World.engine ~delay (fun () -> World.kill w world_rank)
-
 let schedule_failures w ~fail_at =
   (* Validate the whole schedule up front so a malformed entry rejects the
      schedule before any kill is armed. *)
@@ -16,7 +10,11 @@ let schedule_failures w ~fail_at =
         Errors.usage "schedule_failures: bad rank %d" world_rank;
       if Float.is_nan at then Errors.usage "schedule_failures: NaN time for rank %d" world_rank)
     fail_at;
-  List.iter (fun (world_rank, at) -> schedule_failure w ~at ~world_rank) fail_at
+  List.iter
+    (fun (world_rank, at) ->
+      let delay = Float.max 0.0 (at -. World.now w) in
+      Engine.schedule w.World.engine ~delay (fun () -> World.kill w world_rank))
+    fail_at
 
 let revoke comm =
   Observe.call Comm_mgmt comm "MPI_Comm_revoke" (fun () ->

@@ -6,14 +6,10 @@
     [revoke] to interrupt ongoing communication everywhere, then [shrink]
     to build a new communicator of survivors. *)
 
-(** [schedule_failure world ~at ~world_rank] injects a process failure at
-    simulated time [at]. *)
-val schedule_failure : World.t -> at:float -> world_rank:int -> unit
-
 (** [schedule_failures world ~fail_at] arms a deterministic {e time-based}
     failure schedule: each [(world_rank, sim_time)] entry kills
     [world_rank] at simulated time [sim_time] (clamped to "now" when
-    already past, as in {!schedule_failure}).
+    already past).
 
     Determinism semantics: the kills are discrete events on the
     simulated clock, so a given schedule produces the same failure

@@ -28,7 +28,8 @@
    lives in the scanned bucket, and any entry with a larger [vi] has a
    strictly larger time.  So the queue pops in exact [(time, seq)] order
    — bit-identical to the binary heap it replaced (property-tested
-   against {!Binheap} in test/test_engine_scale.ml).
+   against the old heap, kept as test/binheap.ml, in
+   test/test_engine_scale.ml).
 
    Memory layout.  The calendar is flat: every bucket owns [slot_cap]
    inline slots in three queue-wide arrays — a [float array] of times

@@ -2,7 +2,7 @@
 
     This is the engine's pre-refactor event queue, frozen.  It is the
     reference heap of the differential test that the calendar queue
-    ({!Pqueue}) must agree with entry for entry; the live engine does not
+    ([Simnet.Pqueue]) must agree with entry for entry; the live engine does not
     use it. *)
 
 type 'a t

@@ -4,7 +4,7 @@
    (Simnet.Pqueue) that must preserve the EXACT (time, seq) total order —
    any divergence silently changes every simulated schedule in the repo.
    These tests pin that equivalence differentially against the frozen
-   pre-refactor heap (Simnet.Binheap), stress the calendar's resize
+   pre-refactor heap (test/binheap.ml), stress the calendar's resize
    machinery, check the host profiler is a pure observer at every level,
    exercise the engine at 1k-8k ranks, assert the zero-alloc steady
    state, and pin the fiber-table pruning bound. *)

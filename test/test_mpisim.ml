@@ -655,28 +655,48 @@ let test_profiling_edge_cases () =
   Alcotest.(check (list (pair string int))) "identical snapshots: empty diff" []
     d_same.Profiling.calls
 
-(* Misused v-collective layouts fail as a [Usage_error] naming the call and
-   the argument on every rank, never as an internal exception or an error
-   about the runtime's own p2p calls.  Every rank passes the bad argument,
-   so no rank is left waiting for a peer that gave up. *)
+(* Misused collective buffers and v-collective layouts fail as a
+   [Usage_error] naming the call and the argument, never as an internal
+   exception or an error about the runtime's own p2p calls.  Where every
+   rank passes the bad argument, every rank fails so; a bad root-only
+   buffer fails the root, and under the Communication checker the other
+   ranks end with [Rank_died] instead of hanging. *)
 let test_v_collective_layout_errors () =
   let contains s sub =
     let n = String.length sub in
     let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
     go 0
   in
+  let usage name r ~mentions = function
+    | Error (Errors.Usage_error msg) ->
+        List.iter
+          (fun m ->
+            if not (contains msg m) then
+              Alcotest.failf "%s: rank %d: %S does not mention %S" name r msg m)
+          mentions
+    | Error e -> Alcotest.failf "%s: rank %d raised %s" name r (Printexc.to_string e)
+    | Ok () -> Alcotest.failf "%s: rank %d accepted the call" name r
+  in
   let expect name ~mentions f =
     let res = Mpi.run ~ranks:4 f in
+    Array.iteri (fun r -> usage name r ~mentions) res.Mpi.results
+  in
+  (* The root (rank 0) passes a bad buffer, everyone else a good call;
+     the others end with [Rank_died] where they wait on the root, and may
+     finish where they only send to it. *)
+  let expect_root name ~mentions ~others_wait f =
+    let res =
+      Checker.with_level Checker.Communication (fun () ->
+          Mpi.run ~deadline:Tutil.default_deadline ~ranks:4 f)
+    in
     Array.iteri
-      (fun r -> function
-        | Error (Errors.Usage_error msg) ->
-            List.iter
-              (fun m ->
-                if not (contains msg m) then
-                  Alcotest.failf "%s: rank %d: %S does not mention %S" name r msg m)
-              mentions
-        | Error e -> Alcotest.failf "%s: rank %d raised %s" name r (Printexc.to_string e)
-        | Ok () -> Alcotest.failf "%s: rank %d accepted the call" name r)
+      (fun r result ->
+        match result with
+        | _ when r = 0 -> usage name r ~mentions result
+        | Error Mpi.Rank_died -> ()
+        | Ok () when not others_wait -> ()
+        | Ok () -> Alcotest.failf "%s: rank %d finished" name r
+        | Error e -> Alcotest.failf "%s: rank %d raised %s" name r (Printexc.to_string e))
       res.Mpi.results
   in
   let ints n = Array.make n 0 and displs p k = Array.init p (fun i -> k * i) in
@@ -716,7 +736,55 @@ let test_v_collective_layout_errors () =
     (fun comm ->
       let p = Comm.size comm in
       Collectives.scatterv comm Datatype.int ~sendbuf:(ints (2 * p)) ~scounts:(Array.make p 2)
-        ~sdispls:(displs p 2) ~recvbuf:(ints 1) ~rcount:2 ~root:0)
+        ~sdispls:(displs p 2) ~recvbuf:(ints 1) ~rcount:2 ~root:0);
+  let reduce_op = Op.int_sum in
+  expect "allreduce: short sendbuf" ~mentions:[ "allreduce"; "sendbuf" ] (fun comm ->
+      Collectives.allreduce comm Datatype.int reduce_op ~sendbuf:(ints 2) ~recvbuf:(ints 3) ~count:3);
+  expect "allreduce: short recvbuf" ~mentions:[ "allreduce"; "recvbuf" ] (fun comm ->
+      Collectives.allreduce comm Datatype.int reduce_op ~sendbuf:(ints 3) ~recvbuf:(ints 2) ~count:3);
+  expect "iallreduce: short recvbuf" ~mentions:[ "iallreduce"; "recvbuf" ] (fun comm ->
+      ignore
+        (Collectives.iallreduce comm Datatype.int reduce_op ~sendbuf:(ints 3) ~recvbuf:(ints 2)
+           ~count:3));
+  expect "reduce: short sendbuf" ~mentions:[ "reduce"; "sendbuf" ] (fun comm ->
+      Collectives.reduce comm Datatype.int reduce_op ~sendbuf:(ints 2) ~recvbuf:(ints 3) ~count:3
+        ~root:0);
+  expect "scan: short sendbuf" ~mentions:[ "scan"; "sendbuf" ] (fun comm ->
+      Collectives.scan comm Datatype.int reduce_op ~sendbuf:(ints 2) ~recvbuf:(ints 3) ~count:3);
+  expect "exscan: short recvbuf" ~mentions:[ "exscan"; "recvbuf" ] (fun comm ->
+      Collectives.exscan comm Datatype.int reduce_op ~sendbuf:(ints 3) ~recvbuf:(ints 2) ~count:3);
+  expect "reduce_scatter_block: short sendbuf" ~mentions:[ "reduce_scatter_block"; "sendbuf" ]
+    (fun comm ->
+      let p = Comm.size comm in
+      Collectives.reduce_scatter_block comm Datatype.int reduce_op ~sendbuf:(ints ((2 * p) - 1))
+        ~recvbuf:(ints 2) ~count:2);
+  expect "allgather: short recvbuf" ~mentions:[ "allgather"; "recvbuf" ] (fun comm ->
+      let p = Comm.size comm in
+      Collectives.allgather comm Datatype.int ~sendbuf:(ints 2) ~recvbuf:(ints ((2 * p) - 1))
+        ~count:2);
+  expect "alltoall: short sendbuf" ~mentions:[ "alltoall"; "sendbuf" ] (fun comm ->
+      let p = Comm.size comm in
+      Collectives.alltoall comm Datatype.int ~sendbuf:(ints (p - 1)) ~recvbuf:(ints p) ~count:1);
+  expect "bcast: count past the buffer" ~mentions:[ "bcast"; "buf" ] (fun comm ->
+      Collectives.bcast ~count:5 comm Datatype.int (ints 2) ~root:0);
+  expect "ibcast: count past the buffer" ~mentions:[ "ibcast"; "buf" ] (fun comm ->
+      ignore (Collectives.ibcast ~count:5 comm Datatype.int (ints 2) ~root:0));
+  expect_root "scatter: short root sendbuf" ~mentions:[ "scatter"; "sendbuf" ] ~others_wait:true
+    (fun comm ->
+      let p = Comm.size comm in
+      if Comm.rank comm = 0 then
+        Collectives.scatter comm Datatype.int ~sendbuf:(ints ((2 * p) - 1)) ~recvbuf:(ints 2)
+          ~count:2 ~root:0
+      else Collectives.scatter comm Datatype.int ~recvbuf:(ints 2) ~count:2 ~root:0);
+  expect_root "gather: short root recvbuf" ~mentions:[ "gather"; "recvbuf" ] ~others_wait:false
+    (fun comm ->
+      let p = Comm.size comm in
+      let recvbuf = if Comm.rank comm = 0 then Some (ints ((2 * p) - 1)) else None in
+      Collectives.gather ?recvbuf comm Datatype.int ~sendbuf:(ints 2) ~count:2 ~root:0);
+  expect_root "reduce: short root recvbuf" ~mentions:[ "reduce"; "recvbuf" ] ~others_wait:false
+    (fun comm ->
+      let recvbuf = if Comm.rank comm = 0 then Some (ints 1) else None in
+      Collectives.reduce ?recvbuf comm Datatype.int reduce_op ~sendbuf:(ints 2) ~count:2 ~root:0)
 
 let test_run_determinism () =
   let go () =

@@ -359,7 +359,7 @@ let prop_sorter =
 let test_ulfm_failure_detected () =
   let res =
     Tutil.run_full ~ranks:4
-      ~failures:[ (5.0e-6, 2) ]
+      ~fail_at:[ (2, 5.0e-6) ]
       (fun raw ->
         let comm = Comm.wrap raw in
         (* wait until after the failure, then try to talk to rank 2 *)
@@ -385,7 +385,7 @@ let test_ulfm_fig12_recovery () =
      survivors finish. *)
   let res =
     Tutil.run_full ~ranks:6
-      ~failures:[ (30.0e-6, 3) ]
+      ~fail_at:[ (3, 30.0e-6) ]
       (fun raw ->
         let comm = ref (Comm.wrap raw) in
         let completed = ref 0 in
@@ -420,7 +420,7 @@ let test_ulfm_fig12_recovery () =
 let test_ulfm_with_recovery_combinator () =
   let res =
     Tutil.run_full ~ranks:4
-      ~failures:[ (10.0e-6, 1) ]
+      ~fail_at:[ (1, 10.0e-6) ]
       (fun raw ->
         let comm = Comm.wrap raw in
         if Comm.rank comm = 1 then begin
@@ -497,7 +497,7 @@ let test_ulfm_max_attempts_exhausted () =
 let test_ulfm_agree () =
   let res =
     Tutil.run_full ~ranks:4
-      ~failures:[ (1.0e-6, 2) ]
+      ~fail_at:[ (2, 1.0e-6) ]
       (fun raw ->
         let comm = Comm.wrap raw in
         if Comm.rank comm = 2 then begin
@@ -522,7 +522,7 @@ let test_ulfm_agree () =
 let test_ulfm_agree_member_dies () =
   let res =
     Tutil.run_full ~ranks:4
-      ~failures:[ (5.0e-6, 2) ]
+      ~fail_at:[ (2, 5.0e-6) ]
       (fun raw ->
         let comm = Comm.wrap raw in
         if Comm.rank comm = 2 then Comm.compute comm 1.0;

@@ -37,7 +37,7 @@ let test_shrink_of_shrink () =
   (* two failures, two recoveries *)
   let res =
     Tutil.run_full ~ranks:6
-      ~failures:[ (20.0e-6, 1); (200.0e-6, 4) ]
+      ~fail_at:[ (1, 20.0e-6); (4, 200.0e-6) ]
       (fun raw ->
         let comm = ref (K.wrap raw) in
         let recoveries = ref 0 in
