@@ -24,12 +24,16 @@ dune runtest
 #   lint:observe         the mpisim call layers reach Checker, Trace and
 #                        Profiling only through Observe
 #   lint:coll            lib/mpisim/collectives.ml sends no message itself
+#   lint:wire            lib/kamping and lib/ckpt convert between Bytes and
+#                        char arrays only in lib/kamping/serialization.ml
 #
 # What the passes cover, in order:
 # - lint:observe: one observation point per MPI operation; a call layer
 #   that records a count, a checker entry or a span itself fails here.
 # - lint:coll: every collective schedule has one home, Coll_impl;
 #   Collectives only validates, selects, observes and dispatches.
+# - lint:wire: a serialized payload is copied once per side, by the one
+#   wire helper; a hand-rolled Bytes/char-array conversion fails here.
 # - runtest under the strictest MUST-style checker, under event tracing
 #   (the recorder must be a pure observer: determinism and profiling
 #   equality stay green), and under seeded random schedule exploration
@@ -70,6 +74,7 @@ dune runtest
 passes='
 -                                                        lint:observe
 -                                                        lint:coll
+-                                                        lint:wire
 MPISIM_CHECK=communication                               runtest
 MPISIM_TRACE=1                                           runtest
 -                                                        bench:trace
@@ -121,6 +126,13 @@ run_suite() {
     lint:coll)
       if grep -n 'P2p\.' lib/mpisim/collectives.ml; then
         echo "ci.sh: collective schedules belong in Coll_impl, not Collectives" >&2
+        exit 1
+      fi
+      ;;
+    lint:wire)
+      if grep -rnE 'Array\.init \(Bytes\.length|Bytes\.init .*Array\.(unsafe_)?get|Bytes\.(unsafe_)?(get|set)\b' \
+        lib/kamping lib/ckpt | grep -v '^lib/kamping/serialization\.ml:'; then
+        echo "ci.sh: Bytes/char-array conversions belong in Kamping.Serialization" >&2
         exit 1
       fi
       ;;

@@ -3,6 +3,7 @@ module Registry = Registry
 module Schedule = Schedule
 module A = Serde.Archive
 module KC = Kamping.Comm
+module Wire = Kamping.Serialization
 
 let register = Registry.register
 
@@ -86,9 +87,7 @@ let unpack_shards payload =
     raise (A.Corrupt (Printf.sprintf "ckpt: %d trailing payload bytes" (A.remaining r)));
   List.rev !out
 
-let chars_of_bytes b = Array.init (Bytes.length b) (Bytes.get b)
-let bytes_of_chars a len = Bytes.init len (Array.get a)
-let ser_cost comm bytes = KC.compute comm (Kamping.Serialization.cost ~bytes)
+let ser_cost comm bytes = KC.compute comm (Wire.cost ~bytes)
 
 let net_params comm =
   let raw = KC.raw comm in
@@ -148,10 +147,10 @@ let checkpoint ctx =
             ~dst:buddy ~stag:tag_len ~recv:recv_len ~src:buddy ~rtag:tag_len ());
        let recv_buf = Array.make (Int.max 1 recv_len.(0)) '\000' in
        ignore
-         (Mpisim.P2p.sendrecv raw Kamping.Serialization.wire_datatype
-            ~send:(chars_of_bytes snap) ~dst:buddy ~stag:tag_payload ~recv:recv_buf
-            ~recv_count:recv_len.(0) ~src:buddy ~rtag:tag_payload ());
-       store_held ctx (bytes_of_chars recv_buf recv_len.(0))
+         (Mpisim.P2p.sendrecv raw Wire.wire_datatype ~send:(Wire.wire_of_bytes snap)
+            ~dst:buddy ~stag:tag_payload ~recv:recv_buf ~recv_count:recv_len.(0) ~src:buddy
+            ~rtag:tag_payload ());
+       store_held ctx (Wire.bytes_of_wire recv_buf recv_len.(0))
      end;
      (* Odd communicator size: the self-paired last rank ships an extra
         copy to rank 0 so its state too survives its own failure. *)
@@ -160,17 +159,17 @@ let checkpoint ctx =
          Mpisim.P2p.send raw Mpisim.Datatype.int
            [| Bytes.length snap |]
            ~dst:0 ~tag:tag_extra_len;
-         Mpisim.P2p.send raw Kamping.Serialization.wire_datatype (chars_of_bytes snap)
-           ~dst:0 ~tag:tag_extra_payload
+         Mpisim.P2p.send raw Wire.wire_datatype (Wire.wire_of_bytes snap) ~dst:0
+           ~tag:tag_extra_payload
        end
        else if me = 0 then begin
          let len = [| 0 |] in
          ignore (Mpisim.P2p.recv raw Mpisim.Datatype.int len ~src:(p - 1) ~tag:tag_extra_len);
          let buf = Array.make (Int.max 1 len.(0)) '\000' in
          ignore
-           (Mpisim.P2p.recv raw Kamping.Serialization.wire_datatype buf ~count:len.(0)
+           (Mpisim.P2p.recv raw Wire.wire_datatype buf ~count:len.(0)
               ~src:(p - 1) ~tag:tag_extra_payload);
-         store_held ctx (bytes_of_chars buf len.(0))
+         store_held ctx (Wire.bytes_of_wire buf len.(0))
        end);
   (* Agree on the per-iteration cost so every rank derives the same
      checkpoint period (max is the conservative, deterministic choice).

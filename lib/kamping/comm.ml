@@ -514,22 +514,19 @@ let allgather_serialized t codec v =
   let displs = Option.get result.recv_displs in
   let data = V.unsafe_data result.recv_buf in
   Array.init (size t) (fun r ->
-      let piece = Array.sub data displs.(r) counts.(r) in
       compute t (Serialization.cost ~bytes:counts.(r));
-      Serialization.of_wire codec piece counts.(r))
+      Serialization.of_wire ~pos:displs.(r) codec data counts.(r))
 
 let alltoallv_serialized t codec messages =
   let p = size t in
   Assertions.check Light
     (fun () -> Array.length messages = p)
     "alltoallv_serialized: one message per rank required";
-  let parts = Array.map (Serialization.to_wire codec) messages in
-  let send_counts = Array.map Array.length parts in
-  compute t (Serialization.cost ~bytes:(Array.fold_left ( + ) 0 send_counts));
-  let send_buf = V.create () in
-  Array.iter (fun part -> V.append_array send_buf part) parts;
+  let wire, send_counts = Serialization.to_wire_parts codec messages in
+  compute t (Serialization.cost ~bytes:(Array.length wire));
   let res =
-    alltoallv ~recv_counts_out:true ~recv_displs_out:true t Serialization.wire_datatype ~send_buf
+    alltoallv ~recv_counts_out:true ~recv_displs_out:true t Serialization.wire_datatype
+      ~send_buf:(V.unsafe_of_array wire (Array.length wire))
       ~send_counts
   in
   let counts = Option.get res.recv_counts in
@@ -537,7 +534,7 @@ let alltoallv_serialized t codec messages =
   let data = V.unsafe_data res.recv_buf in
   Array.init p (fun s ->
       compute t (Serialization.cost ~bytes:counts.(s));
-      Serialization.of_wire codec (Array.sub data displs.(s) counts.(s)) counts.(s))
+      Serialization.of_wire ~pos:displs.(s) codec data counts.(s))
 
 (* ---------------- communicator management ---------------- *)
 

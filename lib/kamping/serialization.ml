@@ -3,16 +3,32 @@
    "non-negligible overhead" of Sec. III-D4. *)
 let cost ~bytes = 50.0e-9 +. (2.0e-9 *. float_of_int bytes)
 
-let to_wire codec v =
-  let b = Serde.Codec.encode codec v in
-  Array.init (Bytes.length b) (Bytes.get b)
+let wire_of_bytes b = Array.init (Bytes.length b) (Bytes.unsafe_get b)
 
-let of_wire codec buf len =
+let bytes_of_wire ?(pos = 0) buf len =
   let b = Bytes.create len in
   for i = 0 to len - 1 do
-    Bytes.set b i buf.(i)
+    Bytes.unsafe_set b i buf.(pos + i)
   done;
-  Serde.Codec.decode codec b
+  b
+
+let to_wire codec v = wire_of_bytes (Serde.Codec.encode codec v)
+
+let to_wire_parts codec values =
+  let parts = Array.map (Serde.Codec.encode codec) values in
+  let counts = Array.map Bytes.length parts in
+  let wire = Array.make (Array.fold_left ( + ) 0 counts) '\000' in
+  let off = ref 0 in
+  Array.iter
+    (fun b ->
+      for i = 0 to Bytes.length b - 1 do
+        wire.(!off + i) <- Bytes.unsafe_get b i
+      done;
+      off := !off + Bytes.length b)
+    parts;
+  (wire, counts)
+
+let of_wire ?pos codec buf len = Serde.Codec.decode codec (bytes_of_wire ?pos buf len)
 
 let wire_datatype = Mpisim.Datatype.serialized
 

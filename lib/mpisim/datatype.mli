@@ -110,7 +110,8 @@ val custom : ?default:'a -> name:string -> extent:int -> unit -> 'a t
 val struct_type : ?default:'a -> name:string -> (string * int * int) list -> 'a t
 
 (** [serialized] tags a [char array] buffer as an opaque serialized
-    payload. *)
+    payload.  It travels as [Bytes] ({!Msg.Serialized}) and matches only
+    itself: a {!char} receive of a serialized message is a type mismatch. *)
 val serialized : char t
 
 (** {1 Commit tracking}

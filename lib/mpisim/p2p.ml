@@ -80,7 +80,7 @@ let inject_raw comm dt ~count ~dst ~tag ~ctx ~on_matched ~payload =
 let inject comm dt buf pos count ~dst ~tag ~ctx ~on_matched =
   charge_setup ~ctx comm;
   inject_raw comm dt ~count ~dst ~tag ~ctx ~on_matched
-    ~payload:(Msg.Packed (dt, Array.sub buf pos count))
+    ~payload:(Msg.pack dt buf pos count)
 
 (* The hot point-to-point calls ([send], [isend], [recv], [irecv]) keep
    their bodies in top-level functions and call them directly unless a
@@ -133,30 +133,8 @@ let issend ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~dst ~tag =
   ignore (inject comm dt buf pos count ~dst ~tag ~ctx ~on_matched);
   req
 
-(* Copy a matched envelope into the receive window, enforcing MPI's type
-   and size rules.  A sparse (non-materialized large-count) payload passes
-   the same type and capacity checks but has no elements to copy. *)
-let copy_payload (type a) (env : Msg.envelope) (rdt : a Datatype.t) (buf : a array) pos capacity :
-    (Request.status, exn) result =
-  match env.payload with
-  | Msg.Packed (sdt, data) -> (
-      match Datatype.equal_witness sdt rdt with
-      | None ->
-          Error (Errors.Type_mismatch { sent = Datatype.name sdt; expected = Datatype.name rdt })
-      | Some Type.Equal ->
-          let n = Array.length data in
-          if n > capacity then Error (Errors.Truncated { sent = n; capacity })
-          else begin
-            Array.blit data 0 buf pos n;
-            Ok { Request.source = env.src; tag = env.tag; count = n }
-          end)
-  | Msg.Sparse (sdt, n) -> (
-      match Datatype.equal_witness sdt rdt with
-      | None ->
-          Error (Errors.Type_mismatch { sent = Datatype.name sdt; expected = Datatype.name rdt })
-      | Some Type.Equal ->
-          if n > capacity then Error (Errors.Truncated { sent = n; capacity })
-          else Ok { Request.source = env.src; tag = env.tag; count = n })
+let type_mismatch sdt rdt =
+  Error (Errors.Type_mismatch { sent = Datatype.name sdt; expected = Datatype.name rdt })
 
 (* Type- and capacity-check a matched envelope without a receive buffer —
    the large-count receive path, where [capacity] may exceed any
@@ -166,15 +144,46 @@ let verify_payload (type a) (env : Msg.envelope) (rdt : a Datatype.t) capacity :
   let check : type b. b Datatype.t -> int -> (Request.status, exn) result =
    fun sdt n ->
     match Datatype.equal_witness sdt rdt with
-    | None ->
-        Error (Errors.Type_mismatch { sent = Datatype.name sdt; expected = Datatype.name rdt })
+    | None -> type_mismatch sdt rdt
     | Some Type.Equal ->
         if n > capacity then Error (Errors.Truncated { sent = n; capacity })
         else Ok { Request.source = env.src; tag = env.tag; count = n }
   in
   match env.payload with
   | Msg.Packed (sdt, data) -> check sdt (Array.length data)
+  | Msg.Serialized data -> check Datatype.serialized (Bytes.length data)
   | Msg.Sparse (sdt, n) -> check sdt n
+
+(* Copy a matched envelope into the receive window, enforcing MPI's type
+   and size rules.  A serialized payload is unpacked from its bytes; a
+   sparse (non-materialized large-count) payload passes the same type and
+   capacity checks but has no elements to copy. *)
+let copy_payload (type a) (env : Msg.envelope) (rdt : a Datatype.t) (buf : a array) pos capacity :
+    (Request.status, exn) result =
+  match env.payload with
+  | Msg.Packed (sdt, data) -> (
+      match Datatype.equal_witness sdt rdt with
+      | None -> type_mismatch sdt rdt
+      | Some Type.Equal ->
+          let n = Array.length data in
+          if n > capacity then Error (Errors.Truncated { sent = n; capacity })
+          else begin
+            Array.blit data 0 buf pos n;
+            Ok { Request.source = env.src; tag = env.tag; count = n }
+          end)
+  | Msg.Serialized data -> (
+      match Datatype.equal_witness Datatype.serialized rdt with
+      | None -> type_mismatch Datatype.serialized rdt
+      | Some Type.Equal ->
+          let n = Bytes.length data in
+          if n > capacity then Error (Errors.Truncated { sent = n; capacity })
+          else begin
+            for i = 0 to n - 1 do
+              buf.(pos + i) <- Bytes.unsafe_get data i
+            done;
+            Ok { Request.source = env.src; tag = env.tag; count = n }
+          end)
+  | Msg.Sparse _ -> verify_payload env rdt capacity
 
 (* Detect whether a receive from [src] can never be satisfied because the
    peer (or, for wildcards, some group member) has failed. *)
@@ -436,7 +445,7 @@ let send_init_gen ~sync ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~dst ~ta
     in
     let injected =
       inject_raw comm dt ~count ~dst ~tag ~ctx ~on_matched
-        ~payload:(Msg.Packed (dt, Array.sub buf pos count))
+        ~payload:(Msg.pack dt buf pos count)
     in
     if not sync then
       Engine.schedule w.World.engine
@@ -563,7 +572,7 @@ let psend_init ?(ctx = Msg.User) comm dt buf ~partitions ~count ~dst ~tag =
     let req = Persist.request h in
     let injected =
       inject_raw comm dt ~count ~dst ~tag:(ptag ~tag i) ~ctx:Msg.Internal ~on_matched:None
-        ~payload:(Msg.Packed (dt, Array.sub buf (i * count) count))
+        ~payload:(Msg.pack dt buf (i * count) count)
     in
     decr remaining;
     if !remaining = 0 then

@@ -176,12 +176,43 @@ let list c =
       (function Json.List items -> List.map c.of_json items | _ -> json_error "list" "list");
   }
 
+(* Sequences share [list]'s wire layout (element count as a varint, then
+   the elements) but write and read the elements in place.  Reading
+   pre-sizes the result from the count, so the count is checked first: an
+   element that took bytes bounds the rest by the bytes left, and an
+   element that took none can only come from a codec whose every value
+   encodes to zero bytes ([unit] and products of it). *)
+let write_seq c w n get =
+  Archive.write_varint w n;
+  for i = 0 to n - 1 do
+    c.write w (get i)
+  done
+
+let read_seq c r =
+  let n = Archive.read_varint r in
+  if n < 0 then raise (Archive.Corrupt (c.name ^ " sequence: negative length"));
+  if n = 0 then [||]
+  else begin
+    let before = Archive.remaining r in
+    let first = c.read r in
+    let left = Archive.remaining r in
+    if (left < before && n - 1 > left) || n > Sys.max_array_length then
+      raise
+        (Archive.Corrupt
+           (Printf.sprintf "%s sequence: length %d exceeds the %d bytes left" c.name n left));
+    let a = Array.make n first in
+    for i = 1 to n - 1 do
+      a.(i) <- c.read r
+    done;
+    a
+  end
+
 let array c =
   let as_list = list c in
   {
     name = c.name ^ " array";
-    write = (fun w items -> as_list.write w (Array.to_list items));
-    read = (fun r -> Array.of_list (as_list.read r));
+    write = (fun w a -> write_seq c w (Array.length a) (Array.unsafe_get a));
+    read = read_seq c;
     to_json = (fun items -> as_list.to_json (Array.to_list items));
     of_json = (fun j -> Array.of_list (as_list.of_json j));
   }
@@ -190,8 +221,11 @@ let vec c =
   let as_array = array c in
   {
     name = c.name ^ " vec";
-    write = (fun w v -> as_array.write w (Ds.Vec.to_array v));
-    read = (fun r -> Ds.Vec.of_array (as_array.read r));
+    write = (fun w v -> write_seq c w (Ds.Vec.length v) (Ds.Vec.get v));
+    read =
+      (fun r ->
+        let a = read_seq c r in
+        Ds.Vec.unsafe_of_array a (Array.length a));
     to_json = (fun v -> as_array.to_json (Ds.Vec.to_array v));
     of_json = (fun j -> Ds.Vec.of_array (as_array.of_json j));
   }

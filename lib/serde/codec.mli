@@ -7,7 +7,7 @@
     type in Cereal.
 
     The KaMPIng layer wraps codecs into send/receive buffers via
-    [Kamping.Serialization.as_serialized]. *)
+    [Kamping.Serialization.to_wire] and [of_wire]. *)
 
 type 'a t
 
@@ -59,7 +59,13 @@ val option : 'a t -> 'a option t
 val pair : 'a t -> 'b t -> ('a * 'b) t
 val triple : 'a t -> 'b t -> 'c t -> ('a * 'b * 'c) t
 val list : 'a t -> 'a list t
+
+(** [array c] and [vec c] put exactly [list c]'s bytes on the wire (the
+    element count as a varint, then the elements) but write and read the
+    elements in place.  A count that the remaining bytes cannot hold
+    raises {!Archive.Corrupt} before anything is allocated. *)
 val array : 'a t -> 'a array t
+
 val vec : 'a t -> 'a Ds.Vec.t t
 val result : 'a t -> 'b t -> ('a, 'b) result t
 

@@ -402,6 +402,54 @@ let test_allgather_serialized () =
          let got = Comm.allgather_serialized comm codec (String.make (Comm.rank comm + 1) 'x') in
          Alcotest.(check (array string)) "variable strings" [| "x"; "xx"; "xxx" |] got))
 
+(* A serialized payload costs one encode and one contiguous copy per side
+   (the wire path in serialization.mli).  Host words are counted the way
+   perfbench counts them, over a whole run at p=4 with [array float]
+   payloads of 32 KiB, so per-message constants amortize.  Allocation is
+   deterministic; the bounds are the measured ratios plus 25% headroom. *)
+let serialized_floats = 4096
+let floats_codec = Serde.Codec.(array float)
+let floats_payload r d =
+  Array.init serialized_floats (fun i -> float_of_int ((r * 7919) + (d * 31) + i) *. 0.25)
+
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+let words_per_wire_byte ~wire_bytes f =
+  let before = allocated_words () in
+  ignore (wrapped ~ranks:4 f);
+  (allocated_words () -. before) /. float_of_int wire_bytes
+
+let test_serialized_alloc_bound () =
+  let p = 4 in
+  let part_bytes = Bytes.length (Serde.Codec.encode floats_codec (floats_payload 0 0)) in
+  let alltoallv =
+    words_per_wire_byte ~wire_bytes:(p * p * part_bytes) (fun comm ->
+        let r = Comm.rank comm in
+        let got =
+          Comm.alltoallv_serialized comm floats_codec (Array.init p (fun d -> floats_payload r d))
+        in
+        Array.iteri
+          (fun s a -> if a <> floats_payload s r then Alcotest.failf "alltoallv part from %d" s)
+          got)
+  in
+  (* every rank receives every payload *)
+  let allgather =
+    words_per_wire_byte ~wire_bytes:(p * p * part_bytes) (fun comm ->
+        let r = Comm.rank comm in
+        let got = Comm.allgather_serialized comm floats_codec (floats_payload r 0) in
+        Array.iteri
+          (fun s a -> if a <> floats_payload s 0 then Alcotest.failf "allgather part from %d" s)
+          got)
+  in
+  let bounded name ratio bound =
+    if ratio > bound then
+      Alcotest.failf "%s_serialized: %.2f host words per wire byte, bound %.2f" name ratio bound
+  in
+  bounded "alltoallv" alltoallv (4.98 *. 1.25);
+  bounded "allgather" allgather (3.01 *. 1.25)
+
 (* ---------- assertions ---------- *)
 
 let test_assertion_levels () =
@@ -504,6 +552,8 @@ let suite =
     Alcotest.test_case "serialized bcast (Fig. 11)" `Quick test_bcast_serialized;
     Alcotest.test_case "serialized allgather" `Quick test_allgather_serialized;
     Alcotest.test_case "serialized alltoallv" `Quick test_alltoallv_serialized;
+    Alcotest.test_case "serialized collectives: host words per wire byte" `Quick
+      test_serialized_alloc_bound;
     Alcotest.test_case "assertion levels" `Quick test_assertion_levels;
     Alcotest.test_case "heavy assertion catches mismatch" `Quick test_heavy_assertion_catches_mismatch;
     Alcotest.test_case "assertion levels change call profile" `Quick

@@ -110,6 +110,158 @@ let test_p2p_truncation () =
                Alcotest.(check int) "capacity" 1 capacity
          end))
 
+(* ------------- serialized payloads in flight ------------- *)
+
+let chars s = Array.init (String.length s) (String.get s)
+let string_of_chars a = String.init (Array.length a) (Array.get a)
+
+let test_serialized_pack () =
+  (match Msg.pack Datatype.serialized (chars "xwirey") 1 4 with
+  | Msg.Serialized b -> Alcotest.(check string) "window bytes" "wire" (Bytes.to_string b)
+  | _ -> Alcotest.fail "a serialized window travels as Bytes");
+  (match Msg.pack Datatype.char (chars "wire") 0 4 with
+  | Msg.Packed _ -> ()
+  | _ -> Alcotest.fail "a char window travels as a char array");
+  match Msg.pack Datatype.int [| 1; 2; 3 |] 1 2 with
+  | Msg.Packed _ -> ()
+  | _ -> Alcotest.fail "an int window travels as an int array"
+
+(* [serialized] and [char] share an OCaml element type and an extent, but
+   they are distinct MPI datatypes: neither receives the other's message. *)
+let test_serialized_type_mismatch () =
+  let crossed sdt rdt =
+    let got =
+      run ~ranks:2 (fun comm ->
+          if Comm.rank comm = 0 then begin
+            P2p.send comm sdt (chars "abc") ~dst:1 ~tag:0;
+            None
+          end
+          else
+            match P2p.recv comm rdt (Array.make 3 ' ') ~src:0 ~tag:0 with
+            | (_ : Request.status) -> None
+            | exception Errors.Type_mismatch { sent; expected } -> Some (sent, expected))
+    in
+    got.(1)
+  in
+  Alcotest.(check (option (pair string string)))
+    "serialized into char" (Some ("serialized", "char"))
+    (crossed Datatype.serialized Datatype.char);
+  Alcotest.(check (option (pair string string)))
+    "char into serialized" (Some ("char", "serialized"))
+    (crossed Datatype.char Datatype.serialized)
+
+let test_serialized_truncation () =
+  ignore
+    (run ~ranks:2 (fun comm ->
+         if Comm.rank comm = 0 then P2p.send comm Datatype.serialized (chars "hello") ~dst:1 ~tag:0
+         else
+           match P2p.recv comm Datatype.serialized (Array.make 8 ' ') ~count:4 ~src:0 ~tag:0 with
+           | (_ : Request.status) -> Alcotest.fail "expected truncation"
+           | exception Errors.Truncated { sent; capacity } ->
+               Alcotest.(check int) "sent" 5 sent;
+               Alcotest.(check int) "capacity" 4 capacity))
+
+(* Probe and receive report the byte count; the receiver gets the bytes
+   of the sender's window as it was at the send, not as it is later. *)
+let test_serialized_probe_and_copy () =
+  ignore
+    (run ~ranks:2 (fun comm ->
+         if Comm.rank comm = 0 then begin
+           let buf = chars "..payload.." in
+           let req = P2p.isend comm Datatype.serialized buf ~pos:2 ~count:7 ~dst:1 ~tag:5 in
+           Array.fill buf 0 (Array.length buf) '!';
+           ignore (Request.wait req)
+         end
+         else begin
+           let st = P2p.probe comm ~src:0 ~tag:5 in
+           Alcotest.(check int) "probed byte count" 7 st.Request.count;
+           let buf = Array.make 10 '_' in
+           let st = P2p.recv comm Datatype.serialized buf ~pos:1 ~src:0 ~tag:5 in
+           Alcotest.(check int) "status byte count" 7 st.Request.count;
+           Alcotest.(check string) "bytes at pos" "_payload__" (string_of_chars buf)
+         end))
+
+let test_serialized_persistent () =
+  let rounds = [ "first"; "second!" ] in
+  let got =
+    run ~ranks:2 (fun comm ->
+        if Comm.rank comm = 0 then begin
+          let buf = Array.make 7 ' ' in
+          let h = P2p.send_init comm Datatype.serialized buf ~count:7 ~dst:1 ~tag:1 in
+          List.iter
+            (fun r ->
+              Array.fill buf 0 7 ' ';
+              Array.blit (chars r) 0 buf 0 (String.length r);
+              Persist.start h;
+              ignore (Persist.wait h))
+            rounds;
+          Persist.free h;
+          []
+        end
+        else begin
+          let buf = Array.make 7 '?' in
+          let h = P2p.recv_init comm Datatype.serialized buf ~src:0 ~tag:1 in
+          let out =
+            List.map
+              (fun _ ->
+                Persist.start h;
+                let st = Persist.wait h in
+                Alcotest.(check int) "persistent byte count" 7 st.Request.count;
+                string_of_chars buf)
+              rounds
+          in
+          Persist.free h;
+          out
+        end)
+  in
+  Alcotest.(check (list string)) "persistent rounds" [ "first  "; "second!" ] got.(1);
+  let parts = 3 and per = 2 in
+  let got =
+    run ~ranks:2 (fun comm ->
+        if Comm.rank comm = 0 then begin
+          let h =
+            P2p.psend_init comm Datatype.serialized (chars "ab-cd-") ~partitions:parts ~count:per
+              ~dst:1 ~tag:2
+          in
+          Persist.start h;
+          for i = parts - 1 downto 0 do
+            Persist.pready h i
+          done;
+          ignore (Persist.wait h);
+          Persist.free h;
+          ""
+        end
+        else begin
+          let buf = Array.make (parts * per) ' ' in
+          let h =
+            P2p.precv_init comm Datatype.serialized buf ~partitions:parts ~count:per ~src:0 ~tag:2
+          in
+          Persist.start h;
+          ignore (Persist.wait h);
+          Persist.free h;
+          string_of_chars buf
+        end)
+  in
+  Alcotest.(check string) "partitioned bytes" "ab-cd-" got.(1)
+
+(* Large-count serialized transfers stay sparse: nothing is packed, and
+   both the sparse and the dense payload pass the buffer-free receive. *)
+let test_serialized_sparse () =
+  let big = (2 * (Datatype.max_small_count + 1)) + 5 in
+  let got =
+    run ~ranks:2 (fun comm ->
+        if Comm.rank comm = 0 then begin
+          P2p.send_sparse comm Datatype.serialized ~count:big ~dst:1 ~tag:3;
+          P2p.send comm Datatype.serialized (chars "four") ~dst:1 ~tag:4;
+          (0, 0)
+        end
+        else
+          let sparse = P2p.recv_sparse comm Datatype.serialized ~capacity:big ~src:0 ~tag:3 in
+          let dense = P2p.recv_sparse comm Datatype.serialized ~capacity:big ~src:0 ~tag:4 in
+          (sparse.Request.count, dense.Request.count))
+  in
+  Alcotest.(check (pair int int)) "counts" (big, 4) got.(1)
+
 let test_p2p_message_ordering () =
   (* FIFO per (src, tag): messages must arrive in send order. *)
   ignore
@@ -810,6 +962,13 @@ let suite =
     Alcotest.test_case "p2p wildcards" `Quick test_p2p_any_source_tag;
     Alcotest.test_case "p2p type mismatch" `Quick test_p2p_type_mismatch;
     Alcotest.test_case "p2p truncation" `Quick test_p2p_truncation;
+    Alcotest.test_case "serialized: pack picks Bytes" `Quick test_serialized_pack;
+    Alcotest.test_case "serialized: char is a type mismatch" `Quick test_serialized_type_mismatch;
+    Alcotest.test_case "serialized: short window truncates" `Quick test_serialized_truncation;
+    Alcotest.test_case "serialized: probe and window copy" `Quick test_serialized_probe_and_copy;
+    Alcotest.test_case "serialized: persistent and partitioned" `Quick
+      test_serialized_persistent;
+    Alcotest.test_case "serialized: sparse stays sparse" `Quick test_serialized_sparse;
     Alcotest.test_case "p2p FIFO ordering" `Quick test_p2p_message_ordering;
     Alcotest.test_case "p2p nonblocking" `Quick test_p2p_nonblocking;
     Alcotest.test_case "p2p issend completion" `Quick test_p2p_issend_completes_on_match;

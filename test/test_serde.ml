@@ -184,6 +184,74 @@ let prop_json_string_escapes =
   Tutil.qtest "json string escaping" QCheck2.Gen.(string_size (int_bound 30)) (fun s ->
       match Json.parse (Json.to_string (Json.Str s)) with Json.Str s' -> s' = s | _ -> false)
 
+(* ---------- sequence codecs: wire layout and corrupt headers ---------- *)
+
+(* Sizes 0, 1 and 1000; ints reach the negatives, floats the values whose
+   bits a careless round trip loses. *)
+let seq_gen elt = QCheck2.Gen.(oneofl [ 0; 1; 1000 ] >>= fun n -> array_size (return n) elt)
+
+let float_gen =
+  QCheck2.Gen.(
+    frequency
+      [ (4, float); (1, oneofl [ Float.nan; -0.0; 0.0; Float.infinity; Float.neg_infinity ]) ])
+
+let float_bits_equal a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
+
+(* [array c] and [vec c] put exactly the bytes of [list c] on the wire:
+   the element count as a varint, then the elements. *)
+let wire_compatible elt a =
+  let as_list = Codec.encode (Codec.list elt) (Array.to_list a) in
+  Bytes.equal (Codec.encode (Codec.array elt) a) as_list
+  && Bytes.equal (Codec.encode (Codec.vec elt) (Ds.Vec.of_array a)) as_list
+
+let prop_array_int_wire =
+  Tutil.qtest ~count:60 "codec array/vec int: list wire layout, exact roundtrip"
+    (seq_gen QCheck2.Gen.int) (fun a ->
+      wire_compatible Codec.int a
+      && roundtrip Codec.(array int) a = a
+      && Ds.Vec.to_array (roundtrip Codec.(vec int) (Ds.Vec.of_array a)) = a)
+
+let prop_array_float_wire =
+  Tutil.qtest ~count:60 "codec array/vec float: list wire layout, exact roundtrip"
+    (seq_gen float_gen) (fun a ->
+      wire_compatible Codec.float a
+      && float_bits_equal (roundtrip Codec.(array float) a) a
+      && float_bits_equal (Ds.Vec.to_array (roundtrip Codec.(vec float) (Ds.Vec.of_array a))) a)
+
+(* A length header of 2^40 in front of three bytes: a decoder that
+   pre-sizes its result from the header must reject it as corrupt, not
+   try to allocate. *)
+let huge_header_over_three_bytes () =
+  let w = Archive.writer () in
+  Archive.write_varint w (1 lsl 40);
+  Archive.write_byte w '\002';
+  Archive.write_byte w '\004';
+  Archive.write_byte w '\006';
+  Archive.contents w
+
+let rejects_header name codec =
+  Alcotest.(check bool) name true
+    (match Codec.decode codec (huge_header_over_three_bytes ()) with
+    | _ -> false
+    | exception Archive.Corrupt _ -> true)
+
+let test_sequence_corrupt_length () =
+  rejects_header "array int" Codec.(array int);
+  rejects_header "array float" Codec.(array float);
+  rejects_header "vec (int * float)" Codec.(vec (pair int float))
+
+let test_sequence_zero_byte_elements () =
+  let a = Array.make 5 () in
+  Alcotest.(check int) "five units encode to the header alone" 1
+    (Bytes.length (Codec.encode Codec.(array unit) a));
+  Alcotest.(check int) "array unit" 5 (Array.length (roundtrip Codec.(array unit) a));
+  Alcotest.(check int) "vec unit" 5
+    (Ds.Vec.length (roundtrip Codec.(vec unit) (Ds.Vec.of_array a)));
+  Alcotest.(check int) "array (unit * unit)" 3
+    (Array.length (roundtrip Codec.(array (pair unit unit)) (Array.make 3 ((), ()))))
+
 let suite =
   [
     Alcotest.test_case "archive primitives" `Quick test_archive_primitives;
@@ -206,4 +274,10 @@ let suite =
     prop_codec_string_json;
     prop_codec_float;
     prop_json_string_escapes;
+    prop_array_int_wire;
+    prop_array_float_wire;
+    Alcotest.test_case "sequence codecs reject a corrupt length header" `Quick
+      test_sequence_corrupt_length;
+    Alcotest.test_case "sequence codecs decode zero-byte elements" `Quick
+      test_sequence_zero_byte_elements;
   ]
