@@ -62,7 +62,8 @@ dune runtest
 #   schedules) on a two-tier fabric with hierarchical candidates live,
 #   the topology suite, then colltuning (tuned tables beat the flat
 #   defaults >=1.2x on bcast and allreduce, predicted crossovers within
-#   one sweep step, pin table dispatches the predicted winner).
+#   one sweep step, pin table dispatches the predicted winner, every
+#   allgatherv pick within 10% of the fastest pinned body).
 # - scenarios: the three differential gallery workloads under a random
 #   schedule with the checker raised (each proves variant/transport
 #   bit-identity, oracle equality and kill-recovery), the scenarios

@@ -8,6 +8,7 @@ type allreduce =
   | Ar_node_leader
 
 type allgather = Ag_bruck | Ag_ring | Ag_recursive_doubling
+type allgatherv = Agv_ring | Agv_recursive_doubling
 
 type alltoall = A2a_pairwise | A2a_bruck | A2a_smp | A2a_hypergrid
 
@@ -28,6 +29,10 @@ let allgather_name = function
   | Ag_ring -> "ring"
   | Ag_recursive_doubling -> "recursive_doubling"
 
+let allgatherv_name = function
+  | Agv_ring -> "ring"
+  | Agv_recursive_doubling -> "recursive_doubling"
+
 let alltoall_name = function
   | A2a_pairwise -> "pairwise"
   | A2a_bruck -> "bruck"
@@ -41,6 +46,7 @@ let all_allreduce =
   [ Ar_reduce_bcast; Ar_recursive_doubling; Ar_rabenseifner; Ar_ring; Ar_node_leader ]
 
 let all_allgather = [ Ag_bruck; Ag_ring; Ag_recursive_doubling ]
+let all_allgatherv = [ Agv_ring; Agv_recursive_doubling ]
 let all_alltoall = [ A2a_pairwise; A2a_bruck; A2a_smp; A2a_hypergrid ]
 
 let of_name all name s = List.find_opt (fun a -> String.equal (name a) s) all
@@ -48,4 +54,5 @@ let of_name all name s = List.find_opt (fun a -> String.equal (name a) s) all
 let bcast_of_name s = of_name all_bcast bcast_name s
 let allreduce_of_name s = of_name all_allreduce allreduce_name s
 let allgather_of_name s = of_name all_allgather allgather_name s
+let allgatherv_of_name s = of_name all_allgatherv allgatherv_name s
 let alltoall_of_name s = of_name all_alltoall alltoall_name s

@@ -32,7 +32,21 @@ type allreduce =
 type allgather =
   | Ag_bruck  (** logarithmic rounds for arbitrary [p] *)
   | Ag_ring  (** [p - 1] neighbour rounds, optimal volume *)
-  | Ag_recursive_doubling  (** power-of-two [p] only *)
+  | Ag_recursive_doubling
+      (** [log2 p] exchanges of doubling ranges; the selector offers it on
+          power-of-two [p] only.  Runs the {!Agv_recursive_doubling} body
+          on the uniform layout. *)
+
+(** Allgatherv: one block per rank, of per-rank counts.  The ring sends
+    every block, empty ones included; recursive doubling skips zero-count
+    messages. *)
+type allgatherv =
+  | Agv_ring  (** [p - 1] neighbour rounds of one block each, optimal volume *)
+  | Agv_recursive_doubling
+      (** [log2 pof2] exchanges of doubling rank ranges, where [pof2] is
+          the largest power of two [<= p]; for other [p] the even ranks
+          below [2 (p - pof2)] first fold their block into their odd
+          neighbour and get the assembled vector back at the end *)
 
 (** Alltoall. *)
 type alltoall =
@@ -49,10 +63,12 @@ type alltoall =
 val bcast_name : bcast -> string
 val allreduce_name : allreduce -> string
 val allgather_name : allgather -> string
+val allgatherv_name : allgatherv -> string
 val alltoall_name : alltoall -> string
 val bcast_of_name : string -> bcast option
 val allreduce_of_name : string -> allreduce option
 val allgather_of_name : string -> allgather option
+val allgatherv_of_name : string -> allgatherv option
 val alltoall_of_name : string -> alltoall option
 
 (** Candidate lists, incumbent (pre-subsystem default) first: ties in
@@ -62,4 +78,5 @@ val all_bcast : bcast list
 
 val all_allreduce : allreduce list
 val all_allgather : allgather list
+val all_allgatherv : allgatherv list
 val all_alltoall : alltoall list

@@ -120,6 +120,27 @@ let allgather prm ~p ~bytes algo =
       done;
       !cost
 
+let allgatherv prm ~p ~max_bytes ~total_bytes algo =
+  let largest = fi max_bytes and total = fi total_bytes in
+  match (algo : Algo.allgatherv) with
+  | Agv_ring -> fi (p - 1) *. msg prm largest
+  | Agv_recursive_doubling ->
+      (* Zero-byte messages are skipped.  Off powers of two, the fold sends
+         one block and the unfold the whole vector, and a surviving rank
+         holds up to two blocks, so the round with mask m carries at most
+         2m of the largest. *)
+      let send b = if b > 0.0 then msg prm b else 0.0 in
+      let pof2 = largest_pow2 p in
+      let folded = p > pof2 in
+      let cost = ref (if folded then send largest +. send total else 0.0) in
+      let held = if folded then 2.0 *. largest else largest in
+      let mask = ref 1 in
+      while !mask < pof2 do
+        cost := !cost +. send (Float.min total (fi !mask *. held));
+        mask := !mask * 2
+      done;
+      !cost
+
 let alltoall ?hier prm ~p ~bytes algo =
   let n = fi bytes in
   match (algo : Algo.alltoall) with

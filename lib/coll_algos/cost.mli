@@ -50,6 +50,12 @@ val allreduce :
 (** [bytes] is one rank's block; every rank receives [(p-1) * bytes]. *)
 val allgather : Simnet.Netmodel.params -> p:int -> bytes:int -> Algo.allgather -> float
 
+(** [max_bytes] is the largest rank's block and [total_bytes] the whole
+    gathered vector; both follow from the counts, which every rank
+    shares. *)
+val allgatherv :
+  Simnet.Netmodel.params -> p:int -> max_bytes:int -> total_bytes:int -> Algo.allgatherv -> float
+
 (** [bytes] is one (source, destination) block. *)
 val alltoall :
   ?hier:Simnet.Netmodel.hier_profile ->

@@ -4,7 +4,7 @@ type t = { pins : (int * string, entry) Hashtbl.t }
 
 let create () = { pins = Hashtbl.create 8 }
 
-let known_colls = [ "bcast"; "allreduce"; "allgather"; "alltoall" ]
+let known_colls = [ "bcast"; "allreduce"; "allgather"; "allgatherv"; "alltoall" ]
 
 let validate ~coll ~algo =
   let ok =
@@ -12,6 +12,7 @@ let validate ~coll ~algo =
     | "bcast" -> Option.is_some (Algo.bcast_of_name algo)
     | "allreduce" -> Option.is_some (Algo.allreduce_of_name algo)
     | "allgather" -> Option.is_some (Algo.allgather_of_name algo)
+    | "allgatherv" -> Option.is_some (Algo.allgatherv_of_name algo)
     | "alltoall" -> Option.is_some (Algo.alltoall_of_name algo)
     | _ ->
         invalid_arg
@@ -108,6 +109,12 @@ let allgather t ~cid prm ~p ~bytes =
     ~feasible:(fun a -> a <> Algo.Ag_recursive_doubling || is_pow2 p)
     ~cost:(fun a -> Cost.allgather prm ~p ~bytes a)
     Algo.all_allgather
+
+let allgatherv t ~cid prm ~p ~max_bytes ~total_bytes =
+  choose t ~cid ~coll:"allgatherv" ~bytes:total_bytes ~of_name:Algo.allgatherv_of_name
+    ~feasible:(fun _ -> true)
+    ~cost:(fun a -> Cost.allgatherv prm ~p ~max_bytes ~total_bytes a)
+    Algo.all_allgatherv
 
 let alltoall ?hier t ~cid prm ~p ~bytes =
   choose t ~cid ~coll:"alltoall" ~bytes ~of_name:Algo.alltoall_of_name

@@ -20,8 +20,8 @@ type t
 val create : unit -> t
 
 (** [pin t ~cid ~coll ~algo] pins collective [coll] (["bcast"],
-    ["allreduce"], ["allgather"] or ["alltoall"]) on communicator [cid] to
-    algorithm [algo].
+    ["allreduce"], ["allgather"], ["allgatherv"] or ["alltoall"]) on
+    communicator [cid] to algorithm [algo].
     @raise Invalid_argument on an unknown collective or algorithm name. *)
 val pin : t -> cid:int -> coll:string -> algo:string -> unit
 
@@ -29,7 +29,8 @@ val pin : t -> cid:int -> coll:string -> algo:string -> unit
     [(min_bytes, algo)] row takes effect from [min_bytes] upward (the last
     row whose threshold is [<= bytes] wins; payloads below every threshold
     fall back to cost-based selection).  This is the representation the
-    [Topology.Autotune] sweep generates.  Replaces any previous pin for
+    [Topology.Autotune] sweep generates.  An ["allgatherv"] table is keyed
+    by the whole gathered vector's bytes.  Replaces any previous pin for
     [(cid, coll)].
     @raise Invalid_argument on an empty table, a negative threshold, or an
     unknown collective/algorithm name. *)
@@ -74,6 +75,12 @@ val allreduce :
   Algo.allreduce
 
 val allgather : t -> cid:int -> Simnet.Netmodel.params -> p:int -> bytes:int -> Algo.allgather
+
+(** [max_bytes] is the largest block, [total_bytes] the whole vector;
+    both come from the counts, never from a rank's displacements, so
+    every rank picks the same body. *)
+val allgatherv :
+  t -> cid:int -> Simnet.Netmodel.params -> p:int -> max_bytes:int -> total_bytes:int -> Algo.allgatherv
 
 val alltoall :
   ?hier:Simnet.Netmodel.hier_profile ->

@@ -28,6 +28,10 @@ type case = {
 let prm = Simnet.Netmodel.default
 let op = Mpisim.Op.int_sum
 
+(* Allgatherv's uneven blocks: [count], [1.5 count] and [2 count] elements
+   in turn. *)
+let agv_counts ~p ~count = Array.init p (fun i -> count + (i mod 3 * count / 2))
+
 (* Max completion time across ranks of one pinned collective call. *)
 let simulate ~coll ~algo ~p ~count =
   let times =
@@ -45,6 +49,15 @@ let simulate ~coll ~algo ~p ~count =
         | "allgather" ->
             let sendbuf = Array.make count r and recvbuf = Array.make (p * count) 0 in
             C.allgather raw D.int ~sendbuf ~recvbuf ~count
+        | "allgatherv" ->
+            let rcounts = agv_counts ~p ~count in
+            let rdispls = Array.make p 0 in
+            for i = 1 to p - 1 do
+              rdispls.(i) <- rdispls.(i - 1) + rcounts.(i - 1)
+            done;
+            let recvbuf = Array.make (rdispls.(p - 1) + rcounts.(p - 1)) 0 in
+            C.allgatherv raw D.int ~sendbuf:(Array.make rcounts.(r) r) ~scount:rcounts.(r) ~recvbuf
+              ~rcounts ~rdispls
         | "alltoall" ->
             let sendbuf = Array.make (p * count) r and recvbuf = Array.make (p * count) 0 in
             C.alltoall raw D.int ~sendbuf ~recvbuf ~count
@@ -86,6 +99,16 @@ let describe ~coll ~p ~count =
           Algo.all_allgather,
         Algo.allgather_name (Select.allgather fresh ~cid:0 prm ~p ~bytes),
         Algo.allgather_name Ag_bruck )
+  | "allgatherv" ->
+      let rcounts = agv_counts ~p ~count in
+      let max_bytes = D.bytes D.int (Array.fold_left max 0 rcounts)
+      and total_bytes = D.bytes D.int (Array.fold_left ( + ) 0 rcounts) in
+      ( total_bytes,
+        List.map
+          (fun a -> (Algo.allgatherv_name a, Cost.allgatherv prm ~p ~max_bytes ~total_bytes a))
+          Algo.all_allgatherv,
+        Algo.allgatherv_name (Select.allgatherv fresh ~cid:0 prm ~p ~max_bytes ~total_bytes),
+        Algo.allgatherv_name Agv_ring )
   | "alltoall" ->
       ( bytes,
         List.map
@@ -113,22 +136,36 @@ let grid =
     ("bcast", [ 1; 1024; 65536 ]);
     ("allreduce", [ 1; 1024; 65536 ]);
     ("allgather", [ 1; 512; 16384 ]);
+    ("allgatherv", [ 1; 512; 16384 ]);
     ("alltoall", [ 1; 256; 4096 ]);
   ]
 
-let rank_counts = [ 4; 16 ]
+(* Allgatherv adds a size off a power of two, where its doubling body
+   pays the fold. *)
+let rank_counts = function "allgatherv" -> [ 4; 12; 16 ] | _ -> [ 4; 16 ]
 
 let sweep () =
   List.concat_map
     (fun (coll, counts) ->
       List.concat_map
         (fun p -> List.map (fun count -> sweep_point ~coll ~p ~count) counts)
-        rank_counts)
+        (rank_counts coll))
     grid
 
 let fastest c =
   List.fold_left (fun best r -> if r.simulated < best.simulated then r else best)
     (List.hd c.results) c.results
+
+(* At every allgatherv point the selector's pick simulates within 10% of
+   the fastest pinned body: a crossover the cost entry misplaces fails. *)
+let allgatherv_picks_ok cases =
+  List.for_all
+    (fun c ->
+      c.coll <> "allgatherv"
+      ||
+      let sel = List.find (fun r -> r.algo = c.selected) c.results in
+      sel.simulated <= (fastest c).simulated *. 1.1)
+    cases
 
 let print cases =
   let header = [ "coll"; "p"; "count"; "algorithm"; "predicted"; "simulated"; "" ] in
@@ -461,6 +498,7 @@ let run () =
   print_hier report;
   Bench_report.report ~name:"colltuning" ~path:"BENCH_collectives.json" (to_json cases report)
     [
+      ("allgatherv_pick_within_10pct_of_fastest", allgatherv_picks_ok cases);
       ("hier_bcast_speedup_ge_1_2", speedup_of report "bcast" >= 1.2);
       ("hier_allreduce_speedup_ge_1_2", speedup_of report "allreduce" >= 1.2);
       ("crossovers_within_one_sweep_step", report.hr_crossover_ok);

@@ -73,9 +73,10 @@ type 'a vresult = {
 
 (** {1 Collectives}
 
-    [bcast], [allreduce], [allgather] and [alltoall] are tuned: the
-    cheapest algorithm under the communicator's network parameters is
-    selected per call (see {!Mpisim.Collectives} and [Coll_algos]).
+    [bcast], [allreduce], [allgather], [allgatherv] and [alltoall] are
+    tuned: the cheapest algorithm under the communicator's network
+    parameters is selected per call (see {!Mpisim.Collectives} and
+    [Coll_algos]).
     [pin_algorithm t ~coll ~algo] overrides the choice for this
     communicator — set it identically on every rank; [unpin_algorithm]
     restores cost-based selection and [pinned_algorithm] reads the

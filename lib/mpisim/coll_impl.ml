@@ -5,7 +5,8 @@
    Five schedule primitives are written once here and composed by the
    algorithm bodies: the binomial tree ([bcast_binomial],
    [reduce_binomial]), recursive doubling ([allreduce_rd] with its one
-   fold/unfold pair), the rooted linear loops ([gather_linear],
+   fold/unfold pair, and [rd_allgatherv] over variable blocks with the
+   same fold), the rooted linear loops ([gather_linear],
    [scatter_linear]), two ring loops ([ring_allgatherv], which sends every
    block, and [ring_blocks], which skips empty ones) and the prefix scan
    ([prefix_scan]).  The tree and doubling primitives run over a member
@@ -182,6 +183,82 @@ let allreduce_rd comm dt op ~recvbuf ~tmp ~count ~members ~tag_fold ~tag =
       done
     end;
     unfold_from_pow2 comm dt ~recvbuf ~count ~members ~me ~rem ~tag_fold
+  end
+
+(* Recursive-doubling allgather of the blocks [recvbuf.(pos_of i ..)] of
+   [count_of i] elements, with the fold of [allreduce_rd]: the even ranks
+   below 2 rem hand their block to their odd neighbour, the pof2 survivors
+   double, and each odd rank returns the whole vector to its even
+   neighbour.  New rank nd holds the original ranks [lo nd, lo (nd + 1)),
+   so every message is one window of the rank-ordered layout [off].  It
+   runs in place when the caller's non-empty blocks sit in that order
+   (the exclusive scan of the counts, at any base), and through one packed
+   copy otherwise; the messages are the same either way, and zero-count
+   ones are skipped on both sides.  The fold links r -> r + 1 and
+   r + 1 -> r carry no doubling traffic, so one tag serves the whole
+   call.  The caller seeds its own block. *)
+let rd_allgatherv comm dt ~recvbuf ~pos_of ~count_of ~tag =
+  let p = Comm.size comm and r = Comm.rank comm in
+  let off = Array.make (p + 1) 0 in
+  for i = 0 to p - 1 do
+    off.(i + 1) <- off.(i) + count_of i
+  done;
+  let total = off.(p) in
+  if p > 1 && total > 0 then begin
+    (* In place when each non-empty block i sits at [base + off.(i)];
+       [base] is where the first one sits. *)
+    let base = ref (-1) and in_place = ref true in
+    for i = 0 to p - 1 do
+      if count_of i > 0 then begin
+        let b = pos_of i - off.(i) in
+        if !base < 0 then base := b else if b <> !base then in_place := false
+      end
+    done;
+    let buf, base =
+      if !in_place then (recvbuf, !base)
+      else begin
+        let packed = Array.make total recvbuf.(!base) in
+        Array.blit recvbuf (pos_of r) packed off.(r) (count_of r);
+        (packed, 0)
+      end
+    in
+    (* Each message is the window of the original ranks [lo, hi). *)
+    let send lo hi ~dst =
+      let pos = base + off.(lo) and count = off.(hi) - off.(lo) in
+      if count > 0 then Some (P2p.isend ~ctx:Internal ~pos ~count comm dt buf ~dst ~tag) else None
+    in
+    let recv lo hi ~src =
+      let pos = base + off.(lo) and count = off.(hi) - off.(lo) in
+      if count > 0 then ignore (P2p.recv ~ctx:Internal ~pos ~count comm dt buf ~src ~tag)
+    in
+    let wait = Option.iter (fun req -> ignore (Request.wait req)) in
+    let pof2 = largest_pow2 p in
+    let rem = p - pof2 in
+    if r < 2 * rem && r land 1 = 0 then begin
+      let req = send r (r + 1) ~dst:(r + 1) in
+      recv 0 p ~src:(r + 1);
+      wait req
+    end
+    else begin
+      if r < 2 * rem then recv (r - 1) r ~src:(r - 1);
+      let nd = if r < 2 * rem then r asr 1 else r - rem in
+      let lo n = if n < rem then 2 * n else n + rem in
+      let mask = ref 1 in
+      while !mask < pof2 do
+        let peer = nd lxor !mask in
+        let mine = nd land lnot (!mask - 1) and theirs = peer land lnot (!mask - 1) in
+        let partner = real_of_new ~rem peer in
+        let req = send (lo mine) (lo (mine + !mask)) ~dst:partner in
+        recv (lo theirs) (lo (theirs + !mask)) ~src:partner;
+        wait req;
+        mask := !mask lsl 1
+      done;
+      if r < 2 * rem then wait (send 0 p ~dst:(r - 1))
+    end;
+    if buf != recvbuf then
+      for i = 0 to p - 1 do
+        if i <> r then Array.blit buf off.(i) recvbuf (pos_of i) (count_of i)
+      done
   end
 
 (* ------------------------------------------------------------------ *)
@@ -532,35 +609,11 @@ let allgather_bruck comm dt ~recvbuf ~rpos ~count ~tag ~my_block_pos ~my_block_b
     end
   end
 
-(* Ring allgather: the v-ring on the uniform layout. *)
-let allgather_ring comm dt ~recvbuf ~rpos ~count ~tag ~my_block_pos ~my_block_buf =
+(* Ring and recursive doubling: an allgatherv body on the uniform layout. *)
+let allgather_uniform body comm dt ~recvbuf ~rpos ~count ~tag ~my_block_pos ~my_block_buf =
   if count > 0 then begin
     seed_own_block recvbuf rpos count ~my_block_pos ~my_block_buf ~block:(Comm.rank comm * count);
-    ring_allgatherv comm dt ~recvbuf ~pos_of:(fun i -> rpos + (i * count)) ~count_of:(fun _ -> count) ~tag
-  end
-
-(* Recursive doubling (power-of-two p): round k swaps the 2^k blocks held
-   with the partner rank lxor 2^k; ranges stay aligned and contiguous. *)
-let allgather_recursive_doubling comm dt ~recvbuf ~rpos ~count ~tag ~my_block_pos ~my_block_buf =
-  let p = Comm.size comm and r = Comm.rank comm in
-  if p land (p - 1) <> 0 then
-    Errors.usage "allgather_recursive_doubling requires a power-of-two communicator (p = %d)" p;
-  if count > 0 then begin
-    seed_own_block recvbuf rpos count ~my_block_pos ~my_block_buf ~block:(r * count);
-    let mask = ref 1 in
-    while !mask < p do
-      let partner = r lxor !mask in
-      let my_base = r land lnot (!mask - 1) and partner_base = partner land lnot (!mask - 1) in
-      let req =
-        P2p.isend ~ctx:Internal ~pos:(rpos + (my_base * count)) ~count:(!mask * count) comm dt
-          recvbuf ~dst:partner ~tag
-      in
-      ignore
-        (P2p.recv ~ctx:Internal ~pos:(rpos + (partner_base * count)) ~count:(!mask * count) comm dt
-           recvbuf ~src:partner ~tag);
-      ignore (Request.wait req);
-      mask := !mask lsl 1
-    done
+    body comm dt ~recvbuf ~pos_of:(fun i -> rpos + (i * count)) ~count_of:(fun _ -> count) ~tag
   end
 
 (* ------------------------------------------------------------------ *)
@@ -953,10 +1006,15 @@ let allgather comm dt ~recvbuf ~rpos ~count ~my_block_pos ~my_block_buf algo ~ta
   let f =
     match (algo : Coll_algos.Algo.allgather) with
     | Ag_bruck -> allgather_bruck
-    | Ag_ring -> allgather_ring
-    | Ag_recursive_doubling -> allgather_recursive_doubling
+    | Ag_ring -> allgather_uniform ring_allgatherv
+    | Ag_recursive_doubling -> allgather_uniform rd_allgatherv
   in
   f comm dt ~recvbuf ~rpos ~count ~tag ~my_block_pos ~my_block_buf
+
+let allgatherv comm dt ~recvbuf ~pos_of ~count_of algo ~tag =
+  match (algo : Coll_algos.Algo.allgatherv) with
+  | Agv_ring -> ring_allgatherv comm dt ~recvbuf ~pos_of ~count_of ~tag
+  | Agv_recursive_doubling -> rd_allgatherv comm dt ~recvbuf ~pos_of ~count_of ~tag
 
 let alltoall comm dt ~sendbuf ~recvbuf ~count algo ~tags:(t1, t2, t3, t4) =
   match (algo : Coll_algos.Algo.alltoall) with

@@ -10,10 +10,11 @@
 
     The bodies compose five schedule primitives, each written once: the
     binomial tree (broadcast and reduce), recursive doubling (allreduce,
-    with one fold/unfold pair for non-power-of-two sizes), the rooted
-    linear loops ({!gather_linear}, {!scatter_linear}), the rings
-    ({!ring_allgatherv}, which sends every block, and a block ring that
-    skips empty ones) and the prefix scan ({!prefix_scan}).  The tree and
+    with one fold/unfold pair for non-power-of-two sizes, and the
+    allgatherv body over variable blocks, with the same fold), the rooted
+    linear loops ({!gather_linear}, {!scatter_linear}), the rings (the
+    allgatherv ring, which sends every block, and a block ring that skips
+    empty ones) and the prefix scan ({!prefix_scan}).  The tree and
     doubling primitives run over a member mapping: a rotation of the whole
     communicator, computed on the fly, or a member list, which is how the
     node-leader algorithms reuse them.
@@ -65,8 +66,8 @@ val allreduce :
   unit
 
 (** [my_block_buf.(my_block_pos ..)] is the caller's block; the
-    concatenation lands in [recvbuf.(rpos ..)].  Recursive doubling
-    requires a power-of-two communicator size. *)
+    concatenation lands in [recvbuf.(rpos ..)].  Ring and recursive
+    doubling are the {!allgatherv} bodies on the uniform layout. *)
 val allgather :
   Comm.t ->
   'a Datatype.t ->
@@ -76,6 +77,22 @@ val allgather :
   my_block_pos:int ->
   my_block_buf:'a array ->
   Coll_algos.Algo.allgather ->
+  tag:int ->
+  unit
+
+(** Gathers the blocks [recvbuf.(pos_of i ..)] of [count_of i] elements;
+    the caller seeds its own block.  The ring sends every block, empty ones
+    included.  Recursive doubling skips zero-count messages and runs in
+    place when the caller's non-empty blocks are laid out in rank order
+    without gaps, through one packed copy otherwise; its messages do not
+    depend on the layout, so ranks may pass different displacements. *)
+val allgatherv :
+  Comm.t ->
+  'a Datatype.t ->
+  recvbuf:'a array ->
+  pos_of:(int -> int) ->
+  count_of:(int -> int) ->
+  Coll_algos.Algo.allgatherv ->
   tag:int ->
   unit
 
@@ -102,18 +119,6 @@ val reduce :
   recvbuf:'a array ->
   count:int ->
   root:int ->
-  tag:int ->
-  unit
-
-(** Ring allgather: [p - 1] neighbour steps over the blocks
-    [recvbuf.(pos_of i ..)] of [count_of i] elements.  Every block is
-    sent, empty ones included; the caller seeds its own block. *)
-val ring_allgatherv :
-  Comm.t ->
-  'a Datatype.t ->
-  recvbuf:'a array ->
-  pos_of:(int -> int) ->
-  count_of:(int -> int) ->
   tag:int ->
   unit
 

@@ -104,6 +104,13 @@ let select_allgather comm dt count =
   Select.allgather (tuning comm) ~cid:(Comm.id comm) (params_for comm) ~p:(Comm.size comm)
     ~bytes:(Datatype.bytes dt count)
 
+(* From the counts only: displacements are rank-local, and a choice that
+   depended on them could differ between ranks. *)
+let select_allgatherv comm dt rcounts =
+  Select.allgatherv (tuning comm) ~cid:(Comm.id comm) (params_for comm) ~p:(Comm.size comm)
+    ~max_bytes:(Datatype.bytes dt (Array.fold_left max 0 rcounts))
+    ~total_bytes:(Datatype.bytes dt (Array.fold_left ( + ) 0 rcounts))
+
 let select_alltoall comm dt count =
   Select.alltoall ?hier:(hier_for comm) (tuning comm) ~cid:(Comm.id comm) (params_for comm)
     ~p:(Comm.size comm) ~bytes:(Datatype.bytes dt count)
@@ -177,11 +184,12 @@ let allgatherv ?(inplace = false) ?(spos = 0) comm dt ~sendbuf ~scount ~recvbuf 
   if scount <> rcounts.(r) then
     Errors.usage "allgatherv: send count %d disagrees with rcounts.(%d) = %d" scount r rcounts.(r);
   if not inplace then check_window "allgatherv" "sendbuf" sendbuf spos scount;
-  Observe.coll ~dt comm "MPI_Allgatherv" @@ fun () ->
+  let algo = select_allgatherv comm dt rcounts in
+  Observe.coll ~dt ~algo:(Algo.allgatherv_name algo) comm "MPI_Allgatherv" @@ fun () ->
   let tag = Comm.next_collective_tag comm in
   if not inplace then Array.blit sendbuf spos recvbuf rdispls.(r) scount;
-  Coll_impl.ring_allgatherv comm dt ~recvbuf ~pos_of:(Array.get rdispls)
-    ~count_of:(Array.get rcounts) ~tag
+  Coll_impl.allgatherv comm dt ~recvbuf ~pos_of:(Array.get rdispls)
+    ~count_of:(Array.get rcounts) algo ~tag
 
 let gather ?(spos = 0) ?(rpos = 0) ?recvbuf comm dt ~sendbuf ~count ~root =
   Comm.check_active comm;

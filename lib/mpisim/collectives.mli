@@ -4,7 +4,9 @@
 
     - barrier: dissemination, [ceil(log2 p)] rounds;
     - reduce: binomial tree;
-    - allgatherv: ring (linear rounds, optimal volume);
+    - allgatherv: ring (linear rounds, optimal volume) or recursive
+      doubling (logarithmic rounds, with a fold for non-power-of-two
+      sizes), chosen from the counts alone;
     - alltoallv: pairwise exchange;
     - alltoallw-style: the linear fan-out fallback real MPI implementations
       use for [MPI_Alltoallw] — every peer gets a message even for zero
@@ -14,9 +16,9 @@
     - gather(v) / scatter(v): linear at the root (as in practice for the
       irregular variants).
 
-    {b Tuned collectives.}  [bcast], [allreduce], [allgather] and
-    [alltoall] (and their non-blocking variants) dispatch through the
-    {!Coll_algos.Select} engine: each has several interchangeable
+    {b Tuned collectives.}  [bcast], [allreduce], [allgather],
+    [allgatherv] and [alltoall] (and their non-blocking variants) dispatch
+    through the {!Coll_algos.Select} engine: each has several interchangeable
     algorithms in {!Coll_impl}, and the selector picks the candidate with
     the lowest {!Coll_algos.Cost} prediction under the communicator's
     LogGP-style parameters (hierarchical fabrics use the intra-node
@@ -247,8 +249,9 @@ val ialltoallv :
     like MPI info keys). *)
 
 (** [pin_algorithm comm ~coll ~algo] forces collective [coll] (["bcast"],
-    ["allreduce"], ["allgather"] or ["alltoall"]) on this communicator to
-    algorithm [algo] (see {!Coll_algos.Algo} for the names).
+    ["allreduce"], ["allgather"], ["allgatherv"] or ["alltoall"]) on this
+    communicator to algorithm [algo] (see {!Coll_algos.Algo} for the
+    names).
     @raise Invalid_argument on an unknown collective or algorithm name. *)
 val pin_algorithm : Comm.t -> coll:string -> algo:string -> unit
 

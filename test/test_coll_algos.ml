@@ -138,6 +138,96 @@ let test_allgather_inplace_variants () =
         results)
     (List.map Algo.allgather_name Algo.all_allgather)
 
+(* Allgatherv: every pinned body must leave each rank's buffer exactly as
+   the ring does, gaps included.  The counts are shared; the layouts are
+   rank-local, so the last one gives every rank a different layout in the
+   same call — which exercises the packed path and would deadlock if the
+   selection read the displacements. *)
+let agv_counts =
+  [
+    ("uneven", fun p -> Array.init p (fun i -> (i * 7 + 3) mod 5));
+    ("all-empty", fun p -> Array.make p 0);
+    ("uniform", fun p -> Array.make p 3);
+    ("last-only", fun p -> Array.init p (fun i -> if i = p - 1 then 4 else 0));
+  ]
+
+(* Displacements of [counts] laid out in rank order from [base], with
+   [gap] free elements after each block, or in reverse rank order. *)
+let agv_displs ?(base = 0) ?(gap = 0) ?(reverse = false) counts =
+  let p = Array.length counts in
+  let d = Array.make p 0 in
+  let next = ref base in
+  for k = 0 to p - 1 do
+    let i = if reverse then p - 1 - k else k in
+    d.(i) <- !next;
+    next := !next + counts.(i) + gap
+  done;
+  d
+
+let agv_layouts =
+  [
+    ("scan", fun _ c -> agv_displs c);
+    ("based", fun _ c -> agv_displs ~base:5 c);
+    ("gapped", fun _ c -> agv_displs ~gap:2 c);
+    ("permuted", fun _ c -> agv_displs ~reverse:true ~gap:1 c);
+    ( "per-rank",
+      fun r c ->
+        match r mod 4 with
+        | 0 -> agv_displs c
+        | 1 -> agv_displs ~base:3 c
+        | 2 -> agv_displs ~gap:1 c
+        | _ -> agv_displs ~reverse:true c );
+  ]
+
+let run_allgatherv ~algo ~p ~counts ~layout ~inplace =
+  run ~ranks:p (fun comm ->
+      C.pin_algorithm comm ~coll:"allgatherv" ~algo;
+      let r = Comm.rank comm in
+      let rdispls = layout r counts in
+      let extent = Array.fold_left ( + ) 0 counts + (3 * p) + 5 in
+      let recvbuf = Array.make extent (-1) in
+      let mine = Array.init counts.(r) (fun j -> (r * 1000) + j) in
+      if inplace then begin
+        Array.blit mine 0 recvbuf rdispls.(r) counts.(r);
+        C.allgatherv ~inplace comm D.int ~sendbuf:[||] ~scount:counts.(r) ~recvbuf ~rcounts:counts
+          ~rdispls
+      end
+      else C.allgatherv comm D.int ~sendbuf:mine ~scount:counts.(r) ~recvbuf ~rcounts:counts ~rdispls;
+      (* every block in place, every gap untouched *)
+      let expected = Array.make extent (-1) in
+      Array.iteri
+        (fun i c ->
+          for j = 0 to c - 1 do
+            expected.(rdispls.(i) + j) <- (i * 1000) + j
+          done)
+        counts;
+      check_arrays (Printf.sprintf "allgatherv[%s] p=%d rank=%d" algo p r) expected recvbuf;
+      recvbuf)
+
+let test_allgatherv_variants () =
+  List.iter
+    (fun p ->
+      List.iter
+        (fun (cname, counts_of) ->
+          let counts = counts_of p in
+          List.iter
+            (fun (lname, layout) ->
+              List.iter
+                (fun inplace ->
+                  let ring = run_allgatherv ~algo:"ring" ~p ~counts ~layout ~inplace in
+                  List.iter
+                    (fun algo ->
+                      let got = run_allgatherv ~algo ~p ~counts ~layout ~inplace in
+                      Alcotest.(check bool)
+                        (Printf.sprintf "allgatherv[%s] p=%d %s %s inplace=%b = ring" algo p cname
+                           lname inplace)
+                        true (got = ring))
+                    (List.map Algo.allgatherv_name Algo.all_allgatherv))
+                [ false; true ])
+            agv_layouts)
+        agv_counts)
+    [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 16 ]
+
 let test_alltoall_variants () =
   List.iter
     (fun algo ->
@@ -195,6 +285,19 @@ let test_selector_crossovers () =
   Alcotest.(check string) "non-commutative allreduce" "reduce_bcast"
     (Algo.allreduce_name
        (Select.allreduce sel ~cid:0 prm ~p:16 ~bytes:8 ~elems:1 ~op_cost:1e-9 ~commutative:false));
+  (* allgatherv: doubling for small blocks; the ring where the fold and
+     unfold cost more than the rounds they save *)
+  let agv ~p ~max_bytes ~total_bytes =
+    Algo.allgatherv_name (Select.allgatherv sel ~cid:0 prm ~p ~max_bytes ~total_bytes)
+  in
+  Alcotest.(check string) "small allgatherv at scale" "recursive_doubling"
+    (agv ~p:16 ~max_bytes:16 ~total_bytes:128);
+  Alcotest.(check string) "small allgatherv at p = 3 keeps the ring" "ring"
+    (agv ~p:3 ~max_bytes:16 ~total_bytes:40);
+  Alcotest.(check string) "empty allgatherv sends nothing" "recursive_doubling"
+    (agv ~p:3 ~max_bytes:0 ~total_bytes:0);
+  Alcotest.(check string) "large allgatherv off a power of two" "ring"
+    (agv ~p:12 ~max_bytes:(1 lsl 20) ~total_bytes:(12 lsl 20));
   Alcotest.(check string) "small alltoall at scale" "bruck"
     (Algo.alltoall_name (Select.alltoall sel ~cid:0 prm ~p:16 ~bytes:8));
   Alcotest.(check string) "large alltoall" "pairwise"
@@ -215,7 +318,7 @@ let test_pin_table () =
   Alcotest.check_raises "unknown collective"
     (Invalid_argument
        "Coll_algos.Select.pin: unknown collective \"reduce\" (expected one of bcast, allreduce, \
-        allgather, alltoall)") (fun () -> Select.pin sel ~cid:0 ~coll:"reduce" ~algo:"binomial");
+        allgather, allgatherv, alltoall)") (fun () -> Select.pin sel ~cid:0 ~coll:"reduce" ~algo:"binomial");
   Alcotest.check_raises "unknown algorithm"
     (Invalid_argument "Coll_algos.Select.pin: unknown bcast algorithm \"magic\"") (fun () ->
       Select.pin sel ~cid:0 ~coll:"bcast" ~algo:"magic")
@@ -318,6 +421,21 @@ let test_profiling_annotations () =
   Alcotest.(check int) "no other annotation" 0
     (Profiling.algo_calls_of "MPI_Allreduce[ring]" prof)
 
+let test_allgatherv_annotation () =
+  let res =
+    Mpisim.Mpi.run ~ranks:8 (fun comm ->
+        let r = Comm.rank comm in
+        let rcounts = Array.init 8 (fun i -> i mod 3) in
+        let rdispls = agv_displs rcounts in
+        C.allgatherv comm D.int ~sendbuf:(Array.make rcounts.(r) r) ~scount:rcounts.(r)
+          ~recvbuf:(Array.make 8 0) ~rcounts ~rdispls)
+  in
+  let prof = res.Mpisim.Mpi.profile in
+  Alcotest.(check int) "plain calls" 8 (Profiling.calls_of "MPI_Allgatherv" prof);
+  Alcotest.(check int) "annotated doubling" 8
+    (Profiling.algo_calls_of "MPI_Allgatherv[recursive_doubling]" prof);
+  Alcotest.(check int) "no ring annotation" 0 (Profiling.algo_calls_of "MPI_Allgatherv[ring]" prof)
+
 let test_noncommutative_annotation () =
   (* a non-commutative operation must take the reduce+bcast path even though
      recursive doubling would be cheaper *)
@@ -401,6 +519,7 @@ let suite =
     Alcotest.test_case "allreduce variants agree" `Quick test_allreduce_variants;
     Alcotest.test_case "allgather variants agree" `Quick test_allgather_variants;
     Alcotest.test_case "allgather in-place variants" `Quick test_allgather_inplace_variants;
+    Alcotest.test_case "allgatherv variants match the ring" `Quick test_allgatherv_variants;
     Alcotest.test_case "alltoall variants agree" `Quick test_alltoall_variants;
     Alcotest.test_case "selector crossovers" `Quick test_selector_crossovers;
     Alcotest.test_case "pin table" `Quick test_pin_table;
@@ -408,6 +527,7 @@ let suite =
     Alcotest.test_case "hierarchical cost gating" `Quick test_hier_cost_gating;
     Alcotest.test_case "hierarchical params" `Quick test_hierarchical_params;
     Alcotest.test_case "profiling annotations" `Quick test_profiling_annotations;
+    Alcotest.test_case "allgatherv annotation" `Quick test_allgatherv_annotation;
     Alcotest.test_case "non-commutative fallback" `Quick test_noncommutative_annotation;
     Alcotest.test_case "tuning beats incumbent" `Quick test_tuning_beats_incumbent;
     Alcotest.test_case "cost model matches simulation" `Quick test_cost_model_matches_simulation;

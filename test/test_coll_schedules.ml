@@ -176,6 +176,7 @@ let exscan_prog ~root:_ ~count comm =
 let bcast_algos = [ "binomial"; "scatter_allgather"; "node_leader" ]
 let allreduce_algos = [ "reduce_bcast"; "recursive_doubling"; "rabenseifner"; "ring"; "node_leader" ]
 let allgather_algos = [ "bruck"; "ring"; "recursive_doubling" ]
+let allgatherv_algos = [ "ring"; "recursive_doubling" ]
 let alltoall_algos = [ "pairwise"; "bruck"; "smp"; "hypergrid" ]
 
 let tuned name coll algos rooted prog = { name; coll = Some coll; algos; rooted; prog }
@@ -189,7 +190,7 @@ let entries =
     tuned "allreduce" "allreduce" allreduce_algos false allreduce_prog;
     tuned "iallreduce" "allreduce" allreduce_algos false iallreduce_prog;
     tuned "allgather" "allgather" allgather_algos false allgather_prog;
-    fixed "allgatherv" false allgatherv_prog;
+    tuned "allgatherv" "allgatherv" allgatherv_algos false allgatherv_prog;
     fixed "gather" true gather_prog;
     fixed "gatherv" true gatherv_prog;
     fixed "scatter" true scatter_prog;
@@ -215,16 +216,17 @@ let configs e =
 let case_name e algo (net, p, root, count) =
   Printf.sprintf "%s[%s] %s p=%d root=%d count=%d" e.name algo (net_name net) p root count
 
-let fingerprint e algo (net, p, root, count) =
-  let res =
-    Explore.unexplored (fun () ->
-        Mpisim.Mpi.run ?fabric:(fabric_of net ~ranks:p) ~deadline:Tutil.default_deadline ~ranks:p
-          (fun comm ->
-            (match e.coll with
-            | Some coll when algo <> "auto" -> C.pin_algorithm comm ~coll ~algo
-            | _ -> ());
-            e.prog ~root ~count comm))
-  in
+let run e algo (net, p, root, count) =
+  Explore.unexplored (fun () ->
+      Mpisim.Mpi.run ?fabric:(fabric_of net ~ranks:p) ~deadline:Tutil.default_deadline ~ranks:p
+        (fun comm ->
+          (match e.coll with
+          | Some coll when algo <> "auto" -> C.pin_algorithm comm ~coll ~algo
+          | _ -> ());
+          e.prog ~root ~count comm))
+
+let fingerprint e algo c =
+  let res = run e algo c in
   let results = Mpisim.Mpi.results_exn res in
   Printf.sprintf "%Lx %d %d %d %s"
     (Int64.bits_of_float res.Mpisim.Mpi.sim_time)
@@ -277,5 +279,21 @@ let check_entry e () =
         e.name (List.length bad)
         (String.concat "\n" (List.filteri (fun i _ -> i < 10) bad))
 
+(* The allgatherv cost entry must price the non-power-of-two fold and
+   unfold: wherever it leaves the ring on the flat model, the schedule it
+   picks is no slower than the ring. *)
+let test_allgatherv_auto_not_slower () =
+  let e = List.find (fun e -> e.name = "allgatherv") entries in
+  List.iter
+    (fun ((net, _, _, _) as c) ->
+      if net = Flat then begin
+        let time algo = (run e algo c).Mpisim.Mpi.sim_time in
+        let auto = time "auto" and ring = time "ring" in
+        if auto > ring then
+          Alcotest.failf "%s: %h s, slower than the ring's %h s" (case_name e "auto" c) auto ring
+      end)
+    (configs e)
+
 let suite =
   List.map (fun e -> Alcotest.test_case (e.name ^ " fingerprints") `Quick (check_entry e)) entries
+  @ [ Alcotest.test_case "allgatherv auto no slower than ring" `Quick test_allgatherv_auto_not_slower ]
