@@ -3,15 +3,15 @@
    Four measurements, all written to BENCH_engine.json through
    {!Bench_report} (every entry of its "checks" object must be true):
 
-   - {b Throughput} — a synthetic halo-exchange workload on the
-     calendar-queue {!Simnet.Engine} at p=4096 (median of 3 runs, which
+   - {b Throughput} — a synthetic halo-exchange workload on
+     {!Simnet.Engine} at p=4096 (median of 3 runs, which
      must execute identical event counts) must clear an absolute
      events/sec floor.
    - {b Ranks scaling} — the engine's events/sec across
-     p in {256, 1024, 4096, 16384}.  The queue is O(1) amortized per
-     event, so throughput must stay roughly flat (within 4x of the best
-     point) instead of degrading with the O(log p) heap slope, and the
-     p=16384 point must finish inside the smoke-time budget.
+     p in {256, 1024, 4096, 16384}.  The event heap costs O(log p) per
+     event; throughput must still stay roughly flat (worst point within
+     4x of the best), and the p=16384 point must finish inside the
+     smoke-time budget.
    - {b Zero-alloc steady state} — [Gc.minor_words] across the run,
      divided by events executed: the pooled event loop must stay under a
      small constant per event (the workload's own boxed-float argument
@@ -70,8 +70,7 @@ let synth_median ~n ~ranks ~fanout ~rounds =
   (events, same_events, List.nth walls (n / 2), List.nth wpes (n / 2))
 
 (* One self-rescheduling exchange chain per rank: the p=4096 point then
-   holds 4096 concurrent events, the regime the calendar queue is sized
-   for. *)
+   holds 4096 concurrent events. *)
 let fanout = 1
 let event_target = 2_000_000
 
@@ -111,10 +110,9 @@ let observe_gallery () =
 
 (* ---------------- gates ---------------- *)
 
-(* Conservative absolute floor for the calendar engine on the p=4096
-   synthetic exchange.  Calibrated at roughly 1/10 of the throughput on
-   the development machine, so it flags an order-of-magnitude regression
-   (a reverted queue, an accidentally quadratic loop) without tripping on
+(* Conservative absolute floor for the engine on the p=4096 synthetic
+   exchange.  It flags an order-of-magnitude regression (an allocating
+   event loop, an accidentally quadratic queue) without tripping on
    slower CI hardware. *)
 let evps_floor = 1_000_000.0
 
@@ -194,6 +192,7 @@ let run () =
               ("ranks", J.Num (float_of_int p_main));
               ("fanout", J.Num (float_of_int fanout));
               ("events", J.Num (float_of_int c_events));
+              (* the calendar_* names predate the event heap; kept stable *)
               ("calendar_events_per_s", J.Num c_evps);
               ("calendar_minor_words_per_event", J.Num c_wpe);
             ] );

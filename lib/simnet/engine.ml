@@ -1,12 +1,10 @@
-(* Discrete-event engine on the exact-order calendar queue ({!Pqueue}).
+(* Discrete-event engine on the exact-order event heap ({!Pqueue}).
 
-   This rewrite of the original binary-heap engine kept its observable
-   semantics bit-identical (same (time, seq) execution order, same
-   chooser candidate order, same Deadlock / Limit_exceeded behaviour)
-   while fixing the structural costs the scale tests exposed:
+   Events fire in (time, seq) order: same-time events run in the order
+   they were scheduled.  The structural choices that keep it fast:
 
-   - the event queue is the calendar queue: O(1) amortized push/pop with
-     unboxed float keys instead of an O(log n) heap of boxed entries;
+   - the event queue is a binary heap over flat arrays with unboxed
+     float times, and its push/pop protocol allocates nothing;
    - the simulated clock lives in a one-element flat float array
      ([t.clock]), so advancing it and computing [clock + delay] on push
      never box a float (mixed-record float fields box on every store in
@@ -294,10 +292,7 @@ let run t =
     Fun.protect
       ~finally:(fun () ->
         Profile.add_count "engine.events" (t.events - e0);
-        let peak, resizes, searches = Pqueue.stats t.queue in
-        Profile.record_max "engine.queue_peak" peak;
-        Profile.record_max "engine.queue_resizes" resizes;
-        Profile.record_max "engine.queue_searches" searches;
+        Profile.record_max "engine.queue_peak" (Pqueue.peak t.queue);
         Profile.record_max "engine.fibers_tracked" (Ds.Vec.length t.fibers);
         Profile.record_max "engine.fibers_live" t.live)
       (fun () -> Profile.span "engine.run" (fun () -> run_loop t))

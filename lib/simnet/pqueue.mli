@@ -1,20 +1,11 @@
-(** Calendar event queue keyed by [(time, sequence)] pairs.
+(** Binary min-heap event queue keyed by [(time, sequence)] pairs.
 
-    Drop-in successor of the binary-heap queue (kept as test/binheap.ml,
-    the reference of the differential test):
-    the dequeue order is the exact total [(time, seq)] order — events at
-    the same simulated time fire in insertion order — so every schedule
-    the old heap produced replays bit-identically.  Internally it is a
-    Brown-style calendar queue tuned for the engine's mostly-monotone
-    event stream: O(1) amortized push and pop, structure-of-arrays
-    buckets with unboxed float keys, and an allocation-free pop protocol
-    (scratch cells instead of result tuples) so the engine's event loop
-    runs at a zero-alloc steady state.
-
-    Exactness under floating point is guaranteed by storing each entry's
-    integer virtual bucket index at push time and comparing only those
-    integers during the dequeue scan — no entry time is ever compared
-    against a computed bucket boundary (see the implementation header).
+    The dequeue order is the exact total [(time, seq)] order: events at
+    the same simulated time fire in insertion order.  Push and pop are
+    O(log n) over flat parallel arrays (unboxed float times), and the pop
+    protocol writes into scratch cells instead of returning tuples, so
+    the engine's event loop runs at a zero-alloc steady state.  The
+    reference heap of the differential test is test/binheap.ml.
 
     Invariant: pushed times must be [>= ] the last popped time (the
     simulation clock).  The engine guarantees this by construction;
@@ -40,10 +31,8 @@ val is_empty : t -> bool
 val push : t -> time:float -> seq:int -> owner:int -> event -> unit
 
 (** [push_after q ~base ~delay ~seq ~owner f] is
-    [push q ~time:(base.(0) +. delay) ...] without materializing a boxed
-    float for the sum: [base] is a caller-owned one-element flat array
-    (the engine's clock cell).  This keeps the schedule-from-within-an-
-    event hot path allocation-free. *)
+    [push q ~time:(base.(0) +. delay) ...] without boxing the sum: [base]
+    is a caller-owned one-element float array (the engine's clock cell). *)
 val push_after :
   t -> base:float array -> delay:float -> seq:int -> owner:int -> event -> unit
 
@@ -80,7 +69,5 @@ val pop_min : t -> (float * int * int * event) option
 (** [peek_time q] is the key time of the minimum entry, if any. *)
 val peek_time : t -> float option
 
-(** [stats q] is [(peak_length, resizes, direct_searches)] — occupancy
-    high-water mark and calendar maintenance counters, read by the host
-    profiler and the engine bench. *)
-val stats : t -> int * int * int
+(** [peak q] is the occupancy high-water mark, read by the host profiler. *)
+val peak : t -> int

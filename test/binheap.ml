@@ -1,6 +1,7 @@
-(* The pre-calendar-queue binary heap, kept verbatim as the differential
-   oracle for the calendar queue (test/test_engine_scale.ml).  Do not
-   "improve" this module: its value is that it is the old code. *)
+(* The engine's original boxed-record binary heap, kept verbatim as the
+   differential oracle for the event queue (test/test_engine_scale.ml).
+   Do not "improve" this module: its value is that it is independent,
+   bounds-checked code. *)
 
 type 'a entry = { time : float; seq : int; value : 'a }
 type 'a t = { mutable heap : 'a entry array; mutable len : int }

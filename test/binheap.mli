@@ -1,9 +1,9 @@
 (** Binary min-heap priority queue keyed by [(time, sequence)] pairs.
 
-    This is the engine's pre-refactor event queue, frozen.  It is the
-    reference heap of the differential test that the calendar queue
-    ([Simnet.Pqueue]) must agree with entry for entry; the live engine does not
-    use it. *)
+    This is the engine's original event queue, frozen.  It is the
+    reference heap of the differential test that the event queue
+    ([Simnet.Pqueue]) must agree with entry for entry; the live engine
+    does not use it. *)
 
 type 'a t
 
