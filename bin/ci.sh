@@ -59,8 +59,9 @@ dune runtest
 #   channels, idle handles invisible in the profile, transports
 #   bit-identical across 20 random schedules).
 # - topology: the exploration suite (gallery digests over >=20 random
-#   schedules) on a two-tier fabric with hierarchical candidates live,
-#   the topology suite, then colltuning (tuned tables beat the flat
+#   schedules) on a two-tier fabric with hierarchical candidates live and
+#   again on a fat tree with shared uplinks (the rack tier and the uplink
+#   ports of Netmodel.transfer), the topology suite, then colltuning (tuned tables beat the flat
 #   defaults >=1.2x on bcast and allreduce, predicted crossovers within
 #   one sweep step, pin table dispatches the predicted winner, every
 #   allgatherv pick within 10% of the fastest pinned body).
@@ -88,6 +89,7 @@ MPISIM_EXPLORE=random:42,MPISIM_CHECK=communication      runtest
 MPISIM_CHECK=communication                               example:persistent_halo
 -                                                        bench:mpi4
 MPISIM_TOPOLOGY=two:4,MPISIM_CHECK=communication         test:explore
+MPISIM_TOPOLOGY=fat:8:4:2,MPISIM_CHECK=communication     test:explore
 MPISIM_CHECK=communication                               test:topology
 -                                                        bench:colltuning
 MPISIM_EXPLORE=random:42,MPISIM_CHECK=communication      example:graph_analytics

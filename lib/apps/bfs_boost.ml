@@ -13,9 +13,9 @@ let exchange (st : Bfs_common.state) remote =
   let comm = B.wrap st.Bfs_common.comm in
   let p = B.size comm and r = B.rank comm in
   let data, scounts = Bfs_common.flatten_buckets p remote in
-  let sdispls = Ss_common.exclusive_scan scounts in
+  let sdispls = Mpisim.Collectives.exclusive_scan scounts in
   let rcounts = B.all_to_all comm D.int scounts in
-  let rdispls = Ss_common.exclusive_scan rcounts in
+  let rdispls = Mpisim.Collectives.exclusive_scan rcounts in
   let total = rdispls.(p - 1) + rcounts.(p - 1) in
   let recvbuf = Array.make (max total 1) 0 in
   let reqs = ref [] in

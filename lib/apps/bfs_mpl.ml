@@ -13,11 +13,11 @@ let exchange (st : Bfs_common.state) remote =
   let comm = M.wrap st.Bfs_common.comm in
   let p = M.size comm in
   let data, scounts = Bfs_common.flatten_buckets p remote in
-  let sdispls = Ss_common.exclusive_scan scounts in
+  let sdispls = Mpisim.Collectives.exclusive_scan scounts in
   let count_recv = Array.make p 0 in
   M.alltoall comm D.int scounts count_recv ~count:1;
   let rcounts = count_recv in
-  let rdispls = Ss_common.exclusive_scan rcounts in
+  let rdispls = Mpisim.Collectives.exclusive_scan rcounts in
   let total = rdispls.(p - 1) + rcounts.(p - 1) in
   let recvbuf = Array.make (max total 1) 0 in
   let send_layouts =

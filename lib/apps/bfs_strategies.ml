@@ -56,11 +56,11 @@ let neighbor_exchange topo partners (st : Bfs_common.state) remote =
     remote;
   let sendbuf = V.create () in
   Array.iter (fun v -> V.append sendbuf v) chunks;
-  let sdispls = Ss_common.exclusive_scan scounts in
+  let sdispls = Mpisim.Collectives.exclusive_scan scounts in
   (* exchange counts over the topology, then the payload *)
   let rcounts = Array.make degree 0 in
   Mpisim.Topology.neighbor_alltoall topo D.int ~sendbuf:scounts ~recvbuf:rcounts ~count:1;
-  let rdispls = Ss_common.exclusive_scan rcounts in
+  let rdispls = Mpisim.Collectives.exclusive_scan rcounts in
   let total = if degree = 0 then 0 else rdispls.(degree - 1) + rcounts.(degree - 1) in
   let recvbuf = Array.make (max total 1) 0 in
   Mpisim.Topology.neighbor_alltoallv topo D.int ~sendbuf:(V.unsafe_data sendbuf) ~scounts ~sdispls

@@ -110,10 +110,10 @@ let exchange_neighbor t dt out =
           V.append sendbuf v
       | None -> ())
     t.partners;
-  let sdispls = Ss_common.exclusive_scan scounts in
+  let sdispls = Mpisim.Collectives.exclusive_scan scounts in
   let rcounts = Array.make degree 0 in
   Mpisim.Topology.neighbor_alltoall t.topo D.int ~sendbuf:scounts ~recvbuf:rcounts ~count:1;
-  let rdispls = Ss_common.exclusive_scan rcounts in
+  let rdispls = Mpisim.Collectives.exclusive_scan rcounts in
   let total = if degree = 0 then 0 else rdispls.(degree - 1) + rcounts.(degree - 1) in
   let recvbuf =
     if total = 0 then [||]

@@ -33,12 +33,12 @@ let setup_ghosts comm graph =
   (* ship the request lists to the owners *)
   let scounts = Array.make p 0 in
   Array.iter (fun (o, ids) -> scounts.(o) <- Array.length ids) need;
-  let sdispls = Ss_common.exclusive_scan scounts in
+  let sdispls = Mpisim.Collectives.exclusive_scan scounts in
   let sendbuf = Array.make (max 1 (Array.fold_left ( + ) 0 scounts)) 0 in
   Array.iter (fun (o, ids) -> Array.blit ids 0 sendbuf sdispls.(o) (Array.length ids)) need;
   let rcounts = Array.make p 0 in
   Mpisim.Collectives.alltoall comm Mpisim.Datatype.int ~sendbuf:scounts ~recvbuf:rcounts ~count:1;
-  let rdispls = Ss_common.exclusive_scan rcounts in
+  let rdispls = Mpisim.Collectives.exclusive_scan rcounts in
   let total = rdispls.(p - 1) + rcounts.(p - 1) in
   let recvbuf = Array.make (max total 1) 0 in
   Mpisim.Collectives.alltoallv comm Mpisim.Datatype.int ~sendbuf ~scounts ~sdispls ~recvbuf

@@ -23,10 +23,10 @@ module Ghost_layer = struct
     let p = Mpisim.Comm.size comm in
     let scounts = Array.make p 0 in
     Array.iter (fun (req, ids) -> scounts.(req) <- Array.length ids) ghosts.Lp_common.send_to;
-    let sdispls = Ss_common.exclusive_scan scounts in
+    let sdispls = Mpisim.Collectives.exclusive_scan scounts in
     let rcounts = Array.make p 0 in
     Array.iter (fun (o, ids) -> rcounts.(o) <- Array.length ids) ghosts.Lp_common.need;
-    let rdispls = Ss_common.exclusive_scan rcounts in
+    let rdispls = Mpisim.Collectives.exclusive_scan rcounts in
     let sendbuf = Array.make (max 1 (Array.fold_left ( + ) 0 scounts)) 0 in
     let recvbuf = Array.make (max 1 (Array.fold_left ( + ) 0 rcounts)) 0 in
     let fill labels =

@@ -11,7 +11,7 @@ let pull comm (ghosts : Lp_common.ghosts) labels ghost_values =
   Array.iter
     (fun (requester, ids) -> scounts.(requester) <- Array.length ids)
     ghosts.Lp_common.send_to;
-  let sdispls = Ss_common.exclusive_scan scounts in
+  let sdispls = Mpisim.Collectives.exclusive_scan scounts in
   let total_send = Array.fold_left ( + ) 0 scounts in
   let sendbuf = Array.make (max total_send 1) 0 in
   let cursor = ref 0 in
@@ -26,7 +26,7 @@ let pull comm (ghosts : Lp_common.ghosts) labels ghost_values =
   (* receive counts follow from the static request lists *)
   let rcounts = Array.make p 0 in
   Array.iter (fun (o, ids) -> rcounts.(o) <- Array.length ids) ghosts.Lp_common.need;
-  let rdispls = Ss_common.exclusive_scan rcounts in
+  let rdispls = Mpisim.Collectives.exclusive_scan rcounts in
   let total_recv = Array.fold_left ( + ) 0 rcounts in
   let recvbuf = Array.make (max total_recv 1) 0 in
   C.alltoallv comm D.int ~sendbuf ~scounts ~sdispls ~recvbuf ~rcounts ~rdispls;

@@ -11,15 +11,15 @@ let sort raw data =
   let k = Ss_common.num_samples p in
   let lsamples = Ss_common.draw_samples ~rank:r ~seed:17 data k in
   let gsamples = B.all_gather_block comm D.int lsamples in
-  Array.sort compare gsamples;
+  Array.sort Int.compare gsamples;
   let splitters = Ss_common.select_splitters gsamples p in
   Ss_common.local_sort raw data;
   let scounts = Ss_common.bucket_counts data splitters p in
   Ss_common.charge_partition raw (Array.length data);
-  let sdispls = Ss_common.exclusive_scan scounts in
+  let sdispls = Mpisim.Collectives.exclusive_scan scounts in
   (* no alltoallv: exchange counts, then pairwise isend/recv *)
   let rcounts = B.all_to_all comm D.int scounts in
-  let rdispls = Ss_common.exclusive_scan rcounts in
+  let rdispls = Mpisim.Collectives.exclusive_scan rcounts in
   let total = rdispls.(p - 1) + rcounts.(p - 1) in
   let recvbuf = Array.make (max total 1) 0 in
   Array.blit data sdispls.(r) recvbuf rdispls.(r) scounts.(r);

@@ -41,15 +41,8 @@ let bucket_counts data splitters p =
     data;
   counts
 
-let exclusive_scan counts =
-  let d = Array.make (Array.length counts) 0 in
-  for i = 1 to Array.length counts - 1 do
-    d.(i) <- d.(i - 1) + counts.(i - 1)
-  done;
-  d
-
 let local_sort comm data =
-  Array.sort compare data;
+  Array.sort Int.compare data;
   Mpisim.Comm.compute comm (Kamping.Costs.sort (Array.length data))
 
 let charge_partition comm n = Mpisim.Comm.compute comm (Kamping.Costs.linear n)

@@ -25,9 +25,6 @@ val select_splitters : int array -> int -> int array
     locally sorted array. *)
 val bucket_counts : int array -> int array -> int -> int array
 
-(** [exclusive_scan counts] is the displacement array of [counts]. *)
-val exclusive_scan : int array -> int array
-
 (** [local_sort comm data] sorts in place and charges the comparison-sort
     cost to the simulated clock. *)
 val local_sort : Mpisim.Comm.t -> int array -> unit

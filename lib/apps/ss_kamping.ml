@@ -10,7 +10,7 @@ let sort comm data =
   let p = K.size kc and r = K.rank kc in
   let lsamples = Ss_common.draw_samples ~rank:r ~seed:17 data (Ss_common.num_samples p) in
   let gsamples = V.to_array (K.allgather kc D.int ~send_buf:(V.of_array lsamples)) in
-  Array.sort compare gsamples;
+  Array.sort Int.compare gsamples;
   let splitters = Ss_common.select_splitters gsamples p in
   Ss_common.local_sort comm data;
   let send_counts = Ss_common.bucket_counts data splitters p in

@@ -12,18 +12,18 @@ let sort raw data =
   let lsamples = Ss_common.draw_samples ~rank:r ~seed:17 data k in
   let gsamples = Array.make (p * k) 0 in
   M.allgather comm D.int lsamples gsamples ~count:k;
-  Array.sort compare gsamples;
+  Array.sort Int.compare gsamples;
   let splitters = Ss_common.select_splitters gsamples p in
   Ss_common.local_sort raw data;
   let scounts = Ss_common.bucket_counts data splitters p in
   Ss_common.charge_partition raw (Array.length data);
-  let sdispls = Ss_common.exclusive_scan scounts in
+  let sdispls = Mpisim.Collectives.exclusive_scan scounts in
   let count_send = Array.make p 0 in
   let count_recv = Array.make p 0 in
   Array.blit scounts 0 count_send 0 p;
   M.alltoall comm D.int count_send count_recv ~count:1;
   let rcounts = count_recv in
-  let rdispls = Ss_common.exclusive_scan rcounts in
+  let rdispls = Mpisim.Collectives.exclusive_scan rcounts in
   let total = rdispls.(p - 1) + rcounts.(p - 1) in
   let recvbuf = Array.make (max total 1) 0 in
   let send_layouts =

@@ -9,14 +9,14 @@ let sort raw data =
   let p = R.size comm and r = R.rank comm in
   let lsamples = Ss_common.draw_samples ~rank:r ~seed:17 data (Ss_common.num_samples p) in
   let gsamples = R.allgather comm D.int lsamples in
-  Array.sort compare gsamples;
+  Array.sort Int.compare gsamples;
   let splitters = Ss_common.select_splitters gsamples p in
   Ss_common.local_sort raw data;
   let scounts = Ss_common.bucket_counts data splitters p in
   Ss_common.charge_partition raw (Array.length data);
-  let sdispls = Ss_common.exclusive_scan scounts in
+  let sdispls = Mpisim.Collectives.exclusive_scan scounts in
   let rcounts = R.alltoall comm D.int scounts in
-  let rdispls = Ss_common.exclusive_scan rcounts in
+  let rdispls = Mpisim.Collectives.exclusive_scan rcounts in
   let total = rdispls.(p - 1) + rcounts.(p - 1) in
   let recvbuf = Array.make (max total 1) 0 in
   R.alltoallv comm D.int ~sendbuf:data ~scounts ~sdispls ~recvbuf ~rcounts ~rdispls;

@@ -89,10 +89,7 @@ let unpack_shards payload =
 
 let ser_cost comm bytes = KC.compute comm (Wire.cost ~bytes)
 
-let net_params comm =
-  let raw = KC.raw comm in
-  Simnet.Netmodel.params_for_group (Mpisim.Comm.world raw).Mpisim.World.net
-    (Mpisim.Comm.group raw)
+let net_params comm = (Mpisim.Comm.shared (KC.raw comm)).Mpisim.World.net_params
 
 let store_held ctx b =
   let s = Snapshot.decode_expect ~epoch:ctx.epoch b in

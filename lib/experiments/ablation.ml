@@ -99,10 +99,10 @@ let dimension_sweep () =
 
 let node_awareness () =
   let ranks = 64 in
-  let bfs ?node strategy =
+  let bfs ?fabric strategy =
     let global_n = ranks * 1024 in
     let res =
-      Mpisim.Mpi.run ?node ~ranks (fun comm ->
+      Mpisim.Mpi.run ?fabric ~ranks (fun comm ->
           let graph =
             Gen.generate Gen.Erdos_renyi ~rank:(Mpisim.Comm.rank comm) ~comm_size:ranks ~global_n
               ~avg_degree:8 ~seed:31
@@ -115,13 +115,13 @@ let node_awareness () =
   in
   (* node size 8 = grid row width: phase 1 of the grid plugin becomes
      intra-node traffic *)
-  let node = (Simnet.Netmodel.intra_node, 8) in
+  let fabric = Topology.Fabric.two_tier ~node_size:8 ~ranks () in
   let rows =
     [
       [ "flat fabric"; Table_fmt.seconds (bfs Apps.Bfs_kamping.bfs);
         Table_fmt.seconds (bfs Apps.Bfs_strategies.bfs_grid) ];
-      [ "8-rank nodes (rows = nodes)"; Table_fmt.seconds (bfs ~node Apps.Bfs_kamping.bfs);
-        Table_fmt.seconds (bfs ~node Apps.Bfs_strategies.bfs_grid) ];
+      [ "8-rank nodes (rows = nodes)"; Table_fmt.seconds (bfs ~fabric Apps.Bfs_kamping.bfs);
+        Table_fmt.seconds (bfs ~fabric Apps.Bfs_strategies.bfs_grid) ];
     ]
   in
   Table_fmt.print_table

@@ -28,14 +28,6 @@ let with_region t name f = Mpisim.Observe.span ~ctx:User User t.c name f
 
 (* ---------------- helpers ---------------- *)
 
-let exclusive_scan counts =
-  let n = Array.length counts in
-  let d = Array.make n 0 in
-  for i = 1 to n - 1 do
-    d.(i) <- d.(i - 1) + counts.(i - 1)
-  done;
-  d
-
 (* Total extent of a (counts, displs) layout; with user displacements the
    blocks may be permuted, so take the max end. *)
 let layout_end counts displs =
@@ -139,7 +131,7 @@ let gatherv ?(root = 0) ?recv_counts ?recv_displs ?recv_buf ?recv_policy
   in
   if i_am_root then begin
     let counts = Option.get counts in
-    let displs = match recv_displs with Some d -> d | None -> exclusive_scan counts in
+    let displs = match recv_displs with Some d -> d | None -> C.exclusive_scan counts in
     let vec, arr =
       prepare_recv ?recv_buf ?recv_policy dt ~needed:(layout_end counts displs)
         ~samples:[ send_buf ]
@@ -194,7 +186,7 @@ let allgatherv ?recv_counts ?recv_displs ?recv_buf ?recv_policy ?(recv_counts_ou
         C.allgather t.c D.int ~sendbuf:[| scount |] ~recvbuf:c ~count:1;
         c
   in
-  let displs = match recv_displs with Some d -> d | None -> exclusive_scan counts in
+  let displs = match recv_displs with Some d -> d | None -> C.exclusive_scan counts in
   let vec, arr =
     prepare_recv ?recv_buf ?recv_policy dt ~needed:(layout_end counts displs) ~samples:[ send_buf ]
   in
@@ -250,7 +242,7 @@ let scatterv ?(root = 0) ?send_buf ?send_counts ?send_displs ?recv_count ?recv_b
     else [||]
   in
   let displs = if i_am_root then
-      match send_displs with Some d -> d | None -> exclusive_scan counts
+      match send_displs with Some d -> d | None -> C.exclusive_scan counts
     else [||]
   in
   let count =
@@ -285,7 +277,7 @@ let alltoallv ?send_displs ?recv_counts ?recv_displs ?recv_buf ?recv_policy
     ?(recv_counts_out = false) ?(recv_displs_out = false) ?(send_displs_out = false) t dt ~send_buf
     ~send_counts =
   check_counts_array t "alltoallv" send_counts;
-  let sdispls = match send_displs with Some d -> d | None -> exclusive_scan send_counts in
+  let sdispls = match send_displs with Some d -> d | None -> C.exclusive_scan send_counts in
   let rcounts =
     match recv_counts with
     | Some c ->
@@ -297,7 +289,7 @@ let alltoallv ?send_displs ?recv_counts ?recv_displs ?recv_buf ?recv_policy
         C.alltoall t.c D.int ~sendbuf:send_counts ~recvbuf:c ~count:1;
         c
   in
-  let rdispls = match recv_displs with Some d -> d | None -> exclusive_scan rcounts in
+  let rdispls = match recv_displs with Some d -> d | None -> C.exclusive_scan rcounts in
   let vec, arr =
     prepare_recv ?recv_buf ?recv_policy dt ~needed:(layout_end rcounts rdispls)
       ~samples:[ send_buf ]
@@ -383,8 +375,8 @@ let iallreduce t dt op ~send_buf =
 let ialltoallv ?send_displs ?recv_displs t dt ~send_buf ~send_counts ~recv_counts =
   check_counts_array t "ialltoallv" send_counts;
   check_counts_array t "ialltoallv" recv_counts;
-  let sdispls = match send_displs with Some d -> d | None -> exclusive_scan send_counts in
-  let rdispls = match recv_displs with Some d -> d | None -> exclusive_scan recv_counts in
+  let sdispls = match send_displs with Some d -> d | None -> C.exclusive_scan send_counts in
+  let rdispls = match recv_displs with Some d -> d | None -> C.exclusive_scan recv_counts in
   let needed = layout_end recv_counts rdispls in
   let fill = filler dt [ send_buf ] in
   let out = Array.make (max needed 1) fill in

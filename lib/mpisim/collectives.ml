@@ -30,6 +30,13 @@ let check_layout what comm ~counts ~displs ~names buf =
         names i d (d + c) (Array.length buf)
   done
 
+let exclusive_scan counts =
+  let d = Array.make (Array.length counts) 0 in
+  for i = 1 to Array.length counts - 1 do
+    d.(i) <- d.(i - 1) + counts.(i - 1)
+  done;
+  d
+
 (* A buffer only the root uses: required and window-checked there; other
    ranks get an empty stand-in. *)
 let root_buffer what comm ~root ~name buf pos count =
@@ -73,13 +80,11 @@ let check_reduce_buffers what ~sendbuf ~pos ~recvbuf ~count =
    ranks pick the same algorithm without communicating. *)
 let tuning comm = (Comm.world comm).World.tuning
 
-let params_for comm =
-  Simnet.Netmodel.params_for_group (Comm.world comm).World.net (Comm.group comm)
-
-(* Topology profile of the communicator's group ([None] off tiered
-   fabrics, where selection must stay exactly pre-topology). *)
-let hier_for comm =
-  Simnet.Netmodel.hier_for_group (Comm.world comm).World.net (Comm.group comm)
+(* Planning profile of the communicator's group, computed at creation
+   ([hier_for] is [None] wherever the placement has no hierarchy, so
+   selection there stays exactly pre-topology). *)
+let params_for comm = (Comm.shared comm).World.net_params
+let hier_for comm = (Comm.shared comm).World.hier
 
 let pin_algorithm comm ~coll ~algo = Select.pin (tuning comm) ~cid:(Comm.id comm) ~coll ~algo
 

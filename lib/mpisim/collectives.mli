@@ -151,6 +151,10 @@ val alltoallv :
   rdispls:int array ->
   unit
 
+(** [exclusive_scan counts] is the packed displacement array of [counts]:
+    block [i] starts where blocks [0 .. i-1] end. *)
+val exclusive_scan : int array -> int array
+
 (** The [MPI_Alltoallw]-equivalent path: same result as {!alltoallv} but
     with linear message fan-out (p-1 messages even for empty pairs) and
     per-peer datatype setup cost. *)

@@ -35,7 +35,7 @@ let tee rs_sim_time rs_events rs_profile rs_diagnostics =
     Stack.iter (fun seen -> Ds.Vec.push seen s) collectors
   end
 
-let run ?(net = Netmodel.default) ?node ?fabric ?(fail_at = []) ?trace ?hooks
+let run ?(net = Netmodel.default) ?fabric ?(fail_at = []) ?trace ?hooks
     ?deadline ~ranks f =
   let tracing =
     match trace with Some b -> b | None -> Trace.Recorder.default_enabled ()
@@ -48,17 +48,17 @@ let run ?(net = Netmodel.default) ?node ?fabric ?(fail_at = []) ?trace ?hooks
   let exhook = match hooks with Some _ -> hooks | None -> !Exhook.factory () in
   (* Topology: an explicit fabric wins; otherwise MPISIM_TOPOLOGY supplies
      a spec (read per run, so tests can toggle it with putenv).  An unset
-     or empty variable keeps the flat/legacy model — the bit-identical
-     default. *)
+     or empty variable keeps the flat model — the bit-identical default. *)
   let fabric =
     match fabric with
     | Some _ -> fabric
     | None -> (
         match Sys.getenv_opt "MPISIM_TOPOLOGY" with
         | None | Some "" -> None
+        | Some _ when ranks <= 0 -> None (* World.create reports the size *)
         | Some spec -> Some (Netmodel.fabric_of_spec ~ranks spec))
   in
-  let w = World.create ?node ?fabric ~trace:recorder ?exhook ~net_params:net ~size:ranks () in
+  let w = World.create ?fabric ~trace:recorder ?exhook ~net_params:net ~size:ranks () in
   (match exhook with
   | Some h ->
       Engine.set_chooser w.World.engine

@@ -22,14 +22,13 @@ type 'a run_result = {
           feed it to {!Trace.Analysis.analyze} or {!Trace.Chrome.to_json} *)
 }
 
-(** [run ?net ?node ?fail_at ?trace ~ranks f] executes the SPMD program.
+(** [run ?net ?fabric ?fail_at ?trace ~ranks f] executes the SPMD program.
 
-    @param net network cost-model parameters (default {!Simnet.Netmodel.default})
-    @param node [(intra-node params, node size)] switches to the legacy
-    two-tier hierarchy (e.g. [(Simnet.Netmodel.intra_node, 8)])
-    @param fabric a general tiered fabric ({!Simnet.Netmodel.fabric});
-    takes precedence over [node].  When neither is given, the
-    [MPISIM_TOPOLOGY] environment variable (read per run; a
+    @param net parameters of the flat network model (default
+    {!Simnet.Netmodel.default}), used when no fabric is in force
+    @param fabric a tiered fabric ({!Simnet.Netmodel.fabric}, e.g.
+    [Simnet.Netmodel.two_tier ~node_size:8 ~ranks ()]).  When none is
+    given, the [MPISIM_TOPOLOGY] environment variable (read per run; a
     {!Simnet.Netmodel.fabric_of_spec} spec such as ["two:48"] or
     ["fat:48:4:8"]) supplies one — unset or empty keeps the flat model,
     replaying every pre-topology schedule bit-identically
@@ -53,7 +52,6 @@ type 'a run_result = {
     ranks report [Rank_died] in [results]) *)
 val run :
   ?net:Simnet.Netmodel.params ->
-  ?node:Simnet.Netmodel.params * int ->
   ?fabric:Simnet.Netmodel.fabric ->
   ?fail_at:(int * float) list ->
   ?trace:bool ->

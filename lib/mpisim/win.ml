@@ -105,24 +105,17 @@ let get_result g =
   | Some data -> data
   | None -> Errors.usage "Win.get_result: the epoch is still open (fence first)"
 
-let exclusive_scan counts =
-  let d = Array.make (Array.length counts) 0 in
-  for i = 1 to Array.length counts - 1 do
-    d.(i) <- d.(i - 1) + counts.(i - 1)
-  done;
-  d
-
 (* Generic irregular exchange used by the fence: counts are transposed with
    an alltoall, then one alltoallv moves the data. *)
 let exchange_v comm dt ~fill (outgoing : 'x V.t array) =
   let p = Comm.size comm in
   let scounts = Array.map V.length outgoing in
-  let sdispls = exclusive_scan scounts in
+  let sdispls = Collectives.exclusive_scan scounts in
   let sendbuf = Array.make (max 1 (Array.fold_left ( + ) 0 scounts)) fill in
   Array.iteri (fun t v -> V.iteri (fun i x -> sendbuf.(sdispls.(t) + i) <- x) v) outgoing;
   let rcounts = Array.make p 0 in
   Collectives.alltoall comm Datatype.int ~sendbuf:scounts ~recvbuf:rcounts ~count:1;
-  let rdispls = exclusive_scan rcounts in
+  let rdispls = Collectives.exclusive_scan rcounts in
   let total = rdispls.(p - 1) + rcounts.(p - 1) in
   let recvbuf = Array.make (max 1 total) fill in
   Collectives.alltoallv comm dt ~sendbuf ~scounts ~sdispls ~recvbuf ~rcounts ~rdispls;

@@ -1,7 +1,13 @@
 module Engine = Simnet.Engine
 module Netmodel = Simnet.Netmodel
 
-type comm_shared = { cid : int; group : int array; mutable revoked : bool }
+type comm_shared = {
+  cid : int;
+  group : int array;
+  net_params : Netmodel.params;
+  hier : Netmodel.hier_profile option;
+  mutable revoked : bool;
+}
 
 type t = {
   engine : Engine.t;
@@ -33,16 +39,14 @@ and agree_cell = {
   mutable agree_waiters : int Engine.resumer list;
 }
 
-let create ?node ?fabric ?(trace = Trace.Recorder.inert) ?exhook ~net_params ~size () =
+let create ?fabric ?(trace = Trace.Recorder.inert) ?exhook ~net_params ~size () =
   if size <= 0 then Errors.usage "World.create: size %d must be positive" size;
   let alive = Ds.Bitset.create size in
   Ds.Bitset.fill alive;
   let net =
-    match (fabric, node) with
-    | Some f, _ -> Netmodel.create_fabric f ~ranks:size
-    | None, Some (intra, node_size) ->
-        Netmodel.create_hierarchical ~inter:net_params ~intra ~node_size ~ranks:size
-    | None, None -> Netmodel.create net_params ~ranks:size
+    match fabric with
+    | Some f -> Netmodel.create_fabric f ~ranks:size
+    | None -> Netmodel.create net_params ~ranks:size
   in
   {
     engine = Engine.create ();
@@ -83,10 +87,20 @@ let match_chooser w =
 let arrival_adjust w =
   match w.exhook with Some h -> h.Exhook.arrival_adjust | None -> None
 
+(* A communicator's planning profile is a function of its group alone, so
+   it is computed once here rather than on every collective call. *)
 let fresh_comm w group =
   let cid = w.next_comm_id in
   w.next_comm_id <- w.next_comm_id + 1;
-  let shared = { cid; group; revoked = false } in
+  let shared =
+    {
+      cid;
+      group;
+      net_params = Netmodel.params_for_group w.net group;
+      hier = Netmodel.hier_for_group w.net group;
+      revoked = false;
+    }
+  in
   Hashtbl.replace w.comms cid shared;
   shared
 
@@ -123,10 +137,7 @@ let session_comm w ~key group =
   match Hashtbl.find_opt w.session_comms key with
   | Some shared -> shared
   | None ->
-      let cid = w.next_comm_id in
-      w.next_comm_id <- w.next_comm_id + 1;
-      let shared = { cid; group; revoked = false } in
-      Hashtbl.replace w.comms cid shared;
+      let shared = fresh_comm w group in
       Hashtbl.replace w.session_comms key shared;
       shared
 

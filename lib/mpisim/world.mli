@@ -9,6 +9,10 @@
 type comm_shared = {
   cid : int;
   group : int array;  (** comm rank -> world rank *)
+  net_params : Simnet.Netmodel.params;
+      (** [Netmodel.params_for_group] of [group], computed at creation *)
+  hier : Simnet.Netmodel.hier_profile option;
+      (** [Netmodel.hier_for_group] of [group], computed at creation *)
   mutable revoked : bool;
 }
 
@@ -57,13 +61,10 @@ and agree_cell = {
 }
 
 (** [create ~net_params ~size ()] builds a world of [size] ranks, all
-    alive; [node] switches to the legacy two-tier hierarchy of
-    [(intra-node params, node size)]; [fabric] installs a general tiered
-    fabric (see {!Simnet.Netmodel.fabric}) and takes precedence over
-    [node]; [trace] installs an event recorder (default: the inert one —
-    tracing off). *)
+    alive, on the flat model with [net_params]; [fabric] installs a tiered
+    fabric instead (see {!Simnet.Netmodel.fabric}); [trace] installs an
+    event recorder (default: the inert one — tracing off). *)
 val create :
-  ?node:Simnet.Netmodel.params * int ->
   ?fabric:Simnet.Netmodel.fabric ->
   ?trace:Trace.Recorder.t ->
   ?exhook:Exhook.t ->
@@ -84,7 +85,7 @@ val match_chooser : t -> (int array -> int) option
 val arrival_adjust : t -> (src:int -> dst:int -> arrival:float -> float) option
 
 (** [fresh_comm ~world group] registers a new communicator over the given
-    world ranks. *)
+    world ranks and computes its planning profile ([net_params], [hier]). *)
 val fresh_comm : t -> int array -> comm_shared
 
 (** [register_pset w name ranks] names a process set (session support).

@@ -33,7 +33,7 @@ let intra_node =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Tiered fabric description (lib/topology builds these).              *)
+(* The fabric: the one shape of every network model.                  *)
 (* ------------------------------------------------------------------ *)
 
 type fabric = {
@@ -45,66 +45,91 @@ type fabric = {
   f_uplinks : int;
 }
 
-let validate_fabric f ~ranks =
-  if Array.length f.f_node_of <> ranks then
-    invalid_arg "Netmodel: fabric node map length differs from rank count";
+let validate_fabric f =
+  if Array.length f.f_node_of = 0 then invalid_arg "Netmodel: fabric places no rank";
   let nodes = Array.length f.f_rack_of in
   if nodes = 0 then invalid_arg "Netmodel: fabric has no nodes";
   Array.iter
     (fun n -> if n < 0 || n >= nodes then invalid_arg "Netmodel: fabric node id out of range")
     f.f_node_of;
-  Array.iter
-    (fun r -> if r < 0 then invalid_arg "Netmodel: fabric rack id negative")
-    f.f_rack_of;
-  if f.f_uplinks < 0 then invalid_arg "Netmodel: fabric uplink count negative"
+  Array.iter (fun r -> if r < 0 then invalid_arg "Netmodel: fabric rack id negative") f.f_rack_of;
+  if f.f_uplinks < 0 then invalid_arg "Netmodel: fabric uplink count negative";
+  (* an empty node would silently skew the uplink table and the
+     population profile *)
+  let seen = Array.make nodes false in
+  Array.iter (fun n -> seen.(n) <- true) f.f_node_of;
+  Array.iteri
+    (fun n occupied ->
+      if not occupied then invalid_arg (Printf.sprintf "Netmodel: fabric node %d hosts no rank" n))
+    seen
+
+(* Block placement (rank [r] on node [r / node_size]), the layout of both
+   standard builders. *)
+let block_fabric ~node_size ~ranks ~rack_of_node ~node ~rack ~core ~uplinks =
+  if node_size <= 0 then invalid_arg "Netmodel: node_size must be positive";
+  let nodes = (ranks + node_size - 1) / node_size in
+  let f =
+    {
+      f_node_of = Array.init ranks (fun r -> r / node_size);
+      f_rack_of = Array.init nodes rack_of_node;
+      f_node = node;
+      f_rack = rack;
+      f_core = core;
+      f_uplinks = uplinks;
+    }
+  in
+  validate_fabric f;
+  f
+
+(* one rack: the rack tier collapses onto the inter-node parameters *)
+let two_tier ?(intra = intra_node) ?(inter = default) ?(uplinks = 0) ~node_size ~ranks () =
+  block_fabric ~node_size ~ranks ~rack_of_node:(fun _ -> 0) ~node:intra ~rack:inter ~core:inter
+    ~uplinks
+
+let fat_tree ?(intra = intra_node) ?(rack = low_latency) ?(core = default) ?(uplinks = 0)
+    ~node_size ~nodes_per_rack ~ranks () =
+  if nodes_per_rack <= 0 then invalid_arg "Netmodel: nodes_per_rack must be positive";
+  block_fabric ~node_size ~ranks
+    ~rack_of_node:(fun n -> n / nodes_per_rack)
+    ~node:intra ~rack ~core ~uplinks
 
 type t = {
-  p : params;
-  intra : (params * int) option;  (* (intra-node params, node size) *)
-  fabric : fabric option;  (* general tiered fabric; [None] = the two legacy shapes *)
+  f : fabric;
   uplink_free : float array array;  (* node -> uplink port -> busy-until *)
   egress_free : float array;
   ingress_free : float array;
 }
 
-let create p ~ranks =
-  if ranks <= 0 then invalid_arg "Netmodel.create: ranks must be positive";
+let create_fabric f ~ranks =
+  validate_fabric f;
+  if Array.length f.f_node_of <> ranks then
+    invalid_arg "Netmodel: fabric node map length differs from rank count";
+  let nodes = Array.length f.f_rack_of in
   {
-    p;
-    intra = None;
-    fabric = None;
-    uplink_free = [||];
+    f;
+    uplink_free =
+      (if f.f_uplinks = 0 then [||] else Array.init nodes (fun _ -> Array.make f.f_uplinks 0.0));
     egress_free = Array.make ranks 0.0;
     ingress_free = Array.make ranks 0.0;
   }
 
-let create_hierarchical ~inter ~intra ~node_size ~ranks =
-  if node_size <= 0 then invalid_arg "Netmodel.create_hierarchical: node_size must be positive";
-  let t = create inter ~ranks in
-  { t with intra = Some (intra, node_size) }
+(* The flat model: one rank per node, one rack, [p] on every tier. *)
+let create p ~ranks =
+  if ranks <= 0 then invalid_arg "Netmodel.create: ranks must be positive";
+  create_fabric
+    {
+      f_node_of = Array.init ranks Fun.id;
+      f_rack_of = Array.make ranks 0;
+      f_node = p;
+      f_rack = p;
+      f_core = p;
+      f_uplinks = 0;
+    }
+    ~ranks
 
-let create_fabric f ~ranks =
-  validate_fabric f ~ranks;
-  let t = create f.f_core ~ranks in
-  let nodes = Array.length f.f_rack_of in
-  let uplink_free =
-    if f.f_uplinks = 0 then [||]
-    else Array.init nodes (fun _ -> Array.make f.f_uplinks 0.0)
-  in
-  { t with fabric = Some f; uplink_free }
-
-let params t = t.p
-
-(* Node id of a world rank: explicit placement on a fabric, [rank /
-   node_size] on the legacy two-tier model, one rank per node on a flat
-   fabric (every rank is its own shared-memory domain). *)
-let node_of t r =
-  match t.fabric with
-  | Some f -> f.f_node_of.(r)
-  | None -> ( match t.intra with Some (_, node_size) -> r / node_size | None -> r)
-
-let rack_of_rank t r =
-  match t.fabric with Some f -> f.f_rack_of.(f.f_node_of.(r)) | None -> 0
+let params t = t.f.f_core
+let node_of t r = t.f.f_node_of.(r)
+let rack_of_rank t r = t.f.f_rack_of.(t.f.f_node_of.(r))
 
 let fabric_params f ~src_node ~dst_node =
   if src_node = dst_node then f.f_node
@@ -112,14 +137,9 @@ let fabric_params f ~src_node ~dst_node =
   else f.f_core
 
 let params_between t ~src ~dst =
-  match t.fabric with
-  | Some f -> fabric_params f ~src_node:f.f_node_of.(src) ~dst_node:f.f_node_of.(dst)
-  | None -> (
-      match t.intra with
-      | Some (intra, node_size) when src / node_size = dst / node_size -> intra
-      | Some _ | None -> t.p)
+  fabric_params t.f ~src_node:t.f.f_node_of.(src) ~dst_node:t.f.f_node_of.(dst)
 
-let local_compute_cost t ~bytes = float_of_int bytes *. t.p.memcpy_byte_time
+let local_compute_cost t ~bytes = float_of_int bytes *. t.f.f_core.memcpy_byte_time
 
 (* ------------------------------------------------------------------ *)
 (* Cost-prediction helpers (LogGP terms) for the collective-algorithm  *)
@@ -133,21 +153,17 @@ let per_byte_cost p = p.injection_byte_time +. p.byte_time
 let msg_cost p ~bytes = startup_cost p +. (float_of_int bytes *. per_byte_cost p)
 
 let params_for_group t group =
-  match t.fabric with
-  | Some f when Array.length group > 0 ->
-      let node0 = f.f_node_of.(group.(0)) in
-      if Array.for_all (fun g -> f.f_node_of.(g) = node0) group then f.f_node
-      else begin
-        let rack0 = f.f_rack_of.(node0) in
-        if Array.for_all (fun g -> f.f_rack_of.(f.f_node_of.(g)) = rack0) group then f.f_rack
-        else f.f_core
-      end
-  | Some _ | None -> (
-      match t.intra with
-      | Some (intra, node_size) when Array.length group > 0 ->
-          let node0 = group.(0) / node_size in
-          if Array.for_all (fun g -> g / node_size = node0) group then intra else t.p
-      | Some _ | None -> t.p)
+  let f = t.f in
+  if Array.length group = 0 then f.f_core
+  else begin
+    let node0 = f.f_node_of.(group.(0)) in
+    if Array.for_all (fun g -> f.f_node_of.(g) = node0) group then f.f_node
+    else begin
+      let rack0 = f.f_rack_of.(node0) in
+      if Array.for_all (fun g -> f.f_rack_of.(f.f_node_of.(g)) = rack0) group then f.f_rack
+      else f.f_core
+    end
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Topology-aware group profile: what a collective spanning nodes      *)
@@ -161,35 +177,30 @@ type hier_profile = {
   h_max_per_node : int;
 }
 
-(* Only tiered fabrics get a profile: the legacy two-tier (?node) model
-   deliberately keeps its exact pre-topology planning behavior, and a flat
-   fabric has nothing to exploit. *)
+(* A profile exists only where there is a hierarchy to exploit: a group
+   on one node plans exactly with [params_for_group], and a group with one
+   rank per node (a flat model's, say) has no intra-node phase. *)
 let hier_for_group t group =
-  match t.fabric with
-  | None -> None
-  | Some f ->
-      if Array.length group = 0 then None
-      else begin
-        (* Count distinct nodes and the heaviest node's population. *)
-        let counts = Hashtbl.create 8 in
-        Array.iter
-          (fun g ->
-            let nd = f.f_node_of.(g) in
-            Hashtbl.replace counts nd (1 + Option.value ~default:0 (Hashtbl.find_opt counts nd)))
-          group;
-        let nodes = Hashtbl.length counts in
-        if nodes <= 1 then None (* single node: params_for_group already exact *)
-        else begin
-          let mpn = Hashtbl.fold (fun _ c acc -> max c acc) counts 0 in
-          Some
-            {
-              h_intra = f.f_node;
-              h_inter = params_for_group t group;
-              h_nodes = nodes;
-              h_max_per_node = mpn;
-            }
-        end
-      end
+  let f = t.f in
+  (* Count distinct nodes and the heaviest node's population. *)
+  let pop = Array.make (Array.length f.f_rack_of) 0 in
+  let nodes = ref 0 and mpn = ref 0 in
+  Array.iter
+    (fun g ->
+      let nd = f.f_node_of.(g) in
+      if pop.(nd) = 0 then incr nodes;
+      pop.(nd) <- pop.(nd) + 1;
+      mpn := Int.max !mpn pop.(nd))
+    group;
+  if !nodes <= 1 || !mpn <= 1 then None
+  else
+    Some
+      {
+        h_intra = f.f_node;
+        h_inter = params_for_group t group;
+        h_nodes = !nodes;
+        h_max_per_node = !mpn;
+      }
 
 (* Earliest-free uplink port of [node]; deterministic argmin (first of the
    equally free ports wins). *)
@@ -201,7 +212,9 @@ let pick_uplink ports =
   !best
 
 let transfer t ~now ~src ~dst ~bytes ~pack_factor =
-  let p = params_between t ~src ~dst in
+  let f = t.f in
+  let src_node = f.f_node_of.(src) and dst_node = f.f_node_of.(dst) in
+  let p = fabric_params f ~src_node ~dst_node in
   let fbytes = float_of_int bytes *. pack_factor in
   if src = dst then begin
     (* Local delivery: a single memcpy, no port involvement. *)
@@ -213,11 +226,11 @@ let transfer t ~now ~src ~dst ~bytes ~pack_factor =
        serialize on the source node's shared uplink ports (the fat-tree
        oversubscription effect); intra-node traffic never touches them. *)
     let uplink =
-      match t.fabric with
-      | Some f when f.f_uplinks > 0 && f.f_node_of.(src) <> f.f_node_of.(dst) ->
-          let ports = t.uplink_free.(f.f_node_of.(src)) in
-          Some (ports, pick_uplink ports)
-      | Some _ | None -> None
+      if f.f_uplinks > 0 && src_node <> dst_node then begin
+        let ports = t.uplink_free.(src_node) in
+        Some (ports, pick_uplink ports)
+      end
+      else None
     in
     let start = Float.max now t.egress_free.(src) in
     let start =
@@ -241,8 +254,9 @@ let transfer t ~now ~src ~dst ~bytes ~pack_factor =
      "two:<node_size>"                        two-tier, default params
      "fat:<node_size>:<nodes_per_rack>[:<uplinks>]"
                                               three-tier fat tree
-   Block placement (rank r on node r / node_size).  Unknown specs raise
-   [Invalid_argument] so a typo in the environment fails loudly. *)
+   built by [two_tier]/[fat_tree] with their default parameters.  Unknown
+   specs raise [Invalid_argument] so a typo in the environment fails
+   loudly. *)
 let fabric_of_spec ~ranks spec =
   let fail () =
     invalid_arg
@@ -252,29 +266,10 @@ let fabric_of_spec ~ranks spec =
          spec)
   in
   let int_of s = match int_of_string_opt (String.trim s) with Some i when i > 0 -> i | _ -> fail () in
-  let nodes_for node_size = (ranks + node_size - 1) / node_size in
-  let block node_size = Array.init ranks (fun r -> r / node_size) in
   match String.split_on_char ':' spec with
-  | [ "two"; ns ] ->
-      let node_size = int_of ns in
-      {
-        f_node_of = block node_size;
-        f_rack_of = Array.make (nodes_for node_size) 0;
-        f_node = intra_node;
-        f_rack = default;
-        f_core = default;
-        f_uplinks = 0;
-      }
+  | [ "two"; ns ] -> two_tier ~node_size:(int_of ns) ~ranks ()
   | "fat" :: ns :: npr :: rest ->
       let node_size = int_of ns and nodes_per_rack = int_of npr in
       let uplinks = match rest with [] -> 0 | [ u ] -> int_of u | _ -> fail () in
-      let nodes = nodes_for node_size in
-      {
-        f_node_of = block node_size;
-        f_rack_of = Array.init nodes (fun n -> n / nodes_per_rack);
-        f_node = intra_node;
-        f_rack = low_latency;
-        f_core = default;
-        f_uplinks = uplinks;
-      }
+      fat_tree ~uplinks ~node_size ~nodes_per_rack ~ranks ()
   | _ -> fail ()

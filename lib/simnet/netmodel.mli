@@ -40,13 +40,14 @@ val low_latency : params
 (** Shared-memory-class parameters for communication within a node. *)
 val intra_node : params
 
-(** {1 Tiered fabrics}
+(** {1 Fabrics}
 
-    A general three-tier topology description (node / rack / core) with an
-    explicit rank→node→rack placement map and optional shared uplink ports
-    per node.  [lib/topology] provides builders and presets; this record is
-    the simulator-facing core so routing can live next to the port
-    schedule. *)
+    Every network model is a three-tier topology (node / rack / core) with
+    an explicit rank→node→rack placement map and optional shared uplink
+    ports per node.  A flat network is the special case of one rank per
+    node, one rack and the same parameters on every tier ({!create}).
+    [lib/topology] provides builders and presets; this record is the
+    simulator-facing core so routing can live next to the port schedule. *)
 
 type fabric = {
   f_node_of : int array;  (** world rank → node id *)
@@ -60,38 +61,67 @@ type fabric = {
           behavior) *)
 }
 
+(** [validate_fabric f] checks that [f] is dense and consistent: it places
+    at least one rank, every node id indexes [f_rack_of], rack ids and the
+    uplink count are non-negative, and every node hosts at least one rank.
+    @raise Invalid_argument with a specific message otherwise. *)
+val validate_fabric : fabric -> unit
+
+(** [two_tier ~node_size ~ranks ()] is a cluster of shared-memory nodes
+    with block placement (rank [r] on node [r / node_size]) and a single
+    rack, so the rack tier collapses onto the inter-node parameters.
+    @param intra intra-node parameters (default {!intra_node})
+    @param inter inter-node parameters (default {!default})
+    @param uplinks shared uplink ports per node (default [0])
+    @raise Invalid_argument unless [node_size] and [ranks] are positive. *)
+val two_tier :
+  ?intra:params -> ?inter:params -> ?uplinks:int -> node_size:int -> ranks:int -> unit -> fabric
+
+(** [fat_tree ~node_size ~nodes_per_rack ~ranks ()] is a three-tier fat
+    tree: block rank placement, consecutive nodes blocked into racks.
+    @param intra intra-node parameters (default {!intra_node})
+    @param rack intra-rack parameters (default {!low_latency})
+    @param core cross-rack parameters (default {!default})
+    @param uplinks shared uplink ports per node (default [0]) *)
+val fat_tree :
+  ?intra:params ->
+  ?rack:params ->
+  ?core:params ->
+  ?uplinks:int ->
+  node_size:int ->
+  nodes_per_rack:int ->
+  ranks:int ->
+  unit ->
+  fabric
+
 type t
 
-(** [create params ~ranks] allocates per-rank port state (a flat fabric:
-    every pair communicates with the same parameters). *)
+(** [create params ~ranks] is the flat model: every rank on its own node,
+    all in one rack, [params] on every tier. *)
 val create : params -> ranks:int -> t
 
-(** [create_hierarchical ~inter ~intra ~node_size ~ranks] models a cluster
-    of nodes with [node_size] ranks each: pairs within a node (same
-    [rank / node_size]) use [intra], all others [inter]. *)
-val create_hierarchical : inter:params -> intra:params -> node_size:int -> ranks:int -> t
-
-(** [create_fabric f ~ranks] builds the model for a tiered fabric.  Raises
-    [Invalid_argument] if the placement maps are inconsistent with [ranks]. *)
+(** [create_fabric f ~ranks] builds the model of fabric [f], which must
+    place exactly [ranks] ranks.
+    @raise Invalid_argument if [f] fails {!validate_fabric} or places a
+    different number of ranks. *)
 val create_fabric : fabric -> ranks:int -> t
 
 (** [fabric_of_spec ~ranks spec] parses an [MPISIM_TOPOLOGY]-style spec:
-    ["two:<node_size>"] (two-tier, shared-memory nodes under the default
-    inter-node fabric) or ["fat:<node_size>:<nodes_per_rack>\[:<uplinks>\]"]
-    (three-tier fat tree, optionally with [uplinks] shared uplink ports per
-    node).  Placement is block (rank [r] on node [r / node_size]).  Raises
-    [Invalid_argument] on a malformed spec. *)
+    ["two:<node_size>"] is [two_tier ~node_size ~ranks ()] and
+    ["fat:<node_size>:<nodes_per_rack>\[:<uplinks>\]"] is
+    [fat_tree ~node_size ~nodes_per_rack ~uplinks ~ranks ()] ([uplinks]
+    default [0]).  Raises [Invalid_argument] on a malformed spec. *)
 val fabric_of_spec : ranks:int -> string -> fabric
 
-(** [params t] returns the inter-node (or flat) model parameters. *)
+(** [params t] returns the core-tier parameters (the flat model's only
+    set). *)
 val params : t -> params
 
-(** [node_of t r] is the shared-memory node hosting world rank [r]: the
-    placement map on a tiered fabric, [r / node_size] on the legacy
-    two-tier model, and [r] itself (one rank per node) on a flat fabric. *)
+(** [node_of t r] is the shared-memory node hosting world rank [r] ([r]
+    itself on the flat model). *)
 val node_of : t -> int -> int
 
-(** [rack_of_rank t r] is the rack of [r]'s node ([0] off tiered fabrics). *)
+(** [rack_of_rank t r] is the rack of [r]'s node ([0] on the flat model). *)
 val rack_of_rank : t -> int -> int
 
 (** [params_between t ~src ~dst] is the parameter set governing one pair. *)
@@ -126,9 +156,8 @@ val msg_cost : params -> bytes:int -> float
 
 (** [params_for_group t group] is the parameter set a collective over the
     given world ranks should plan with: the tightest tier containing every
-    member (node, then rack, then core on a tiered fabric; intra-node vs
-    inter-node on the legacy two-tier model), falling back to the flat
-    parameters. *)
+    member (node, then rack, then core; the core tier for an empty
+    group). *)
 val params_for_group : t -> int array -> params
 
 (** A topology-aware planning profile for a group that spans nodes:
@@ -143,8 +172,7 @@ type hier_profile = {
 }
 
 (** [hier_for_group t group] is the hierarchical profile of the group, or
-    [None] when there is no hierarchy to exploit: a flat fabric, a group
-    confined to one node (where {!params_for_group} is already exact), or
-    the legacy two-tier [?node] model — which deliberately keeps its exact
-    pre-topology planning behavior; build a {!fabric} to opt in. *)
+    [None] when its placement leaves no hierarchy to exploit: the group
+    sits on one node (where {!params_for_group} is already exact) or holds
+    one rank per node (every group of the flat model). *)
 val hier_for_group : t -> int array -> hier_profile option

@@ -82,11 +82,9 @@ let tune ?sizes ?elem_size ?op_cost ?commutative fabric ~p =
   tune_profile ?sizes ?elem_size ?op_cost ?commutative ?hier prm ~p
 
 let tune_for_comm ?sizes ?elem_size ?op_cost ?commutative comm =
-  let w = Mpisim.Comm.world comm in
-  let group = Mpisim.Comm.group comm in
-  let prm = N.params_for_group w.Mpisim.World.net group in
-  let hier = N.hier_for_group w.Mpisim.World.net group in
-  tune_profile ?sizes ?elem_size ?op_cost ?commutative ?hier prm ~p:(Array.length group)
+  let s = Mpisim.Comm.shared comm in
+  tune_profile ?sizes ?elem_size ?op_cost ?commutative ?hier:s.Mpisim.World.hier
+    s.Mpisim.World.net_params ~p:(Array.length s.Mpisim.World.group)
 
 let install plan comm =
   Mpisim.Collectives.pin_table_algorithm comm ~coll:"bcast" plan.t_bcast;

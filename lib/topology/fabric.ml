@@ -3,30 +3,21 @@ module N = Simnet.Netmodel
 type t = N.fabric
 
 let make ?(uplinks = 0) ~node_of ~rack_of ~node ~rack ~core () =
-  Place.validate ~ranks:(Array.length node_of) ~node_of ~rack_of;
-  if uplinks < 0 then invalid_arg "Fabric.make: uplinks negative";
-  {
-    N.f_node_of = Array.copy node_of;
-    f_rack_of = Array.copy rack_of;
-    f_node = node;
-    f_rack = rack;
-    f_core = core;
-    f_uplinks = uplinks;
-  }
+  let f =
+    {
+      N.f_node_of = Array.copy node_of;
+      f_rack_of = Array.copy rack_of;
+      f_node = node;
+      f_rack = rack;
+      f_core = core;
+      f_uplinks = uplinks;
+    }
+  in
+  N.validate_fabric f;
+  f
 
-let two_tier ?(intra = N.intra_node) ?(inter = N.default) ?(uplinks = 0) ~node_size ~ranks () =
-  let node_of = Place.block ~ranks ~node_size in
-  let nodes = Place.node_count node_of in
-  (* one rack: the rack tier collapses onto the core parameters *)
-  make ~uplinks ~node_of ~rack_of:(Array.make nodes 0) ~node:intra ~rack:inter ~core:inter ()
-
-let fat_tree ?(intra = N.intra_node) ?(rack = N.low_latency) ?(core = N.default) ?(uplinks = 0)
-    ~node_size ~nodes_per_rack ~ranks () =
-  let node_of = Place.block ~ranks ~node_size in
-  let nodes = Place.node_count node_of in
-  let rack_of = Place.racks ~nodes ~nodes_per_rack in
-  make ~uplinks ~node_of ~rack_of ~node:intra ~rack ~core ()
-
+let two_tier = N.two_tier
+let fat_tree = N.fat_tree
 let of_spec = N.fabric_of_spec
 
 let nodes (f : t) = Array.length f.N.f_rack_of

@@ -11,7 +11,8 @@ type t = Simnet.Netmodel.fabric
 (** [make ~node_of ~rack_of ~node ~rack ~core ()] assembles a fabric from
     explicit placement maps (copied defensively) and per-tier parameters.
     @param uplinks shared uplink ports per node (default [0]: uncongested)
-    @raise Invalid_argument if the placement fails {!Place.validate}. *)
+    @raise Invalid_argument if the result fails
+    {!Simnet.Netmodel.validate_fabric}. *)
 val make :
   ?uplinks:int ->
   node_of:int array ->
@@ -22,12 +23,9 @@ val make :
   unit ->
   t
 
-(** [two_tier ~node_size ~ranks ()] is a cluster of shared-memory nodes
-    with block placement and a single rack (the rack tier collapses onto
-    the inter-node parameters).
-    @param intra intra-node parameters (default {!Simnet.Netmodel.intra_node})
-    @param inter inter-node parameters (default {!Simnet.Netmodel.default})
-    @param uplinks shared uplink ports per node (default [0]) *)
+(** The standard shapes, {!Simnet.Netmodel.two_tier} and
+    {!Simnet.Netmodel.fat_tree}: the builders [MPISIM_TOPOLOGY] specs go
+    through too. *)
 val two_tier :
   ?intra:Simnet.Netmodel.params ->
   ?inter:Simnet.Netmodel.params ->
@@ -37,12 +35,6 @@ val two_tier :
   unit ->
   t
 
-(** [fat_tree ~node_size ~nodes_per_rack ~ranks ()] is a three-tier fat
-    tree: block rank placement, consecutive nodes blocked into racks.
-    @param intra intra-node parameters (default {!Simnet.Netmodel.intra_node})
-    @param rack intra-rack parameters (default {!Simnet.Netmodel.low_latency})
-    @param core cross-rack parameters (default {!Simnet.Netmodel.default})
-    @param uplinks shared uplink ports per node (default [0]) *)
 val fat_tree :
   ?intra:Simnet.Netmodel.params ->
   ?rack:Simnet.Netmodel.params ->

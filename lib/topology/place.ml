@@ -1,29 +1,17 @@
 (* Rank -> node and node -> rack placement maps.
 
    These are plain [int array]s so they can be handed straight to
-   {!Simnet.Netmodel.fabric}; the builders here only encapsulate the two
-   standard layouts (block and round-robin) plus the consistency checks
-   [Netmodel.create_fabric] would otherwise report late. *)
-
-let ceil_div a b = (a + b - 1) / b
-
-let block ~ranks ~node_size =
-  if ranks <= 0 then invalid_arg "Place.block: ranks must be positive";
-  if node_size <= 0 then invalid_arg "Place.block: node_size must be positive";
-  Array.init ranks (fun r -> r / node_size)
+   {!Simnet.Netmodel.fabric}.  Block placement belongs to the standard
+   builders ([Netmodel.two_tier]/[fat_tree]); the layouts here are the
+   others.  [Netmodel.validate_fabric] checks a finished fabric. *)
 
 let round_robin ~ranks ~nodes =
   if ranks <= 0 then invalid_arg "Place.round_robin: ranks must be positive";
   if nodes <= 0 then invalid_arg "Place.round_robin: nodes must be positive";
   Array.init ranks (fun r -> r mod nodes)
 
-let racks ~nodes ~nodes_per_rack =
-  if nodes <= 0 then invalid_arg "Place.racks: nodes must be positive";
-  if nodes_per_rack <= 0 then invalid_arg "Place.racks: nodes_per_rack must be positive";
-  Array.init nodes (fun n -> n / nodes_per_rack)
-
 (* Number of distinct nodes named by a placement.  Maps are dense (checked
-   by [validate]), so this is [max + 1]. *)
+   by [Netmodel.validate_fabric]), so this is [max + 1]. *)
 let node_count node_of =
   if Array.length node_of = 0 then 0
   else 1 + Array.fold_left Int.max 0 node_of
@@ -49,25 +37,3 @@ let scattered ~ranks ~node_size =
     incr mu
   done;
   Array.init ranks (fun r -> !mu * r mod ranks / node_size)
-
-let validate ~ranks ~node_of ~rack_of =
-  if Array.length node_of <> ranks then
-    invalid_arg "Place.validate: node map length differs from rank count";
-  let nodes = Array.length rack_of in
-  if nodes = 0 then invalid_arg "Place.validate: no nodes";
-  Array.iter
-    (fun n ->
-      if n < 0 || n >= nodes then invalid_arg "Place.validate: node id out of range")
-    node_of;
-  Array.iter
-    (fun r -> if r < 0 then invalid_arg "Place.validate: rack id negative")
-    rack_of;
-  (* every node must host at least one rank, or the uplink port table and
-     population profile silently degrade *)
-  let seen = Array.make nodes false in
-  Array.iter (fun n -> seen.(n) <- true) node_of;
-  Array.iteri
-    (fun n occupied ->
-      if not occupied then
-        invalid_arg (Printf.sprintf "Place.validate: node %d hosts no rank" n))
-    seen

@@ -2,16 +2,10 @@
 
     A placement is two dense arrays: [node_of] maps world rank to node id,
     [rack_of] maps node id to rack id — the exact representation
-    {!Simnet.Netmodel.fabric} consumes.  Builders here cover the standard
-    layouts; anything else is an ordinary [int array]. *)
-
-(** [ceil_div a b] rounds the quotient up (node counts from rank counts). *)
-val ceil_div : int -> int -> int
-
-(** [block ~ranks ~node_size] packs consecutive ranks onto each node:
-    rank [r] lives on node [r / node_size] (the MPI default and the layout
-    [Netmodel.fabric_of_spec] uses). *)
-val block : ranks:int -> node_size:int -> int array
+    {!Simnet.Netmodel.fabric} consumes.  Block placement (the MPI
+    default) comes with the standard builders {!Simnet.Netmodel.two_tier}
+    and {!Simnet.Netmodel.fat_tree}; the layouts here are the others, and
+    anything else is an ordinary [int array]. *)
 
 (** [round_robin ~ranks ~nodes] deals ranks across nodes cyclically:
     rank [r] lives on node [r mod nodes] (the [--map-by node] layout that
@@ -26,18 +20,8 @@ val round_robin : ranks:int -> nodes:int -> int array
     @raise Invalid_argument unless [node_size] divides [ranks]. *)
 val scattered : ranks:int -> node_size:int -> int array
 
-(** [racks ~nodes ~nodes_per_rack] blocks consecutive nodes into racks. *)
-val racks : nodes:int -> nodes_per_rack:int -> int array
-
 (** [node_count node_of] is the number of distinct nodes of a dense map. *)
 val node_count : int array -> int
 
 (** [populations node_of] is the per-node rank count, indexed by node id. *)
 val populations : int array -> int array
-
-(** [validate ~ranks ~node_of ~rack_of] checks a placement is dense and
-    consistent: the node map covers exactly [ranks] entries, every node id
-    indexes [rack_of], rack ids are non-negative, and every node hosts at
-    least one rank.
-    @raise Invalid_argument with a specific message otherwise. *)
-val validate : ranks:int -> node_of:int array -> rack_of:int array -> unit

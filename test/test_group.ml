@@ -1,6 +1,7 @@
 (* Tests for process groups, group-collective communicator creation, the
    hierarchical network model and the *_single convenience wrappers. *)
 
+module Fabric = Topology.Fabric
 open Mpisim
 module K = Kamping.Comm
 module V = Ds.Vec
@@ -56,9 +57,9 @@ let test_comm_create_group () =
   Alcotest.(check (list int)) "excluded did not participate" [ -2 ] results.(2)
 
 let test_hierarchical_network_faster_intra () =
-  let ping ?node () =
+  let ping ?fabric () =
     let res =
-      Mpisim.Mpi.run ?node ~ranks:4 (fun comm ->
+      Mpisim.Mpi.run ?fabric ~ranks:4 (fun comm ->
           if Comm.rank comm = 0 then
             P2p.send comm Datatype.int (Array.make 1000 7) ~dst:1 ~tag:0
           else if Comm.rank comm = 1 then
@@ -67,21 +68,35 @@ let test_hierarchical_network_faster_intra () =
     res.Mpisim.Mpi.sim_time
   in
   let flat = ping () in
-  let hier = ping ~node:(Simnet.Netmodel.intra_node, 2) () in
+  let hier = ping ~fabric:(Fabric.two_tier ~node_size:2 ~ranks:4 ()) () in
   Alcotest.(check bool)
     (Printf.sprintf "intra-node cheaper (%.2fus vs %.2fus)" (1e6 *. hier) (1e6 *. flat))
     true (hier < flat)
 
 let test_hierarchical_inter_node_unchanged () =
-  (* ranks 0 and 1 on different single-rank nodes: same cost as flat *)
-  let ping ?node () =
-    (Mpisim.Mpi.run ?node ~ranks:2 (fun comm ->
-         if Comm.rank comm = 0 then P2p.send comm Datatype.int [| 1 |] ~dst:1 ~tag:0
-         else ignore (P2p.recv comm Datatype.int [| 0 |] ~src:0 ~tag:0)))
-      .Mpisim.Mpi.sim_time
+  (* every rank on its own single-rank node: the fabric is the flat model,
+     so p2p traffic and every collective's selection replay bit for bit *)
+  let ranks = 6 in
+  let job ?fabric () =
+    let res =
+      Mpisim.Mpi.run ?fabric ~ranks (fun comm ->
+          let r = Comm.rank comm in
+          if r = 0 then P2p.send comm Datatype.int [| 1 |] ~dst:1 ~tag:0
+          else if r = 1 then ignore (P2p.recv comm Datatype.int [| 0 |] ~src:0 ~tag:0);
+          let sum = Array.make 64 0 in
+          Collectives.allreduce comm Datatype.int Op.int_sum ~sendbuf:(Array.make 64 r)
+            ~recvbuf:sum ~count:64;
+          let x = Array.make (4 * ranks) 0 in
+          Collectives.alltoall comm Datatype.int ~sendbuf:(Array.make (4 * ranks) r) ~recvbuf:x
+            ~count:4;
+          let b = Array.make 1000 r in
+          Collectives.bcast comm Datatype.int b ~root:2;
+          (sum, x, b))
+    in
+    (Int64.bits_of_float res.Mpi.sim_time, res.Mpi.events, Mpi.results_exn res)
   in
-  Alcotest.(check (float 1e-12)) "node_size 1 = flat" (ping ())
-    (ping ~node:(Simnet.Netmodel.intra_node, 1) ())
+  let flat = job () and one_per_node = job ~fabric:(Fabric.two_tier ~node_size:1 ~ranks ()) () in
+  Alcotest.(check bool) "node_size 1 = flat, bit for bit" true (flat = one_per_node)
 
 let test_single_wrappers () =
   ignore

@@ -19,23 +19,48 @@ let raises_invalid f =
 (* Placement maps                                                      *)
 
 let test_place () =
-  Alcotest.(check (array int)) "block" [| 0; 0; 0; 1; 1; 1; 2 |] (Topology.Place.block ~ranks:7 ~node_size:3);
+  let block ~ranks ~node_size = (Topology.Fabric.two_tier ~node_size ~ranks ()).N.f_node_of in
+  Alcotest.(check (array int)) "block" [| 0; 0; 0; 1; 1; 1; 2 |] (block ~ranks:7 ~node_size:3);
   Alcotest.(check (array int)) "round robin" [| 0; 1; 2; 0; 1; 2 |]
     (Topology.Place.round_robin ~ranks:6 ~nodes:3);
-  Alcotest.(check (array int)) "racks" [| 0; 0; 1; 1; 2 |] (Topology.Place.racks ~nodes:5 ~nodes_per_rack:2);
+  Alcotest.(check (array int)) "racks" [| 0; 0; 1; 1; 2 |]
+    (Topology.Fabric.fat_tree ~node_size:1 ~nodes_per_rack:2 ~ranks:5 ()).N.f_rack_of;
   let sc = Topology.Place.scattered ~ranks:8 ~node_size:2 in
   check_int "scattered nodes" 4 (Topology.Place.node_count sc);
   Alcotest.(check (array int)) "scattered balanced" [| 2; 2; 2; 2 |] (Topology.Place.populations sc);
-  check_bool "scattered is not block" true (sc <> Topology.Place.block ~ranks:8 ~node_size:2);
+  check_bool "scattered is not block" true (sc <> block ~ranks:8 ~node_size:2);
   check_bool "scattered rejects non-divisible" true
     (raises_invalid (fun () -> Topology.Place.scattered ~ranks:7 ~node_size:2));
-  check_bool "validate: length mismatch" true
-    (raises_invalid (fun () -> Topology.Place.validate ~ranks:3 ~node_of:[| 0; 0 |] ~rack_of:[| 0 |]));
-  check_bool "validate: node out of range" true
-    (raises_invalid (fun () -> Topology.Place.validate ~ranks:2 ~node_of:[| 0; 1 |] ~rack_of:[| 0 |]));
-  check_bool "validate: empty node" true
-    (raises_invalid (fun () ->
-         Topology.Place.validate ~ranks:2 ~node_of:[| 0; 0 |] ~rack_of:[| 0; 0 |]))
+  (* the one fabric validator, reached by every construction path *)
+  let fabric ?(uplinks = 0) node_of rack_of =
+    {
+      (Topology.Fabric.two_tier ~node_size:1 ~ranks:1 ()) with
+      N.f_node_of = node_of;
+      f_rack_of = rack_of;
+      f_uplinks = uplinks;
+    }
+  in
+  let rejects name ?uplinks node_of rack_of =
+    let f = fabric ?uplinks node_of rack_of and ranks = Array.length node_of in
+    check_bool ("validate: " ^ name) true (raises_invalid (fun () -> N.validate_fabric f));
+    check_bool ("create_fabric: " ^ name) true
+      (raises_invalid (fun () -> N.create_fabric f ~ranks));
+    check_bool ("Fabric.make: " ^ name) true
+      (raises_invalid (fun () ->
+           Topology.Fabric.make ?uplinks ~node_of ~rack_of ~node:N.intra_node ~rack:N.default
+             ~core:N.default ()))
+  in
+  rejects "node out of range" [| 0; 1 |] [| 0 |];
+  rejects "empty node" [| 0; 0 |] [| 0; 0 |];
+  rejects "negative rack" [| 0 |] [| -1 |];
+  rejects "negative uplinks" ~uplinks:(-1) [| 0 |] [| 0 |];
+  rejects "no rank" [||] [| 0 |];
+  check_bool "create_fabric: length mismatch" true
+    (raises_invalid (fun () -> N.create_fabric (fabric [| 0; 0 |] [| 0 |]) ~ranks:3));
+  check_bool "builders reject node_size 0" true
+    (raises_invalid (fun () -> Topology.Fabric.two_tier ~node_size:0 ~ranks:4 ()));
+  check_bool "builders reject nodes_per_rack 0" true
+    (raises_invalid (fun () -> Topology.Fabric.fat_tree ~node_size:2 ~nodes_per_rack:0 ~ranks:4 ()))
 
 let test_fabric_builders () =
   let f = Topology.Fabric.two_tier ~node_size:4 ~ranks:10 () in
@@ -66,6 +91,15 @@ let test_spec_parsing () =
   let ft = N.fabric_of_spec ~ranks:8 "fat:2:2:3" in
   Alcotest.(check (array int)) "fat: racks" [| 0; 0; 1; 1 |] ft.N.f_rack_of;
   check_int "fat: uplinks" 3 ft.N.f_uplinks;
+  (* a spec and its builder are one code path *)
+  check_bool "two:4 = Fabric.two_tier" true
+    (N.fabric_of_spec ~ranks:10 "two:4" = Topology.Fabric.two_tier ~node_size:4 ~ranks:10 ());
+  check_bool "fat:8:4:2 = Fabric.fat_tree" true
+    (N.fabric_of_spec ~ranks:100 "fat:8:4:2"
+    = Topology.Fabric.fat_tree ~node_size:8 ~nodes_per_rack:4 ~uplinks:2 ~ranks:100 ());
+  check_bool "fat:8:4 has no uplinks" true
+    (N.fabric_of_spec ~ranks:64 "fat:8:4"
+    = Topology.Fabric.fat_tree ~node_size:8 ~nodes_per_rack:4 ~ranks:64 ());
   List.iter
     (fun spec ->
       check_bool (Printf.sprintf "spec %S rejected" spec) true
@@ -112,11 +146,13 @@ let test_hier_for_group () =
     (N.hier_for_group two [| 0; 1; 2 |] = None);
   let flat = N.create N.default ~ranks:8 in
   check_bool "flat fabric has no profile" true (N.hier_for_group flat (Array.init 8 Fun.id) = None);
-  (* the legacy two-tier model deliberately keeps its exact pre-topology
-     planning behavior *)
-  let legacy = N.create_hierarchical ~inter:N.default ~intra:N.intra_node ~node_size:4 ~ranks:8 in
-  check_bool "legacy ?node model opts out" true
-    (N.hier_for_group legacy (Array.init 8 Fun.id) = None)
+  (* the rule reads the placement, not the constructor: one rank per node
+     leaves no intra-node phase, even on a tiered fabric *)
+  check_bool "one rank per node has no profile" true (N.hier_for_group two [| 1; 5 |] = None);
+  let singles = N.create_fabric (Topology.Fabric.two_tier ~node_size:1 ~ranks:8 ()) ~ranks:8 in
+  check_bool "node_size 1 fabric has no profile" true
+    (N.hier_for_group singles (Array.init 8 Fun.id) = None);
+  check_bool "uneven group keeps its profile" true (N.hier_for_group two [| 0; 1; 4 |] <> None)
 
 let test_uplink_congestion () =
   (* Two inter-node messages from distinct senders on one node: with one

@@ -79,12 +79,12 @@ let diag_fail name diags =
    checker raised to [level] (default: everything, including the
    collective-ordering checks) and fails the test if any diagnostic was
    recorded.  Returns the per-rank results like [run]. *)
-let run_checked ?(level = Mpisim.Checker.Communication) ?net ?node ?fabric ?fail_at
+let run_checked ?(level = Mpisim.Checker.Communication) ?net ?fabric ?fail_at
     ?(deadline = default_deadline) ~ranks f =
   Mpisim.Checker.with_level level (fun () ->
       let res =
         watchdog "run_checked" (fun () ->
-            Mpisim.Mpi.run ?net ?node ?fabric ?fail_at ~deadline ~ranks f)
+            Mpisim.Mpi.run ?net ?fabric ?fail_at ~deadline ~ranks f)
       in
       (match res.Mpisim.Mpi.diagnostics with [] -> () | diags -> diag_fail "run_checked" diags);
       Mpisim.Mpi.results_exn res)
