@@ -72,7 +72,9 @@ dune runtest
 # - perf: the repository benchmark's correctness gates: oracle outputs
 #   and determinism per workload; the traced bfs_rgg run adds the
 #   pure-observer checks and the zero-overhead gate (Bfs_mpi simulates
-#   exactly like Bfs_kamping).
+#   exactly like Bfs_kamping); the traced cg_fabric run puts the same
+#   pure-observer checks on the serialized dot products and their single
+#   decode park.
 passes='
 -                                                        lint:observe
 -                                                        lint:coll
@@ -101,6 +103,7 @@ MPISIM_CHECK=communication                               test:scenarios
 -                                                        perf:cg_fabric:0
 -                                                        perf:pagerank_ckpt:0
 -                                                        perf:bfs_rgg:1
+-                                                        perf:cg_fabric:1
 '
 
 run_suite() {

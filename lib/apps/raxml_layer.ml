@@ -28,8 +28,6 @@ let make_model ~taxa ~seed =
     logl = 0.0;
   }
 
-let serialization_cost ~bytes = 50.0e-9 +. (2.0e-9 *. float_of_int bytes)
-
 (* ------------------------------------------------------------------ *)
 (* Before: RAxML-NG's custom layer (Fig. 11 top).                      *)
 (* ------------------------------------------------------------------ *)
@@ -55,7 +53,7 @@ module Before = struct
         for i = 0 to n - 1 do
           t.parallel_buf.(i) <- Bytes.get b i
         done;
-        Mpisim.Comm.compute t.comm (serialization_cost ~bytes:n);
+        Mpisim.Comm.compute t.comm (D.serialization_cost ~bytes:n);
         n
       end
       else 0
@@ -68,7 +66,7 @@ module Before = struct
     mpi_broadcast_raw t t.parallel_buf ~count:size ~root;
     if master then obj
     else begin
-      Mpisim.Comm.compute t.comm (serialization_cost ~bytes:size);
+      Mpisim.Comm.compute t.comm (D.serialization_cost ~bytes:size);
       let b = Bytes.init size (Array.get t.parallel_buf) in
       Serde.Codec.decode model_codec b
     end

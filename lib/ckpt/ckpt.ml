@@ -87,7 +87,7 @@ let unpack_shards payload =
     raise (A.Corrupt (Printf.sprintf "ckpt: %d trailing payload bytes" (A.remaining r)));
   List.rev !out
 
-let ser_cost comm bytes = KC.compute comm (Wire.cost ~bytes)
+let ser_cost comm bytes = KC.compute comm (Mpisim.Datatype.serialization_cost ~bytes)
 
 let net_params comm = (Mpisim.Comm.shared (KC.raw comm)).Mpisim.World.net_params
 

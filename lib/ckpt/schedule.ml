@@ -19,7 +19,7 @@ let daly_interval ~ckpt_cost ~mtbf =
     (sqrt (2.0 *. ckpt_cost *. mtbf) *. (1.0 +. (r /. 3.0) +. (r *. r /. 9.0))) -. ckpt_cost
 
 let predict_ckpt_cost params ~p ~bytes =
-  if p <= 1 then Kamping.Serialization.cost ~bytes
+  if p <= 1 then Mpisim.Datatype.serialization_cost ~bytes
   else
     (* Pack the bundle, swap it with the buddy (the sendrecv directions
        overlap, so one message's end-to-end time), unpack is only paid on
@@ -32,7 +32,7 @@ let predict_ckpt_cost params ~p ~bytes =
             (Coll_algos.Cost.allreduce params ~p ~bytes:8 ~elems:1 ~op_cost:1e-9 algo))
         infinity Coll_algos.Algo.all_allreduce
     in
-    Kamping.Serialization.cost ~bytes +. exchange +. agree
+    Mpisim.Datatype.serialization_cost ~bytes +. exchange +. agree
 
 type t = {
   policy : policy;

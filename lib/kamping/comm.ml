@@ -472,32 +472,43 @@ let comm_of_pset s pname = wrap (Mpisim.Session.comm_of_pset s pname)
 
 let send_serialized ?(tag = default_tag) t codec v ~dst =
   let wire = Serialization.to_wire codec v in
-  compute t (Serialization.cost ~bytes:(Array.length wire));
+  compute t (D.serialization_cost ~bytes:(Array.length wire));
   P.send t.c Serialization.wire_datatype wire ~dst ~tag
 
 let recv_serialized ?(tag = default_tag) t codec ~src =
   let st = P.probe t.c ~src ~tag in
   let buf = Array.make (max 1 st.Mpisim.Request.count) '\000' in
   let st = P.recv t.c Serialization.wire_datatype buf ~src:st.source ~tag:st.tag in
-  compute t (Serialization.cost ~bytes:st.Mpisim.Request.count);
+  compute t (D.serialization_cost ~bytes:st.Mpisim.Request.count);
   Serialization.of_wire codec buf st.Mpisim.Request.count
 
 let bcast_serialized ?(root = 0) t codec v =
   let i_am_root = rank t = root in
   let wire = if i_am_root then Serialization.to_wire codec v else [||] in
-  if i_am_root then compute t (Serialization.cost ~bytes:(Array.length wire));
+  if i_am_root then compute t (D.serialization_cost ~bytes:(Array.length wire));
   let len = bcast_single ~root t D.int (Array.length wire) in
   let buf = if i_am_root then wire else Array.make (max 1 len) '\000' in
   C.bcast t.c Serialization.wire_datatype buf ~count:len ~root;
   if i_am_root then v
   else begin
-    compute t (Serialization.cost ~bytes:len);
+    compute t (D.serialization_cost ~bytes:len);
     Serialization.of_wire codec buf len
   end
 
+(* Decoding the received parts, charged as one park: the per-part costs
+   fold from [now] in rank order, the same float additions that [p]
+   sequential [compute] calls would make to the clock, so the wake-up is
+   bit-identical with one engine event instead of [p]. *)
+let charge_decode t counts =
+  let until = ref (now t) in
+  for r = 0 to Array.length counts - 1 do
+    until := !until +. D.serialization_cost ~bytes:counts.(r)
+  done;
+  Mpisim.Comm.compute_until t.c !until
+
 let allgather_serialized t codec v =
   let wire = Serialization.to_wire codec v in
-  compute t (Serialization.cost ~bytes:(Array.length wire));
+  compute t (D.serialization_cost ~bytes:(Array.length wire));
   let result =
     allgatherv ~recv_counts_out:true ~recv_displs_out:true t Serialization.wire_datatype
       ~send_buf:(V.unsafe_of_array wire (Array.length wire))
@@ -505,9 +516,8 @@ let allgather_serialized t codec v =
   let counts = Option.get result.recv_counts in
   let displs = Option.get result.recv_displs in
   let data = V.unsafe_data result.recv_buf in
-  Array.init (size t) (fun r ->
-      compute t (Serialization.cost ~bytes:counts.(r));
-      Serialization.of_wire ~pos:displs.(r) codec data counts.(r))
+  charge_decode t counts;
+  Array.init (size t) (fun r -> Serialization.of_wire ~pos:displs.(r) codec data counts.(r))
 
 let alltoallv_serialized t codec messages =
   let p = size t in
@@ -515,7 +525,7 @@ let alltoallv_serialized t codec messages =
     (fun () -> Array.length messages = p)
     "alltoallv_serialized: one message per rank required";
   let wire, send_counts = Serialization.to_wire_parts codec messages in
-  compute t (Serialization.cost ~bytes:(Array.length wire));
+  compute t (D.serialization_cost ~bytes:(Array.length wire));
   let res =
     alltoallv ~recv_counts_out:true ~recv_displs_out:true t Serialization.wire_datatype
       ~send_buf:(V.unsafe_of_array wire (Array.length wire))
@@ -524,9 +534,8 @@ let alltoallv_serialized t codec messages =
   let counts = Option.get res.recv_counts in
   let displs = Option.get res.recv_displs in
   let data = V.unsafe_data res.recv_buf in
-  Array.init p (fun s ->
-      compute t (Serialization.cost ~bytes:counts.(s));
-      Serialization.of_wire ~pos:displs.(s) codec data counts.(s))
+  charge_decode t counts;
+  Array.init p (fun s -> Serialization.of_wire ~pos:displs.(s) codec data counts.(s))
 
 (* ---------------- communicator management ---------------- *)
 

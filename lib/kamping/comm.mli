@@ -419,13 +419,18 @@ val recv_serialized : ?tag:int -> t -> 'a Serde.Codec.t -> src:int -> 'a
 val bcast_serialized : ?root:int -> t -> 'a Serde.Codec.t -> 'a -> 'a
 
 (** [allgather_serialized t codec v] gathers one arbitrary object per
-    rank. *)
+    rank.  Each side pays {!Mpisim.Datatype.serialization_cost} for its
+    encode and for every part it decodes.  The decode of all [p] parts is
+    charged as one park ({!Mpisim.Comm.compute_until}) that ends exactly
+    when [p] sequential [compute] charges in rank order would end. *)
 val allgather_serialized : t -> 'a Serde.Codec.t -> 'a -> 'a array
 
 (** [alltoallv_serialized t codec messages] ships one arbitrary object per
     destination rank ([messages.(d)] goes to rank [d]) and returns what
     every rank sent here — the irregular-exchange counterpart of
-    {!allgather_serialized}, e.g. for shuffling heap-structured data. *)
+    {!allgather_serialized}, e.g. for shuffling heap-structured data.
+    Costs are charged as in {!allgather_serialized}: one park for all
+    decodes. *)
 val alltoallv_serialized : t -> 'a Serde.Codec.t -> 'a array -> 'a array
 
 (** {1 Communicator management} *)

@@ -1,8 +1,3 @@
-(* 2 ns/byte models a fast binary archive plus the intermediate
-   allocation; measured against raw memcpy (0.1 ns/byte) this is the
-   "non-negligible overhead" of Sec. III-D4. *)
-let cost ~bytes = 50.0e-9 +. (2.0e-9 *. float_of_int bytes)
-
 let wire_of_bytes b = Array.init (Bytes.length b) (Bytes.unsafe_get b)
 
 let bytes_of_wire ?(pos = 0) buf len =

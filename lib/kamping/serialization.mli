@@ -17,15 +17,12 @@
     [Bytes] ({!Mpisim.Msg.Serialized}), and the receiver decodes each
     part in place from its offset in the receive window ({!of_wire}'s
     [pos]).  The encoded archive is exactly [Serde.Codec.encode]'s, so
-    {!cost} and the simulated bytes do not depend on the path.
+    {!Mpisim.Datatype.serialization_cost} and the simulated bytes do not
+    depend on the path.
 
     This module is the one place that converts between [Bytes] and wire
     buffers; callers holding an already-encoded archive (checkpoint
     snapshots) use {!wire_of_bytes} and {!bytes_of_wire}. *)
-
-(** [cost ~bytes] is the simulated CPU seconds to (de)serialize a payload
-    of [bytes] (used by the communication wrappers). *)
-val cost : bytes:int -> float
 
 (** [to_wire codec v] serializes [v] into an exact-size wire buffer. *)
 val to_wire : 'a Serde.Codec.t -> 'a -> char array

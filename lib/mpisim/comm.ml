@@ -48,3 +48,4 @@ let next_agree_epoch c =
 
 let now c = World.now c.world
 let compute c seconds = Simnet.Engine.delay c.world.World.engine seconds
+let compute_until c time = Simnet.Engine.delay_until c.world.World.engine time

@@ -72,3 +72,8 @@ val now : t -> float
 (** [compute comm seconds] charges [seconds] of local computation to the
     calling fiber (advances its simulated clock). *)
 val compute : t -> float -> unit
+
+(** [compute_until comm time] charges local computation up to the absolute
+    simulated [time] in one park ({!Simnet.Engine.delay_until}).
+    @raise Invalid_argument if [time] is before {!now} or NaN. *)
+val compute_until : t -> float -> unit

@@ -114,6 +114,11 @@ val struct_type : ?default:'a -> name:string -> (string * int * int) list -> 'a 
     itself: a {!char} receive of a serialized message is a type mismatch. *)
 val serialized : char t
 
+(** [serialization_cost ~bytes] is the simulated CPU seconds to encode or
+    decode a [bytes]-byte {!serialized} payload: 50 ns plus 2 ns per byte.
+    Every binding that serializes charges this one formula. *)
+val serialization_cost : bytes:int -> float
+
 (** {1 Commit tracking}
 
     MPI requires committing derived types before use; the simulated runtime

@@ -66,6 +66,7 @@ type 'a resumer = { deliver : ('a, exn) result -> unit }
    effect payload so that one handler definition serves every engine. *)
 type _ Effect.t +=
   | Delay : t * float -> unit Effect.t
+  | Delay_until : t * float -> unit Effect.t
   | Suspend : t * ('a resumer -> unit) -> 'a Effect.t
 
 let create () =
@@ -106,6 +107,10 @@ let push t ~owner ~delay f =
   t.seq <- t.seq + 1;
   Pqueue.push_after t.queue ~base:t.clock ~delay ~seq:t.seq ~owner f
 
+let push_at t ~owner ~time f =
+  t.seq <- t.seq + 1;
+  Pqueue.push t.queue ~time ~seq:t.seq ~owner f
+
 let schedule t ~delay f =
   if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
   push t ~owner:(-1) ~delay f
@@ -143,6 +148,19 @@ let retire t fiber state =
 
 let kill t fiber = if alive fiber then retire t fiber Dead
 
+(* Parks [fiber] for [delay]/[delay_until] and returns the event that
+   wakes it (both report [Park_delay]). *)
+let park_delay t fiber (k : (unit, unit) continuation) =
+  fiber.state <- Parked;
+  let parked_at = t.clock.(0) in
+  fun () ->
+    if fiber.state = Dead then discontinue k Killed
+    else begin
+      notify_park t fiber Park_delay parked_at;
+      fiber.state <- Running;
+      continue k ()
+    end
+
 let spawn t ?(label = "fiber") ?(tag = -1) f =
   t.next_fid <- t.next_fid + 1;
   let fiber =
@@ -166,15 +184,11 @@ let spawn t ?(label = "fiber") ?(tag = -1) f =
           | Delay (t, d) ->
               Some
                 (fun (k : (a, unit) continuation) ->
-                  fiber.state <- Parked;
-                  let parked_at = t.clock.(0) in
-                  push ~owner:fiber.ftag t ~delay:d (fun () ->
-                      if fiber.state = Dead then discontinue k Killed
-                      else begin
-                        notify_park t fiber Park_delay parked_at;
-                        fiber.state <- Running;
-                        continue k ()
-                      end))
+                  push ~owner:fiber.ftag t ~delay:d (park_delay t fiber k))
+          | Delay_until (t, time) ->
+              Some
+                (fun (k : (a, unit) continuation) ->
+                  push_at ~owner:fiber.ftag t ~time (park_delay t fiber k))
           | Suspend (t, register) ->
               Some
                 (fun (k : (a, unit) continuation) ->
@@ -205,6 +219,10 @@ let spawn t ?(label = "fiber") ?(tag = -1) f =
 let delay t dt =
   if dt < 0.0 then invalid_arg "Engine.delay: negative delay";
   perform (Delay (t, dt))
+
+let delay_until t time =
+  if not (time >= t.clock.(0)) then invalid_arg "Engine.delay_until: time before now (or NaN)";
+  perform (Delay_until (t, time))
 
 let yield t = perform (Delay (t, 0.0))
 let suspend t register = perform (Suspend (t, register))

@@ -90,7 +90,9 @@ val run : t -> unit
     subsystem to attribute waiting time to ranks. *)
 
 type park_kind =
-  | Park_delay  (** the fiber was advancing its own clock via [delay] *)
+  | Park_delay
+      (** the fiber was advancing its own clock via [delay] or
+          [delay_until] *)
   | Park_suspend  (** the fiber was blocked on an external event *)
 
 type park_observer =
@@ -147,6 +149,15 @@ val set_max_events : t -> int -> unit
 (** [delay t dt] advances this fiber's time by [dt] simulated seconds,
     yielding to other events in between. *)
 val delay : t -> float -> unit
+
+(** [delay_until t time] parks this fiber until the absolute simulated
+    [time], yielding to other events in between.  The wake-up is exactly
+    [time], bit for bit, so a caller that folds [n] relative costs from
+    {!now} in the order [n] sequential {!delay} calls would add them ends
+    at the same float with one event instead of [n].  The park observer
+    sees it as [Park_delay].
+    @raise Invalid_argument if [time] is before {!now} or NaN. *)
+val delay_until : t -> float -> unit
 
 (** [yield t] lets all other events scheduled for the current time run. *)
 val yield : t -> unit

@@ -402,6 +402,77 @@ let test_allgather_serialized () =
          let got = Comm.allgather_serialized comm codec (String.make (Comm.rank comm + 1) 'x') in
          Alcotest.(check (array string)) "variable strings" [| "x"; "xx"; "xxx" |] got))
 
+(* The decode of all p parts is charged as one park.  The oracle is the
+   per-part charge loop ([p] sequential [compute] calls, one per part in
+   rank order), run here by hand: every rank's clock after the call must
+   be bit-equal to it.  The engine event count pins the saving.  The
+   baseline is the same exchange (encode charge, then plain
+   allgatherv/alltoallv on the raw wire bytes) without the decode: the
+   serialized call adds one event per rank over it, where the loop added
+   [p]. *)
+module Ser = Serialization
+
+let part_codec = Serde.Codec.(list string)
+
+(* uneven payloads, some empty *)
+let part r d = List.init ((r + (2 * d)) mod 4) (fun i -> String.make ((r * 5) + d + i) 'k')
+
+(* The exchange of [allgather_serialized]/[alltoallv_serialized] up to the
+   decode: the wire window and the received counts and displacements. *)
+let exchange ~all comm =
+  let r = Comm.rank comm in
+  let wire, send_counts =
+    if all then (Ser.to_wire part_codec (part r 0), None)
+    else
+      let wire, counts = Ser.to_wire_parts part_codec (Array.init (Comm.size comm) (part r)) in
+      (wire, Some counts)
+  in
+  Comm.compute comm (D.serialization_cost ~bytes:(Array.length wire));
+  let send_buf = V.of_array wire and dt = Ser.wire_datatype in
+  let res =
+    match send_counts with
+    | None -> Comm.allgatherv ~recv_counts_out:true ~recv_displs_out:true comm dt ~send_buf
+    | Some send_counts ->
+        Comm.alltoallv ~recv_counts_out:true ~recv_displs_out:true comm dt ~send_buf ~send_counts
+  in
+  (V.to_array res.Comm.recv_buf, Option.get res.Comm.recv_counts, Option.get res.Comm.recv_displs)
+
+let per_part_charges ~all comm =
+  let data, counts, displs = exchange ~all comm in
+  Array.init (Comm.size comm) (fun s ->
+      Comm.compute comm (D.serialization_cost ~bytes:counts.(s));
+      Ser.of_wire ~pos:displs.(s) part_codec data counts.(s))
+
+let serialized_call ~all comm =
+  let r = Comm.rank comm in
+  if all then Comm.allgather_serialized comm part_codec (part r 0)
+  else Comm.alltoallv_serialized comm part_codec (Array.init (Comm.size comm) (part r))
+
+let test_serialized_one_decode_park () =
+  List.iter
+    (fun (name, all) ->
+      List.iter
+        (fun p ->
+          let go f = Tutil.run_full ~ranks:p (fun raw -> f (Comm.wrap raw)) in
+          let timed f = go (fun comm -> let got = f ~all comm in (got, Comm.now comm)) in
+          let serialized = timed serialized_call and oracle = timed per_part_charges in
+          let raw = go (fun comm -> ignore (exchange ~all comm)) in
+          let ctx what = Printf.sprintf "%s p=%d: %s" name p what in
+          Array.iter2
+            (fun (got, t) (want, t_oracle) ->
+              Alcotest.(check (array (list string))) (ctx "parts") want got;
+              Alcotest.(check int64) (ctx "clock bits") (Int64.bits_of_float t_oracle)
+                (Int64.bits_of_float t))
+            (Mpisim.Mpi.results_exn serialized) (Mpisim.Mpi.results_exn oracle);
+          Alcotest.(check int64) (ctx "sim_time bits")
+            (Int64.bits_of_float oracle.Mpisim.Mpi.sim_time)
+            (Int64.bits_of_float serialized.Mpisim.Mpi.sim_time);
+          let extra res = res.Mpisim.Mpi.events - raw.Mpisim.Mpi.events in
+          Alcotest.(check int) (ctx "per-part loop: p events per rank") (p * p) (extra oracle);
+          Alcotest.(check int) (ctx "one decode park per rank") p (extra serialized))
+        [ 1; 5; 16 ])
+    [ ("allgather_serialized", true); ("alltoallv_serialized", false) ]
+
 (* A serialized payload costs one encode and one contiguous copy per side
    (the wire path in serialization.mli).  Host words are counted the way
    perfbench counts them, over a whole run at p=4 with [array float]
@@ -554,6 +625,8 @@ let suite =
     Alcotest.test_case "serialized alltoallv" `Quick test_alltoallv_serialized;
     Alcotest.test_case "serialized collectives: host words per wire byte" `Quick
       test_serialized_alloc_bound;
+    Alcotest.test_case "serialized collectives: one decode park" `Quick
+      test_serialized_one_decode_park;
     Alcotest.test_case "assertion levels" `Quick test_assertion_levels;
     Alcotest.test_case "heavy assertion catches mismatch" `Quick test_heavy_assertion_catches_mismatch;
     Alcotest.test_case "assertion levels change call profile" `Quick

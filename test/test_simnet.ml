@@ -133,6 +133,99 @@ let test_engine_one_shot_resumer () =
   Engine.run e;
   Alcotest.(check int) "resumed exactly once" 1 !count
 
+(* [delay_until] parks once at an absolute time.  The oracle for "exactly"
+   is the clock that sequential [delay] calls reach: folding the same
+   costs from [now] must land on the same float, bit for bit. *)
+let test_engine_delay_until () =
+  let costs = [ 0.2; 0.3; 1e-9; 7.0e-8 ] in
+  let end_of f =
+    let e = Engine.create () in
+    let _ = Engine.spawn e (fun () -> Engine.delay e 0.1; f e) in
+    Engine.run e;
+    (Engine.now e, Engine.events_processed e)
+  in
+  let seq_time, seq_events = end_of (fun e -> List.iter (Engine.delay e) costs) in
+  let until_time, until_events =
+    end_of (fun e -> Engine.delay_until e (List.fold_left ( +. ) (Engine.now e) costs))
+  in
+  Alcotest.(check int64) "wake-up bits" (Int64.bits_of_float seq_time)
+    (Int64.bits_of_float until_time);
+  Alcotest.(check int) "one park instead of four" (seq_events - 3) until_events;
+  (* past times and NaN are rejected; [now] itself is a zero-length park *)
+  let e = Engine.create () in
+  let rejected = ref 0 in
+  let _ =
+    Engine.spawn e (fun () ->
+        Engine.delay e 1.0;
+        List.iter
+          (fun time ->
+            match Engine.delay_until e time with
+            | () -> Alcotest.failf "delay_until %h accepted at now = 1.0" time
+            | exception Invalid_argument _ -> incr rejected)
+          [ 0.5; Float.nan; Float.pred 1.0 ];
+        Engine.delay_until e 1.0)
+  in
+  Engine.run e;
+  Alcotest.(check int) "past times and NaN rejected" 3 !rejected;
+  Alcotest.(check (float 0.0)) "clock unmoved" 1.0 (Engine.now e)
+
+let test_engine_delay_until_kill () =
+  let e = Engine.create () in
+  let outcome = ref "none" in
+  let fiber =
+    Engine.spawn e (fun () ->
+        match Engine.delay_until e 10.0 with
+        | () -> outcome := "resumed"
+        | exception Engine.Killed ->
+            outcome := Printf.sprintf "killed at %g" (Engine.now e);
+            raise Engine.Killed)
+  in
+  Engine.schedule e ~delay:1.0 (fun () -> Engine.kill e fiber);
+  Engine.run e;
+  Alcotest.(check string) "Killed at the wake-up" "killed at 10" !outcome;
+  Alcotest.(check bool) "not alive" false (Engine.alive fiber)
+
+let test_engine_delay_until_observed () =
+  let e = Engine.create () in
+  let seen = ref [] in
+  Engine.set_park_observer e
+    (Some
+       (fun ~tag ~kind ~parked_at ~resumed_at ->
+         if tag = 7 then seen := (kind, parked_at, resumed_at) :: !seen));
+  let _ = Engine.spawn e ~tag:7 (fun () -> Engine.delay e 0.5; Engine.delay_until e 2.25) in
+  Engine.run e;
+  match List.rev !seen with
+  | [ (Engine.Park_delay, 0.0, 0.5); (Engine.Park_delay, 0.5, 2.25) ] -> ()
+  | _ -> Alcotest.failf "unexpected park intervals (%d seen)" (List.length !seen)
+
+(* Same-time events still fire in scheduling order: a [delay_until]
+   scheduled at t=0 for t=2 precedes a callback and a [delay] that are
+   scheduled later for the same t=2. *)
+let test_engine_delay_until_ties () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let _ =
+    Engine.spawn e (fun () ->
+        Engine.delay_until e 2.0;
+        log := "until" :: !log)
+  in
+  let _ =
+    Engine.spawn e (fun () ->
+        Engine.delay e 1.0;
+        Engine.schedule e ~delay:1.0 (fun () -> log := "callback" :: !log);
+        Engine.delay e 1.0;
+        log := "delay" :: !log)
+  in
+  let _ =
+    Engine.spawn e (fun () ->
+        Engine.delay e 1.5;
+        Engine.delay_until e 2.0;
+        log := "until late" :: !log)
+  in
+  Engine.run e;
+  Alcotest.(check (list string)) "scheduling order"
+    [ "until"; "callback"; "delay"; "until late" ] (List.rev !log)
+
 let test_netmodel_latency_bandwidth () =
   let p = Netmodel.default in
   let t = Netmodel.create p ~ranks:2 in
@@ -185,6 +278,11 @@ let suite =
     Alcotest.test_case "engine deadlock detection" `Quick test_engine_deadlock_detection;
     Alcotest.test_case "engine kill" `Quick test_engine_kill;
     Alcotest.test_case "engine one-shot resumer" `Quick test_engine_one_shot_resumer;
+    Alcotest.test_case "engine delay_until: exact time, bad times" `Quick test_engine_delay_until;
+    Alcotest.test_case "engine delay_until: killed while parked" `Quick
+      test_engine_delay_until_kill;
+    Alcotest.test_case "engine delay_until: park observer" `Quick test_engine_delay_until_observed;
+    Alcotest.test_case "engine delay_until: same-time ties" `Quick test_engine_delay_until_ties;
     Alcotest.test_case "netmodel latency/bandwidth" `Quick test_netmodel_latency_bandwidth;
     Alcotest.test_case "netmodel port serialization" `Quick test_netmodel_port_serialization;
     Alcotest.test_case "netmodel pack factor" `Quick test_netmodel_pack_factor;
