@@ -24,16 +24,18 @@ dune runtest
 #   lint:observe         the mpisim call layers reach Checker, Trace and
 #                        Profiling only through Observe
 #   lint:coll            lib/mpisim/collectives.ml sends no message itself
-#   lint:wire            lib/kamping and lib/ckpt convert between Bytes and
-#                        char arrays only in lib/kamping/serialization.ml
+#   lint:wire            no Bytes/char-array conversion and no '\000'-filled
+#                        char-array window in lib/kamping, lib/ckpt,
+#                        lib/mpisim, lib/bindings or lib/apps
 #
 # What the passes cover, in order:
 # - lint:observe: one observation point per MPI operation; a call layer
 #   that records a count, a checker entry or a span itself fails here.
 # - lint:coll: every collective schedule has one home, Coll_impl;
 #   Collectives only validates, selects, observes and dispatches.
-# - lint:wire: a serialized payload is copied once per side, by the one
-#   wire helper; a hand-rolled Bytes/char-array conversion fails here.
+# - lint:wire: a serialized payload is one Bytes archive from encode to
+#   in-place decode; a Bytes/char-array conversion or a char-array wire
+#   window put back anywhere on the path fails here.
 # - runtest under the strictest MUST-style checker, under event tracing
 #   (the recorder must be a pure observer: determinism and profiling
 #   equality stay green), and under seeded random schedule exploration
@@ -74,7 +76,8 @@ dune runtest
 #   pure-observer checks and the zero-overhead gate (Bfs_mpi simulates
 #   exactly like Bfs_kamping); the traced cg_fabric run puts the same
 #   pure-observer checks on the serialized dot products and their single
-#   decode park.
+#   decode park; the traced pagerank_ckpt run puts them on the
+#   checkpointed Bytes path (snapshots, buddy copies, recovery).
 passes='
 -                                                        lint:observe
 -                                                        lint:coll
@@ -104,6 +107,7 @@ MPISIM_CHECK=communication                               test:scenarios
 -                                                        perf:pagerank_ckpt:0
 -                                                        perf:bfs_rgg:1
 -                                                        perf:cg_fabric:1
+-                                                        perf:pagerank_ckpt:1
 '
 
 run_suite() {
@@ -136,9 +140,9 @@ run_suite() {
       fi
       ;;
     lint:wire)
-      if grep -rnE 'Array\.init \(Bytes\.length|Bytes\.init .*Array\.(unsafe_)?get|Bytes\.(unsafe_)?(get|set)\b' \
-        lib/kamping lib/ckpt | grep -v '^lib/kamping/serialization\.ml:'; then
-        echo "ci.sh: Bytes/char-array conversions belong in Kamping.Serialization" >&2
+      if grep -rnE "Array\.init \(Bytes\.length|Bytes\.init .*Array\.(unsafe_)?get|Bytes\.(unsafe_)?(get|set)\b|Array\.make .*'\\\\000'" \
+        lib/kamping lib/ckpt lib/mpisim lib/bindings lib/apps; then
+        echo "ci.sh: serialized payloads stay Bytes end to end; no char-array windows or conversions" >&2
         exit 1
       fi
       ;;

@@ -34,9 +34,9 @@ let make_model ~taxa ~seed =
 
 module Before = struct
   (* _parallel_buf: the preallocated serialization scratch buffer. *)
-  type t = { comm : Mpisim.Comm.t; mutable parallel_buf : char array }
+  type t = { comm : Mpisim.Comm.t; mutable parallel_buf : Bytes.t }
 
-  let create comm = { comm; parallel_buf = Array.make 4096 '\000' }
+  let create comm = { comm; parallel_buf = Bytes.create 4096 }
 
   let mpi_broadcast_raw t buf ~count ~root =
     Mpisim.Collectives.bcast t.comm D.serialized buf ~count ~root
@@ -49,10 +49,8 @@ module Before = struct
       if master then begin
         let b = Serde.Codec.encode model_codec obj in
         let n = Bytes.length b in
-        if n > Array.length t.parallel_buf then t.parallel_buf <- Array.make (2 * n) '\000';
-        for i = 0 to n - 1 do
-          t.parallel_buf.(i) <- Bytes.get b i
-        done;
+        if n > Bytes.length t.parallel_buf then t.parallel_buf <- Bytes.create (2 * n);
+        Bytes.blit b 0 t.parallel_buf 0 n;
         Mpisim.Comm.compute t.comm (D.serialization_cost ~bytes:n);
         n
       end
@@ -61,14 +59,13 @@ module Before = struct
     let size_box = [| size |] in
     Mpisim.Collectives.bcast t.comm D.int size_box ~root;
     let size = size_box.(0) in
-    if (not master) && size > Array.length t.parallel_buf then
-      t.parallel_buf <- Array.make (2 * size) '\000';
+    if (not master) && size > Bytes.length t.parallel_buf then
+      t.parallel_buf <- Bytes.create (2 * size);
     mpi_broadcast_raw t t.parallel_buf ~count:size ~root;
     if master then obj
     else begin
       Mpisim.Comm.compute t.comm (D.serialization_cost ~bytes:size);
-      let b = Bytes.init size (Array.get t.parallel_buf) in
-      Serde.Codec.decode model_codec b
+      Serde.Codec.decode_sub model_codec t.parallel_buf ~pos:0 ~len:size
     end
 end
 

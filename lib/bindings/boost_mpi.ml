@@ -105,17 +105,15 @@ let isend comm dt buf ~dst ~tag = Mpisim.P2p.isend comm dt buf ~dst ~tag
 let irecv comm dt buf ~src ~tag = Mpisim.P2p.irecv comm dt buf ~src ~tag
 
 let send_serialized comm codec v ~dst ~tag =
-  let b = Serde.Codec.encode codec v in
-  let wire = Array.init (Bytes.length b) (Bytes.get b) in
-  Mpisim.Comm.compute comm (D.serialization_cost ~bytes:(Array.length wire));
-  Mpisim.P2p.send comm D.int [| Array.length wire |] ~dst ~tag;
+  let wire = Serde.Codec.encode codec v in
+  Mpisim.Comm.compute comm (D.serialization_cost ~bytes:(Bytes.length wire));
+  Mpisim.P2p.send comm D.int [| Bytes.length wire |] ~dst ~tag;
   Mpisim.P2p.send comm D.serialized wire ~dst ~tag
 
 let recv_serialized comm codec ~src ~tag =
   let header = [| 0 |] in
   let st = Mpisim.P2p.recv comm D.int header ~src ~tag in
-  let buf = Array.make (max header.(0) 1) '\000' in
+  let buf = Bytes.create header.(0) in
   ignore (Mpisim.P2p.recv comm D.serialized buf ~src:st.Mpisim.Request.source ~tag);
   Mpisim.Comm.compute comm (D.serialization_cost ~bytes:header.(0));
-  let b = Bytes.init header.(0) (Array.get buf) in
-  Serde.Codec.decode codec b
+  Serde.Codec.decode codec buf

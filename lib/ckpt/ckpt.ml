@@ -64,17 +64,17 @@ let recoveries ctx = ctx.n_recoveries
 (* Snapshot payloads pack the owned shards as (shard id, registry bundle)
    pairs so a buddy copy is self-describing. *)
 let pack_shards ctx =
-  let w = A.writer () in
-  A.write_varint w (List.length ctx.shards);
-  List.iter
-    (fun s ->
-      A.write_varint w s;
-      A.write_bytes w (Registry.save_shard ctx.registry ~shard:s))
-    ctx.shards;
-  A.contents w
+  let bundles = List.map (fun s -> (s, Registry.save_shard ctx.registry ~shard:s)) ctx.shards in
+  A.build (fun w ->
+      A.write_varint w (List.length bundles);
+      List.iter
+        (fun (s, b) ->
+          A.write_varint w s;
+          A.write_bytes w b)
+        bundles)
 
 let unpack_shards payload =
-  let r = A.reader payload in
+  let r = A.reader ~pos:0 ~len:(Bytes.length payload) payload in
   let n = A.read_varint r in
   if n < 0 then raise (A.Corrupt (Printf.sprintf "ckpt: negative shard count %d" n));
   let out = ref [] in
@@ -142,12 +142,11 @@ let checkpoint ctx =
          (Mpisim.P2p.sendrecv raw Mpisim.Datatype.int
             ~send:[| Bytes.length snap |]
             ~dst:buddy ~stag:tag_len ~recv:recv_len ~src:buddy ~rtag:tag_len ());
-       let recv_buf = Array.make (Int.max 1 recv_len.(0)) '\000' in
+       let recv_buf = Bytes.create recv_len.(0) in
        ignore
-         (Mpisim.P2p.sendrecv raw Wire.wire_datatype ~send:(Wire.wire_of_bytes snap)
-            ~dst:buddy ~stag:tag_payload ~recv:recv_buf ~recv_count:recv_len.(0) ~src:buddy
-            ~rtag:tag_payload ());
-       store_held ctx (Wire.bytes_of_wire recv_buf recv_len.(0))
+         (Mpisim.P2p.sendrecv raw Wire.wire_datatype ~send:snap ~dst:buddy ~stag:tag_payload
+            ~recv:recv_buf ~src:buddy ~rtag:tag_payload ());
+       store_held ctx recv_buf
      end;
      (* Odd communicator size: the self-paired last rank ships an extra
         copy to rank 0 so its state too survives its own failure. *)
@@ -156,17 +155,14 @@ let checkpoint ctx =
          Mpisim.P2p.send raw Mpisim.Datatype.int
            [| Bytes.length snap |]
            ~dst:0 ~tag:tag_extra_len;
-         Mpisim.P2p.send raw Wire.wire_datatype (Wire.wire_of_bytes snap) ~dst:0
-           ~tag:tag_extra_payload
+         Mpisim.P2p.send raw Wire.wire_datatype snap ~dst:0 ~tag:tag_extra_payload
        end
        else if me = 0 then begin
          let len = [| 0 |] in
          ignore (Mpisim.P2p.recv raw Mpisim.Datatype.int len ~src:(p - 1) ~tag:tag_extra_len);
-         let buf = Array.make (Int.max 1 len.(0)) '\000' in
-         ignore
-           (Mpisim.P2p.recv raw Wire.wire_datatype buf ~count:len.(0)
-              ~src:(p - 1) ~tag:tag_extra_payload);
-         store_held ctx (Wire.bytes_of_wire buf len.(0))
+         let buf = Bytes.create len.(0) in
+         ignore (Mpisim.P2p.recv raw Wire.wire_datatype buf ~src:(p - 1) ~tag:tag_extra_payload);
+         store_held ctx buf
        end);
   (* Agree on the per-iteration cost so every rank derives the same
      checkpoint period (max is the conservative, deterministic choice).

@@ -20,19 +20,18 @@ let register t ~name codec ~save ~restore =
   t.entries <- { name; save; restore } :: t.entries
 
 let save_shard t ~shard =
-  let entries = List.rev t.entries in
-  let w = A.writer () in
-  A.write_varint w (List.length entries);
-  List.iter
-    (fun e ->
-      A.write_string w e.name;
-      A.write_bytes w (e.save ~shard))
-    entries;
-  A.contents w
+  let saved = List.map (fun e -> (e.name, e.save ~shard)) (List.rev t.entries) in
+  A.build (fun w ->
+      A.write_varint w (List.length saved);
+      List.iter
+        (fun (name, b) ->
+          A.write_string w name;
+          A.write_bytes w b)
+        saved)
 
 let restore_shard t ~shard b =
   let entries = List.rev t.entries in
-  let r = A.reader b in
+  let r = A.reader ~pos:0 ~len:(Bytes.length b) b in
   let n = A.read_varint r in
   let expected = List.length entries in
   if n <> expected then

@@ -9,15 +9,14 @@ exception Wrong_epoch of { expected : int; got : int }
 let magic = 0x434b
 
 let encode t =
-  let w = A.writer () in
-  A.write_varint w magic;
-  A.write_varint w t.epoch;
-  A.write_varint w t.rank;
-  A.write_bytes w t.payload;
-  A.contents w
+  A.build (fun w ->
+      A.write_varint w magic;
+      A.write_varint w t.epoch;
+      A.write_varint w t.rank;
+      A.write_bytes w t.payload)
 
 let decode b =
-  let r = A.reader b in
+  let r = A.reader ~pos:0 ~len:(Bytes.length b) b in
   let m = A.read_varint r in
   if m <> magic then raise (A.Corrupt (Printf.sprintf "snapshot: bad magic %#x" m));
   let epoch = A.read_varint r in

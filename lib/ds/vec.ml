@@ -46,12 +46,12 @@ let pop v =
 
 let clear v = v.len <- 0
 
+(* A store that [grow] allocates already holds [x] in every slot from
+   [v.len] on, so only a resize within the capacity fills. *)
 let resize v n x =
   if n < 0 then invalid_arg "Vec.resize: negative length";
-  if n > v.len then begin
-    grow v n x;
-    Array.fill v.data v.len (n - v.len) x
-  end;
+  if n > v.len then
+    if n > Array.length v.data then grow v n x else Array.fill v.data v.len (n - v.len) x;
   v.len <- n
 
 let reserve v n =

@@ -470,72 +470,79 @@ let comm_of_pset s pname = wrap (Mpisim.Session.comm_of_pset s pname)
 
 (* ---------------- serialization ---------------- *)
 
+(* Every serialized call moves one [Bytes] archive: the sender's archive
+   is the send window, and the receive window is one exact-size
+   [Bytes.create] that each part decodes from in place. *)
+let wire = Serialization.wire_datatype
+
 let send_serialized ?(tag = default_tag) t codec v ~dst =
-  let wire = Serialization.to_wire codec v in
-  compute t (D.serialization_cost ~bytes:(Array.length wire));
-  P.send t.c Serialization.wire_datatype wire ~dst ~tag
+  let archive = Serialization.to_wire codec v in
+  compute t (D.serialization_cost ~bytes:(Bytes.length archive));
+  P.send t.c wire archive ~dst ~tag
 
 let recv_serialized ?(tag = default_tag) t codec ~src =
   let st = P.probe t.c ~src ~tag in
-  let buf = Array.make (max 1 st.Mpisim.Request.count) '\000' in
-  let st = P.recv t.c Serialization.wire_datatype buf ~src:st.source ~tag:st.tag in
+  let buf = Bytes.create st.Mpisim.Request.count in
+  let st = P.recv t.c wire buf ~src:st.source ~tag:st.tag in
   compute t (D.serialization_cost ~bytes:st.Mpisim.Request.count);
-  Serialization.of_wire codec buf st.Mpisim.Request.count
+  Serialization.of_wire codec buf ~pos:0 ~len:st.Mpisim.Request.count
 
 let bcast_serialized ?(root = 0) t codec v =
   let i_am_root = rank t = root in
-  let wire = if i_am_root then Serialization.to_wire codec v else [||] in
-  if i_am_root then compute t (D.serialization_cost ~bytes:(Array.length wire));
-  let len = bcast_single ~root t D.int (Array.length wire) in
-  let buf = if i_am_root then wire else Array.make (max 1 len) '\000' in
-  C.bcast t.c Serialization.wire_datatype buf ~count:len ~root;
+  let archive = if i_am_root then Serialization.to_wire codec v else Bytes.empty in
+  if i_am_root then compute t (D.serialization_cost ~bytes:(Bytes.length archive));
+  let len = bcast_single ~root t D.int (Bytes.length archive) in
+  let buf = if i_am_root then archive else Bytes.create len in
+  C.bcast t.c wire buf ~count:len ~root;
   if i_am_root then v
   else begin
     compute t (D.serialization_cost ~bytes:len);
-    Serialization.of_wire codec buf len
+    Serialization.of_wire codec buf ~pos:0 ~len
   end
 
 (* Decoding the received parts, charged as one park: the per-part costs
    fold from [now] in rank order, the same float additions that [p]
    sequential [compute] calls would make to the clock, so the wake-up is
-   bit-identical with one engine event instead of [p]. *)
-let charge_decode t counts =
+   bit-identical with one engine event instead of [p].  Then every part
+   decodes in place from its offset in the receive window. *)
+let decode_parts t codec buf counts displs =
   let until = ref (now t) in
   for r = 0 to Array.length counts - 1 do
     until := !until +. D.serialization_cost ~bytes:counts.(r)
   done;
-  Mpisim.Comm.compute_until t.c !until
+  Mpisim.Comm.compute_until t.c !until;
+  Array.init (Array.length counts) (fun r ->
+      Serialization.of_wire codec buf ~pos:displs.(r) ~len:counts.(r))
 
+(* The calls [allgatherv] makes with default counts: the counts
+   allgather, then the exchange into an exact-size window. *)
 let allgather_serialized t codec v =
-  let wire = Serialization.to_wire codec v in
-  compute t (D.serialization_cost ~bytes:(Array.length wire));
-  let result =
-    allgatherv ~recv_counts_out:true ~recv_displs_out:true t Serialization.wire_datatype
-      ~send_buf:(V.unsafe_of_array wire (Array.length wire))
-  in
-  let counts = Option.get result.recv_counts in
-  let displs = Option.get result.recv_displs in
-  let data = V.unsafe_data result.recv_buf in
-  charge_decode t counts;
-  Array.init (size t) (fun r -> Serialization.of_wire ~pos:displs.(r) codec data counts.(r))
+  let archive = Serialization.to_wire codec v in
+  let scount = Bytes.length archive in
+  compute t (D.serialization_cost ~bytes:scount);
+  let counts = Array.make (size t) 0 in
+  C.allgather t.c D.int ~sendbuf:[| scount |] ~recvbuf:counts ~count:1;
+  let displs = C.exclusive_scan counts in
+  let buf = Bytes.create (layout_end counts displs) in
+  C.allgatherv t.c wire ~sendbuf:archive ~scount ~recvbuf:buf ~rcounts:counts ~rdispls:displs;
+  decode_parts t codec buf counts displs
 
+(* The calls [alltoallv] makes with default counts: the counts
+   transpose, then the exchange into an exact-size window. *)
 let alltoallv_serialized t codec messages =
   let p = size t in
   Assertions.check Light
     (fun () -> Array.length messages = p)
     "alltoallv_serialized: one message per rank required";
-  let wire, send_counts = Serialization.to_wire_parts codec messages in
-  compute t (D.serialization_cost ~bytes:(Array.length wire));
-  let res =
-    alltoallv ~recv_counts_out:true ~recv_displs_out:true t Serialization.wire_datatype
-      ~send_buf:(V.unsafe_of_array wire (Array.length wire))
-      ~send_counts
-  in
-  let counts = Option.get res.recv_counts in
-  let displs = Option.get res.recv_displs in
-  let data = V.unsafe_data res.recv_buf in
-  charge_decode t counts;
-  Array.init p (fun s -> Serialization.of_wire ~pos:displs.(s) codec data counts.(s))
+  let archive, send_counts = Serialization.to_wire_parts codec messages in
+  compute t (D.serialization_cost ~bytes:(Bytes.length archive));
+  let counts = Array.make p 0 in
+  C.alltoall t.c D.int ~sendbuf:send_counts ~recvbuf:counts ~count:1;
+  let displs = C.exclusive_scan counts in
+  let buf = Bytes.create (layout_end counts displs) in
+  C.alltoallv t.c wire ~sendbuf:archive ~scounts:send_counts
+    ~sdispls:(C.exclusive_scan send_counts) ~recvbuf:buf ~rcounts:counts ~rdispls:displs;
+  decode_parts t codec buf counts displs
 
 (* ---------------- communicator management ---------------- *)
 

@@ -409,7 +409,14 @@ val session : ?name:string -> t -> Mpisim.Session.t
     process set. *)
 val comm_of_pset : Mpisim.Session.t -> string -> t
 
-(** {1 Serialization (Sec. III-D3)} *)
+(** {1 Serialization (Sec. III-D3)}
+
+    Each call moves one [Bytes] archive ({!Serialization}): the encoded
+    value is the send window, the receive window is one exact-size
+    [Bytes], and every part decodes in place from it.  Each issues the
+    MPI calls of its typed counterpart with default counts (the size or
+    counts exchange, then the data transfer), so PMPI profiles do not
+    depend on the payload's representation. *)
 
 val send_serialized : ?tag:int -> t -> 'a Serde.Codec.t -> 'a -> dst:int -> unit
 val recv_serialized : ?tag:int -> t -> 'a Serde.Codec.t -> src:int -> 'a

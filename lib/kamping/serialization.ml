@@ -1,30 +1,22 @@
-let wire_of_bytes b = Array.init (Bytes.length b) (Bytes.unsafe_get b)
+let to_wire = Serde.Codec.encode
 
-let bytes_of_wire ?(pos = 0) buf len =
-  let b = Bytes.create len in
-  for i = 0 to len - 1 do
-    Bytes.unsafe_set b i buf.(pos + i)
-  done;
-  b
-
-let to_wire codec v = wire_of_bytes (Serde.Codec.encode codec v)
-
+(* Every part goes into one writer, so the parts lie back to back in the
+   one archive it builds; the writer's size after each part gives its byte
+   count. *)
 let to_wire_parts codec values =
-  let parts = Array.map (Serde.Codec.encode codec) values in
-  let counts = Array.map Bytes.length parts in
-  let wire = Array.make (Array.fold_left ( + ) 0 counts) '\000' in
-  let off = ref 0 in
-  Array.iter
-    (fun b ->
-      for i = 0 to Bytes.length b - 1 do
-        wire.(!off + i) <- Bytes.unsafe_get b i
-      done;
-      off := !off + Bytes.length b)
-    parts;
-  (wire, counts)
+  let counts = Array.make (Array.length values) 0 in
+  let archive =
+    Serde.Archive.build (fun w ->
+        Array.iteri
+          (fun i v ->
+            let before = Serde.Archive.size w in
+            Serde.Codec.write codec w v;
+            counts.(i) <- Serde.Archive.size w - before)
+          values)
+  in
+  (archive, counts)
 
-let of_wire ?pos codec buf len = Serde.Codec.decode codec (bytes_of_wire ?pos buf len)
-
+let of_wire = Serde.Codec.decode_sub
 let wire_datatype = Mpisim.Datatype.serialized
 
 (* Large counts (MPI-4 MPI_Count) cross the wire as two 31-bit halves so

@@ -10,42 +10,32 @@
 
     {2 The wire path}
 
-    A payload costs one encode and one contiguous copy on each side.  The
-    sender encodes each value once and copies the archive once into an
-    exact-size wire buffer (a [char array] tagged {!wire_datatype};
-    {!to_wire_parts} packs one part per destination back to back).  [Mpisim] carries the message as
-    [Bytes] ({!Mpisim.Msg.Serialized}), and the receiver decodes each
-    part in place from its offset in the receive window ({!of_wire}'s
-    [pos]).  The encoded archive is exactly [Serde.Codec.encode]'s, so
-    {!Mpisim.Datatype.serialization_cost} and the simulated bytes do not
-    depend on the path.
+    A payload is one [Bytes] archive from encode to decode: the sender
+    encodes each value once, and the archive itself is the send window
+    ({!to_wire}; {!to_wire_parts} encodes one part per destination back
+    to back into one archive).  {!wire_datatype} holds its elements in
+    [Bytes], so [Mpisim] copies the window into the message in flight and
+    out into an exact-size [Bytes] receive window, one host byte per wire
+    byte, and the receiver decodes each part in place from its offset in
+    that window ({!of_wire}).  The archive is exactly
+    [Serde.Codec.encode]'s, so {!Mpisim.Datatype.serialization_cost} and
+    the simulated bytes do not depend on the path. *)
 
-    This module is the one place that converts between [Bytes] and wire
-    buffers; callers holding an already-encoded archive (checkpoint
-    snapshots) use {!wire_of_bytes} and {!bytes_of_wire}. *)
+(** [to_wire codec v] is the archive of [v], ready to send as it is. *)
+val to_wire : 'a Serde.Codec.t -> 'a -> Bytes.t
 
-(** [to_wire codec v] serializes [v] into an exact-size wire buffer. *)
-val to_wire : 'a Serde.Codec.t -> 'a -> char array
+(** [to_wire_parts codec vs] encodes every [vs.(i)] back to back into one
+    archive and returns it with the byte count of each part.  Part [i] is
+    byte for byte [to_wire codec vs.(i)]. *)
+val to_wire_parts : 'a Serde.Codec.t -> 'a array -> Bytes.t * int array
 
-(** [to_wire_parts codec vs] serializes every [vs.(i)] back to back into
-    one exact-size wire buffer and returns it with the byte count of each
-    part.  Part [i] is byte for byte [to_wire codec vs.(i)]. *)
-val to_wire_parts : 'a Serde.Codec.t -> 'a array -> char array * int array
-
-(** [of_wire ?pos codec buf len] deserializes the [len] bytes of [buf]
-    starting at [pos] (default 0).
+(** [of_wire codec buf ~pos ~len] deserializes the [len] bytes of [buf]
+    starting at [pos], in place ({!Serde.Codec.decode_sub}).
     @raise Serde.Archive.Corrupt unless they hold exactly one value. *)
-val of_wire : ?pos:int -> 'a Serde.Codec.t -> char array -> int -> 'a
-
-(** [wire_of_bytes b] is the wire buffer holding the archive [b]. *)
-val wire_of_bytes : Bytes.t -> char array
-
-(** [bytes_of_wire ?pos buf len] is the archive held in the [len] bytes of
-    [buf] starting at [pos] (default 0). *)
-val bytes_of_wire : ?pos:int -> char array -> int -> Bytes.t
+val of_wire : 'a Serde.Codec.t -> Bytes.t -> pos:int -> len:int -> 'a
 
 (** [wire_datatype] is the datatype of serialized payloads. *)
-val wire_datatype : char Mpisim.Datatype.t
+val wire_datatype : (char, Bytes.t) Mpisim.Datatype.gen
 
 (** {1 Large counts (MPI-4 [MPI_Count])}
 

@@ -217,8 +217,8 @@ let rd_allgatherv comm dt ~recvbuf ~pos_of ~count_of ~tag =
     let buf, base =
       if !in_place then (recvbuf, !base)
       else begin
-        let packed = Array.make total recvbuf.(!base) in
-        Array.blit recvbuf (pos_of r) packed off.(r) (count_of r);
+        let packed = Datatype.alloc_like dt recvbuf total in
+        Datatype.blit dt recvbuf (pos_of r) packed off.(r) (count_of r);
         (packed, 0)
       end
     in
@@ -257,7 +257,7 @@ let rd_allgatherv comm dt ~recvbuf ~pos_of ~count_of ~tag =
     end;
     if buf != recvbuf then
       for i = 0 to p - 1 do
-        if i <> r then Array.blit buf off.(i) recvbuf (pos_of i) (count_of i)
+        if i <> r then Datatype.blit dt buf off.(i) recvbuf (pos_of i) (count_of i)
       done
   end
 
@@ -284,11 +284,10 @@ let ring_allgatherv comm dt ~recvbuf ~pos_of ~count_of ~tag =
 
 (* p - 1 neighbour steps over the blocks [start i, start (i + 1)) of [buf]:
    in step s ring position [me] sends block (me - s + 1) to [dst] and
-   receives block (me - s) from [src], skipping empty blocks.  With [fold]
-   = (op, tmp) each received block lands in [tmp] and is combined into
-   [buf] on the left (the partial sum it carries starts at the block's
-   owner). *)
-let ring_blocks ?fold comm dt buf ~start ~me ~dst ~src ~tag =
+   receives block (me - s) from [src], skipping empty blocks.  With
+   [recv_block], [recv_block lo n] receives each block instead of the
+   plain receive into [buf] (the ring allreduce folds it in there). *)
+let ring_blocks ?recv_block comm dt buf ~start ~me ~dst ~src ~tag =
   let p = Comm.size comm in
   for s = 1 to p - 1 do
     let sb = (me - s + 1 + p) mod p and rb = (me - s + p) mod p in
@@ -299,11 +298,9 @@ let ring_blocks ?fold comm dt buf ~start ~me ~dst ~src ~tag =
       else None
     in
     (if r_n > 0 then
-       match fold with
+       match recv_block with
        | None -> ignore (P2p.recv ~ctx:Internal ~pos:r_lo ~count:r_n comm dt buf ~src ~tag)
-       | Some (op, tmp) ->
-           ignore (P2p.recv ~ctx:Internal ~pos:r_lo ~count:r_n comm dt tmp ~src ~tag);
-           combine comm op buf tmp ~pos:r_lo r_n ~received_left:true);
+       | Some recv_block -> recv_block r_lo r_n);
     match req with Some req -> ignore (Request.wait req) | None -> ()
   done
 
@@ -316,7 +313,7 @@ let ring_blocks ?fold comm dt buf ~start ~me ~dst ~src ~tag =
 let gather_linear comm dt ~sendbuf ~spos ~scount ~recvbuf ~rpos_of ~rcount_of ~root ~tag =
   let r = Comm.rank comm in
   if r = root then begin
-    Array.blit sendbuf spos recvbuf (rpos_of r) scount;
+    Datatype.blit dt sendbuf spos recvbuf (rpos_of r) scount;
     for src = 0 to Comm.size comm - 1 do
       if src <> root then
         ignore
@@ -330,7 +327,7 @@ let gather_linear comm dt ~sendbuf ~spos ~scount ~recvbuf ~rpos_of ~rcount_of ~r
 let scatter_linear comm dt ~sendbuf ~spos_of ~scount_of ~recvbuf ~rpos ~rcount ~root ~tag =
   let r = Comm.rank comm in
   if r = root then begin
-    Array.blit sendbuf (spos_of r) recvbuf rpos (scount_of r);
+    Datatype.blit dt sendbuf (spos_of r) recvbuf rpos (scount_of r);
     for dst = 0 to Comm.size comm - 1 do
       if dst <> root then
         P2p.send ~ctx:Internal ~pos:(spos_of dst) ~count:(scount_of dst) comm dt sendbuf ~dst ~tag
@@ -568,8 +565,14 @@ let allreduce_ring comm dt op ~sendbuf ~pos ~recvbuf ~count ~tag_rs ~tag_ag =
     let start i = (i * (count / p)) + min i (count mod p) in
     let dst = (r + 1) mod p and src = (r - 1 + p) mod p in
     (* Reduce-scatter: after step s rank r has accumulated s+1 inputs into
-       block (r - s); rank r ends owning block (r + 1) mod p. *)
-    ring_blocks ~fold:(op, tmp) comm dt recvbuf ~start ~me:r ~dst ~src ~tag:tag_rs;
+       block (r - s); rank r ends owning block (r + 1) mod p.  Each
+       received block lands in [tmp] and is combined on the left (the
+       partial sum it carries starts at the block's owner). *)
+    let fold lo n =
+      ignore (P2p.recv ~ctx:Internal ~pos:lo ~count:n comm dt tmp ~src ~tag:tag_rs);
+      combine comm op recvbuf tmp ~pos:lo n ~received_left:true
+    in
+    ring_blocks ~recv_block:fold comm dt recvbuf ~start ~me:r ~dst ~src ~tag:tag_rs;
     (* Allgather: circulate the reduced blocks. *)
     ring_blocks comm dt recvbuf ~start ~me:((r + 1) mod p) ~dst ~src ~tag:tag_ag
   end
@@ -580,19 +583,19 @@ let allreduce_ring comm dt op ~sendbuf ~pos ~recvbuf ~count ~tag_rs ~tag_ag =
 
 (* Copy the caller's block into place (shared by the p = 1 fast path and
    the ring/recursive-doubling seeds). *)
-let seed_own_block recvbuf rpos count ~my_block_pos ~my_block_buf ~block =
+let seed_own_block dt recvbuf rpos count ~my_block_pos ~my_block_buf ~block =
   let dst_pos = rpos + block in
   if my_block_buf != recvbuf || my_block_pos <> dst_pos then
-    Array.blit my_block_buf my_block_pos recvbuf dst_pos count
+    Datatype.blit dt my_block_buf my_block_pos recvbuf dst_pos count
 
 (* Bruck's allgather: logarithmic number of rounds for arbitrary p. *)
 let allgather_bruck comm dt ~recvbuf ~rpos ~count ~tag ~my_block_pos ~my_block_buf =
   let p = Comm.size comm and r = Comm.rank comm in
   if count > 0 then begin
-    if p = 1 then seed_own_block recvbuf rpos count ~my_block_pos ~my_block_buf ~block:0
+    if p = 1 then seed_own_block dt recvbuf rpos count ~my_block_pos ~my_block_buf ~block:0
     else begin
-      let temp = Array.make (p * count) my_block_buf.(my_block_pos) in
-      Array.blit my_block_buf my_block_pos temp 0 count;
+      let temp = Datatype.alloc_like dt my_block_buf (p * count) in
+      Datatype.blit dt my_block_buf my_block_pos temp 0 count;
       let m = ref 1 in
       while !m < p do
         let s = min !m (p - !m) in
@@ -604,7 +607,7 @@ let allgather_bruck comm dt ~recvbuf ~rpos ~count ~tag ~my_block_pos ~my_block_b
       done;
       (* Undo the rotation: temp block i holds rank (r+i) mod p's data. *)
       for i = 0 to p - 1 do
-        Array.blit temp (i * count) recvbuf (rpos + (((r + i) mod p) * count)) count
+        Datatype.blit dt temp (i * count) recvbuf (rpos + (((r + i) mod p) * count)) count
       done
     end
   end
@@ -612,7 +615,8 @@ let allgather_bruck comm dt ~recvbuf ~rpos ~count ~tag ~my_block_pos ~my_block_b
 (* Ring and recursive doubling: an allgatherv body on the uniform layout. *)
 let allgather_uniform body comm dt ~recvbuf ~rpos ~count ~tag ~my_block_pos ~my_block_buf =
   if count > 0 then begin
-    seed_own_block recvbuf rpos count ~my_block_pos ~my_block_buf ~block:(Comm.rank comm * count);
+    seed_own_block dt recvbuf rpos count ~my_block_pos ~my_block_buf
+      ~block:(Comm.rank comm * count);
     body comm dt ~recvbuf ~pos_of:(fun i -> rpos + (i * count)) ~count_of:(fun _ -> count) ~tag
   end
 
@@ -627,7 +631,7 @@ let allgather_uniform body comm dt ~recvbuf ~rpos ~count ~tag ~my_block_pos ~my_
    Omega(p) complexity per call (paper Sec. V-A). *)
 let post_all_exchange comm dt ~tag ~scount_of ~spos_of ~rcount_of ~rpos_of ~sendbuf ~recvbuf =
   let p = Comm.size comm and r = Comm.rank comm in
-  Array.blit sendbuf (spos_of r) recvbuf (rpos_of r) (scount_of r);
+  Datatype.blit dt sendbuf (spos_of r) recvbuf (rpos_of r) (scount_of r);
   let recv_reqs =
     Array.init (p - 1) (fun i ->
         let src = (r - 1 - i + p) mod p in
@@ -655,23 +659,23 @@ let alltoall_pairwise comm dt ~sendbuf ~recvbuf ~count ~tag =
 let alltoall_bruck comm dt ~sendbuf ~recvbuf ~count ~tag =
   let p = Comm.size comm and r = Comm.rank comm in
   if count > 0 then begin
-    if p = 1 then Array.blit sendbuf 0 recvbuf 0 count
+    if p = 1 then Datatype.blit dt sendbuf 0 recvbuf 0 count
     else begin
-      let temp = Array.make (p * count) sendbuf.(0) in
+      let temp = Datatype.alloc_like dt sendbuf (p * count) in
       (* Phase 1: temp block i = my block for destination (r + i) mod p. *)
       for i = 0 to p - 1 do
-        Array.blit sendbuf (((r + i) mod p) * count) temp (i * count) count
+        Datatype.blit dt sendbuf (((r + i) mod p) * count) temp (i * count) count
       done;
       let max_sel = (p + 1) / 2 in
-      let cbuf = Array.make (max_sel * count) temp.(0) in
-      let rbuf = Array.make (max_sel * count) temp.(0) in
+      let cbuf = Datatype.alloc_like dt temp (max_sel * count) in
+      let rbuf = Datatype.alloc_like dt temp (max_sel * count) in
       let pof = ref 1 in
       while !pof < p do
         let dst = (r + !pof) mod p and src = (r - !pof + p) mod p in
         let nsel = ref 0 in
         for i = 0 to p - 1 do
           if i land !pof <> 0 then begin
-            Array.blit temp (i * count) cbuf (!nsel * count) count;
+            Datatype.blit dt temp (i * count) cbuf (!nsel * count) count;
             incr nsel
           end
         done;
@@ -681,7 +685,7 @@ let alltoall_bruck comm dt ~sendbuf ~recvbuf ~count ~tag =
         let k = ref 0 in
         for i = 0 to p - 1 do
           if i land !pof <> 0 then begin
-            Array.blit rbuf (!k * count) temp (i * count) count;
+            Datatype.blit dt rbuf (!k * count) temp (i * count) count;
             incr k
           end
         done;
@@ -690,7 +694,7 @@ let alltoall_bruck comm dt ~sendbuf ~recvbuf ~count ~tag =
       (* Phase 3: temp block i now holds the data from rank (r - i + p) mod
          p; place it at that source's slot. *)
       for i = 0 to p - 1 do
-        Array.blit temp (i * count) recvbuf (((r - i + p) mod p) * count) count
+        Datatype.blit dt temp (i * count) recvbuf (((r - i + p) mod p) * count) count
       done
     end
   end
@@ -784,7 +788,7 @@ let alltoall_smp comm dt ~sendbuf ~recvbuf ~count ~nodes ~tag_local ~tag_up ~tag
       (fun bi ms -> seg_off.(bi + 1) <- seg_off.(bi) + Array.length ms)
       remote_members;
     (* Intra-node direct exchange (own block included). *)
-    Array.blit sendbuf (r * count) recvbuf (r * count) count;
+    Datatype.blit dt sendbuf (r * count) recvbuf (r * count) count;
     let local_recv =
       List.filter_map
         (fun q ->
@@ -803,22 +807,23 @@ let alltoall_smp comm dt ~sendbuf ~recvbuf ~count ~nodes ~tag_local ~tag_up ~tag
     in
     if Array.length remote_nodes > 0 then begin
       (* Pack my remote-destined blocks: nodes ascending, members ascending. *)
-      let up = Array.make (max 1 (n_remote * count)) sendbuf.(0) in
+      let up = Datatype.alloc_like dt sendbuf (max 1 (n_remote * count)) in
       Array.iteri
         (fun bi ms ->
           Array.iteri
-            (fun j q -> Array.blit sendbuf (q * count) up ((seg_off.(bi) + j) * count) count)
+            (fun j q -> Datatype.blit dt sendbuf (q * count) up ((seg_off.(bi) + j) * count) count)
             ms)
         remote_members;
       if r <> leader then begin
         (* Ship them up, then receive my slice of every arriving bundle. *)
         P2p.send ~ctx:Internal ~count:(n_remote * count) comm dt up ~dst:leader ~tag:tag_up;
-        let down = Array.make (n_remote * count) sendbuf.(0) in
+        let down = Datatype.alloc_like dt sendbuf (n_remote * count) in
         ignore (P2p.recv ~ctx:Internal ~count:(n_remote * count) comm dt down ~src:leader ~tag:tag_down);
         Array.iteri
           (fun bi ms ->
             Array.iteri
-              (fun j q -> Array.blit down ((seg_off.(bi) + j) * count) recvbuf (q * count) count)
+              (fun j q ->
+                Datatype.blit dt down ((seg_off.(bi) + j) * count) recvbuf (q * count) count)
               ms)
           remote_members
       end
@@ -827,30 +832,30 @@ let alltoall_smp comm dt ~sendbuf ~recvbuf ~count ~nodes ~tag_local ~tag_up ~tag
            li's bundle (leader's own is [up]). *)
         let lbuf = Array.make m_a up in
         for li = 1 to m_a - 1 do
-          let b = Array.make (n_remote * count) sendbuf.(0) in
+          let b = Datatype.alloc_like dt sendbuf (n_remote * count) in
           ignore (P2p.recv ~ctx:Internal ~count:(n_remote * count) comm dt b ~src:my.(li) ~tag:tag_up);
           lbuf.(li) <- b
         done;
         (* One bundle per remote node: src members ascending, then dst
            members ascending.  Post receives first, then sends (isend
            copies eagerly, so one scratch buffer suffices). *)
-        let arrivals = Array.make (Array.length remote_nodes) [||] in
+        let arrivals = Array.make (Array.length remote_nodes) (Datatype.empty dt) in
         let net_recv =
           List.mapi
             (fun bi ms ->
               let mb = Array.length ms in
-              let b = Array.make (mb * m_a * count) sendbuf.(0) in
+              let b = Datatype.alloc_like dt sendbuf (mb * m_a * count) in
               arrivals.(bi) <- b;
               P2p.irecv ~ctx:Internal ~count:(mb * m_a * count) comm dt b ~src:ms.(0) ~tag:tag_net)
             (Array.to_list remote_members)
         in
-        let scratch = Array.make (Array.length remote_nodes) [||] in
+        let scratch = Array.make (Array.length remote_nodes) (Datatype.empty dt) in
         Array.iteri
           (fun bi ms ->
             let mb = Array.length ms in
-            let b = Array.make (m_a * mb * count) sendbuf.(0) in
+            let b = Datatype.alloc_like dt sendbuf (m_a * mb * count) in
             for li = 0 to m_a - 1 do
-              Array.blit lbuf.(li) (seg_off.(bi) * count) b (li * mb * count) (mb * count)
+              Datatype.blit dt lbuf.(li) (seg_off.(bi) * count) b (li * mb * count) (mb * count)
             done;
             scratch.(bi) <- b)
           remote_members;
@@ -866,13 +871,16 @@ let alltoall_smp comm dt ~sendbuf ~recvbuf ~count ~nodes ~tag_local ~tag_up ~tag
         ignore (Request.wait_all net_send);
         (* Scatter: member j's slice is, for each remote node, every source
            member's block destined to j.  Leader keeps its own slice. *)
-        let down = Array.make (max 1 (n_remote * count)) sendbuf.(0) in
+        let down = Datatype.alloc_like dt sendbuf (max 1 (n_remote * count)) in
         for j = m_a - 1 downto 0 do
           Array.iteri
             (fun bi ms ->
               let mb = Array.length ms in
               for i = 0 to mb - 1 do
-                Array.blit arrivals.(bi) (((i * m_a) + j) * count) down ((seg_off.(bi) + i) * count)
+                Datatype.blit dt arrivals.(bi)
+                  (((i * m_a) + j) * count)
+                  down
+                  ((seg_off.(bi) + i) * count)
                   count
               done)
             remote_members;
@@ -880,7 +888,8 @@ let alltoall_smp comm dt ~sendbuf ~recvbuf ~count ~nodes ~tag_local ~tag_up ~tag
             Array.iteri
               (fun bi ms ->
                 Array.iteri
-                  (fun i q -> Array.blit down ((seg_off.(bi) + i) * count) recvbuf (q * count) count)
+                  (fun i q ->
+                    Datatype.blit dt down ((seg_off.(bi) + i) * count) recvbuf (q * count) count)
                   ms)
               remote_members
           else P2p.send ~ctx:Internal ~count:(n_remote * count) comm dt down ~dst:my.(j) ~tag:tag_down
@@ -909,7 +918,7 @@ let alltoall_hypergrid comm dt ~sendbuf ~recvbuf ~count ~tag ~tag2 =
     else begin
       let x = r / cols and y = r mod cols in
       (* temp is laid out [source column in my row][destination row]. *)
-      let temp = Array.make (p * count) sendbuf.(0) in
+      let temp = Datatype.alloc_like dt sendbuf (p * count) in
       let phase1_recv =
         List.filter_map
           (fun yq ->
@@ -921,16 +930,16 @@ let alltoall_hypergrid comm dt ~sendbuf ~recvbuf ~count ~tag ~tag2 =
           (List.init cols Fun.id)
       in
       for xd = 0 to rows - 1 do
-        Array.blit sendbuf (((xd * cols) + y) * count) temp (((y * rows) + xd) * count) count
+        Datatype.blit dt sendbuf (((xd * cols) + y) * count) temp (((y * rows) + xd) * count) count
       done;
-      let pack = Array.make (max rows cols * count) sendbuf.(0) in
+      let pack = Datatype.alloc_like dt sendbuf (max rows cols * count) in
       let phase1_send =
         List.filter_map
           (fun yd ->
             if yd = y then None
             else begin
               for xd = 0 to rows - 1 do
-                Array.blit sendbuf (((xd * cols) + yd) * count) pack (xd * count) count
+                Datatype.blit dt sendbuf (((xd * cols) + yd) * count) pack (xd * count) count
               done;
               Some
                 (P2p.isend ~ctx:Internal ~count:(rows * count) comm dt pack ~dst:((x * cols) + yd)
@@ -951,7 +960,7 @@ let alltoall_hypergrid comm dt ~sendbuf ~recvbuf ~count ~tag ~tag2 =
           (List.init rows Fun.id)
       in
       for ys = 0 to cols - 1 do
-        Array.blit temp (((ys * rows) + x) * count) recvbuf (((x * cols) + ys) * count) count
+        Datatype.blit dt temp (((ys * rows) + x) * count) recvbuf (((x * cols) + ys) * count) count
       done;
       let phase2_send =
         List.filter_map
@@ -959,7 +968,7 @@ let alltoall_hypergrid comm dt ~sendbuf ~recvbuf ~count ~tag ~tag2 =
             if xd = x then None
             else begin
               for ys = 0 to cols - 1 do
-                Array.blit temp (((ys * rows) + xd) * count) pack (ys * count) count
+                Datatype.blit dt temp (((ys * rows) + xd) * count) pack (ys * count) count
               done;
               Some
                 (P2p.isend ~ctx:Internal ~count:(cols * count) comm dt pack ~dst:((xd * cols) + y)

@@ -8,6 +8,12 @@
     collectives.  {!Collectives} validates, selects, observes and
     dispatches here; it sends no message itself.
 
+    The data-movement bodies (broadcast, gather, scatter, allgather(v),
+    alltoall(v)) take any datatype and touch its buffers only through the
+    datatype's buffer operations, so a {!Datatype.serialized} [Bytes]
+    window travels through the same schedules as an array; the reductions
+    take typed datatypes.
+
     The bodies compose five schedule primitives, each written once: the
     binomial tree (broadcast and reduce), recursive doubling (allreduce,
     with one fold/unfold pair for non-power-of-two sizes, and the
@@ -42,8 +48,8 @@ val dissemination : Comm.t -> tag:int -> unit
     [buf.(pos .. pos+count-1)] from [root]. *)
 val bcast :
   Comm.t ->
-  'a Datatype.t ->
-  'a array ->
+  ('a, 'b) Datatype.gen ->
+  'b ->
   int ->
   int ->
   root:int ->
@@ -70,12 +76,12 @@ val allreduce :
     doubling are the {!allgatherv} bodies on the uniform layout. *)
 val allgather :
   Comm.t ->
-  'a Datatype.t ->
-  recvbuf:'a array ->
+  ('a, 'b) Datatype.gen ->
+  recvbuf:'b ->
   rpos:int ->
   count:int ->
   my_block_pos:int ->
-  my_block_buf:'a array ->
+  my_block_buf:'b ->
   Coll_algos.Algo.allgather ->
   tag:int ->
   unit
@@ -88,8 +94,8 @@ val allgather :
     depend on the layout, so ranks may pass different displacements. *)
 val allgatherv :
   Comm.t ->
-  'a Datatype.t ->
-  recvbuf:'a array ->
+  ('a, 'b) Datatype.gen ->
+  recvbuf:'b ->
   pos_of:(int -> int) ->
   count_of:(int -> int) ->
   Coll_algos.Algo.allgatherv ->
@@ -98,9 +104,9 @@ val allgatherv :
 
 val alltoall :
   Comm.t ->
-  'a Datatype.t ->
-  sendbuf:'a array ->
-  recvbuf:'a array ->
+  ('a, 'b) Datatype.gen ->
+  sendbuf:'b ->
+  recvbuf:'b ->
   count:int ->
   Coll_algos.Algo.alltoall ->
   tags:int * int * int * int ->
@@ -128,11 +134,11 @@ val reduce :
     elements).  [recvbuf] is used at the root only. *)
 val gather_linear :
   Comm.t ->
-  'a Datatype.t ->
-  sendbuf:'a array ->
+  ('a, 'b) Datatype.gen ->
+  sendbuf:'b ->
   spos:int ->
   scount:int ->
-  recvbuf:'a array ->
+  recvbuf:'b ->
   rpos_of:(int -> int) ->
   rcount_of:(int -> int) ->
   root:int ->
@@ -145,11 +151,11 @@ val gather_linear :
     root only. *)
 val scatter_linear :
   Comm.t ->
-  'a Datatype.t ->
-  sendbuf:'a array ->
+  ('a, 'b) Datatype.gen ->
+  sendbuf:'b ->
   spos_of:(int -> int) ->
   scount_of:(int -> int) ->
-  recvbuf:'a array ->
+  recvbuf:'b ->
   rpos:int ->
   rcount:int ->
   root:int ->
@@ -188,14 +194,14 @@ val reduce_scatter_block :
     empty ones included, all requests posted up front. *)
 val post_all_exchange :
   Comm.t ->
-  'a Datatype.t ->
+  ('a, 'b) Datatype.gen ->
   tag:int ->
   scount_of:(int -> int) ->
   spos_of:(int -> int) ->
   rcount_of:(int -> int) ->
   rpos_of:(int -> int) ->
-  sendbuf:'a array ->
-  recvbuf:'a array ->
+  sendbuf:'b ->
+  recvbuf:'b ->
   unit
 
 (** [distribute_shared comm ~members ~tag make] runs [make] at

@@ -10,24 +10,24 @@ let check_count what count =
   if count < 0 then Errors.usage "%s: negative count %d" what count
 
 (* [buf]'s window [pos, pos + count) must lie inside it. *)
-let check_window what name buf pos count =
-  if pos < 0 || pos + count > Array.length buf then
-    Errors.usage "%s: %s window [%d, %d) exceeds its length %d" what name pos (pos + count)
-      (Array.length buf)
+let check_window what name dt buf pos count =
+  let len = Datatype.length dt buf in
+  if pos < 0 || pos + count > len then
+    Errors.usage "%s: %s window [%d, %d) exceeds its length %d" what name pos (pos + count) len
 
 (* A v-collective's layout: one count and one displacement per rank, none
    negative, every block inside [buf]. *)
-let check_layout what comm ~counts ~displs ~names buf =
-  let p = Comm.size comm in
+let check_layout what comm ~counts ~displs ~names dt buf =
+  let p = Comm.size comm and len = Datatype.length dt buf in
   if Array.length counts <> p || Array.length displs <> p then
     Errors.usage "%s: %s must have one entry per rank" what names;
   for i = 0 to p - 1 do
     let c = counts.(i) and d = displs.(i) in
     if c < 0 || d < 0 then
       Errors.usage "%s: %s has a negative entry for rank %d (%d, %d)" what names i c d;
-    if d + c > Array.length buf then
+    if d + c > len then
       Errors.usage "%s: %s block of rank %d, [%d, %d), exceeds the buffer of length %d" what
-        names i d (d + c) (Array.length buf)
+        names i d (d + c) len
   done
 
 let exclusive_scan counts =
@@ -39,36 +39,36 @@ let exclusive_scan counts =
 
 (* A buffer only the root uses: required and window-checked there; other
    ranks get an empty stand-in. *)
-let root_buffer what comm ~root ~name buf pos count =
-  if Comm.rank comm <> root then [||]
+let root_buffer what comm ~root ~name dt buf pos count =
+  if Comm.rank comm <> root then Datatype.empty dt
   else
     match buf with
     | Some b ->
-        check_window what name b pos count;
+        check_window what name dt b pos count;
         b
     | None -> Errors.usage "%s: the root rank needs %s" what name
 
 (* A v-collective's root-only buffer and layout, likewise. *)
-let root_layout what comm ~root ~names ~needs = function
-  | _ when Comm.rank comm <> root -> ([||], [||], [||])
+let root_layout what comm ~root ~names ~needs dt = function
+  | _ when Comm.rank comm <> root -> (Datatype.empty dt, [||], [||])
   | Some b, Some counts, Some displs ->
-      check_layout what comm ~counts ~displs ~names b;
+      check_layout what comm ~counts ~displs ~names dt b;
       (b, counts, displs)
   | _ -> Errors.usage "%s: the root rank needs %s" what needs
 
 (* A broadcast's element count (the rest of [buf] unless given), checked
    against the buffer. *)
-let bcast_count what buf pos count =
-  let count = match count with Some c -> c | None -> Array.length buf - pos in
+let bcast_count what dt buf pos count =
+  let count = match count with Some c -> c | None -> Datatype.length dt buf - pos in
   check_count what count;
-  check_window what "buf" buf pos count;
+  check_window what "buf" dt buf pos count;
   count
 
 (* A reduction's [count]-element send and receive windows. *)
-let check_reduce_buffers what ~sendbuf ~pos ~recvbuf ~count =
+let check_reduce_buffers what dt ~sendbuf ~pos ~recvbuf ~count =
   check_count what count;
-  check_window what "sendbuf" sendbuf pos count;
-  check_window what "recvbuf" recvbuf 0 count
+  check_window what "sendbuf" dt sendbuf pos count;
+  check_window what "recvbuf" dt recvbuf 0 count
 
 (* ------------------------------------------------------------------ *)
 (* Algorithm selection.                                                *)
@@ -147,7 +147,7 @@ let barrier comm =
 let bcast ?(pos = 0) ?count comm dt buf ~root =
   Comm.check_active comm;
   check_root comm root;
-  let count = bcast_count "bcast" buf pos count in
+  let count = bcast_count "bcast" dt buf pos count in
   let algo = select_bcast comm dt count in
   Observe.coll ~root ~count ~dt ~algo:(Algo.bcast_name algo) comm "MPI_Bcast" @@ fun () ->
   Coll_impl.bcast comm dt buf pos count ~root algo ~tags:(draw2 comm)
@@ -156,15 +156,15 @@ let reduce ?(pos = 0) ?recvbuf comm dt op ~sendbuf ~count ~root =
   Comm.check_active comm;
   check_root comm root;
   check_count "reduce" count;
-  check_window "reduce" "sendbuf" sendbuf pos count;
-  let recvbuf = root_buffer "reduce" comm ~root ~name:"recvbuf" recvbuf 0 count in
+  check_window "reduce" "sendbuf" dt sendbuf pos count;
+  let recvbuf = root_buffer "reduce" comm ~root ~name:"recvbuf" dt recvbuf 0 count in
   Observe.coll ~root ~count ~dt comm "MPI_Reduce" @@ fun () ->
   Coll_impl.reduce comm dt op ~sendbuf ~pos ~recvbuf ~count ~root
     ~tag:(Comm.next_collective_tag comm)
 
 let allreduce ?(pos = 0) comm dt op ~sendbuf ~recvbuf ~count =
   Comm.check_active comm;
-  check_reduce_buffers "allreduce" ~sendbuf ~pos ~recvbuf ~count;
+  check_reduce_buffers "allreduce" dt ~sendbuf ~pos ~recvbuf ~count;
   let algo = select_allreduce comm dt op count in
   Observe.coll ~count ~dt ~algo:(Algo.allreduce_name algo) comm "MPI_Allreduce" @@ fun () ->
   Coll_impl.allreduce comm dt op ~sendbuf ~pos ~recvbuf ~count algo ~tags:(draw4 comm)
@@ -172,8 +172,8 @@ let allreduce ?(pos = 0) comm dt op ~sendbuf ~recvbuf ~count =
 let allgather ?(inplace = false) ?(spos = 0) ?(rpos = 0) comm dt ~sendbuf ~recvbuf ~count =
   Comm.check_active comm;
   check_count "allgather" count;
-  if not inplace then check_window "allgather" "sendbuf" sendbuf spos count;
-  check_window "allgather" "recvbuf" recvbuf rpos (Comm.size comm * count);
+  if not inplace then check_window "allgather" "sendbuf" dt sendbuf spos count;
+  check_window "allgather" "recvbuf" dt recvbuf rpos (Comm.size comm * count);
   let algo = select_allgather comm dt count in
   Observe.coll ~count ~dt ~algo:(Algo.allgather_name algo) comm "MPI_Allgather" @@ fun () ->
   let tag = Comm.next_collective_tag comm in
@@ -185,14 +185,15 @@ let allgather ?(inplace = false) ?(spos = 0) ?(rpos = 0) comm dt ~sendbuf ~recvb
 let allgatherv ?(inplace = false) ?(spos = 0) comm dt ~sendbuf ~scount ~recvbuf ~rcounts ~rdispls =
   Comm.check_active comm;
   let r = Comm.rank comm in
-  check_layout "allgatherv" comm ~counts:rcounts ~displs:rdispls ~names:"rcounts/rdispls" recvbuf;
+  check_layout "allgatherv" comm ~counts:rcounts ~displs:rdispls ~names:"rcounts/rdispls" dt
+    recvbuf;
   if scount <> rcounts.(r) then
     Errors.usage "allgatherv: send count %d disagrees with rcounts.(%d) = %d" scount r rcounts.(r);
-  if not inplace then check_window "allgatherv" "sendbuf" sendbuf spos scount;
+  if not inplace then check_window "allgatherv" "sendbuf" dt sendbuf spos scount;
   let algo = select_allgatherv comm dt rcounts in
   Observe.coll ~dt ~algo:(Algo.allgatherv_name algo) comm "MPI_Allgatherv" @@ fun () ->
   let tag = Comm.next_collective_tag comm in
-  if not inplace then Array.blit sendbuf spos recvbuf rdispls.(r) scount;
+  if not inplace then Datatype.blit dt sendbuf spos recvbuf rdispls.(r) scount;
   Coll_impl.allgatherv comm dt ~recvbuf ~pos_of:(Array.get rdispls)
     ~count_of:(Array.get rcounts) algo ~tag
 
@@ -200,9 +201,9 @@ let gather ?(spos = 0) ?(rpos = 0) ?recvbuf comm dt ~sendbuf ~count ~root =
   Comm.check_active comm;
   check_root comm root;
   check_count "gather" count;
-  check_window "gather" "sendbuf" sendbuf spos count;
+  check_window "gather" "sendbuf" dt sendbuf spos count;
   let recvbuf =
-    root_buffer "gather" comm ~root ~name:"recvbuf" recvbuf rpos (Comm.size comm * count)
+    root_buffer "gather" comm ~root ~name:"recvbuf" dt recvbuf rpos (Comm.size comm * count)
   in
   Observe.coll ~root ~count ~dt comm "MPI_Gather" @@ fun () ->
   Coll_impl.gather_linear comm dt ~sendbuf ~spos ~scount:count ~recvbuf
@@ -214,9 +215,10 @@ let gatherv ?(spos = 0) ?recvbuf ?rcounts ?rdispls comm dt ~sendbuf ~scount ~roo
   Comm.check_active comm;
   check_root comm root;
   check_count "gatherv" scount;
-  check_window "gatherv" "sendbuf" sendbuf spos scount;
+  check_window "gatherv" "sendbuf" dt sendbuf spos scount;
   let recvbuf, rcounts, rdispls =
-    root_layout "gatherv" comm ~root ~names:"rcounts/rdispls" ~needs:"recvbuf, rcounts and rdispls"
+    root_layout "gatherv" comm ~root ~names:"rcounts/rdispls"
+      ~needs:"recvbuf, rcounts and rdispls" dt
       (recvbuf, rcounts, rdispls)
   in
   Observe.coll ~root ~dt comm "MPI_Gatherv" @@ fun () ->
@@ -227,9 +229,9 @@ let scatter ?(spos = 0) ?(rpos = 0) ?sendbuf comm dt ~recvbuf ~count ~root =
   Comm.check_active comm;
   check_root comm root;
   check_count "scatter" count;
-  check_window "scatter" "recvbuf" recvbuf rpos count;
+  check_window "scatter" "recvbuf" dt recvbuf rpos count;
   let sendbuf =
-    root_buffer "scatter" comm ~root ~name:"sendbuf" sendbuf spos (Comm.size comm * count)
+    root_buffer "scatter" comm ~root ~name:"sendbuf" dt sendbuf spos (Comm.size comm * count)
   in
   Observe.coll ~root ~count ~dt comm "MPI_Scatter" @@ fun () ->
   Coll_impl.scatter_linear comm dt ~sendbuf
@@ -241,9 +243,10 @@ let scatterv ?(rpos = 0) ?sendbuf ?scounts ?sdispls comm dt ~recvbuf ~rcount ~ro
   Comm.check_active comm;
   check_root comm root;
   check_count "scatterv" rcount;
-  check_window "scatterv" "recvbuf" recvbuf rpos rcount;
+  check_window "scatterv" "recvbuf" dt recvbuf rpos rcount;
   let sendbuf, scounts, sdispls =
-    root_layout "scatterv" comm ~root ~names:"scounts/sdispls" ~needs:"sendbuf, scounts and sdispls"
+    root_layout "scatterv" comm ~root ~names:"scounts/sdispls"
+      ~needs:"sendbuf, scounts and sdispls" dt
       (sendbuf, scounts, sdispls)
   in
   Observe.coll ~root ~dt comm "MPI_Scatterv" @@ fun () ->
@@ -254,15 +257,15 @@ let scatterv ?(rpos = 0) ?sendbuf ?scounts ?sdispls comm dt ~recvbuf ~rcount ~ro
 let alltoall comm dt ~sendbuf ~recvbuf ~count =
   Comm.check_active comm;
   check_count "alltoall" count;
-  check_window "alltoall" "sendbuf" sendbuf 0 (Comm.size comm * count);
-  check_window "alltoall" "recvbuf" recvbuf 0 (Comm.size comm * count);
+  check_window "alltoall" "sendbuf" dt sendbuf 0 (Comm.size comm * count);
+  check_window "alltoall" "recvbuf" dt recvbuf 0 (Comm.size comm * count);
   let algo = select_alltoall comm dt count in
   Observe.coll ~count ~dt ~algo:(Algo.alltoall_name algo) comm "MPI_Alltoall" @@ fun () ->
   Coll_impl.alltoall comm dt ~sendbuf ~recvbuf ~count algo ~tags:(draw4 comm)
 
-let check_v_arrays what comm ~sendbuf ~scounts ~sdispls ~recvbuf ~rcounts ~rdispls =
-  check_layout what comm ~counts:scounts ~displs:sdispls ~names:"scounts/sdispls" sendbuf;
-  check_layout what comm ~counts:rcounts ~displs:rdispls ~names:"rcounts/rdispls" recvbuf
+let check_v_arrays what comm dt ~sendbuf ~scounts ~sdispls ~recvbuf ~rcounts ~rdispls =
+  check_layout what comm ~counts:scounts ~displs:sdispls ~names:"scounts/sdispls" dt sendbuf;
+  check_layout what comm ~counts:rcounts ~displs:rdispls ~names:"rcounts/rdispls" dt recvbuf
 
 let exchange_v comm dt ~tag ~sendbuf ~scounts ~sdispls ~recvbuf ~rcounts ~rdispls =
   Coll_impl.post_all_exchange comm dt ~tag
@@ -274,7 +277,7 @@ let exchange_v comm dt ~tag ~sendbuf ~scounts ~sdispls ~recvbuf ~rcounts ~rdispl
 
 let alltoallv comm dt ~sendbuf ~scounts ~sdispls ~recvbuf ~rcounts ~rdispls =
   Comm.check_active comm;
-  check_v_arrays "alltoallv" comm ~sendbuf ~scounts ~sdispls ~recvbuf ~rcounts ~rdispls;
+  check_v_arrays "alltoallv" comm dt ~sendbuf ~scounts ~sdispls ~recvbuf ~rcounts ~rdispls;
   Observe.coll ~dt comm "MPI_Alltoallv" @@ fun () ->
   let tag = Comm.next_collective_tag comm in
   exchange_v comm dt ~tag ~sendbuf ~scounts ~sdispls ~recvbuf ~rcounts ~rdispls
@@ -285,7 +288,7 @@ let alltoallv comm dt ~sendbuf ~scounts ~sdispls ~recvbuf ~rcounts ~rdispls =
    measurably slower and less scalable (Ghosh et al., paper Sec. II). *)
 let alltoallw_style comm dt ~sendbuf ~scounts ~sdispls ~recvbuf ~rcounts ~rdispls =
   Comm.check_active comm;
-  check_v_arrays "alltoallw" comm ~sendbuf ~scounts ~sdispls ~recvbuf ~rcounts ~rdispls;
+  check_v_arrays "alltoallw" comm dt ~sendbuf ~scounts ~sdispls ~recvbuf ~rcounts ~rdispls;
   Observe.coll ~dt comm "MPI_Alltoallw" @@ fun () ->
   let p = Comm.size comm in
   let tag = Comm.next_collective_tag comm in
@@ -297,22 +300,22 @@ let alltoallw_style comm dt ~sendbuf ~scounts ~sdispls ~recvbuf ~rcounts ~rdispl
 let reduce_scatter_block comm dt op ~sendbuf ~recvbuf ~count =
   Comm.check_active comm;
   check_count "reduce_scatter_block" count;
-  check_window "reduce_scatter_block" "sendbuf" sendbuf 0 (Comm.size comm * count);
-  check_window "reduce_scatter_block" "recvbuf" recvbuf 0 count;
+  check_window "reduce_scatter_block" "sendbuf" dt sendbuf 0 (Comm.size comm * count);
+  check_window "reduce_scatter_block" "recvbuf" dt recvbuf 0 count;
   Observe.coll ~count ~dt comm "MPI_Reduce_scatter_block" @@ fun () ->
   let tag, tag2 = draw2 comm in
   Coll_impl.reduce_scatter_block comm dt op ~sendbuf ~recvbuf ~count ~tag ~tag2
 
 let scan comm dt op ~sendbuf ~recvbuf ~count =
   Comm.check_active comm;
-  check_reduce_buffers "scan" ~sendbuf ~pos:0 ~recvbuf ~count;
+  check_reduce_buffers "scan" dt ~sendbuf ~pos:0 ~recvbuf ~count;
   Observe.coll ~count ~dt comm "MPI_Scan" @@ fun () ->
   Coll_impl.prefix_scan comm dt op ~sendbuf ~recvbuf ~count
     ~tag:(Comm.next_collective_tag comm) ~inclusive:true
 
 let exscan comm dt op ~sendbuf ~recvbuf ~count =
   Comm.check_active comm;
-  check_reduce_buffers "exscan" ~sendbuf ~pos:0 ~recvbuf ~count;
+  check_reduce_buffers "exscan" dt ~sendbuf ~pos:0 ~recvbuf ~count;
   Observe.coll ~count ~dt comm "MPI_Exscan" @@ fun () ->
   Coll_impl.prefix_scan comm dt op ~sendbuf ~recvbuf ~count
     ~tag:(Comm.next_collective_tag comm) ~inclusive:false
@@ -346,7 +349,7 @@ let ibarrier comm =
 let ibcast ?(pos = 0) ?count comm dt buf ~root =
   Comm.check_active comm;
   check_root comm root;
-  let count = bcast_count "ibcast" buf pos count in
+  let count = bcast_count "ibcast" dt buf pos count in
   let algo = select_bcast comm dt count and req = new_request comm in
   Observe.coll ~root ~count ~dt ~algo:(Algo.bcast_name algo) ~track:(Request req) comm
     "MPI_Ibcast"
@@ -364,7 +367,7 @@ let ibcast ?(pos = 0) ?count comm dt buf ~root =
 let bcast_init ?(pos = 0) ?count comm dt buf ~root =
   Comm.check_active comm;
   check_root comm root;
-  let count = bcast_count "bcast_init" buf pos count in
+  let count = bcast_count "bcast_init" dt buf pos count in
   let w = Comm.world comm in
   let algo = select_bcast comm dt count and tags = draw2 comm in
   let start h =
@@ -388,7 +391,7 @@ let bcast_init ?(pos = 0) ?count comm dt buf ~root =
 
 let iallreduce comm dt op ~sendbuf ~recvbuf ~count =
   Comm.check_active comm;
-  check_reduce_buffers "iallreduce" ~sendbuf ~pos:0 ~recvbuf ~count;
+  check_reduce_buffers "iallreduce" dt ~sendbuf ~pos:0 ~recvbuf ~count;
   let algo = select_allreduce comm dt op count and req = new_request comm in
   Observe.coll ~count ~dt ~algo:(Algo.allreduce_name algo) ~track:(Request req) comm
     "MPI_Iallreduce"
@@ -399,7 +402,7 @@ let iallreduce comm dt op ~sendbuf ~recvbuf ~count =
 
 let ialltoallv comm dt ~sendbuf ~scounts ~sdispls ~recvbuf ~rcounts ~rdispls =
   Comm.check_active comm;
-  check_v_arrays "ialltoallv" comm ~sendbuf ~scounts ~sdispls ~recvbuf ~rcounts ~rdispls;
+  check_v_arrays "ialltoallv" comm dt ~sendbuf ~scounts ~sdispls ~recvbuf ~rcounts ~rdispls;
   let req = new_request comm in
   Observe.coll ~dt ~track:(Request req) comm "MPI_Ialltoallv" @@ fun () ->
   let tag = Comm.next_collective_tag comm in

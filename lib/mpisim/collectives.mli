@@ -27,6 +27,11 @@
     call counts the paper's Sec. VI experiments rely on — is unchanged.
     Per-communicator overrides are available through {!pin_algorithm}.
 
+    The data-movement collectives (broadcast, gather, scatter,
+    allgather(v), alltoall(v/w), with their non-blocking and persistent
+    variants) take any datatype, so a {!Datatype.serialized} [Bytes]
+    window needs no conversion; the reductions take typed datatypes.
+
     Every call counts once in the profiling layer under its MPI name; the
     tuned collectives additionally count the annotated choice (e.g.
     ["MPI_Allreduce[rabenseifner]"]) in the separate algorithm category.
@@ -36,7 +41,7 @@
 
 val barrier : Comm.t -> unit
 
-val bcast : ?pos:int -> ?count:int -> Comm.t -> 'a Datatype.t -> 'a array -> root:int -> unit
+val bcast : ?pos:int -> ?count:int -> Comm.t -> ('a, 'b) Datatype.gen -> 'b -> root:int -> unit
 
 (** [reduce comm dt op ~sendbuf ~recvbuf ~count ~root] element-wise reduces
     [count] elements.  [recvbuf] is required at the root and ignored
@@ -71,9 +76,9 @@ val allgather :
   ?spos:int ->
   ?rpos:int ->
   Comm.t ->
-  'a Datatype.t ->
-  sendbuf:'a array ->
-  recvbuf:'a array ->
+  ('a, 'b) Datatype.gen ->
+  sendbuf:'b ->
+  recvbuf:'b ->
   count:int ->
   unit
 
@@ -83,10 +88,10 @@ val allgatherv :
   ?inplace:bool ->
   ?spos:int ->
   Comm.t ->
-  'a Datatype.t ->
-  sendbuf:'a array ->
+  ('a, 'b) Datatype.gen ->
+  sendbuf:'b ->
   scount:int ->
-  recvbuf:'a array ->
+  recvbuf:'b ->
   rcounts:int array ->
   rdispls:int array ->
   unit
@@ -94,22 +99,22 @@ val allgatherv :
 val gather :
   ?spos:int ->
   ?rpos:int ->
-  ?recvbuf:'a array ->
+  ?recvbuf:'b ->
   Comm.t ->
-  'a Datatype.t ->
-  sendbuf:'a array ->
+  ('a, 'b) Datatype.gen ->
+  sendbuf:'b ->
   count:int ->
   root:int ->
   unit
 
 val gatherv :
   ?spos:int ->
-  ?recvbuf:'a array ->
+  ?recvbuf:'b ->
   ?rcounts:int array ->
   ?rdispls:int array ->
   Comm.t ->
-  'a Datatype.t ->
-  sendbuf:'a array ->
+  ('a, 'b) Datatype.gen ->
+  sendbuf:'b ->
   scount:int ->
   root:int ->
   unit
@@ -117,36 +122,36 @@ val gatherv :
 val scatter :
   ?spos:int ->
   ?rpos:int ->
-  ?sendbuf:'a array ->
+  ?sendbuf:'b ->
   Comm.t ->
-  'a Datatype.t ->
-  recvbuf:'a array ->
+  ('a, 'b) Datatype.gen ->
+  recvbuf:'b ->
   count:int ->
   root:int ->
   unit
 
 val scatterv :
   ?rpos:int ->
-  ?sendbuf:'a array ->
+  ?sendbuf:'b ->
   ?scounts:int array ->
   ?sdispls:int array ->
   Comm.t ->
-  'a Datatype.t ->
-  recvbuf:'a array ->
+  ('a, 'b) Datatype.gen ->
+  recvbuf:'b ->
   rcount:int ->
   root:int ->
   unit
 
 val alltoall :
-  Comm.t -> 'a Datatype.t -> sendbuf:'a array -> recvbuf:'a array -> count:int -> unit
+  Comm.t -> ('a, 'b) Datatype.gen -> sendbuf:'b -> recvbuf:'b -> count:int -> unit
 
 val alltoallv :
   Comm.t ->
-  'a Datatype.t ->
-  sendbuf:'a array ->
+  ('a, 'b) Datatype.gen ->
+  sendbuf:'b ->
   scounts:int array ->
   sdispls:int array ->
-  recvbuf:'a array ->
+  recvbuf:'b ->
   rcounts:int array ->
   rdispls:int array ->
   unit
@@ -160,11 +165,11 @@ val exclusive_scan : int array -> int array
     per-peer datatype setup cost. *)
 val alltoallw_style :
   Comm.t ->
-  'a Datatype.t ->
-  sendbuf:'a array ->
+  ('a, 'b) Datatype.gen ->
+  sendbuf:'b ->
   scounts:int array ->
   sdispls:int array ->
-  recvbuf:'a array ->
+  recvbuf:'b ->
   rcounts:int array ->
   rdispls:int array ->
   unit
@@ -211,7 +216,8 @@ val ibarrier : Comm.t -> Request.t
 
 (** [ibcast comm dt buf ~root] is the non-blocking broadcast; the buffer
     must not be touched until the request completes. *)
-val ibcast : ?pos:int -> ?count:int -> Comm.t -> 'a Datatype.t -> 'a array -> root:int -> Request.t
+val ibcast :
+  ?pos:int -> ?count:int -> Comm.t -> ('a, 'b) Datatype.gen -> 'b -> root:int -> Request.t
 
 (** [bcast_init comm dt buf ~root] is the persistent broadcast (MPI-4
     §6.13): validation, the collective-ordering check, tag allocation and
@@ -220,7 +226,7 @@ val ibcast : ?pos:int -> ?count:int -> Comm.t -> 'a Datatype.t -> 'a array -> ro
     rounds in the same order and per-pair message order is FIFO).  The
     root's buffer contents are re-read at each start. *)
 val bcast_init :
-  ?pos:int -> ?count:int -> Comm.t -> 'a Datatype.t -> 'a array -> root:int -> Persist.t
+  ?pos:int -> ?count:int -> Comm.t -> ('a, 'b) Datatype.gen -> 'b -> root:int -> Persist.t
 
 (** [iallreduce comm dt op ~sendbuf ~recvbuf ~count] is the non-blocking
     allreduce. *)
@@ -236,11 +242,11 @@ val iallreduce :
 (** [ialltoallv comm dt ...] is the non-blocking irregular exchange. *)
 val ialltoallv :
   Comm.t ->
-  'a Datatype.t ->
-  sendbuf:'a array ->
+  ('a, 'b) Datatype.gen ->
+  sendbuf:'b ->
   scounts:int array ->
   sdispls:int array ->
-  recvbuf:'a array ->
+  recvbuf:'b ->
   rcounts:int array ->
   rdispls:int array ->
   Request.t

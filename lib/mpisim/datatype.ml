@@ -4,16 +4,52 @@ type kind =
   | Struct of { fields : int; payload_bytes : int; padding_bytes : int }
   | Serialized
 
-type 'a t = {
-  id : 'a Type.Id.t;
+type 'buf buffer = {
+  length : 'buf -> int;
+  sub : 'buf -> int -> int -> 'buf;
+  blit : 'buf -> int -> 'buf -> int -> int -> unit;
+  alloc_like : 'buf -> int -> 'buf;
+  empty : 'buf;
+}
+
+(* The witness covers the buffer type too, so a proof that two datatypes
+   are equal also proves that their buffers are. *)
+type ('elt, 'buf) gen = {
+  id : ('elt * 'buf) Type.Id.t;
   name : string;
   extent : int;
   pack_factor : float;
   kind : kind;
-  default : 'a option;
+  default : 'elt option;
+  buffer : 'buf buffer;
   mutable committed : bool;
 }
 
+type 'a t = ('a, 'a array) gen
+
+let array_buffer =
+  {
+    length = Array.length;
+    sub = Array.sub;
+    blit = Array.blit;
+    alloc_like = (fun b n -> if n = 0 then [||] else Array.make n b.(0));
+    empty = [||];
+  }
+
+let bytes_buffer =
+  {
+    length = Bytes.length;
+    sub = Bytes.sub;
+    blit = Bytes.blit;
+    alloc_like = (fun _ n -> Bytes.create n);
+    empty = Bytes.empty;
+  }
+
+let length dt buf = dt.buffer.length buf
+let sub dt buf pos n = dt.buffer.sub buf pos n
+let blit dt src spos dst dpos n = dt.buffer.blit src spos dst dpos n
+let alloc_like dt buf n = dt.buffer.alloc_like buf n
+let empty dt = dt.buffer.empty
 let name dt = dt.name
 let extent dt = dt.extent
 let kind dt = dt.kind
@@ -41,8 +77,11 @@ let pp fmt dt = Format.pp_print_string fmt dt.name
 
 let committed_count = ref 0
 
-let make ?default ~name ~extent ~pack_factor ~kind () =
-  { id = Type.Id.make (); name; extent; pack_factor; kind; default; committed = false }
+let make_gen ?default ~buffer ~name ~extent ~pack_factor ~kind () =
+  { id = Type.Id.make (); name; extent; pack_factor; kind; default; buffer; committed = false }
+
+let make ?default ~name ~extent ~pack_factor ~kind () : _ t =
+  make_gen ?default ~buffer:array_buffer ~name ~extent ~pack_factor ~kind ()
 
 let basic name extent default =
   make ~default ~name ~extent ~pack_factor:1.0 ~kind:Basic ()
@@ -188,7 +227,9 @@ let struct_type ?default ~name fields =
     ~kind:(Struct { fields = List.length fields; payload_bytes = !payload; padding_bytes = padding })
     ()
 
-let serialized = make ~default:'\000' ~name:"serialized" ~extent:1 ~pack_factor:1.0 ~kind:Serialized ()
+let serialized =
+  make_gen ~default:'\000' ~buffer:bytes_buffer ~name:"serialized" ~extent:1 ~pack_factor:1.0
+    ~kind:Serialized ()
 
 (* 2 ns/byte models a fast binary archive plus the intermediate
    allocation; measured against raw memcpy (0.1 ns/byte) this is the

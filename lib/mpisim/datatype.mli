@@ -1,11 +1,20 @@
 (** MPI datatypes with static type-safety.
 
-    A ['a t] describes how values of the OCaml type ['a] appear on the
-    simulated wire: their size in bytes ([extent]), their layout class
-    ([kind], which determines the pack/unpack cost multiplier, reproducing
-    the paper's Sec. III-D4 observation that struct types with alignment
-    gaps communicate slower than contiguous bytes), and a runtime type
+    A [('elt, 'buf) gen] describes how values of the OCaml type ['elt]
+    appear on the simulated wire: their size in bytes ([extent]), their
+    layout class ([kind], which determines the pack/unpack cost
+    multiplier, reproducing the paper's Sec. III-D4 observation that
+    struct types with alignment gaps communicate slower than contiguous
+    bytes), the buffer type ['buf] that holds them, and a runtime type
     witness ([Type.Id]) used to check sender/receiver type matching.
+
+    The datatype owns its buffer representation: every typed datatype
+    ['a t] keeps its elements in an ['a array], while {!serialized} keeps
+    its bytes in a [Bytes.t], one host byte per wire byte.  The transfer
+    paths never look at the buffer type; they move windows through the
+    datatype's buffer operations ({!length}, {!sub}, {!blit},
+    {!alloc_like}, {!empty}).  Layout belongs to the transfer, not to the
+    element type.
 
     Matching is by datatype identity: like MPI type signatures, the sender's
     and receiver's datatypes must agree, and a mismatch raises
@@ -23,26 +32,54 @@ type kind =
           does not transfer padding *)
   | Serialized  (** opaque serialized byte stream *)
 
-type 'a t
+(** A datatype of ['elt] elements held in buffers of type ['buf]. *)
+type ('elt, 'buf) gen
+
+(** A typed datatype: its buffers are element arrays.  Every datatype but
+    {!serialized} is one. *)
+type 'a t = ('a, 'a array) gen
 
 (** [name dt] is a human-readable type name (used in error messages). *)
-val name : 'a t -> string
+val name : ('a, 'b) gen -> string
 
 (** [extent dt] is the number of bytes one element occupies on the wire. *)
-val extent : 'a t -> int
+val extent : ('a, 'b) gen -> int
 
 (** [kind dt] is the layout class. *)
-val kind : 'a t -> kind
+val kind : ('a, 'b) gen -> kind
 
 (** [pack_factor dt] is the cost multiplier for moving this layout through
     the network model (1.0 for contiguous layouts, >1 for gapped structs). *)
-val pack_factor : 'a t -> float
+val pack_factor : ('a, 'b) gen -> float
+
+(** {1 Buffer operations}
+
+    What the transfer paths do to a buffer, through its datatype. *)
+
+(** [length dt buf] is the number of elements [buf] holds. *)
+val length : ('a, 'b) gen -> 'b -> int
+
+(** [sub dt buf pos n] is a fresh buffer holding the [n] elements of
+    [buf] from [pos]. *)
+val sub : ('a, 'b) gen -> 'b -> int -> int -> 'b
+
+(** [blit dt src spos dst dpos n] copies [n] elements of [src] from [spos]
+    into [dst] at [dpos]. *)
+val blit : ('a, 'b) gen -> 'b -> int -> 'b -> int -> int -> unit
+
+(** [alloc_like dt buf n] is a fresh buffer of [n] elements with
+    unspecified contents.  An array datatype fills it with [buf]'s first
+    element, so [buf] must not be empty unless [n] is 0. *)
+val alloc_like : ('a, 'b) gen -> 'b -> int -> 'b
+
+(** [empty dt] is a buffer of no elements. *)
+val empty : ('a, 'b) gen -> 'b
 
 (** [bytes dt count] is [count * extent dt].  Raises
     {!Errors.Count_overflow} when [count] is negative or the product does
     not fit the host integer — the large-count-safe byte-size path every
     transfer goes through (MPI-4 [MPI_Count]). *)
-val bytes : 'a t -> int -> int
+val bytes : ('a, 'b) gen -> int -> int
 
 (** Largest count representable in an MPI-3 style 32-bit signed count field
     ([2^31 - 1]).  Counts above this use the large-count wire encoding
@@ -59,16 +96,17 @@ val split_count : int -> int * int
 val join_count : hi:int -> lo:int -> int
 
 (** [equal_witness a b] is the type-equality proof if [a] and [b] are the
-    same datatype. *)
-val equal_witness : 'a t -> 'b t -> ('a, 'b) Type.eq option
+    same datatype; it proves both their element and their buffer types
+    equal. *)
+val equal_witness : ('a, 'b) gen -> ('c, 'd) gen -> ('a * 'b, 'c * 'd) Type.eq option
 
 (** [pp fmt dt] prints the datatype name. *)
-val pp : Format.formatter -> 'a t -> unit
+val pp : Format.formatter -> ('a, 'b) gen -> unit
 
 (** [default_elt dt] is a sample element used to allocate receive buffers
     (all basic types have one; derived types inherit it; [custom] types
     provide one explicitly). *)
-val default_elt : 'a t -> 'a option
+val default_elt : ('a, 'b) gen -> 'a option
 
 (** {1 Basic datatypes} *)
 
@@ -109,10 +147,11 @@ val custom : ?default:'a -> name:string -> extent:int -> unit -> 'a t
     Sec. III-D4. *)
 val struct_type : ?default:'a -> name:string -> (string * int * int) list -> 'a t
 
-(** [serialized] tags a [char array] buffer as an opaque serialized
-    payload.  It travels as [Bytes] ({!Msg.Serialized}) and matches only
-    itself: a {!char} receive of a serialized message is a type mismatch. *)
-val serialized : char t
+(** [serialized] is an opaque serialized payload held in [Bytes]: one
+    host byte per wire byte, from the sender's window through the message
+    in flight to the receiver's window.  It matches only itself: a {!char}
+    or {!byte} receive of a serialized message is a type mismatch. *)
+val serialized : (char, Bytes.t) gen
 
 (** [serialization_cost ~bytes] is the simulated CPU seconds to encode or
     decode a [bytes]-byte {!serialized} payload: 50 ns plus 2 ns per byte.
@@ -126,10 +165,10 @@ val serialization_cost : bytes:int -> float
     it so tests can observe that no type is leaked or double-committed. *)
 
 (** [committed dt] is true once the type has been used in communication. *)
-val committed : 'a t -> bool
+val committed : ('a, 'b) gen -> bool
 
 (** [mark_committed dt] records first use. *)
-val mark_committed : 'a t -> unit
+val mark_committed : ('a, 'b) gen -> unit
 
 (** [live_committed_types ()] is the number of committed types currently
     registered (for leak tests). *)

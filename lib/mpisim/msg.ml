@@ -3,21 +3,10 @@ let any_tag = -1
 
 type ctx = User | Internal
 type packed =
-  | Packed : 'a Datatype.t * 'a array -> packed
-  | Serialized : Bytes.t -> packed
-  | Sparse : 'a Datatype.t * int -> packed
+  | Packed : ('a, 'b) Datatype.gen * 'b -> packed
+  | Sparse : ('a, 'b) Datatype.gen * int -> packed
 
-(* The witness test is a constant-time id comparison that allocates
-   nothing, so other datatypes pay nothing for it. *)
-let pack (type a) (dt : a Datatype.t) (buf : a array) pos count =
-  match Datatype.equal_witness dt Datatype.serialized with
-  | Some Type.Equal ->
-      let b = Bytes.create count in
-      for i = 0 to count - 1 do
-        Bytes.unsafe_set b i buf.(pos + i)
-      done;
-      Serialized b
-  | None -> Packed (dt, Array.sub buf pos count)
+let pack dt buf pos count = Packed (dt, Datatype.sub dt buf pos count)
 
 (* Envelopes are mutable so the runtime can recycle them through a
    free-list pool: at 10k+ ranks the per-message envelope allocation was

@@ -18,13 +18,11 @@ type ctx = User | Internal
 (** A message in flight, always a copy of the sender's window (MPI send
     semantics: the sender may reuse its buffer once the send returns).
 
-    - [Packed] is a dense copy of the sent elements together with their
-      datatype; the witness lets the receiver copy type-safely.
-    - [Serialized] carries a {!Datatype.serialized} window as [Bytes], one
-      host byte per wire byte instead of one word per [char].  It obeys
-      the same rules as [Packed]: only a {!Datatype.serialized} receive
-      matches it ({!Datatype.char} is a type mismatch), its element count
-      is its byte count, and a shorter receive window truncates.
+    - [Packed] is a dense copy of the sent elements, in the datatype's own
+      buffer type, together with the datatype; the witness lets the
+      receiver copy type-safely.  A {!Datatype.serialized} payload is
+      [Bytes], so it costs one host byte per wire byte; its element count
+      is its byte count.
     - [Sparse] is a datatype and an element count with no materialized
       buffer.  Sparse payloads let large-count tests and benchmarks move
       multi-GiB transfers (counts > 2^31) through the full matching/cost
@@ -32,15 +30,13 @@ type ctx = User | Internal
       type-checks and count-checks exactly like the dense path but
       performs no copy. *)
 type packed =
-  | Packed : 'a Datatype.t * 'a array -> packed
-  | Serialized : Bytes.t -> packed
-  | Sparse : 'a Datatype.t * int -> packed
+  | Packed : ('a, 'b) Datatype.gen * 'b -> packed
+  | Sparse : ('a, 'b) Datatype.gen * int -> packed
 
-(** [pack dt buf pos count] copies the send window
-    [buf.(pos) .. buf.(pos + count - 1)] into its in-flight form:
-    [Serialized] for {!Datatype.serialized}, [Packed] for every other
-    datatype.  Every send path builds its payload here. *)
-val pack : 'a Datatype.t -> 'a array -> int -> int -> packed
+(** [pack dt buf pos count] copies the send window [pos, pos + count) of
+    [buf] into a [Packed] payload ({!Datatype.sub}).  Every send path
+    builds its payload here. *)
+val pack : ('a, 'b) Datatype.gen -> 'b -> int -> int -> packed
 
 (** Envelopes are mutable because the runtime recycles them through a
     free-list {!pool}: a delivered envelope's record is reused for a later

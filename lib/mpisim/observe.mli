@@ -48,7 +48,7 @@ val call :
 val coll :
   ?root:int ->
   ?count:int ->
-  ?dt:'d Datatype.t ->
+  ?dt:('d, 'b) Datatype.gen ->
   ?algo:string ->
   ?track:handle ->
   Comm.t ->

@@ -14,8 +14,8 @@ let check ?(recv = false) ~ctx comm dt tag =
     Errors.usage "user message tags must be non-negative (got %d)" tag;
   Datatype.mark_committed dt
 
-let window_bounds ~what buf pos count =
-  let len = Array.length buf in
+let window_bounds ~what dt buf pos count =
+  let len = Datatype.length dt buf in
   let count = match count with Some c -> c | None -> len - pos in
   if pos < 0 || count < 0 || pos + count > len then
     Errors.usage "%s: window [%d, %d) exceeds buffer of length %d" what pos (pos + count) len;
@@ -91,7 +91,7 @@ let send_body w comm dt buf pos count ~dst ~tag ~ctx =
 
 let send ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~dst ~tag =
   check ~ctx comm dt tag;
-  let count = window_bounds ~what:"send" buf pos count in
+  let count = window_bounds ~what:"send" dt buf pos count in
   let w = Comm.world comm in
   if Observe.p2p ~ctx comm "MPI_Send" then
     Observe.span ~ctx P2p comm "MPI_Send" (fun () ->
@@ -108,7 +108,7 @@ let isend_body w comm dt buf pos count ~dst ~tag ~ctx req =
 
 let isend ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~dst ~tag =
   check ~ctx comm dt tag;
-  let count = window_bounds ~what:"isend" buf pos count in
+  let count = window_bounds ~what:"isend" dt buf pos count in
   let w = Comm.world comm in
   let req = Request.create w.World.engine in
   if Observe.p2p_request ~ctx comm "MPI_Isend" req then
@@ -118,7 +118,7 @@ let isend ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~dst ~tag =
 
 let issend ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~dst ~tag =
   check ~ctx comm dt tag;
-  let count = window_bounds ~what:"issend" buf pos count in
+  let count = window_bounds ~what:"issend" dt buf pos count in
   let w = Comm.world comm in
   let req = Request.create w.World.engine in
   Observe.call ~ctx ~track:(Request req) P2p comm "MPI_Issend" @@ fun () ->
@@ -139,9 +139,9 @@ let type_mismatch sdt rdt =
 (* Type- and capacity-check a matched envelope without a receive buffer —
    the large-count receive path, where [capacity] may exceed any
    allocatable array. *)
-let verify_payload (type a) (env : Msg.envelope) (rdt : a Datatype.t) capacity :
+let verify_payload (type a b) (env : Msg.envelope) (rdt : (a, b) Datatype.gen) capacity :
     (Request.status, exn) result =
-  let check : type b. b Datatype.t -> int -> (Request.status, exn) result =
+  let check : type c d. (c, d) Datatype.gen -> int -> (Request.status, exn) result =
    fun sdt n ->
     match Datatype.equal_witness sdt rdt with
     | None -> type_mismatch sdt rdt
@@ -150,37 +150,24 @@ let verify_payload (type a) (env : Msg.envelope) (rdt : a Datatype.t) capacity :
         else Ok { Request.source = env.src; tag = env.tag; count = n }
   in
   match env.payload with
-  | Msg.Packed (sdt, data) -> check sdt (Array.length data)
-  | Msg.Serialized data -> check Datatype.serialized (Bytes.length data)
+  | Msg.Packed (sdt, data) -> check sdt (Datatype.length sdt data)
   | Msg.Sparse (sdt, n) -> check sdt n
 
 (* Copy a matched envelope into the receive window, enforcing MPI's type
-   and size rules.  A serialized payload is unpacked from its bytes; a
-   sparse (non-materialized large-count) payload passes the same type and
+   and size rules; the copy is the datatype's own blit.  A sparse
+   (non-materialized large-count) payload passes the same type and
    capacity checks but has no elements to copy. *)
-let copy_payload (type a) (env : Msg.envelope) (rdt : a Datatype.t) (buf : a array) pos capacity :
-    (Request.status, exn) result =
+let copy_payload (type a b) (env : Msg.envelope) (rdt : (a, b) Datatype.gen) (buf : b) pos capacity
+    : (Request.status, exn) result =
   match env.payload with
   | Msg.Packed (sdt, data) -> (
       match Datatype.equal_witness sdt rdt with
       | None -> type_mismatch sdt rdt
       | Some Type.Equal ->
-          let n = Array.length data in
+          let n = Datatype.length sdt data in
           if n > capacity then Error (Errors.Truncated { sent = n; capacity })
           else begin
-            Array.blit data 0 buf pos n;
-            Ok { Request.source = env.src; tag = env.tag; count = n }
-          end)
-  | Msg.Serialized data -> (
-      match Datatype.equal_witness Datatype.serialized rdt with
-      | None -> type_mismatch Datatype.serialized rdt
-      | Some Type.Equal ->
-          let n = Bytes.length data in
-          if n > capacity then Error (Errors.Truncated { sent = n; capacity })
-          else begin
-            for i = 0 to n - 1 do
-              buf.(pos + i) <- Bytes.unsafe_get data i
-            done;
+            Datatype.blit sdt data 0 buf pos n;
             Ok { Request.source = env.src; tag = env.tag; count = n }
           end)
   | Msg.Sparse _ -> verify_payload env rdt capacity
@@ -244,7 +231,7 @@ let recv_body w comm dt buf pos capacity ~src ~tag ~ctx =
 
 let recv ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~src ~tag =
   check ~recv:true ~ctx comm dt tag;
-  let capacity = window_bounds ~what:"recv" buf pos count in
+  let capacity = window_bounds ~what:"recv" dt buf pos count in
   let w = Comm.world comm in
   if Observe.p2p ~ctx comm "MPI_Recv" then
     Observe.span ~ctx P2p comm "MPI_Recv" (fun () ->
@@ -286,7 +273,7 @@ let irecv_body w comm dt buf pos capacity ~src ~tag ~ctx req =
 
 let irecv ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~src ~tag =
   check ~recv:true ~ctx comm dt tag;
-  let capacity = window_bounds ~what:"irecv" buf pos count in
+  let capacity = window_bounds ~what:"irecv" dt buf pos count in
   let w = Comm.world comm in
   let req = Request.create w.World.engine in
   if Observe.p2p_request ~ctx comm "MPI_Irecv" req then
@@ -426,7 +413,7 @@ let observe_init ~ctx comm op h =
 let send_init_gen ~sync ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~dst ~tag =
   let op = if sync then "MPI_Ssend_init" else "MPI_Send_init" in
   check ~ctx comm dt tag;
-  let count = window_bounds ~what:op buf pos count in
+  let count = window_bounds ~what:op dt buf pos count in
   let w = Comm.world comm in
   ignore (Comm.world_rank_of comm dst);
   let latency = (Netmodel.params w.World.net).Netmodel.latency in
@@ -468,7 +455,7 @@ let ssend_init ?ctx ?pos ?count comm dt buf ~dst ~tag =
 let recv_init ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~src ~tag =
   let op = "MPI_Recv_init" in
   check ~recv:true ~ctx comm dt tag;
-  let capacity = window_bounds ~what:op buf pos count in
+  let capacity = window_bounds ~what:op dt buf pos count in
   let w = Comm.world comm in
   if src <> any_source then ignore (Comm.world_rank_of comm src);
   let mb = w.World.mailboxes.(my_world comm) in
@@ -542,18 +529,18 @@ let recv_init ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~src ~tag =
 let max_partitions = 1024
 let ptag ~tag i = -(1 lsl 21) - (tag lsl 10) - i
 
-let check_partitioned ~op ~partitions ~count buf =
+let check_partitioned ~op ~partitions ~count dt buf =
   if partitions <= 0 || partitions > max_partitions then
     Errors.usage "%s: partitions %d out of range [1, %d]" op partitions max_partitions;
   if count < 0 then Errors.usage "%s: negative per-partition count %d" op count;
-  if partitions * count > Array.length buf then
+  if partitions * count > Datatype.length dt buf then
     Errors.usage "%s: %d partitions of %d elements exceed buffer of length %d" op partitions
-      count (Array.length buf)
+      count (Datatype.length dt buf)
 
 let psend_init ?(ctx = Msg.User) comm dt buf ~partitions ~count ~dst ~tag =
   check ~ctx comm dt tag;
   let op = "MPI_Psend_init" in
-  check_partitioned ~op ~partitions ~count buf;
+  check_partitioned ~op ~partitions ~count dt buf;
   let w = Comm.world comm in
   ignore (Comm.world_rank_of comm dst);
   let readied = Array.make partitions false in
@@ -593,7 +580,7 @@ let precv_init ?(ctx = Msg.User) comm dt buf ~partitions ~count ~src ~tag =
   check ~ctx comm dt tag;
   if src = any_source then Errors.usage "MPI_Precv_init: wildcard source is not allowed";
   let op = "MPI_Precv_init" in
-  check_partitioned ~op ~partitions ~count buf;
+  check_partitioned ~op ~partitions ~count dt buf;
   let w = Comm.world comm in
   ignore (Comm.world_rank_of comm src);
   let mb = w.World.mailboxes.(my_world comm) in

@@ -1,8 +1,10 @@
 (** Point-to-point communication (blocking and non-blocking).
 
-    Buffers are plain OCaml arrays with an optional [pos]/[count] window,
-    mirroring MPI's (pointer, count, datatype) triples.  All functions
-    must be called from inside a rank fiber.
+    A buffer is whatever its datatype holds elements in (an ['a array]
+    for a typed datatype, [Bytes] for {!Datatype.serialized}), with an
+    optional [pos]/[count] window, mirroring MPI's (pointer, count,
+    datatype) triples.  All functions must be called from inside a rank
+    fiber.
 
     The optional [ctx] argument separates user traffic from
     library-internal collective traffic; it defaults to user context and is
@@ -21,8 +23,8 @@ val send :
   ?pos:int ->
   ?count:int ->
   Comm.t ->
-  'a Datatype.t ->
-  'a array ->
+  ('a, 'b) Datatype.gen ->
+  'b ->
   dst:int ->
   tag:int ->
   unit
@@ -36,8 +38,8 @@ val isend :
   ?pos:int ->
   ?count:int ->
   Comm.t ->
-  'a Datatype.t ->
-  'a array ->
+  ('a, 'b) Datatype.gen ->
+  'b ->
   dst:int ->
   tag:int ->
   Request.t
@@ -50,8 +52,8 @@ val issend :
   ?pos:int ->
   ?count:int ->
   Comm.t ->
-  'a Datatype.t ->
-  'a array ->
+  ('a, 'b) Datatype.gen ->
+  'b ->
   dst:int ->
   tag:int ->
   Request.t
@@ -66,8 +68,8 @@ val recv :
   ?pos:int ->
   ?count:int ->
   Comm.t ->
-  'a Datatype.t ->
-  'a array ->
+  ('a, 'b) Datatype.gen ->
+  'b ->
   src:int ->
   tag:int ->
   Request.status
@@ -78,8 +80,8 @@ val irecv :
   ?pos:int ->
   ?count:int ->
   Comm.t ->
-  'a Datatype.t ->
-  'a array ->
+  ('a, 'b) Datatype.gen ->
+  'b ->
   src:int ->
   tag:int ->
   Request.t
@@ -98,13 +100,13 @@ val iprobe : ?ctx:Msg.ctx -> Comm.t -> src:int -> tag:int -> Request.status opti
 val sendrecv :
   ?ctx:Msg.ctx ->
   Comm.t ->
-  'a Datatype.t ->
-  send:'a array ->
+  ('a, 'b) Datatype.gen ->
+  send:'b ->
   ?send_pos:int ->
   ?send_count:int ->
   dst:int ->
   stag:int ->
-  recv:'a array ->
+  recv:'b ->
   ?recv_pos:int ->
   ?recv_count:int ->
   src:int ->
@@ -120,8 +122,8 @@ val sendrecv_replace :
   ?pos:int ->
   ?count:int ->
   Comm.t ->
-  'a Datatype.t ->
-  'a array ->
+  ('a, 'b) Datatype.gen ->
+  'b ->
   dst:int ->
   stag:int ->
   src:int ->
@@ -140,14 +142,21 @@ val sendrecv_replace :
 (** [send_sparse comm dt ~count ~dst ~tag] sends [count] elements of [dt]
     without a backing buffer.
     @raise Errors.Count_overflow when [count * extent] is unrepresentable *)
-val send_sparse : ?ctx:Msg.ctx -> Comm.t -> 'a Datatype.t -> count:int -> dst:int -> tag:int -> unit
+val send_sparse :
+  ?ctx:Msg.ctx -> Comm.t -> ('a, 'b) Datatype.gen -> count:int -> dst:int -> tag:int -> unit
 
 (** [recv_sparse comm dt ~capacity ~src ~tag] receives a message of up to
     [capacity] elements without a backing buffer, returning its status
     (including the true large count).
     @raise Errors.Truncated when the sender's count exceeds [capacity] *)
 val recv_sparse :
-  ?ctx:Msg.ctx -> Comm.t -> 'a Datatype.t -> capacity:int -> src:int -> tag:int -> Request.status
+  ?ctx:Msg.ctx ->
+  Comm.t ->
+  ('a, 'b) Datatype.gen ->
+  capacity:int ->
+  src:int ->
+  tag:int ->
+  Request.status
 
 (** {1 Persistent operations (MPI-4 §3.9)}
 
@@ -166,8 +175,8 @@ val send_init :
   ?pos:int ->
   ?count:int ->
   Comm.t ->
-  'a Datatype.t ->
-  'a array ->
+  ('a, 'b) Datatype.gen ->
+  'b ->
   dst:int ->
   tag:int ->
   Persist.t
@@ -180,8 +189,8 @@ val ssend_init :
   ?pos:int ->
   ?count:int ->
   Comm.t ->
-  'a Datatype.t ->
-  'a array ->
+  ('a, 'b) Datatype.gen ->
+  'b ->
   dst:int ->
   tag:int ->
   Persist.t
@@ -194,8 +203,8 @@ val recv_init :
   ?pos:int ->
   ?count:int ->
   Comm.t ->
-  'a Datatype.t ->
-  'a array ->
+  ('a, 'b) Datatype.gen ->
+  'b ->
   src:int ->
   tag:int ->
   Persist.t
@@ -211,8 +220,8 @@ val recv_init :
 val psend_init :
   ?ctx:Msg.ctx ->
   Comm.t ->
-  'a Datatype.t ->
-  'a array ->
+  ('a, 'b) Datatype.gen ->
+  'b ->
   partitions:int ->
   count:int ->
   dst:int ->
@@ -224,8 +233,8 @@ val psend_init :
 val precv_init :
   ?ctx:Msg.ctx ->
   Comm.t ->
-  'a Datatype.t ->
-  'a array ->
+  ('a, 'b) Datatype.gen ->
+  'b ->
   partitions:int ->
   count:int ->
   src:int ->

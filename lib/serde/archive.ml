@@ -6,6 +6,37 @@ let writer () = Buffer.create 64
 let contents w = Buffer.to_bytes w
 let size w = Buffer.length w
 
+(* Archives are built in one shared scratch writer and copied out once at
+   their exact size, so a build allocates the archive and not the doubling
+   steps of a fresh writer.  A build that starts while the scratch is in
+   use (a nested one) takes a fresh writer.  A scratch that grew past
+   [scratch_keep] bytes releases its storage after use. *)
+let scratch = writer ()
+let scratch_busy = ref false
+let scratch_keep = 1 lsl 20
+
+let release_scratch () =
+  if Buffer.length scratch > scratch_keep then Buffer.reset scratch else Buffer.clear scratch;
+  scratch_busy := false
+
+let build f =
+  if !scratch_busy then begin
+    let w = writer () in
+    f w;
+    contents w
+  end
+  else begin
+    scratch_busy := true;
+    match f scratch with
+    | () ->
+        let b = contents scratch in
+        release_scratch ();
+        b
+    | exception e ->
+        release_scratch ();
+        raise e
+  end
+
 (* Zig-zag maps small negative ints to small unsigned codes. *)
 let zigzag i = (i lsl 1) lxor (i asr (Sys.int_size - 1))
 let unzigzag u = (u lsr 1) lxor (-(u land 1))
@@ -23,12 +54,8 @@ let write_varint w i =
     else Buffer.add_char w (Char.chr (b lor 0x80))
   done
 
-let write_int64 w i =
-  for shift = 0 to 7 do
-    Buffer.add_char w (Char.chr (Int64.to_int (Int64.shift_right_logical i (8 * shift)) land 0xFF))
-  done
-
-let write_float w f = write_int64 w (Int64.bits_of_float f)
+let write_int64 w i = Buffer.add_int64_le w i
+let write_float w f = Buffer.add_int64_le w (Int64.bits_of_float f)
 let write_byte w c = Buffer.add_char w c
 let write_bool w b = Buffer.add_char w (if b then '\001' else '\000')
 
@@ -40,10 +67,18 @@ let write_bytes w b =
   write_varint w (Bytes.length b);
   Buffer.add_bytes w b
 
-type reader = { data : Bytes.t; mutable pos : int }
+(* The cursor reads [data] up to [limit], so a part of a larger buffer
+   decodes in place. *)
+type reader = { data : Bytes.t; mutable pos : int; limit : int }
 
-let reader data = { data; pos = 0 }
-let remaining r = Bytes.length r.data - r.pos
+let reader ~pos ~len data =
+  if pos < 0 || len < 0 || pos + len > Bytes.length data then
+    invalid_arg
+      (Printf.sprintf "Archive.reader: window [%d, %d) exceeds %d bytes" pos (pos + len)
+         (Bytes.length data));
+  { data; pos; limit = pos + len }
+
+let remaining r = r.limit - r.pos
 let at_end r = remaining r = 0
 
 let need r n = if remaining r < n then raise (Corrupt (Printf.sprintf "need %d bytes, have %d" n (remaining r)))
@@ -65,15 +100,15 @@ let read_varint r =
 
 let read_int64 r =
   need r 8;
-  let v = ref 0L in
-  for shift = 7 downto 0 do
-    v := Int64.logor (Int64.shift_left !v 8)
-           (Int64.of_int (Char.code (Bytes.get r.data (r.pos + shift))))
-  done;
+  let v = Bytes.get_int64_le r.data r.pos in
   r.pos <- r.pos + 8;
-  !v
+  v
 
-let read_float r = Int64.float_of_bits (read_int64 r)
+let read_float r =
+  need r 8;
+  let v = Bytes.get_int64_le r.data r.pos in
+  r.pos <- r.pos + 8;
+  Int64.float_of_bits v
 let read_bool r = read_byte r <> '\000'
 
 let read_string r =

@@ -1,8 +1,9 @@
 (** Low-level binary archives: a growing byte sink for serialization and a
     cursor-based source for deserialization.
 
-    Integers use zig-zag varint coding; floats are raw IEEE-754 bits.  The
-    format is self-contained and endianness-independent. *)
+    Integers use zig-zag varint coding; [int64]s and floats (their raw
+    IEEE-754 bits) are 8 little-endian bytes.  The format is
+    self-contained and endianness-independent. *)
 
 (** Raised by readers on malformed or truncated input. *)
 exception Corrupt of string
@@ -20,6 +21,12 @@ val contents : writer -> Bytes.t
 (** [size w] is the number of bytes written so far. *)
 val size : writer -> int
 
+(** [build f] runs [f] on an empty writer and returns everything it wrote,
+    as one exact-size archive.  The writer is a scratch shared by every
+    build, so it must not escape [f]; once warm, a build allocates only the
+    archive it returns.  Nested builds are safe. *)
+val build : (writer -> unit) -> Bytes.t
+
 val write_varint : writer -> int -> unit
 val write_int64 : writer -> int64 -> unit
 val write_float : writer -> float -> unit
@@ -32,8 +39,11 @@ val write_bytes : writer -> Bytes.t -> unit
 
 type reader
 
-(** [reader b] starts a cursor at the beginning of [b]. *)
-val reader : Bytes.t -> reader
+(** [reader ~pos ~len b] starts a cursor over the [len] bytes of [b] from
+    [pos]; it never reads past them, so a part of a larger buffer decodes
+    in place.
+    @raise Invalid_argument when the window does not lie inside [b]. *)
+val reader : pos:int -> len:int -> Bytes.t -> reader
 
 (** [remaining r] is the number of unread bytes. *)
 val remaining : reader -> int

@@ -12,17 +12,16 @@ let read c = c.read
 let to_json c = c.to_json
 let of_json c = c.of_json
 
-let encode c v =
-  let w = Archive.writer () in
-  c.write w v;
-  Archive.contents w
+let encode c v = Archive.build (fun w -> c.write w v)
 
-let decode c b =
-  let r = Archive.reader b in
+let decode_sub c b ~pos ~len =
+  let r = Archive.reader ~pos ~len b in
   let v = c.read r in
   if not (Archive.at_end r) then
     raise (Archive.Corrupt (Printf.sprintf "%s: %d trailing bytes" c.name (Archive.remaining r)));
   v
+
+let decode c b = decode_sub c b ~pos:0 ~len:(Bytes.length b)
 
 let encode_json c v = Json.to_string (c.to_json v)
 let decode_json c s = c.of_json (Json.parse s)

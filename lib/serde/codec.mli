@@ -6,8 +6,9 @@
     {!conv} — the analogue of writing a [serialize] function for a custom
     type in Cereal.
 
-    The KaMPIng layer wraps codecs into send/receive buffers via
-    [Kamping.Serialization.to_wire] and [of_wire]. *)
+    The KaMPIng layer sends an encoded archive as it is
+    ([Kamping.Serialization.to_wire]) and decodes each received part in
+    place from the receive window ([of_wire], through {!decode_sub}). *)
 
 type 'a t
 
@@ -22,6 +23,12 @@ val encode : 'a t -> 'a -> Bytes.t
 (** [decode c b] deserializes a binary buffer.
     @raise Archive.Corrupt on malformed input or trailing bytes. *)
 val decode : 'a t -> Bytes.t -> 'a
+
+(** [decode_sub c b ~pos ~len] deserializes the [len] bytes of [b] from
+    [pos] in place, without copying them out.
+    @raise Archive.Corrupt unless they hold exactly one value.
+    @raise Invalid_argument when the window does not lie inside [b]. *)
+val decode_sub : 'a t -> Bytes.t -> pos:int -> len:int -> 'a
 
 (** [write c w v] / [read c r] run the codec on an open archive (used to
     nest values into larger messages). *)

@@ -33,6 +33,29 @@ let test_vec_resize () =
   Vec.ensure_length v 2 4;
   Alcotest.(check int) "ensure never shrinks" 3 (Vec.length v)
 
+(* A resize past the capacity takes its new slots from the store [grow]
+   allocates; one within the capacity refills slots a shrink left stale.
+   Capacity follows [grow] and a pending [reserve] either way. *)
+let test_vec_resize_paths () =
+  let v = Vec.create () in
+  Vec.resize v 10 3;
+  Alcotest.(check (list int)) "fresh store" (List.init 10 (fun _ -> 3)) (Vec.to_list v);
+  Alcotest.(check int) "fresh capacity" 10 (Vec.capacity v);
+  Vec.resize v 2 0;
+  Vec.resize v 6 5;
+  Alcotest.(check (list int)) "stale slots refilled" [ 3; 3; 5; 5; 5; 5 ] (Vec.to_list v);
+  Alcotest.(check int) "capacity kept" 10 (Vec.capacity v);
+  Vec.resize v 12 8;
+  Alcotest.(check (list int)) "grown past capacity"
+    ([ 3; 3; 5; 5; 5; 5 ] @ List.init 6 (fun _ -> 8))
+    (Vec.to_list v);
+  Alcotest.(check int) "doubled" 20 (Vec.capacity v);
+  let w = Vec.create () in
+  Vec.reserve w 64;
+  Vec.resize w 5 1;
+  Alcotest.(check int) "reserve honoured" 64 (Vec.capacity w);
+  Alcotest.(check (list int)) "reserved store" [ 1; 1; 1; 1; 1 ] (Vec.to_list w)
+
 let test_vec_reserve_empty () =
   (* reserve on an empty vector must apply once elements arrive *)
   let v = Vec.create () in
@@ -121,6 +144,7 @@ let suite =
     Alcotest.test_case "vec basic" `Quick test_vec_basic;
     Alcotest.test_case "vec bounds" `Quick test_vec_bounds;
     Alcotest.test_case "vec resize" `Quick test_vec_resize;
+    Alcotest.test_case "vec resize paths" `Quick test_vec_resize_paths;
     Alcotest.test_case "vec reserve on empty" `Quick test_vec_reserve_empty;
     Alcotest.test_case "vec blit/sub" `Quick test_vec_blit_sub;
     Alcotest.test_case "vec append/iterate" `Quick test_vec_append_iterate;

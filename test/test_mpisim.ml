@@ -113,31 +113,39 @@ let test_p2p_truncation () =
 (* ------------- serialized payloads in flight ------------- *)
 
 let chars s = Array.init (String.length s) (String.get s)
-let string_of_chars a = String.init (Array.length a) (Array.get a)
 
 let test_serialized_pack () =
-  (match Msg.pack Datatype.serialized (chars "xwirey") 1 4 with
-  | Msg.Serialized b -> Alcotest.(check string) "window bytes" "wire" (Bytes.to_string b)
+  (match Msg.pack Datatype.serialized (Bytes.of_string "xwirey") 1 4 with
+  | Msg.Packed (dt, b) -> (
+      match Datatype.equal_witness dt Datatype.serialized with
+      | Some Type.Equal -> Alcotest.(check string) "window bytes" "wire" (Bytes.to_string b)
+      | None -> Alcotest.fail "a serialized window travels as Bytes")
   | _ -> Alcotest.fail "a serialized window travels as Bytes");
   (match Msg.pack Datatype.char (chars "wire") 0 4 with
-  | Msg.Packed _ -> ()
+  | Msg.Packed (dt, a) -> (
+      match Datatype.equal_witness dt Datatype.char with
+      | Some Type.Equal -> Alcotest.(check int) "char window length" 4 (Array.length a)
+      | None -> Alcotest.fail "a char window travels as a char array")
   | _ -> Alcotest.fail "a char window travels as a char array");
   match Msg.pack Datatype.int [| 1; 2; 3 |] 1 2 with
-  | Msg.Packed _ -> ()
+  | Msg.Packed (dt, a) -> (
+      match Datatype.equal_witness dt Datatype.int with
+      | Some Type.Equal -> Alcotest.(check (array int)) "int window" [| 2; 3 |] a
+      | None -> Alcotest.fail "an int window travels as an int array")
   | _ -> Alcotest.fail "an int window travels as an int array"
 
 (* [serialized] and [char] share an OCaml element type and an extent, but
    they are distinct MPI datatypes: neither receives the other's message. *)
 let test_serialized_type_mismatch () =
-  let crossed sdt rdt =
+  let crossed sdt sbuf rdt rbuf =
     let got =
       run ~ranks:2 (fun comm ->
           if Comm.rank comm = 0 then begin
-            P2p.send comm sdt (chars "abc") ~dst:1 ~tag:0;
+            P2p.send comm sdt sbuf ~dst:1 ~tag:0;
             None
           end
           else
-            match P2p.recv comm rdt (Array.make 3 ' ') ~src:0 ~tag:0 with
+            match P2p.recv comm rdt rbuf ~src:0 ~tag:0 with
             | (_ : Request.status) -> None
             | exception Errors.Type_mismatch { sent; expected } -> Some (sent, expected))
     in
@@ -145,17 +153,18 @@ let test_serialized_type_mismatch () =
   in
   Alcotest.(check (option (pair string string)))
     "serialized into char" (Some ("serialized", "char"))
-    (crossed Datatype.serialized Datatype.char);
+    (crossed Datatype.serialized (Bytes.of_string "abc") Datatype.char (Array.make 3 ' '));
   Alcotest.(check (option (pair string string)))
     "char into serialized" (Some ("char", "serialized"))
-    (crossed Datatype.char Datatype.serialized)
+    (crossed Datatype.char (chars "abc") Datatype.serialized (Bytes.make 3 ' '))
 
 let test_serialized_truncation () =
   ignore
     (run ~ranks:2 (fun comm ->
-         if Comm.rank comm = 0 then P2p.send comm Datatype.serialized (chars "hello") ~dst:1 ~tag:0
+         if Comm.rank comm = 0 then
+           P2p.send comm Datatype.serialized (Bytes.of_string "hello") ~dst:1 ~tag:0
          else
-           match P2p.recv comm Datatype.serialized (Array.make 8 ' ') ~count:4 ~src:0 ~tag:0 with
+           match P2p.recv comm Datatype.serialized (Bytes.make 8 ' ') ~count:4 ~src:0 ~tag:0 with
            | (_ : Request.status) -> Alcotest.fail "expected truncation"
            | exception Errors.Truncated { sent; capacity } ->
                Alcotest.(check int) "sent" 5 sent;
@@ -167,18 +176,18 @@ let test_serialized_probe_and_copy () =
   ignore
     (run ~ranks:2 (fun comm ->
          if Comm.rank comm = 0 then begin
-           let buf = chars "..payload.." in
+           let buf = Bytes.of_string "..payload.." in
            let req = P2p.isend comm Datatype.serialized buf ~pos:2 ~count:7 ~dst:1 ~tag:5 in
-           Array.fill buf 0 (Array.length buf) '!';
+           Bytes.fill buf 0 (Bytes.length buf) '!';
            ignore (Request.wait req)
          end
          else begin
            let st = P2p.probe comm ~src:0 ~tag:5 in
            Alcotest.(check int) "probed byte count" 7 st.Request.count;
-           let buf = Array.make 10 '_' in
+           let buf = Bytes.make 10 '_' in
            let st = P2p.recv comm Datatype.serialized buf ~pos:1 ~src:0 ~tag:5 in
            Alcotest.(check int) "status byte count" 7 st.Request.count;
-           Alcotest.(check string) "bytes at pos" "_payload__" (string_of_chars buf)
+           Alcotest.(check string) "bytes at pos" "_payload__" (Bytes.to_string buf)
          end))
 
 let test_serialized_persistent () =
@@ -186,12 +195,12 @@ let test_serialized_persistent () =
   let got =
     run ~ranks:2 (fun comm ->
         if Comm.rank comm = 0 then begin
-          let buf = Array.make 7 ' ' in
+          let buf = Bytes.make 7 ' ' in
           let h = P2p.send_init comm Datatype.serialized buf ~count:7 ~dst:1 ~tag:1 in
           List.iter
             (fun r ->
-              Array.fill buf 0 7 ' ';
-              Array.blit (chars r) 0 buf 0 (String.length r);
+              Bytes.fill buf 0 7 ' ';
+              Bytes.blit_string r 0 buf 0 (String.length r);
               Persist.start h;
               ignore (Persist.wait h))
             rounds;
@@ -199,7 +208,7 @@ let test_serialized_persistent () =
           []
         end
         else begin
-          let buf = Array.make 7 '?' in
+          let buf = Bytes.make 7 '?' in
           let h = P2p.recv_init comm Datatype.serialized buf ~src:0 ~tag:1 in
           let out =
             List.map
@@ -207,7 +216,7 @@ let test_serialized_persistent () =
                 Persist.start h;
                 let st = Persist.wait h in
                 Alcotest.(check int) "persistent byte count" 7 st.Request.count;
-                string_of_chars buf)
+                Bytes.to_string buf)
               rounds
           in
           Persist.free h;
@@ -220,8 +229,8 @@ let test_serialized_persistent () =
     run ~ranks:2 (fun comm ->
         if Comm.rank comm = 0 then begin
           let h =
-            P2p.psend_init comm Datatype.serialized (chars "ab-cd-") ~partitions:parts ~count:per
-              ~dst:1 ~tag:2
+            P2p.psend_init comm Datatype.serialized (Bytes.of_string "ab-cd-") ~partitions:parts
+              ~count:per ~dst:1 ~tag:2
           in
           Persist.start h;
           for i = parts - 1 downto 0 do
@@ -232,14 +241,14 @@ let test_serialized_persistent () =
           ""
         end
         else begin
-          let buf = Array.make (parts * per) ' ' in
+          let buf = Bytes.make (parts * per) ' ' in
           let h =
             P2p.precv_init comm Datatype.serialized buf ~partitions:parts ~count:per ~src:0 ~tag:2
           in
           Persist.start h;
           ignore (Persist.wait h);
           Persist.free h;
-          string_of_chars buf
+          Bytes.to_string buf
         end)
   in
   Alcotest.(check string) "partitioned bytes" "ab-cd-" got.(1)
@@ -252,7 +261,7 @@ let test_serialized_sparse () =
     run ~ranks:2 (fun comm ->
         if Comm.rank comm = 0 then begin
           P2p.send_sparse comm Datatype.serialized ~count:big ~dst:1 ~tag:3;
-          P2p.send comm Datatype.serialized (chars "four") ~dst:1 ~tag:4;
+          P2p.send comm Datatype.serialized (Bytes.of_string "four") ~dst:1 ~tag:4;
           (0, 0)
         end
         else

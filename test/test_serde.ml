@@ -16,7 +16,8 @@ let test_archive_primitives () =
   Archive.write_string w "héllo";
   Archive.write_bool w true;
   Archive.write_int64 w (-123456789012345L);
-  let r = Archive.reader (Archive.contents w) in
+  let b = Archive.contents w in
+  let r = Archive.reader ~pos:0 ~len:(Bytes.length b) b in
   Alcotest.(check int) "varint 0" 0 (Archive.read_varint r);
   Alcotest.(check int) "varint -1" (-1) (Archive.read_varint r);
   Alcotest.(check int) "varint max" max_int (Archive.read_varint r);
@@ -33,9 +34,72 @@ let test_archive_truncated () =
   let full = Archive.contents w in
   let cut = Bytes.sub full 0 (Bytes.length full - 2) in
   Alcotest.(check bool) "raises Corrupt" true
-    (match Archive.read_string (Archive.reader cut) with
+    (match Archive.read_string (Archive.reader ~pos:0 ~len:(Bytes.length cut) cut) with
     | (_ : string) -> false
     | exception Archive.Corrupt _ -> true)
+
+(* The wire bytes of floats and int64s are pinned against the output of
+   the original byte-at-a-time encoder: little-endian IEEE-754 bits, the
+   sign of zero, a NaN payload and a denormal included.  Each decodes back
+   to the same bits. *)
+let test_archive_number_golden () =
+  let floats =
+    [ 0.0; -0.0; Int64.float_of_bits 0x7FF800000000BEEFL; Float.infinity; Float.neg_infinity;
+      Int64.float_of_bits 0x000FFFFFFFFFFFFFL; Int64.float_of_bits 1L ]
+  and ints = [ Int64.min_int; Int64.max_int; -123456789012345L ] in
+  let w = Archive.writer () in
+  List.iter (Archive.write_float w) floats;
+  List.iter (Archive.write_int64 w) ints;
+  let b = Archive.contents w in
+  let golden =
+    String.concat ""
+      [
+        (* 0.0, -0.0, NaN with payload 0xBEEF *)
+        "\x00\x00\x00\x00\x00\x00\x00\x00";
+        "\x00\x00\x00\x00\x00\x00\x00\x80";
+        "\xef\xbe\x00\x00\x00\x00\xf8\x7f";
+        (* +inf, -inf, the largest denormal, the smallest denormal *)
+        "\x00\x00\x00\x00\x00\x00\xf0\x7f";
+        "\x00\x00\x00\x00\x00\x00\xf0\xff";
+        "\xff\xff\xff\xff\xff\xff\x0f\x00";
+        "\x01\x00\x00\x00\x00\x00\x00\x00";
+        (* Int64.min_int, Int64.max_int, -123456789012345 *)
+        "\x00\x00\x00\x00\x00\x00\x00\x80";
+        "\xff\xff\xff\xff\xff\xff\xff\x7f";
+        "\x87\x20\xf2\x79\xb7\x8f\xff\xff";
+      ]
+  in
+  Alcotest.(check string) "wire bytes" golden (Bytes.to_string b);
+  let r = Archive.reader ~pos:0 ~len:(Bytes.length b) b in
+  List.iter
+    (fun f ->
+      Alcotest.(check int64) "float bits" (Int64.bits_of_float f)
+        (Int64.bits_of_float (Archive.read_float r)))
+    floats;
+  List.iter (fun i -> Alcotest.(check int64) "int64" i (Archive.read_int64 r)) ints;
+  Alcotest.(check bool) "consumed" true (Archive.at_end r)
+
+(* A bounded reader decodes a part of a larger buffer in place and never
+   reads past its window. *)
+let test_archive_bounded_reader () =
+  let codec = Serde.Codec.(pair int string) in
+  let part = Serde.Codec.encode codec (7, "seven") in
+  let n = Bytes.length part in
+  let buf = Bytes.cat (Bytes.of_string "head") (Bytes.cat part (Bytes.of_string "tail")) in
+  Alcotest.(check (pair int string)) "part in place" (7, "seven")
+    (Serde.Codec.decode_sub codec buf ~pos:4 ~len:n);
+  Alcotest.(check bool) "short window is corrupt" true
+    (match Serde.Codec.decode_sub codec buf ~pos:4 ~len:(n - 1) with
+    | _ -> false
+    | exception Archive.Corrupt _ -> true);
+  Alcotest.(check bool) "long window has trailing bytes" true
+    (match Serde.Codec.decode_sub codec buf ~pos:4 ~len:(n + 1) with
+    | _ -> false
+    | exception Archive.Corrupt _ -> true);
+  Alcotest.(check bool) "window outside the buffer" true
+    (match Archive.reader ~pos:4 ~len:(Bytes.length buf) buf with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
 
 let test_codec_combinators () =
   let c = Codec.(list (pair int string)) in
@@ -256,6 +320,8 @@ let suite =
   [
     Alcotest.test_case "archive primitives" `Quick test_archive_primitives;
     Alcotest.test_case "archive truncation" `Quick test_archive_truncated;
+    Alcotest.test_case "archive number golden bytes" `Quick test_archive_number_golden;
+    Alcotest.test_case "archive bounded reader" `Quick test_archive_bounded_reader;
     Alcotest.test_case "codec combinators" `Quick test_codec_combinators;
     Alcotest.test_case "codec option/result" `Quick test_codec_option_result;
     Alcotest.test_case "codec hashtbl" `Quick test_codec_hashtbl;
