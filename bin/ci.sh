@@ -45,9 +45,10 @@ dune runtest
 #   and every rank track and flow pair is present in BENCH_trace.json.
 # - ckpt: recovered-vs-reference bit-identity, Daly-interval minimality
 #   and the <10% checkpoint overhead bound.
-# - test:explore: the mutation smoke.  The suite re-introduces the
-#   Daly-divergence bug behind a test-only flag and fails unless random
-#   exploration finds and shrinks it (see test/test_explore.ml).
+# - test:explore: the mutation smoke.  A Ckpt.run_sharded round loop
+#   re-introduces the Daly-divergence bug behind a test-only flag, and
+#   the suite fails unless random exploration finds and shrinks it (see
+#   test/test_explore.ml).
 # - explore: Default-strategy hooks are a pure observer and random
 #   schedules agree on the workload's result.
 # - serving: batching sweep, caching and rebalancing comparisons, and a
@@ -67,10 +68,13 @@ dune runtest
 #   defaults >=1.2x on bcast and allreduce, predicted crossovers within
 #   one sweep step, pin table dispatches the predicted winner, every
 #   allgatherv pick within 10% of the fastest pinned body).
-# - scenarios: the three differential gallery workloads under a random
+# - scenarios: the three differential gallery workloads and the serving
+#   example (its resilient path runs on Ckpt.run_sharded) under a random
 #   schedule with the checker raised (each proves variant/transport
 #   bit-identity, oracle equality and kill-recovery), the scenarios
 #   suite, then apps (oracle exactness, p2p-vs-persistent noise band).
+#   The examples link lib/explore, so a malformed MPISIM_EXPLORE spec
+#   fails these passes instead of running the default schedule.
 # - perf: the repository benchmark's correctness gates: oracle outputs
 #   and determinism per workload; the traced bfs_rgg run adds the
 #   pure-observer checks and the zero-overhead gate (Bfs_mpi simulates
@@ -100,6 +104,7 @@ MPISIM_CHECK=communication                               test:topology
 MPISIM_EXPLORE=random:42,MPISIM_CHECK=communication      example:graph_analytics
 MPISIM_EXPLORE=random:42,MPISIM_CHECK=communication      example:cg_solver
 MPISIM_EXPLORE=random:42,MPISIM_CHECK=communication      example:stream_windows
+MPISIM_EXPLORE=random:42,MPISIM_CHECK=communication      example:serving
 MPISIM_CHECK=communication                               test:scenarios
 -                                                        bench:apps
 -                                                        perf:bfs_rgg:0

@@ -1,11 +1,38 @@
 module Snapshot = Snapshot
-module Registry = Registry
 module Schedule = Schedule
 module A = Serde.Archive
 module KC = Kamping.Comm
 module Wire = Kamping.Serialization
 
-let register = Registry.register
+module Bundle = struct
+  (* The entries are encoded before the bundle's build starts, so each
+     takes the shared scratch writer instead of a fresh one. *)
+  let encode ~name codec state ~round =
+    let state = Serde.Codec.encode codec state in
+    let round = Serde.Codec.encode Serde.Codec.int round in
+    A.build (fun w ->
+        A.write_varint w 2;
+        A.write_string w name;
+        A.write_bytes w state;
+        A.write_string w "round";
+        A.write_bytes w round)
+
+  let decode ~name codec b =
+    let r = A.reader ~pos:0 ~len:(Bytes.length b) b in
+    let n = A.read_varint r in
+    if n <> 2 then raise (A.Corrupt (Printf.sprintf "bundle: %d entries, expected 2" n));
+    let entry expected c =
+      let got = A.read_string r in
+      if got <> expected then
+        raise (A.Corrupt (Printf.sprintf "bundle: entry %S, expected %S" got expected));
+      Serde.Codec.decode c (A.read_bytes r)
+    in
+    let state = entry name codec in
+    let round = entry "round" Serde.Codec.int in
+    if not (A.at_end r) then
+      raise (A.Corrupt (Printf.sprintf "bundle: %d trailing bytes" (A.remaining r)));
+    (state, round)
+end
 
 exception Attempts_exhausted of { attempts : int }
 exception Unrecoverable of string
@@ -27,7 +54,8 @@ let tag_extra_payload = 0x7c04
 type stored = { snap : Bytes.t; covered : int list (* shards inside, ascending *) }
 
 type ctx = {
-  registry : Registry.t;
+  save : int -> Bytes.t;  (* shard -> its bundle *)
+  restore : int -> Bytes.t -> unit;
   n_shards : int;
   policy : Schedule.policy;
   failure_rate : float;
@@ -47,24 +75,21 @@ type ctx = {
 }
 
 let comm ctx = ctx.comm
-let n_shards ctx = ctx.n_shards
-let shards ctx = ctx.shards
 
 let owner_of ctx shard =
   if shard < 0 || shard >= ctx.n_shards then
     Mpisim.Errors.usage "Ckpt.owner_of: shard %d out of range [0, %d)" shard ctx.n_shards;
   ctx.owners.(shard)
 
-let epoch ctx = ctx.epoch
 let schedule ctx = ctx.sched
 let predicted_ckpt_cost ctx = ctx.ckpt_cost
 let checkpoints_taken ctx = ctx.n_checkpoints
 let recoveries ctx = ctx.n_recoveries
 
-(* Snapshot payloads pack the owned shards as (shard id, registry bundle)
-   pairs so a buddy copy is self-describing. *)
+(* Snapshot payloads pack the owned shards as (shard id, bundle) pairs so
+   a buddy copy is self-describing. *)
 let pack_shards ctx =
-  let bundles = List.map (fun s -> (s, Registry.save_shard ctx.registry ~shard:s)) ctx.shards in
+  let bundles = List.map (fun s -> (s, ctx.save s)) ctx.shards in
   A.build (fun w ->
       A.write_varint w (List.length bundles);
       List.iter
@@ -166,7 +191,7 @@ let checkpoint ctx =
        end);
   (* Agree on the per-iteration cost so every rank derives the same
      checkpoint period (max is the conservative, deterministic choice).
-     The establish and post-recovery checkpoints ([iters_since = 0])
+     The initial and post-recovery checkpoints ([iters_since = 0])
      timed setup or restore work, not an application iteration: they
      contribute 0, which leaves the period unchanged, instead of a
      bogus sample. *)
@@ -184,8 +209,6 @@ let checkpoint ctx =
   ctx.epoch <- ctx.epoch + 1;
   ctx.n_checkpoints <- ctx.n_checkpoints + 1;
   prune ctx
-
-let establish ctx = if ctx.epoch = 0 then checkpoint ctx
 
 let maybe_checkpoint ctx =
   Schedule.tick ctx.sched;
@@ -283,7 +306,7 @@ let recover ctx =
                    (Printf.sprintf "ckpt: snapshot of rank %d lacks shard %d" origin s))
           | Some bundle ->
               ser_cost comm (Bytes.length bundle);
-              Registry.restore_shard ctx.registry ~shard:s bundle))
+              ctx.restore s bundle))
     !my_shards;
   ctx.shards <- !my_shards;
   ctx.owners <- owners;
@@ -302,49 +325,6 @@ let recover ctx =
   (* Fresh checkpoint under the new buddy pairing before resuming, so a
      second failure cannot orphan the just-adopted shards. *)
   checkpoint ctx
-
-let run_resilient ?(policy = Schedule.Daly) ?(failure_rate = 0.0) ?(max_attempts = 8)
-    ~registry ~n_shards comm f =
-  if n_shards <= 0 then Mpisim.Errors.usage "Ckpt.run_resilient: n_shards %d" n_shards;
-  if max_attempts <= 0 then
-    Mpisim.Errors.usage "Ckpt.run_resilient: max_attempts %d" max_attempts;
-  let p = KC.size comm in
-  let ctx =
-    {
-      registry;
-      n_shards;
-      policy;
-      failure_rate;
-      mine = Hashtbl.create 4;
-      held = Hashtbl.create 4;
-      sched = Schedule.create policy ~ckpt_cost:0.0 ~failure_rate;
-      comm;
-      shards = List.filter (fun s -> s mod p = KC.rank comm) (List.init n_shards Fun.id);
-      owners = Array.init n_shards (fun s -> s mod p);
-      epoch = 0;
-      resched = true;
-      ckpt_cost = 0.0;
-      last_ckpt_time = KC.now comm;
-      iters_since = 0;
-      n_checkpoints = 0;
-      n_recoveries = 0;
-    }
-  in
-  let rec attempt tries ~restored =
-    if KC.size ctx.comm = 0 then raise (Unrecoverable "ckpt: no surviving rank");
-    if tries >= max_attempts then raise (Attempts_exhausted { attempts = tries });
-    match
-      if restored then recover ctx;
-      f ctx ~restored
-    with
-    | v -> v
-    | exception (Mpisim.Errors.Process_failed _ | Mpisim.Errors.Comm_revoked) ->
-        if not (Kamping_plugins.Ulfm.is_revoked ctx.comm) then
-          Kamping_plugins.Ulfm.revoke ctx.comm;
-        ctx.comm <- Kamping_plugins.Ulfm.shrink ctx.comm;
-        attempt (tries + 1) ~restored:true
-  in
-  attempt 0 ~restored:false
 
 (* --- the sharded application driver -------------------------------- *)
 
@@ -375,28 +355,59 @@ let route ctx codec msgs =
     | None -> []
     | Some rev -> List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) (List.rev rev)
 
-let run_sharded ?policy ?failure_rate ?max_attempts ?(on_complete = ignore) ~name codec
-    ~n_shards comm ~init attempt =
+let run_sharded ?(policy = Schedule.Daly) ?(failure_rate = 0.0) ?(max_attempts = 8)
+    ?(on_complete = ignore) ~name codec ~n_shards comm ~init attempt =
+  if name = "round" then
+    Mpisim.Errors.usage "Ckpt.run_sharded: name %S is reserved for the round counter" name;
+  if n_shards <= 0 then Mpisim.Errors.usage "Ckpt.run_sharded: n_shards %d" n_shards;
+  if max_attempts <= 0 then
+    Mpisim.Errors.usage "Ckpt.run_sharded: max_attempts %d" max_attempts;
   let states = Hashtbl.create 8 and round = ref 0 in
-  let registry = Registry.create () in
-  register registry ~name codec
-    ~save:(fun ~shard -> Hashtbl.find states shard)
-    ~restore:(fun ~shard st -> Hashtbl.replace states shard st);
-  (* Restoring sets the live counter, so the checkpoint that ends
-     [recover] saves the restored round next to the restored states. *)
-  register registry ~name:"round" Serde.Codec.int
-    ~save:(fun ~shard:_ -> !round)
-    ~restore:(fun ~shard:_ r -> round := r);
-  run_resilient ?policy ?failure_rate ?max_attempts ~registry ~n_shards comm
-    (fun ctx ~restored ->
+  let p = KC.size comm in
+  let ctx =
+    {
+      save = (fun s -> Bundle.encode ~name codec (Hashtbl.find states s) ~round:!round);
+      (* Restoring sets the live counter, so the checkpoint that ends
+         [recover] saves the restored round next to the restored states. *)
+      restore =
+        (fun s b ->
+          let st, r = Bundle.decode ~name codec b in
+          Hashtbl.replace states s st;
+          round := r);
+      n_shards;
+      policy;
+      failure_rate;
+      mine = Hashtbl.create 4;
+      held = Hashtbl.create 4;
+      sched = Schedule.create policy ~ckpt_cost:0.0 ~failure_rate;
+      comm;
+      shards = List.filter (fun s -> s mod p = KC.rank comm) (List.init n_shards Fun.id);
+      owners = Array.init n_shards (fun s -> s mod p);
+      epoch = 0;
+      resched = true;
+      ckpt_cost = 0.0;
+      last_ckpt_time = KC.now comm;
+      iters_since = 0;
+      n_checkpoints = 0;
+      n_recoveries = 0;
+    }
+  in
+  (* One attempt: initialize (or recover) the owned shards, write the
+     initial checkpoint, then run rounds until the step says stop.  A
+     detected failure revokes, shrinks and re-enters on the survivors. *)
+  let rec run tries ~restored =
+    if KC.size ctx.comm = 0 then raise (Unrecoverable "ckpt: no surviving rank");
+    if tries >= max_attempts then raise (Attempts_exhausted { attempts = tries });
+    match
       if restored then begin
+        recover ctx;
         (* All restored shards come from one epoch; a rank left without
            shards learns the round from the others. *)
         let local = if ctx.shards = [] then min_int else !round in
         round := KC.allreduce_single ctx.comm Mpisim.Datatype.int Mpisim.Op.int_max local
       end
       else List.iter (fun s -> Hashtbl.replace states s (init s)) ctx.shards;
-      establish ctx;
+      if ctx.epoch = 0 then checkpoint ctx;
       let shards = List.map (fun s -> (s, Hashtbl.find states s)) ctx.shards in
       let step = attempt ctx shards in
       while step ~round:!round do
@@ -404,4 +415,13 @@ let run_sharded ?policy ?failure_rate ?max_attempts ?(on_complete = ignore) ~nam
         maybe_checkpoint ctx
       done;
       on_complete ctx;
-      shards)
+      shards
+    with
+    | v -> v
+    | exception (Mpisim.Errors.Process_failed _ | Mpisim.Errors.Comm_revoked) ->
+        if not (Kamping_plugins.Ulfm.is_revoked ctx.comm) then
+          Kamping_plugins.Ulfm.revoke ctx.comm;
+        ctx.comm <- Kamping_plugins.Ulfm.shrink ctx.comm;
+        run (tries + 1) ~restored:true
+  in
+  run 0 ~restored:false

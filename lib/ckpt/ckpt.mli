@@ -1,11 +1,8 @@
 (** Application-level in-memory checkpoint/restart on top of ULFM.
 
     The subsystem turns the ULFM primitives (revoke/shrink/agree, paper
-    Sec. V-B) into survivable applications:
-
-    - {b Registration.}  The application declares its restartable state
-      through a {!Registry}: named pieces, each with a serde codec and
-      save/restore closures, keyed by {e shard}.
+    Sec. V-B) into survivable applications through one entry point,
+    {!run_sharded}:
 
     - {b Shards.}  State is partitioned into [n_shards] virtual ranks,
       fixed for the lifetime of the computation.  Each physical rank
@@ -14,7 +11,8 @@
       independent of the physical rank count, a recovered run computes
       {e bit-identical} results to a failure-free one.
 
-    - {b Checkpointing.}  {!checkpoint} packs every owned shard into one
+    - {b Checkpointing.}  A checkpoint encodes every owned shard as one
+      {!Bundle} (its state and the round counter), packs them into one
       snapshot ({!Snapshot}), keeps it in memory, and exchanges it with
       a buddy rank (XOR partner: [rank lxor 1]) via [sendrecv] of
       length-prefixed byte buffers, so every snapshot survives any
@@ -23,7 +21,7 @@
       rank 0.  The engine keeps the two most recent epochs: a failure
       mid-checkpoint can always fall back to the previous one.
 
-    - {b Recovery.}  On a detected failure, {!run_resilient} revokes and
+    - {b Recovery.}  On a detected failure {!run_sharded} revokes and
       shrinks, then survivors allgather an index of their stored
       snapshots, deterministically compute the newest globally complete
       epoch (every shard covered by some survivor's copy), confirm it
@@ -31,43 +29,42 @@
       designated holder — and immediately write a fresh checkpoint under
       the new buddy pairing before resuming.
 
-    - {b Scheduling.}  {!maybe_checkpoint} consults a {!Schedule}
-      (Young/Daly-optimal interval derived from the LogGP-predicted
-      checkpoint cost and the injected failure rate).  The schedule is
-      resolved from values agreed across the communicator (an
-      [allreduce]-max of the snapshot size at the first checkpoint and
-      after every recovery, and of the measured per-iteration cost at
-      each checkpoint), so every rank derives the same period and all
-      ranks checkpoint at the same iteration; between checkpoints the
-      decision is purely local.
+    - {b Scheduling.}  After every round {!run_sharded} consults a
+      {!Schedule} (Young/Daly-optimal interval derived from the
+      LogGP-predicted checkpoint cost and the injected failure rate).
+      The schedule is resolved from values agreed across the
+      communicator (an [allreduce]-max of the snapshot size at the first
+      checkpoint and after every recovery, and of the measured
+      per-round cost at each checkpoint), so every rank derives the same
+      period and all ranks checkpoint at the same round; between
+      checkpoints the decision is purely local.
 
-    - {b Sharded applications.}  {!run_sharded} is the driver every
-      restartable application runs on: it owns the shard table, the
-      registry wiring and the round loop, and {!route} carries
-      messages between shards through their current owners. *)
+    {!route} carries messages between shards through their current
+    owners. *)
 
 module Snapshot = Snapshot
-module Registry = Registry
 module Schedule = Schedule
 
-(** [register registry ~name codec ~save ~restore] — see
-    {!Registry.register} (re-exported so application code reads
-    [Ckpt.register]). *)
-val register :
-  Registry.t ->
-  name:string ->
-  'a Serde.Codec.t ->
-  save:(shard:int -> 'a) ->
-  restore:(shard:int -> 'a -> unit) ->
-  unit
+(** One shard's checkpoint bundle: an entry count of 2, then the state
+    under the application's [name] and the round counter under
+    ["round"], each as a name and a length-prefixed serde encoding. *)
+module Bundle : sig
+  val encode : name:string -> 's Serde.Codec.t -> 's -> round:int -> Bytes.t
 
-(** The per-rank checkpoint engine handed to the body of
-    {!run_resilient}.  Valid only inside that body; [comm ctx] is the
+  (** [decode ~name codec b] is [(state, round)].
+      @raise Serde.Archive.Corrupt on a different entry count or entry
+      name (a bundle of another application), a truncated buffer or
+      trailing bytes. *)
+  val decode : name:string -> 's Serde.Codec.t -> Bytes.t -> 's * int
+end
+
+(** The per-rank checkpoint engine handed to the attempt of
+    {!run_sharded}.  Valid only inside the run; [comm ctx] is the
     current (possibly shrunk) communicator. *)
 type ctx
 
-(** Raised by {!run_resilient} when the failure/recovery cycle repeated
-    [max_attempts] times without the body completing. *)
+(** Raised by {!run_sharded} when the failure/recovery cycle repeated
+    [max_attempts] times without the run completing. *)
 exception Attempts_exhausted of { attempts : int }
 
 (** Raised when recovery is impossible: no globally complete epoch
@@ -86,19 +83,11 @@ val test_resched_local_size : bool ref
 (** {1 Inspection} *)
 
 val comm : ctx -> Kamping.Comm.t
-val n_shards : ctx -> int
-
-(** [shards ctx] are the shards this rank currently owns, ascending. *)
-val shards : ctx -> int list
 
 (** [owner_of ctx shard] is the communicator rank currently owning
     [shard] (for routing cross-shard messages).
     @raise Mpisim.Errors.Usage_error if [shard] is out of range. *)
 val owner_of : ctx -> int -> int
-
-(** [epoch ctx] is the epoch the next checkpoint will write (0 before
-    {!establish}; recovery rolls it back to the restored epoch + 1). *)
-val epoch : ctx -> int
 
 val schedule : ctx -> Schedule.t
 
@@ -113,63 +102,10 @@ val checkpoints_taken : ctx -> int
 
 val recoveries : ctx -> int
 
-(** {1 Checkpointing} *)
-
-(** [establish ctx] writes the initial epoch-0 checkpoint; a no-op when
-    an epoch already exists (i.e. after recovery).  Call it right after
-    the application state is initialized or restored — state from
-    before the first [establish] cannot be recovered. *)
-val establish : ctx -> unit
-
-(** [checkpoint ctx] forces a checkpoint now (collective: every member
-    must call it at the same iteration). *)
-val checkpoint : ctx -> unit
-
-(** [maybe_checkpoint ctx] records one completed application iteration
-    and checkpoints iff the schedule says so.  Deterministic across
-    ranks, so calling it once per iteration on every rank keeps the
-    collective checkpoint calls aligned. *)
-val maybe_checkpoint : ctx -> unit
-
-(** {1 The resilient driver} *)
-
-(** [run_resilient ~registry ~n_shards comm f] runs [f ctx ~restored]
-    under the recovery protocol, generalizing
-    [Kamping_plugins.Ulfm.with_recovery]:
-
-    - on the first attempt [restored = false]: [f] must initialize its
-      state for [shards ctx] and call {!establish};
-    - on a detected failure ([Process_failed] / [Comm_revoked] escaping
-      [f]), the engine revokes, shrinks, restores the newest complete
-      epoch (reassigning orphaned shards), and calls
-      [f ctx ~restored:true] on the shrunk communicator — [f] must then
-      rebuild derived (unregistered) structures for its possibly-grown
-      shard set and resume from the restored state;
-    - failures striking during recovery itself re-enter the same loop.
-
-    [policy] (default [Daly]) and [failure_rate] (whole-system failures
-    per simulated second, default [0.]) parameterize the schedule;
-    [max_attempts] (default 8) bounds the number of recovery rounds.
-
-    @raise Attempts_exhausted after [max_attempts] failed attempts.
-    @raise Unrecoverable when no complete epoch survives or no rank
-    does.
-    @raise Mpisim.Errors.Usage_error on [n_shards <= 0] or
-    [max_attempts <= 0]. *)
-val run_resilient :
-  ?policy:Schedule.policy ->
-  ?failure_rate:float ->
-  ?max_attempts:int ->
-  registry:Registry.t ->
-  n_shards:int ->
-  Kamping.Comm.t ->
-  (ctx -> restored:bool -> 'a) ->
-  'a
-
 (** {1 Sharded applications}
 
     The scaffolding every restartable application shares: a per-shard
-    state table registered under one name, a round counter, and
+    state table checkpointed under one name, a round counter, and
     owner-routed messages between shards.  An application supplies only
     its per-shard state, its initial value, and one round of its step. *)
 
@@ -184,24 +120,33 @@ val run_resilient :
 val route : ctx -> 'a Serde.Codec.t -> (int * int * 'a) list -> int -> (int * 'a) list
 
 (** [run_sharded ~name codec ~n_shards comm ~init attempt] runs a
-    round-based application over [n_shards] virtual shards under
-    {!run_resilient}.  Each shard's state (of type ['s], registered as
-    [name]) starts as [init shard]; a shard's state must be mutable in
-    place, since the same value is checkpointed after every round.
+    round-based application over [n_shards] virtual shards under the
+    recovery protocol.  Each shard's state (of type ['s], checkpointed
+    as a {!Bundle} under [name]) starts as [init shard]; a shard's state
+    must be mutable in place, since the same value is checkpointed after
+    every round.
 
     Every attempt — the first and each one after a recovery — calls
     [attempt ctx shards] once with the owned [(shard, state)] list
-    (ascending); it rebuilds the derived, unregistered structures and
+    (ascending); it rebuilds the derived, uncheckpointed structures and
     returns the step.  The driver then calls [step ~round] with
     [round = 0, 1, ...] (resuming at the restored round after a
     recovery), checkpointing per the schedule after every round, until
     the step returns [false].  A step decides termination itself, on a
     value agreed across the communicator.  [on_complete ctx] runs after
     the last round; the result is the final owned [(shard, state)] list.
+    Failures ([Process_failed] / [Comm_revoked]) striking a round, a
+    checkpoint or a recovery all re-enter the same loop.
 
-    The round counter is part of the checkpoint, so a recovered attempt
-    replays from the restored round.  Optional arguments as for
-    {!run_resilient}. *)
+    [policy] (default [Daly]) and [failure_rate] (whole-system failures
+    per simulated second, default [0.]) parameterize the schedule;
+    [max_attempts] (default 8) bounds the number of recovery rounds.
+
+    @raise Attempts_exhausted after [max_attempts] failed attempts.
+    @raise Unrecoverable when no complete epoch survives or no rank
+    does.
+    @raise Mpisim.Errors.Usage_error on [name = "round"] (the counter's
+    entry), [n_shards <= 0] or [max_attempts <= 0]. *)
 val run_sharded :
   ?policy:Schedule.policy ->
   ?failure_rate:float ->

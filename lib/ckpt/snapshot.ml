@@ -32,12 +32,3 @@ let decode_expect ~epoch b =
   let s = decode b in
   if s.epoch <> epoch then raise (Wrong_epoch { expected = epoch; got = s.epoch });
   s
-
-let codec =
-  Serde.Codec.conv ~name:"snapshot"
-    (fun t -> (t.epoch, t.rank, Bytes.to_string t.payload))
-    (fun (epoch, rank, payload) ->
-      if epoch < 0 || rank < 0 then
-        raise (A.Corrupt "snapshot: negative header field");
-      { epoch; rank; payload = Bytes.of_string payload })
-    Serde.Codec.(triple int int string)

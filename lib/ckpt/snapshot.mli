@@ -2,7 +2,7 @@
 
     A snapshot is what one rank hands its buddy at every checkpoint: a
     self-describing header ([epoch], writer's [rank]) followed by the
-    length-prefixed opaque payload (the rank's registry bundle).  The
+    length-prefixed opaque payload (the rank's packed shard bundles).  The
     header is what recovery validates before trusting a stored copy: a
     corrupted or truncated buffer fails to decode, and a copy from the
     wrong epoch is rejected explicitly instead of silently restoring
@@ -11,7 +11,7 @@
 type t = {
   epoch : int;  (** checkpoint epoch the payload belongs to *)
   rank : int;  (** world rank of the writer (stable across shrinks) *)
-  payload : Bytes.t;  (** opaque registry bundle *)
+  payload : Bytes.t;  (** the packed shard bundles, opaque here *)
 }
 
 (** Raised by {!decode_expect} when the buffer decodes cleanly but carries
@@ -31,7 +31,3 @@ val decode : Bytes.t -> t
     restoring an agreed epoch.
     @raise Wrong_epoch when the buffer's epoch differs from [epoch]. *)
 val decode_expect : epoch:int -> Bytes.t -> t
-
-(** [codec] round-trips snapshots through the generic serde layer (used
-    to embed snapshots in JSON reports and tests). *)
-val codec : t Serde.Codec.t

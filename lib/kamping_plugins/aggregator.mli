@@ -64,7 +64,7 @@ val flush : 'a t -> unit
     been handled), then returns.  The aggregator is reusable afterwards.
     @raise Mpisim.Errors.Process_failed when a communicator member has
     died — termination can never be reached, so the failure surfaces
-    ULFM-style for a recovery layer (e.g. {!Ckpt.run_resilient}) to
+    ULFM-style for a recovery layer (e.g. {!Ckpt.run_sharded}) to
     handle. *)
 val finish : 'a t -> unit
 

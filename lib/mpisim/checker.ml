@@ -4,19 +4,23 @@ type level = Off | Light | Heavy | Communication
 
 let rank_of_level = function Off -> 0 | Light -> 1 | Heavy -> 2 | Communication -> 3
 
-let level_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "off" | "none" -> Some Off
-  | "light" -> Some Light
-  | "heavy" -> Some Heavy
-  | "communication" | "comm" -> Some Communication
-  | _ -> None
+let level_of_env = function
+  | None -> Light
+  | Some s -> (
+      match String.lowercase_ascii (String.trim s) with
+      | "" -> Light
+      | "off" | "none" -> Off
+      | "light" -> Light
+      | "heavy" -> Heavy
+      | "communication" | "comm" -> Communication
+      | _ ->
+          invalid_arg
+            (Printf.sprintf
+               "MPISIM_CHECK: unknown level %S (expected off, none, light, heavy, \
+                communication or comm)"
+               s))
 
-let current =
-  ref
-    (match Option.bind (Sys.getenv_opt "MPISIM_CHECK") level_of_string with
-    | Some l -> l
-    | None -> Light)
+let current = ref (level_of_env (Sys.getenv_opt "MPISIM_CHECK"))
 
 let set_level l = current := l
 let level () = !current

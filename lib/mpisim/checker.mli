@@ -33,8 +33,8 @@ type level =
           would require extra communication in a real MPI *)
 
 (** [set_level l] / [level ()] configure the global checker level.  The
-    default is [Light], or the value of the [MPISIM_CHECK] environment
-    variable ([off]/[light]/[heavy]/[communication]) when set. *)
+    default is [level_of_env] of the [MPISIM_CHECK] environment
+    variable. *)
 val set_level : level -> unit
 
 val level : unit -> level
@@ -45,9 +45,13 @@ val enabled : level -> bool
 (** [with_level l f] runs [f] with the level temporarily set to [l]. *)
 val with_level : level -> (unit -> 'a) -> 'a
 
-(** [level_of_string s] parses ["off"], ["light"], ["heavy"],
-    ["communication"]. *)
-val level_of_string : string -> level option
+(** [level_of_env v] reads a value of [MPISIM_CHECK]: ["off"] (or
+    ["none"]), ["light"], ["heavy"], ["communication"] (or ["comm"]),
+    case-insensitive; unset or empty is [Light].
+    @raise Invalid_argument naming the variable and the accepted
+    spellings on anything else, so a misspelled level cannot silently
+    weaken a run. *)
+val level_of_env : string option -> level
 
 (** {1 Diagnostics} *)
 

@@ -111,12 +111,13 @@ let read_float r =
   Int64.float_of_bits v
 let read_bool r = read_byte r <> '\000'
 
-let read_string r =
+let read_bytes r =
   let n = read_varint r in
   if n < 0 then raise (Corrupt "negative string length");
   need r n;
-  let s = Bytes.sub_string r.data r.pos n in
+  let b = Bytes.sub r.data r.pos n in
   r.pos <- r.pos + n;
-  s
+  b
 
-let read_bytes r = Bytes.of_string (read_string r)
+(* The copy [read_bytes] returns is fresh and unshared. *)
+let read_string r = Bytes.unsafe_to_string (read_bytes r)

@@ -116,70 +116,49 @@ let block_overhead = 1.0e-6
 (* {2 Restartable state}
 
    Everything a shard needs to move — between ranks at a rebalance, or
-   from a checkpoint at recovery — lives here: the store partition, the
-   stream cursor, and the epoch counter.  The registry closures capture
-   this record, which outlives sessions (and, in resilient mode,
-   recovery attempts). *)
+   from a checkpoint at recovery — is one value: its id, its store
+   partition and its stream cursor.  [shard_codec] is the one encoding
+   both paths use. *)
 
-type state = {
-  cfg : config;
-  stores : (int, (int, int) Hashtbl.t) Hashtbl.t;  (* shard -> key -> value *)
-  streams : (int, Workload.t) Hashtbl.t;  (* shard -> its request stream *)
-  mutable done_epochs : int;
+type shard = {
+  id : int;
+  store : (int, int) Hashtbl.t;  (* key -> value *)
+  stream : Workload.t;
 }
 
-let make_state cfg = { cfg; stores = Hashtbl.create 16; streams = Hashtbl.create 16; done_epochs = 0 }
-
-let store_for st shard =
-  match Hashtbl.find_opt st.stores shard with
-  | Some t -> t
-  | None ->
-      let t = Hashtbl.create 32 in
-      Hashtbl.replace st.stores shard t;
-      t
-
-let stream_for st shard =
-  match Hashtbl.find_opt st.streams shard with
-  | Some w -> w
-  | None ->
-      let cfg = st.cfg in
-      let w =
-        Workload.create ~n_keys:cfg.n_keys ~zipf_s:cfg.zipf_s ~rate:cfg.rate
-          ~write_ratio:cfg.write_ratio ~seed:cfg.seed ~stream:shard
-      in
-      Hashtbl.replace st.streams shard w;
-      w
+let new_shard cfg id =
+  {
+    id;
+    store = Hashtbl.create 32;
+    stream =
+      Workload.create ~n_keys:cfg.n_keys ~zipf_s:cfg.zipf_s ~rate:cfg.rate
+        ~write_ratio:cfg.write_ratio ~seed:cfg.seed ~stream:id;
+  }
 
 let sorted_kvs tbl =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare
 
-let make_registry st =
-  let registry = Ckpt.Registry.create () in
-  Ckpt.register registry ~name:"store"
-    Serde.Codec.(list (pair int int))
-    ~save:(fun ~shard -> sorted_kvs (store_for st shard))
-    ~restore:(fun ~shard kvs ->
-      let t = store_for st shard in
-      Hashtbl.reset t;
-      List.iter (fun (k, v) -> Hashtbl.replace t k v) kvs);
-  Ckpt.register registry ~name:"stream" Serde.Codec.int
-    ~save:(fun ~shard -> Workload.pos (stream_for st shard))
-    ~restore:(fun ~shard p -> Workload.seek (stream_for st shard) p);
-  Ckpt.register registry ~name:"epoch" Serde.Codec.int
-    ~save:(fun ~shard:_ -> st.done_epochs)
-    ~restore:(fun ~shard:_ e -> st.done_epochs <- e);
-  registry
+let shard_codec cfg =
+  Serde.Codec.conv ~name:"serve-shard"
+    (fun sh -> (sh.id, sorted_kvs sh.store, Workload.pos sh.stream))
+    (fun (id, kvs, pos) ->
+      let sh = new_shard cfg id in
+      List.iter (fun (k, v) -> Hashtbl.replace sh.store k v) kvs;
+      Workload.seek sh.stream pos;
+      sh)
+    Serde.Codec.(triple int (list (pair int int)) int)
 
 (* {2 A serving session}
 
-   Per-attempt structures: aggregators, cache, sharer directory, metrics
-   and in-flight bookkeeping.  Rebuilt from scratch after a recovery (the
-   quiescent epoch boundary guarantees nothing in-flight was lost). *)
+   Per-attempt structures: the owned shards by id, aggregators, cache,
+   sharer directory, metrics and in-flight bookkeeping.  Rebuilt from
+   scratch after a recovery (the quiescent epoch boundary guarantees
+   nothing in-flight was lost). *)
 
 type session = {
   kc : K.t;
   cfg : config;
-  st : state;
+  shards : (int, shard) Hashtbl.t;  (* owned shard id -> its state *)
   map : Shard_map.t;
   cache : Cache.t;
   lat : Metrics.t;
@@ -192,7 +171,9 @@ type session = {
   rep_agg : wire Agg.t;
 }
 
-let make_session cfg st kc map =
+let make_session cfg owned kc map =
+  let shards = Hashtbl.create 16 in
+  List.iter (fun sh -> Hashtbl.replace shards sh.id sh) owned;
   let caching = cfg.cache_capacity > 0 in
   let cache = Cache.create ~capacity:cfg.cache_capacity () in
   let lat = Metrics.create () in
@@ -235,7 +216,7 @@ let make_session cfg st kc map =
       (fun ((kind, key), (id, payload)) ->
         let shard = Shard_map.shard_of_key map key in
         shard_loads.(shard) <- shard_loads.(shard) + 1;
-        let store = store_for st shard in
+        let store = (Hashtbl.find shards shard).store in
         if kind = k_get then begin
           let v = Option.value (Hashtbl.find_opt store key) ~default:0 in
           if caching then begin
@@ -273,7 +254,7 @@ let make_session cfg st kc map =
   {
     kc;
     cfg;
-    st;
+    shards;
     map;
     cache;
     lat;
@@ -306,7 +287,9 @@ let run_epoch sess e =
   let wall0 = K.now kc in
   let last_flush = ref wall0 in
   let me = K.rank kc in
-  let streams = List.map (stream_for sess.st) (Shard_map.shards_of sess.map me) in
+  let streams =
+    List.map (fun s -> (Hashtbl.find sess.shards s).stream) (Shard_map.shards_of sess.map me)
+  in
   let issue r =
     let open Workload in
     let arrival = wall0 +. (r.at -. e_lo) in
@@ -368,31 +351,23 @@ let measure_imbalance sess =
   let loads = Shard_map.server_loads sess.map ~shard_loads:global ~p:(K.size kc) in
   (Shard_map.imbalance loads, global)
 
-(* Migrate every shard whose LPT placement differs from the current one.
-   The payload is exactly the checkpoint bundle (store + stream cursor +
-   epoch counter), shipped through one collective serialized exchange, so
-   migration and recovery share one serialization path. *)
-let do_rebalance sess registry global_loads =
+(* Migrate every shard whose LPT placement differs from the current one:
+   one collective serialized exchange of [shard_codec] values, the
+   checkpoint's own encoding, so migration and recovery share one
+   serialization path. *)
+let do_rebalance sess global_loads =
   let kc = sess.kc in
   let me = K.rank kc and p = K.size kc in
   let plan = Shard_map.lpt_plan sess.map ~shard_loads:global_loads ~p in
   let outgoing = Array.make p [] in
   for s = Shard_map.n_shards sess.map - 1 downto 0 do
-    let cur = Shard_map.owner_of_shard sess.map s in
-    if cur = me && plan.(s) <> me then
-      outgoing.(plan.(s)) <-
-        (s, Bytes.to_string (Ckpt.Registry.save_shard registry ~shard:s)) :: outgoing.(plan.(s))
-  done;
-  let received = K.alltoallv_serialized kc Serde.Codec.(list (pair int string)) outgoing in
-  Array.iter
-    (List.iter (fun (s, b) -> Ckpt.Registry.restore_shard registry ~shard:s (Bytes.of_string b)))
-    received;
-  for s = 0 to Shard_map.n_shards sess.map - 1 do
     if Shard_map.owner_of_shard sess.map s = me && plan.(s) <> me then begin
-      Hashtbl.remove sess.st.stores s;
-      Hashtbl.remove sess.st.streams s
+      outgoing.(plan.(s)) <- Hashtbl.find sess.shards s :: outgoing.(plan.(s));
+      Hashtbl.remove sess.shards s
     end
   done;
+  K.alltoallv_serialized kc (Serde.Codec.list (shard_codec sess.cfg)) outgoing
+  |> Array.iter (List.iter (fun sh -> Hashtbl.replace sess.shards sh.id sh));
   Shard_map.apply_plan sess.map plan;
   (* placement changed: cached values and the sharer directory keep their
      meaning, but we reset them so both phases start from the same cold
@@ -402,9 +377,9 @@ let do_rebalance sess registry global_loads =
 
 let finalize sess ~recoveries ~imbalance_before ~imbalance_after =
   let me = K.rank sess.kc in
-  let owned = Shard_map.shards_of sess.map me in
+  let owned = List.map (Hashtbl.find sess.shards) (Shard_map.shards_of sess.map me) in
   {
-    issued = List.fold_left (fun acc s -> acc + Workload.pos (stream_for sess.st s)) 0 owned;
+    issued = List.fold_left (fun acc sh -> acc + Workload.pos sh.stream) 0 owned;
     completed = !(sess.completed);
     cache_hits = Cache.hits sess.cache;
     cache_lookups = Cache.lookups sess.cache;
@@ -412,7 +387,7 @@ let finalize sess ~recoveries ~imbalance_before ~imbalance_after =
     imbalance_before;
     imbalance_after;
     recoveries;
-    stores = List.map (fun s -> (s, sorted_kvs (store_for sess.st s))) owned;
+    stores = List.map (fun sh -> (sh.id, sorted_kvs sh.store)) owned;
   }
 
 (* {2 Drivers} *)
@@ -421,19 +396,17 @@ let body cfg comm =
   validate cfg;
   let kc = K.wrap comm in
   let p = K.size kc in
-  let st = make_state cfg in
-  let registry = make_registry st in
   let map = Shard_map.create ~n_shards:cfg.n_shards ~n_keys:cfg.n_keys ~p in
-  let sess = make_session cfg st kc map in
+  let owned = List.map (new_shard cfg) (Shard_map.shards_of map (K.rank kc)) in
+  let sess = make_session cfg owned kc map in
   let imb_before = ref Float.nan in
   let n = n_epochs cfg in
   for e = 0 to n - 1 do
     run_epoch sess e;
-    st.done_epochs <- e + 1;
     if boundary cfg = Some (e + 1) then begin
       let imb, global = measure_imbalance sess in
       imb_before := imb;
-      if cfg.rebalance then do_rebalance sess registry global;
+      if cfg.rebalance then do_rebalance sess global;
       Array.fill sess.shard_loads 0 cfg.n_shards 0
     end
   done;
@@ -445,35 +418,36 @@ let body cfg comm =
   Agg.close sess.rep_agg;
   finalize sess ~recoveries:0 ~imbalance_before:!imb_before ~imbalance_after:imb_after
 
+(* One epoch per round of [Ckpt.run_sharded]: the round counter is the
+   epoch counter, checkpointed next to every shard. *)
 let resilient_body ?policy ?failure_rate ?max_attempts cfg comm =
   validate cfg;
-  let kc0 = K.wrap comm in
-  let st = make_state cfg in
-  let registry = make_registry st in
-  Ckpt.run_resilient ?policy ?failure_rate ?max_attempts ~registry ~n_shards:cfg.n_shards kc0
-    (fun ctx ~restored ->
-      let kc = Ckpt.comm ctx in
-      if not restored then begin
-        Hashtbl.reset st.stores;
-        Hashtbl.reset st.streams;
-        st.done_epochs <- 0
-      end;
-      Ckpt.establish ctx;
-      let map =
-        Shard_map.of_owner ~n_keys:cfg.n_keys
-          (Array.init cfg.n_shards (fun s -> Ckpt.owner_of ctx s))
-      in
-      let sess = make_session cfg st kc map in
-      let n = n_epochs cfg in
-      while st.done_epochs < n do
-        run_epoch sess st.done_epochs;
-        st.done_epochs <- st.done_epochs + 1;
-        Ckpt.maybe_checkpoint ctx
-      done;
-      Agg.close sess.req_agg;
-      Agg.close sess.rep_agg;
-      finalize sess ~recoveries:(Ckpt.recoveries ctx) ~imbalance_before:Float.nan
-        ~imbalance_after:Float.nan)
+  let report = ref None in
+  let (_ : (int * shard) list) =
+    Ckpt.run_sharded ?policy ?failure_rate ?max_attempts ~name:"serve" (shard_codec cfg)
+      ~n_shards:cfg.n_shards (K.wrap comm) ~init:(new_shard cfg)
+      (fun ctx owned ->
+        let map =
+          Shard_map.of_owner ~n_keys:cfg.n_keys
+            (Array.init cfg.n_shards (fun s -> Ckpt.owner_of ctx s))
+        in
+        let sess = make_session cfg (List.map snd owned) (Ckpt.comm ctx) map in
+        fun ~round ->
+          if round < n_epochs cfg then begin
+            run_epoch sess round;
+            true
+          end
+          else begin
+            Agg.close sess.req_agg;
+            Agg.close sess.rep_agg;
+            report :=
+              Some
+                (finalize sess ~recoveries:(Ckpt.recoveries ctx) ~imbalance_before:Float.nan
+                   ~imbalance_after:Float.nan);
+            false
+          end)
+  in
+  Option.get !report
 
 let digest_of_stores stores =
   let mix h x = ((h * 1000003) lxor x) land max_int in

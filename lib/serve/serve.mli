@@ -17,9 +17,9 @@
       write via a per-key sharer directory (eventual consistency).
     - {b Rebalancing} — at the phase boundary the ranks allreduce the
       per-shard request counts, deterministically compute an LPT plan
-      ({!Shard_map.lpt_plan}) and migrate moving shards using the
-      checkpoint registry's serialization (a shard's store {e and}
-      stream cursor travel as one {!Ckpt.Registry} bundle).
+      ({!Shard_map.lpt_plan}) and migrate moving shards in the
+      checkpoint's own encoding (a shard's id, store {e and} stream
+      cursor travel as one value).
 
     Time is organized in {e epochs}: inside an epoch the engine ticks
     (poll aggregators, issue due requests, flush on the timer, advance
@@ -27,10 +27,10 @@
     NBX {!Kamping_plugins.Aggregator.finish}, which quiesces the system
     — every issued request has been applied and answered.  Quiescent
     boundaries are what make the engine restartable: the checkpointed
-    state per shard is just (store contents, stream cursor, epoch
-    count), and {!resilient_body} runs the same loop under
-    {!Ckpt.run_resilient} so a killed rank's shards are adopted and
-    replayed bit-identically by the survivors.
+    state per shard is just (id, store contents, stream cursor), and
+    {!resilient_body} runs the same loop under {!Ckpt.run_sharded}, one
+    epoch per round, so a killed rank's shards are adopted and replayed
+    bit-identically by the survivors.
 
     Because puts are commutative increments, the final store contents
     are independent of delivery order and of failures — the digest of a
@@ -103,9 +103,9 @@ type report = {
 val body : config -> Mpisim.Comm.t -> rank_report
 
 (** [resilient_body cfg comm] runs the same session under
-    {!Ckpt.run_resilient} (checkpoint after every epoch by default):
-    kills injected by the harness trigger shrink + restore, survivors
-    adopt the dead rank's shards mid-stream.  Rebalancing is disabled in
+    {!Ckpt.run_sharded}, one epoch per round, checkpointed per
+    [policy]: kills injected by the harness trigger shrink + restore,
+    survivors adopt the dead rank's shards mid-stream.  Rebalancing is disabled in
     this mode (shard placement belongs to the recovery engine);
     imbalance fields are [nan]. *)
 val resilient_body :

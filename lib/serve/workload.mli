@@ -13,7 +13,7 @@
     configuration: two ranks (or two runs, or a recovered survivor)
     constructing stream [i] draw the identical request sequence.  The
     cursor is a single integer ({!pos}/{!seek}), which is what the
-    checkpoint registry records — recovery replays the stream to the
+    checkpoint records — recovery replays the stream to the
     checkpointed position and resumes bit-identically. *)
 
 (** One request.  [Put d] adds [d] to the key's value — updates commute,

@@ -67,15 +67,18 @@ let finish t ~total =
 
 (* Process-wide default, mirroring Checker's MPISIM_CHECK gating. *)
 
-let env_default () =
-  match Sys.getenv_opt "MPISIM_TRACE" with
+let default_of_env = function
   | None -> false
   | Some v -> (
       match String.lowercase_ascii (String.trim v) with
       | "1" | "true" | "on" | "yes" -> true
-      | _ -> false)
+      | "" | "0" | "false" | "off" | "no" -> false
+      | _ ->
+          invalid_arg
+            (Printf.sprintf
+               "MPISIM_TRACE: unknown value %S (expected 1, true, on, yes, 0, false, off or no)" v))
 
-let default = ref (env_default ())
+let default = ref (default_of_env (Sys.getenv_opt "MPISIM_TRACE"))
 let default_enabled () = !default
 let set_default b = default := b
 

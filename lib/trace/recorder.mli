@@ -52,9 +52,15 @@ val finish : t -> total:float -> Event.data
 (** {2 Process-wide default}
 
     Mirrors [Checker]'s environment gating: the default used by
-    [Mpisim.Mpi.run] when no explicit [?trace] is given comes from the
-    [MPISIM_TRACE] environment variable ([1], [true], [on], [yes] — case
-    insensitive — enable it). *)
+    [Mpisim.Mpi.run] when no explicit [?trace] is given is
+    [default_of_env] of the [MPISIM_TRACE] environment variable. *)
+
+(** [default_of_env v] reads a value of [MPISIM_TRACE]: [1], [true],
+    [on], [yes] enable tracing and [0], [false], [off], [no] disable it
+    (case-insensitive); unset or empty is off.
+    @raise Invalid_argument naming the variable and the accepted
+    spellings on anything else. *)
+val default_of_env : string option -> bool
 
 val default_enabled : unit -> bool
 val set_default : bool -> unit

@@ -531,6 +531,22 @@ let test_off_disables_all_recording () =
   in
   Alcotest.(check int) "no diagnostics at Off" 0 (List.length res.Mpi.diagnostics)
 
+(* MPISIM_CHECK parsing: every documented spelling, the unset/empty
+   default, and a misspelling that must fail instead of running at Light. *)
+let test_level_of_env () =
+  List.iter
+    (fun (v, l) -> Alcotest.(check bool) (Printf.sprintf "%S" v) true (Ck.level_of_env (Some v) = l))
+    [
+      ("off", Ck.Off); ("none", Ck.Off); ("light", Ck.Light); ("Heavy", Ck.Heavy);
+      (" communication ", Ck.Communication); ("comm", Ck.Communication); ("", Ck.Light);
+    ];
+  Alcotest.(check bool) "unset" true (Ck.level_of_env None = Ck.Light);
+  match Ck.level_of_env (Some "comunication") with
+  | _ -> Alcotest.fail "a misspelled level must be rejected"
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool) ("message names the variable: " ^ msg) true
+        (String.starts_with ~prefix:"MPISIM_CHECK:" msg)
+
 let suite =
   [
     Alcotest.test_case "deadlock: cycle reported, no hang" `Quick test_deadlock_cycle_reported;
@@ -557,4 +573,5 @@ let suite =
     Alcotest.test_case "pinned algorithms clean" `Quick test_pinned_algorithms_clean;
     Alcotest.test_case "checker is a pure observer" `Quick test_checker_is_pure_observer;
     Alcotest.test_case "level Off records nothing" `Quick test_off_disables_all_recording;
+    Alcotest.test_case "MPISIM_CHECK parsing" `Quick test_level_of_env;
   ]

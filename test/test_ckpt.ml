@@ -1,9 +1,9 @@
-(* Checkpoint/restart subsystem tests: schedule math, registry
+(* Checkpoint/restart subsystem tests: schedule math, shard bundle
    round-trips, and end-to-end recovery of the restartable apps under
    deterministic time-based failure schedules. *)
 
 module S = Ckpt.Schedule
-module R = Ckpt.Registry
+module B = Ckpt.Bundle
 module Gen = Graphgen.Generators
 module K = Kamping.Comm
 
@@ -98,54 +98,46 @@ let test_predict_ckpt_cost () =
   Alcotest.(check bool) "p=1 cheaper than p=4" true
     (S.predict_ckpt_cost params ~p:1 ~bytes:4096 < c)
 
-(* ---------- registry ---------- *)
+(* ---------- shard bundle ---------- *)
 
-let test_registry_roundtrip () =
-  let reg = R.create () in
-  Alcotest.(check bool) "fresh registry empty" true (R.is_empty reg);
-  let table : (int, int array) Hashtbl.t = Hashtbl.create 4 in
-  let extra : (int, string) Hashtbl.t = Hashtbl.create 4 in
-  Ckpt.register reg ~name:"dist" Serde.Codec.(array int)
-    ~save:(fun ~shard -> Hashtbl.find table shard)
-    ~restore:(fun ~shard v -> Hashtbl.replace table shard v);
-  Ckpt.register reg ~name:"tag" Serde.Codec.string
-    ~save:(fun ~shard -> Hashtbl.find extra shard)
-    ~restore:(fun ~shard v -> Hashtbl.replace extra shard v);
-  Alcotest.(check (list string)) "names in registration order" [ "dist"; "tag" ]
-    (R.names reg);
-  Hashtbl.replace table 7 [| 3; 1; 4; 1; 5 |];
-  Hashtbl.replace extra 7 "seven";
-  let bytes = R.save_shard reg ~shard:7 in
-  Hashtbl.replace table 7 [| 0 |];
-  Hashtbl.replace extra 7 "clobbered";
-  R.restore_shard reg ~shard:7 bytes;
-  Alcotest.(check (array int)) "array restored" [| 3; 1; 4; 1; 5 |] (Hashtbl.find table 7);
-  Alcotest.(check string) "string restored" "seven" (Hashtbl.find extra 7)
+let kv_codec = Serde.Codec.(list (pair int int))
 
-let test_registry_rejects () =
-  let reg = R.create () in
-  Ckpt.register reg ~name:"x" Serde.Codec.int
-    ~save:(fun ~shard -> shard)
-    ~restore:(fun ~shard:_ _ -> ());
-  raises_usage "duplicate name" (fun () ->
-      Ckpt.register reg ~name:"x" Serde.Codec.int
-        ~save:(fun ~shard -> shard)
-        ~restore:(fun ~shard:_ _ -> ()));
-  (* A bundle saved under one registry layout must not restore under
-     another. *)
-  let bytes = R.save_shard reg ~shard:0 in
-  let other = R.create () in
-  Ckpt.register other ~name:"y" Serde.Codec.int
-    ~save:(fun ~shard -> shard)
-    ~restore:(fun ~shard:_ _ -> ());
-  Alcotest.(check bool) "wrong layout rejected" true
-    (match R.restore_shard other ~shard:0 bytes with
-    | () -> false
-    | exception Serde.Archive.Corrupt _ -> true);
-  Alcotest.(check bool) "truncated bundle rejected" true
-    (match R.restore_shard reg ~shard:0 (Bytes.sub bytes 0 (Bytes.length bytes - 1)) with
-    | () -> false
-    | exception Serde.Archive.Corrupt _ -> true)
+(* The golden bytes pin the bundle layout: checkpoint sizes, and with
+   them every simulated checkpoint cost, depend on it. *)
+let test_bundle_roundtrip () =
+  let b = B.encode ~name:"state" kv_codec [ (1, 2); (300, -5) ] ~round:7 in
+  Alcotest.(check string) "golden bytes"
+    "\x04\x0astate\x0c\x04\x02\x04\xd8\x04\x09\x0around\x02\x0e" (Bytes.to_string b);
+  Alcotest.(check (pair (list (pair int int)) int)) "decoded" ([ (1, 2); (300, -5) ], 7)
+    (B.decode ~name:"state" kv_codec b);
+  let s = "seven" in
+  Alcotest.(check (pair string int)) "string state" (s, 0)
+    (B.decode ~name:"tag" Serde.Codec.string (B.encode ~name:"tag" Serde.Codec.string s ~round:0))
+
+let test_bundle_rejects () =
+  let corrupt name b =
+    Alcotest.(check bool) name true
+      (match B.decode ~name:"x" Serde.Codec.int b with
+      | _ -> false
+      | exception Serde.Archive.Corrupt _ -> true)
+  in
+  let b = B.encode ~name:"x" Serde.Codec.int 5 ~round:3 in
+  (* A bundle of another application must not restore here. *)
+  corrupt "wrong name" (B.encode ~name:"y" Serde.Codec.int 5 ~round:3);
+  let one_entry =
+    Serde.Archive.build (fun w ->
+        Serde.Archive.write_varint w 1;
+        Serde.Archive.write_string w "x";
+        Serde.Archive.write_bytes w (Serde.Codec.encode Serde.Codec.int 5))
+  in
+  corrupt "wrong entry count" one_entry;
+  corrupt "truncated" (Bytes.sub b 0 (Bytes.length b - 1));
+  corrupt "trailing bytes" (Bytes.cat b (Bytes.make 1 'x'));
+  (* "round" names the counter's entry, so no state may take it. *)
+  raises_usage "name \"round\" is reserved" (fun () ->
+      Tutil.run ~ranks:1 (fun comm ->
+          Ckpt.run_sharded ~name:"round" Serde.Codec.int ~n_shards:1 (K.wrap comm)
+            ~init:Fun.id (fun _ _ ~round:_ -> false)))
 
 (* ---------- end-to-end recovery ---------- *)
 
@@ -338,15 +330,14 @@ let test_unrecoverable_buddy_pair () =
   in
   Alcotest.(check bool) "survivors raise Unrecoverable" true unrecoverable
 
-let test_run_resilient_validation () =
-  raises_usage "n_shards = 0" (fun () ->
-      Tutil.run ~ranks:1 (fun comm ->
-          Ckpt.run_resilient ~registry:(R.create ()) ~n_shards:0 (K.wrap comm)
-            (fun _ ~restored:_ -> ())));
-  raises_usage "max_attempts = 0" (fun () ->
-      Tutil.run ~ranks:1 (fun comm ->
-          Ckpt.run_resilient ~max_attempts:0 ~registry:(R.create ()) ~n_shards:1
-            (K.wrap comm) (fun _ ~restored:_ -> ())))
+let test_run_sharded_validation () =
+  let run ~max_attempts ~n_shards () =
+    Tutil.run ~ranks:1 (fun comm ->
+        Ckpt.run_sharded ~max_attempts ~name:"x" Serde.Codec.int ~n_shards (K.wrap comm)
+          ~init:Fun.id (fun _ _ ~round:_ -> false))
+  in
+  raises_usage "n_shards = 0" (run ~max_attempts:8 ~n_shards:0);
+  raises_usage "max_attempts = 0" (run ~max_attempts:0 ~n_shards:1)
 
 (* ---------- label propagation ---------- *)
 
@@ -591,8 +582,8 @@ let suite =
     Alcotest.test_case "schedule: time-based policies" `Quick test_schedule_time_based;
     Alcotest.test_case "schedule: validation" `Quick test_schedule_validation;
     Alcotest.test_case "schedule: LogGP cost prediction" `Quick test_predict_ckpt_cost;
-    Alcotest.test_case "registry: round-trip" `Quick test_registry_roundtrip;
-    Alcotest.test_case "registry: rejects bad input" `Quick test_registry_rejects;
+    Alcotest.test_case "bundle: round-trip" `Quick test_bundle_roundtrip;
+    Alcotest.test_case "bundle: rejects bad input" `Quick test_bundle_rejects;
     Alcotest.test_case "bfs: failure-free matches plain" `Quick
       test_bfs_no_failure_matches_plain;
     Alcotest.test_case "bfs: recovers from each single failure" `Quick
@@ -603,7 +594,7 @@ let suite =
     Alcotest.test_case "attempts exhausted" `Quick test_attempts_exhausted;
     Alcotest.test_case "unrecoverable buddy-pair loss" `Quick
       test_unrecoverable_buddy_pair;
-    Alcotest.test_case "run_resilient validation" `Quick test_run_resilient_validation;
+    Alcotest.test_case "run_sharded validation" `Quick test_run_sharded_validation;
     Alcotest.test_case "lp: bit-identical with and without failure" `Quick
       test_lp_bit_identical;
     Alcotest.test_case "sharded: route order is placement-independent" `Quick

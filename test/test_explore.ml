@@ -429,43 +429,38 @@ let test_gallery_scenarios () =
 (* ------------------------------------------------------------------ *)
 (* Mutation smoke: the harness finds a real, reintroduced bug          *)
 
-(* A resilient iteration loop whose per-shard state has a constant
-   encoded size: with an even shard distribution every rank's snapshot
-   is the same size, so the local-size mutation is harmless — until a
-   chaos kill forces a recovery, the 8 shards land 3/3/2 on the three
-   survivors, and locally-derived Daly periods diverge. *)
+(* A resilient round loop on [Ckpt.run_sharded] whose per-shard state
+   has a constant encoded size: with an even shard distribution every
+   rank's snapshot is the same size, so the local-size mutation is
+   harmless — until a chaos kill forces a recovery, the 8 shards land
+   3/3/2 on the three survivors, and locally-derived Daly periods
+   diverge. *)
 let mutation_workload raw =
   let n_shards = 8 and n_iters = 60 and cells = 4096 in
-  let state : (int, int array) Hashtbl.t = Hashtbl.create 16 in
-  let registry = Ckpt.Registry.create () in
-  Ckpt.register registry ~name:"cells"
-    Serde.Codec.(array int)
-    ~save:(fun ~shard -> Hashtbl.find state shard)
-    ~restore:(fun ~shard v -> Hashtbl.replace state shard v);
-  Ckpt.run_resilient ~policy:Ckpt.Schedule.Daly ~failure_rate:1e3 ~registry ~n_shards
-    (K.wrap raw)
-    (fun ctx ~restored ->
-      let comm () = Ckpt.comm ctx in
-      if not restored then begin
-        List.iter (fun s -> Hashtbl.replace state s (Array.make cells 1)) (Ckpt.shards ctx);
-        Ckpt.establish ctx
-      end;
-      (* element 0 holds the per-shard iteration counter; identical on
-         every shard (checkpoints are collective), so resuming from any
-         owned shard is safe *)
-      let start = (Hashtbl.find state (List.hd (Ckpt.shards ctx))).(0) - 1 in
-      for it = start to n_iters - 1 do
-        K.compute (comm ()) 5.0e-6;
-        let (_ : int) = K.allreduce_single (comm ()) D.int Mpisim.Op.int_sum 1 in
-        List.iter (fun s -> (Hashtbl.find state s).(0) <- it + 2) (Ckpt.shards ctx);
-        Ckpt.maybe_checkpoint ctx
-      done;
-      let local =
-        List.fold_left
-          (fun acc s -> acc + Array.fold_left ( + ) 0 (Hashtbl.find state s))
-          0 (Ckpt.shards ctx)
-      in
-      K.allreduce_single (comm ()) D.int Mpisim.Op.int_sum local)
+  let total = ref 0 in
+  let (_ : (int * int array) list) =
+    Ckpt.run_sharded ~policy:Ckpt.Schedule.Daly ~failure_rate:1e3 ~name:"cells"
+      Serde.Codec.(array int) ~n_shards (K.wrap raw)
+      ~init:(fun _ -> Array.make cells 1)
+      (fun ctx shards ~round ->
+        let comm = Ckpt.comm ctx in
+        if round < n_iters then begin
+          K.compute comm 5.0e-6;
+          let (_ : int) = K.allreduce_single comm D.int Mpisim.Op.int_sum 1 in
+          (* element 0 follows the round, so the state changes every round *)
+          List.iter (fun (_, a) -> a.(0) <- round + 2) shards;
+          true
+        end
+        else begin
+          (* the last step sums every shard's cells over the final communicator *)
+          let local =
+            List.fold_left (fun acc (_, a) -> acc + Array.fold_left ( + ) 0 a) 0 shards
+          in
+          total := K.allreduce_single comm D.int Mpisim.Op.int_sum local;
+          false
+        end)
+  in
+  !total
 
 (* Kills leave the victim's result slot as an error, so judge the run by
    rank 0 (never killed): its global total must be schedule-invariant. *)

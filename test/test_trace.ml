@@ -346,6 +346,23 @@ let test_enablement () =
   Alcotest.(check bool) "created recorder is active" true
     (Trace.Recorder.active (Trace.Recorder.create ~ranks:2))
 
+(* MPISIM_TRACE parsing: on and off spellings, the unset/empty default,
+   and a value that must fail instead of silently meaning off. *)
+let test_default_of_env () =
+  List.iter
+    (fun (v, b) ->
+      Alcotest.(check bool) (Printf.sprintf "%S" v) b (Trace.Recorder.default_of_env (Some v)))
+    [
+      ("1", true); ("true", true); ("ON", true); (" yes ", true);
+      ("0", false); ("false", false); ("off", false); ("no", false); ("", false);
+    ];
+  Alcotest.(check bool) "unset" false (Trace.Recorder.default_of_env None);
+  match Trace.Recorder.default_of_env (Some "2") with
+  | _ -> Alcotest.fail "an unknown value must be rejected"
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool) ("message names the variable: " ^ msg) true
+        (String.starts_with ~prefix:"MPISIM_TRACE:" msg)
+
 let suite =
   [
     Alcotest.test_case "pipeline: critical path" `Quick test_pipeline_critical_path;
@@ -356,6 +373,7 @@ let suite =
     Alcotest.test_case "wait-at-collective classified" `Quick test_wait_at_collective;
     Alcotest.test_case "chrome export" `Quick test_chrome_export;
     Alcotest.test_case "enablement plumbing" `Quick test_enablement;
+    Alcotest.test_case "MPISIM_TRACE parsing" `Quick test_default_of_env;
     Alcotest.test_case "span inventory of the gallery" `Quick test_span_inventory;
     observer "quickstart" Gallery.Quickstart.run;
     observer "vector_allgather" Gallery.Vector_allgather.run;
