@@ -13,29 +13,32 @@ let fi = float_of_int
 (* One uncongested message of [b] (float) bytes. *)
 let msg prm b = N.startup_cost prm +. (b *. N.per_byte_cost prm)
 
-(* Near-square 2D grid over [p] cells, mirroring [Mpisim.Cart.dims_create]
-   (greedy largest-prime-first assignment) so the hypergrid predictor and
-   the runtime body agree on the grid shape.  Returns (rows, cols) with
-   rows >= cols. *)
+(* Greedy factorization of [nodes] cells over [ndims] dimensions: prime
+   factors, largest first, each to the currently smallest dimension;
+   sorted largest first.  It is [Mpisim.Cart.dims_create]'s algorithm, so
+   the hypergrid predictor and the runtime body agree on the grid shape. *)
+let dims_create ~nodes ~ndims =
+  let dims = Array.make ndims 1 in
+  let rec factors n d acc =
+    if n = 1 then acc
+    else if n mod d = 0 then factors (n / d) d (d :: acc)
+    else factors n (d + 1) acc
+  in
+  let fs = List.sort (fun a b -> compare b a) (factors nodes 2 []) in
+  List.iter
+    (fun f ->
+      let smallest = ref 0 in
+      Array.iteri (fun i d -> if d < dims.(!smallest) then smallest := i) dims;
+      dims.(!smallest) <- dims.(!smallest) * f)
+    fs;
+  Array.sort (fun a b -> compare b a) dims;
+  dims
+
 let grid_dims p =
   if p <= 0 then (1, 1)
-  else begin
-    let dims = [| 1; 1 |] in
-    let rec factors n d acc =
-      if n = 1 then acc
-      else if n mod d = 0 then factors (n / d) d (d :: acc)
-      else factors n (d + 1) acc
-    in
-    let fs = List.sort (fun a b -> compare b a) (factors p 2 []) in
-    List.iter
-      (fun f ->
-        let smallest = ref 0 in
-        Array.iteri (fun i d -> if d < dims.(!smallest) then smallest := i) dims;
-        dims.(!smallest) <- dims.(!smallest) * f)
-      fs;
-    Array.sort (fun a b -> compare b a) dims;
+  else
+    let dims = dims_create ~nodes:p ~ndims:2 in
     (dims.(0), dims.(1))
-  end
 
 let bcast ?hier prm ~p ~bytes algo =
   let n = fi bytes in

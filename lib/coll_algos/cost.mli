@@ -16,9 +16,15 @@
     ([0] for [p <= 1]). *)
 val ceil_log2 : int -> int
 
+(** [dims_create ~nodes ~ndims] is the balanced factorization of
+    [nodes >= 1] over [ndims >= 1] dimensions, largest first (greedy:
+    prime factors, largest first, each to the smallest dimension).
+    [Mpisim.Cart.dims_create] is this function behind an argument check. *)
+val dims_create : nodes:int -> ndims:int -> int array
+
 (** [grid_dims p] is the near-square [(rows, cols)] 2D factorization of
-    [p] (rows >= cols), computed exactly like [Mpisim.Cart.dims_create] so
-    the hypergrid cost predictor and its runtime body agree. *)
+    [p] (rows >= cols), by {!dims_create}, so the hypergrid cost predictor
+    and its runtime body agree. *)
 val grid_dims : int -> int * int
 
 (** The [?hier] parameter on the predictors below is the topology profile

@@ -130,12 +130,12 @@ let run () =
     event_target;
 
   (* throughput at the headline size: median of 3 runs *)
-  let c_events, same_events, c_wall, c_wpe =
+  let syn_events, same_events, syn_wall, syn_wpe =
     synth_median ~n:3 ~ranks:p_main ~fanout ~rounds:(rounds_for p_main)
   in
-  let c_evps = evps c_events c_wall in
-  Printf.printf "p=%d (%d events): %10.0f events/s  %5.1f words/event\n\n" p_main c_events
-    c_evps c_wpe;
+  let syn_evps = evps syn_events syn_wall in
+  Printf.printf "p=%d (%d events): %10.0f events/s  %5.1f words/event\n\n" p_main syn_events
+    syn_evps syn_wpe;
 
   (* ranks scaling *)
   let sizes = [ 256; 1024; 4096; 16384 ] in
@@ -191,10 +191,9 @@ let run () =
             [
               ("ranks", J.Num (float_of_int p_main));
               ("fanout", J.Num (float_of_int fanout));
-              ("events", J.Num (float_of_int c_events));
-              (* the calendar_* names predate the event heap; kept stable *)
-              ("calendar_events_per_s", J.Num c_evps);
-              ("calendar_minor_words_per_event", J.Num c_wpe);
+              ("events", J.Num (float_of_int syn_events));
+              ("heap_events_per_s", J.Num syn_evps);
+              ("heap_minor_words_per_event", J.Num syn_wpe);
             ] );
         ( "scaling",
           J.List
@@ -222,10 +221,10 @@ let run () =
   Bench_report.report ~name:"engine" ~path:"BENCH_engine.json" json
     [
       ("synthetic_events_equal", same_events);
-      ("calendar_evps_floor", c_evps >= evps_floor);
+      ("heap_evps_floor", syn_evps >= evps_floor);
       ("scaling_flat_within_4x", scaling_flat);
       ("p16384_in_budget", p16384_wall <= p16384_budget_s);
-      ("zero_alloc_steady_state", c_wpe <= words_per_event_budget);
+      ("zero_alloc_steady_state", syn_wpe <= words_per_event_budget);
       ("profiler_pure_observer", pure_observer);
       ("envelopes_reused", env_reused > env_made);
     ]

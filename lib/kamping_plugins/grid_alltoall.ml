@@ -1,5 +1,4 @@
 module V = Ds.Vec
-module P = Mpisim.P2p
 module D = Mpisim.Datatype
 
 (* Ranks are laid out row-major in a [rows x cols] grid whose last row may
@@ -60,79 +59,33 @@ let comm grid = grid.comm
 let columns grid = grid.cols
 let rows grid = grid.rows
 
-(* One direction of a phase: exchange counts with every potential partner,
-   then payloads with the partners that actually have data. *)
-let phase_exchange comm dt ~send_to ~recv_from ~outgoing ~count_tag ~data_tag =
-  let raw = Kamping.Comm.raw comm in
-  let count_reqs =
-    Array.to_list recv_from
-    |> List.map (fun src ->
-           let buf = [| 0 |] in
-           (src, buf, P.irecv raw D.int buf ~src ~tag:count_tag))
-  in
-  Array.iter
-    (fun dst ->
-      let payload = match outgoing dst with Some v -> V.length v | None -> 0 in
-      P.send raw D.int [| payload |] ~dst ~tag:count_tag)
-    send_to;
-  let incoming_counts =
-    List.map
-      (fun (src, buf, req) ->
-        ignore (Mpisim.Request.wait req);
-        (src, buf.(0)))
-      count_reqs
-  in
-  let data_reqs =
-    incoming_counts
-    |> List.filter (fun (_, n) -> n > 0)
-    |> List.map (fun (src, n) ->
-           let fill =
-             match D.default_elt dt with
-             | Some d -> d
-             | None ->
-                 Mpisim.Errors.usage "grid_alltoall: datatype %s needs ~default" (D.name dt)
-           in
-           let buf = Array.make n fill in
-           (src, buf, P.irecv raw dt buf ~src ~tag:data_tag))
-  in
-  Array.iter
-    (fun dst ->
-      match outgoing dst with
-      | Some v when V.length v > 0 ->
-          P.send raw dt (V.unsafe_data v) ~count:(V.length v) ~dst ~tag:data_tag
-      | Some _ | None -> ())
-    send_to;
-  List.map
-    (fun (src, buf, req) ->
-      ignore (Mpisim.Request.wait req);
-      (src, buf))
-    data_reqs
+(* The bucket of key [k], created empty on first use. *)
+let bucket tbl k =
+  match Hashtbl.find_opt tbl k with
+  | Some v -> v
+  | None ->
+      let v = V.create () in
+      Hashtbl.add tbl k v;
+      v
 
 let alltoallv grid dt ~send_buf ~send_counts =
   let comm = grid.comm in
   let p = Kamping.Comm.size comm and r = Kamping.Comm.rank comm in
   if Array.length send_counts <> p then
     Mpisim.Errors.usage "grid_alltoall: send_counts must have one entry per rank";
+  let fill = Indirect.default_fill ~who:"grid_alltoall" dt in
   grid.seq <- grid.seq + 1;
   let base = 0x600000 + (4 * grid.seq) in
   let dt_routed = D.pair D.int dt in
   (* Phase 1: bucket (dst, elem) pairs by intermediate. *)
   let buckets : (int, (int * 'a) V.t) Hashtbl.t = Hashtbl.create 8 in
-  let bucket i =
-    match Hashtbl.find_opt buckets i with
-    | Some v -> v
-    | None ->
-        let v = V.create () in
-        Hashtbl.add buckets i v;
-        v
-  in
   let pos = ref 0 in
   Array.iteri
     (fun dst count ->
       if count > 0 then begin
         let i = (row_of grid.cols r * grid.cols) + col_of grid.cols dst in
         let i = if i < p then i else i - grid.cols in
-        let b = bucket i in
+        let b = bucket buckets i in
         for k = 0 to count - 1 do
           V.push b (dst, V.get send_buf (!pos + k))
         done
@@ -141,48 +94,23 @@ let alltoallv grid dt ~send_buf ~send_counts =
     send_counts;
   Kamping.Comm.compute comm (Kamping.Costs.linear (V.length send_buf));
   let received1 =
-    phase_exchange comm dt_routed ~send_to:grid.phase1_send ~recv_from:grid.phase1_recv
-      ~outgoing:(Hashtbl.find_opt buckets) ~count_tag:base ~data_tag:(base + 1)
+    Indirect.phase_exchange comm dt_routed ~fill:(0, fill) ~send_to:grid.phase1_send
+      ~recv_from:grid.phase1_recv ~outgoing:(Hashtbl.find_opt buckets) ~count_tag:base
+      ~data_tag:(base + 1)
   in
   (* Phase 2: re-bucket by final destination, tagging the true origin. *)
   let buckets2 : (int, (int * 'a) V.t) Hashtbl.t = Hashtbl.create 8 in
-  let bucket2 d =
-    match Hashtbl.find_opt buckets2 d with
-    | Some v -> v
-    | None ->
-        let v = V.create () in
-        Hashtbl.add buckets2 d v;
-        v
-  in
   (* Self-messages flow through the same path (the cost model makes them a
      cheap memcpy), so phase 1's result already includes what stayed put. *)
   List.iter
-    (fun (src, arr) -> Array.iter (fun (d, x) -> V.push (bucket2 d) (src, x)) arr)
+    (fun (src, arr) -> Array.iter (fun (d, x) -> V.push (bucket buckets2 d) (src, x)) arr)
     received1;
   let received2 =
-    phase_exchange comm dt_routed ~send_to:grid.phase2_peers ~recv_from:grid.phase2_peers
-      ~outgoing:(Hashtbl.find_opt buckets2) ~count_tag:(base + 2) ~data_tag:(base + 3)
+    Indirect.phase_exchange comm dt_routed ~fill:(0, fill) ~send_to:grid.phase2_peers
+      ~recv_from:grid.phase2_peers ~outgoing:(Hashtbl.find_opt buckets2) ~count_tag:(base + 2)
+      ~data_tag:(base + 3)
   in
   (* Assemble the result grouped by origin. *)
-  let per_src = Array.make p 0 in
   let collected : (int * 'a) V.t = V.create () in
-  List.iter (fun (_, arr) -> Array.iter (fun (s, x) -> V.push collected (s, x)) arr) received2;
-  V.iter (fun (s, _) -> per_src.(s) <- per_src.(s) + 1) collected;
-  let displs = Array.make p 0 in
-  for i = 1 to p - 1 do
-    displs.(i) <- displs.(i - 1) + per_src.(i - 1)
-  done;
-  let fill =
-    match D.default_elt dt with
-    | Some d -> d
-    | None -> Mpisim.Errors.usage "grid_alltoall: datatype %s needs ~default" (D.name dt)
-  in
-  let out = V.make (V.length collected) fill in
-  let cursor = Array.copy displs in
-  V.iter
-    (fun (s, x) ->
-      V.set out cursor.(s) x;
-      cursor.(s) <- cursor.(s) + 1)
-    collected;
-  Kamping.Comm.compute comm (Kamping.Costs.linear (2 * V.length collected));
-  (out, per_src)
+  List.iter (fun (_, arr) -> Array.iter (V.push collected) arr) received2;
+  Indirect.group_by_source comm ~fill ~source:fst ~value:snd collected

@@ -1,5 +1,4 @@
 module V = Ds.Vec
-module P = Mpisim.P2p
 module D = Mpisim.Datatype
 
 type t = {
@@ -46,57 +45,12 @@ let phase_partners t ~dim =
       coords.(dim) <- c;
       rank_of t.grid_dims coords)
 
-(* counts-then-payload exchange with a fixed symmetric partner set *)
-let phase_exchange comm dt ~partners ~outgoing ~count_tag ~data_tag =
-  let raw = Kamping.Comm.raw comm in
-  let count_reqs =
-    Array.to_list partners
-    |> List.map (fun src ->
-           let buf = [| 0 |] in
-           (src, buf, P.irecv raw D.int buf ~src ~tag:count_tag))
-  in
-  Array.iter
-    (fun dst ->
-      let n = match outgoing dst with Some v -> V.length v | None -> 0 in
-      P.send raw D.int [| n |] ~dst ~tag:count_tag)
-    partners;
-  let incoming =
-    List.map
-      (fun (src, buf, req) ->
-        ignore (Mpisim.Request.wait req);
-        (src, buf.(0)))
-      count_reqs
-  in
-  let fill =
-    match D.default_elt dt with
-    | Some d -> d
-    | None -> Mpisim.Errors.usage "hypergrid: datatype %s needs ~default" (D.name dt)
-  in
-  let data_reqs =
-    incoming
-    |> List.filter (fun (_, n) -> n > 0)
-    |> List.map (fun (src, n) ->
-           let buf = Array.make n fill in
-           (buf, P.irecv raw dt buf ~src ~tag:data_tag))
-  in
-  Array.iter
-    (fun dst ->
-      match outgoing dst with
-      | Some v when V.length v > 0 ->
-          P.send raw dt (V.unsafe_data v) ~count:(V.length v) ~dst ~tag:data_tag
-      | Some _ | None -> ())
-    partners;
-  List.map
-    (fun (buf, req) ->
-      ignore (Mpisim.Request.wait req);
-      buf)
-    data_reqs
-
 let alltoallv t dt ~send_buf ~send_counts =
   let comm = t.comm in
   let p = Kamping.Comm.size comm in
   if Array.length send_counts <> p then
     Mpisim.Errors.usage "hypergrid: send_counts must have one entry per rank";
+  let fill = Indirect.default_fill ~who:"hypergrid" dt in
   t.seq <- t.seq + 1;
   let nd = Array.length t.grid_dims in
   let base = 0x680000 + (2 * nd * t.seq) in
@@ -132,32 +86,14 @@ let alltoallv t dt ~send_buf ~send_counts =
       !current;
     Kamping.Comm.compute comm (Kamping.Costs.linear (V.length !current));
     let received =
-      phase_exchange comm dt_routed ~partners ~outgoing:(Hashtbl.find_opt buckets)
+      Indirect.phase_exchange comm dt_routed ~fill:((0, 0), fill) ~send_to:partners
+        ~recv_from:partners ~outgoing:(Hashtbl.find_opt buckets)
         ~count_tag:(base + (2 * dim))
         ~data_tag:(base + (2 * dim) + 1)
     in
     let next = V.create () in
-    List.iter (fun arr -> Array.iter (V.push next) arr) received;
+    List.iter (fun (_, arr) -> Array.iter (V.push next) arr) received;
     current := next
   done;
   (* everything now lives at its destination: group by source *)
-  let per_src = Array.make p 0 in
-  V.iter (fun ((s, _), _) -> per_src.(s) <- per_src.(s) + 1) !current;
-  let displs = Array.make p 0 in
-  for i = 1 to p - 1 do
-    displs.(i) <- displs.(i - 1) + per_src.(i - 1)
-  done;
-  let fill =
-    match D.default_elt dt with
-    | Some d -> d
-    | None -> Mpisim.Errors.usage "hypergrid: datatype %s needs ~default" (D.name dt)
-  in
-  let out = V.make (V.length !current) fill in
-  let cursor = Array.copy displs in
-  V.iter
-    (fun ((s, _), x) ->
-      V.set out cursor.(s) x;
-      cursor.(s) <- cursor.(s) + 1)
-    !current;
-  Kamping.Comm.compute comm (Kamping.Costs.linear (2 * V.length !current));
-  (out, per_src)
+  Indirect.group_by_source comm ~fill ~source:(fun ((s, _), _) -> s) ~value:snd !current

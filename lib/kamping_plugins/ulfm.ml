@@ -6,17 +6,10 @@ let shrink t = Kamping.Comm.wrap (Mpisim.Ulfm.shrink (Kamping.Comm.raw t))
 let agree t v = Mpisim.Ulfm.agree (Kamping.Comm.raw t) v
 let num_failed t = Mpisim.Ulfm.num_failed (Kamping.Comm.raw t)
 
-let with_recovery ?(max_retries = 8) ?max_attempts t f =
-  let limit, raise_on_exhaust =
-    match max_attempts with
-    | Some n ->
-        if n <= 0 then Mpisim.Errors.usage "Ulfm.with_recovery: max_attempts %d" n;
-        (n, true)
-    | None -> (max_retries + 1, false)
-  in
+let with_recovery ?(max_attempts = 9) t f =
+  if max_attempts <= 0 then Mpisim.Errors.usage "Ulfm.with_recovery: max_attempts %d" max_attempts;
   let rec attempt comm tries =
-    if tries >= limit then
-      if raise_on_exhaust then raise (Recovery_exhausted { attempts = tries }) else None
+    if tries >= max_attempts then raise (Recovery_exhausted { attempts = tries })
     else if Kamping.Comm.size comm = 0 then None
     else
       match f comm with

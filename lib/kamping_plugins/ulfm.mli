@@ -31,21 +31,14 @@ val num_failed : Kamping.Comm.t -> int
 
 (** [with_recovery t f] runs [f comm], and on a detected process failure
     performs revoke + shrink and retries [f] on the shrunk communicator —
-    the Fig. 12 pattern packaged as a combinator.  Gives up when no rank is
-    left ([None]) or after [max_retries].
+    the Fig. 12 pattern packaged as a combinator.  [None] means only that
+    no rank is left.
 
-    [?max_attempts] bounds the {e total} number of attempts (calls to
-    [f]) with a hard stop: under a persistent failure schedule the
-    legacy [max_retries] cut-off silently returns [None], which callers
-    tend to treat as "no survivors"; with [max_attempts] the combinator
-    instead raises {!Recovery_exhausted} naming the attempt count, so
-    the caller can tell exhaustion from extinction.  When given, it
-    takes precedence over [max_retries].
+    [?max_attempts] (default 9) bounds the total number of attempts
+    (calls to [f]): under a persistent failure schedule the combinator
+    raises {!Recovery_exhausted} naming the attempt count, so the caller
+    can tell exhaustion from extinction.
     @raise Recovery_exhausted when [max_attempts] attempts all failed.
     @raise Mpisim.Errors.Usage_error on [max_attempts <= 0]. *)
 val with_recovery :
-  ?max_retries:int ->
-  ?max_attempts:int ->
-  Kamping.Comm.t ->
-  (Kamping.Comm.t -> 'a) ->
-  ('a * Kamping.Comm.t) option
+  ?max_attempts:int -> Kamping.Comm.t -> (Kamping.Comm.t -> 'a) -> ('a * Kamping.Comm.t) option

@@ -2,22 +2,7 @@ type t = { comm : Comm.t; dims : int array; periodic : bool array }
 
 let dims_create ~nodes ~ndims =
   if nodes <= 0 || ndims <= 0 then Errors.usage "dims_create: positive arguments required";
-  let dims = Array.make ndims 1 in
-  (* greedily assign prime factors, largest first, to the smallest dim *)
-  let rec factors n d acc =
-    if n = 1 then acc
-    else if n mod d = 0 then factors (n / d) d (d :: acc)
-    else factors n (d + 1) acc
-  in
-  let fs = List.sort (fun a b -> compare b a) (factors nodes 2 []) in
-  List.iter
-    (fun f ->
-      let smallest = ref 0 in
-      Array.iteri (fun i d -> if d < dims.(!smallest) then smallest := i) dims;
-      dims.(!smallest) <- dims.(!smallest) * f)
-    fs;
-  Array.sort (fun a b -> compare b a) dims;
-  dims
+  Coll_algos.Cost.dims_create ~nodes ~ndims
 
 let create comm ~dims ~periodic =
   let product = Array.fold_left ( * ) 1 dims in

@@ -98,12 +98,28 @@ let send ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~dst ~tag =
         send_body w comm dt buf pos count ~dst ~tag ~ctx)
   else send_body w comm dt buf pos count ~dst ~tag ~ctx
 
-let isend_body w comm dt buf pos count ~dst ~tag ~ctx req =
-  let injected = inject comm dt buf pos count ~dst ~tag ~ctx ~on_matched:None in
-  let st = { Request.source = dst; tag; count } in
+(* ------------------------------------------------------------------ *)
+(* Send completion.  A send request completes at its injection time     *)
+(* ([complete_at]) or, in synchronous mode, when the receiver's ack     *)
+(* returns ([ack_on_match]).                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Complete [req] with [st] at [injected], once the sender's buffer is
+   reusable. *)
+let complete_at w req st injected =
   Engine.schedule w.World.engine
     ~delay:(injected -. World.now w)
-    (fun () -> Request.complete req st);
+    (fun () -> Request.complete req st)
+
+(* The synchronous-mode match hook: the acknowledgment travels back to
+   the sender and completes [req] with [st]. *)
+let ack_on_match w req st =
+  let latency = (Netmodel.params w.World.net).Netmodel.latency in
+  Some (fun () -> Engine.schedule w.World.engine ~delay:latency (fun () -> Request.complete req st))
+
+let isend_body w comm dt buf pos count ~dst ~tag ~ctx req =
+  let injected = inject comm dt buf pos count ~dst ~tag ~ctx ~on_matched:None in
+  complete_at w req { Request.source = dst; tag; count } injected;
   req
 
 let isend ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~dst ~tag =
@@ -122,14 +138,7 @@ let issend ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~dst ~tag =
   let w = Comm.world comm in
   let req = Request.create w.World.engine in
   Observe.call ~ctx ~track:(Request req) P2p comm "MPI_Issend" @@ fun () ->
-  let latency = (Netmodel.params w.World.net).latency in
-  let on_matched =
-    Some
-      (fun () ->
-        (* The acknowledgment travels back to the sender. *)
-        Engine.schedule w.World.engine ~delay:latency (fun () ->
-            Request.complete req { source = dst; tag; count }))
-  in
+  let on_matched = ack_on_match w req { source = dst; tag; count } in
   ignore (inject comm dt buf pos count ~dst ~tag ~ctx ~on_matched);
   req
 
@@ -182,52 +191,98 @@ let dead_peer comm ~src =
     if World.is_alive w sw then None else Some sw
   end
 
-let make_pending comm ~src ~tag ~ctx ~deliver ~on_fail : Msg.pending_recv =
-  {
-    Msg.want_src = src;
-    want_tag = tag;
-    want_comm = Comm.id comm;
-    want_ctx = ctx;
-    src_world = (if src = any_source then -1 else Comm.world_rank_of comm src);
-    comm_group = Comm.group comm;
-    deliver;
-    on_fail;
-    owner_world = Comm.world_rank_of comm (Comm.rank comm);
-    live = true;
-  }
+(* ------------------------------------------------------------------ *)
+(* The receive core.  Every receive flavour first matches an envelope   *)
+(* that already arrived ([take_arrived]) and otherwise posts            *)
+(* ([post_recv]); both paths settle a match the same way.  A flavour    *)
+(* keeps only how it waits, what it does about a dead peer, and how a   *)
+(* match completes it.                                                  *)
+(* ------------------------------------------------------------------ *)
 
-let recv_body w comm dt buf pos capacity ~src ~tag ~ctx =
-  charge_setup ~ctx comm;
-  let posted = World.now w in
-  let mb = w.World.mailboxes.(my_world comm) in
+(* How a flavour settles a match: the operation the checker and the
+   tracer name, whether the payload is copied (a large-count receive only
+   checks it), and what a successful match does to the request.  Built
+   once per flavour (per partition for a partitioned receive), so a
+   posted receive captures one word for all three. *)
+type recv_kind = {
+  op : string;
+  copy : bool;
+  complete : Request.t -> Request.status -> unit;
+}
+
+let recv_kind = { op = "MPI_Recv"; copy = true; complete = Request.complete }
+let sparse_kind = { recv_kind with copy = false }
+let irecv_kind = { recv_kind with op = "MPI_Irecv" }
+let recv_init_kind = { recv_kind with op = "MPI_Recv_init" }
+
+let settle comm k ~posted env dt buf pos capacity =
+  Observe.matched comm ~op:k.op ~posted env
+    (if k.copy then copy_payload env dt buf pos capacity else verify_payload env dt capacity)
+
+let finish k req = function Ok st -> k.complete req st | Error e -> Request.abort req e
+
+(* [take_arrived]'s answer when nothing matching has arrived yet. *)
+exception Not_arrived
+
+let not_arrived = Error Not_arrived
+
+(* Match an envelope that already arrived, settle it and release it to
+   the pool. *)
+let take_arrived w comm mb k ~posted dt buf pos capacity ~src ~tag ~ctx =
   match
     Msg.take_unexpected ?choose:(World.match_chooser w) mb ~src ~tag ~comm:(Comm.id comm) ~ctx
   with
-  | Some env -> begin
-      let copied =
-        Observe.matched comm ~op:"MPI_Recv" ~posted env (copy_payload env dt buf pos capacity)
-      in
+  | None -> not_arrived
+  | Some env ->
+      let settled = settle comm k ~posted env dt buf pos capacity in
       Msg.release w.World.env_pool env;
-      match copied with Ok st -> st | Error e -> raise e
-    end
-  | None -> begin
+      settled
+
+(* Post a receive whose match settles into [req]; returns it, so a
+   persistent flavour can cancel it.  [deliver] and [on_fail] are one
+   recursive definition, so they share one closure block. *)
+let post_recv comm mb k ~posted dt buf pos capacity ~src ~tag ~ctx req =
+  let rec deliver env =
+    match settle comm k ~posted env dt buf pos capacity with
+    | Ok st -> k.complete req st
+    | Error e -> on_fail e
+  and on_fail e = Request.abort req e in
+  let pr =
+    {
+      Msg.want_src = src;
+      want_tag = tag;
+      want_comm = Comm.id comm;
+      want_ctx = ctx;
+      src_world = (if src = any_source then -1 else Comm.world_rank_of comm src);
+      comm_group = Comm.group comm;
+      deliver;
+      on_fail;
+      owner_world = my_world comm;
+      live = true;
+    }
+  in
+  Msg.post mb pr;
+  pr
+
+(* The blocking receive: a match that already arrived returns at once, a
+   dead peer raises after the detection delay, else the fiber waits on a
+   posted receive. *)
+let recv_body w comm k dt buf pos capacity ~src ~tag ~ctx =
+  charge_setup ~ctx comm;
+  let posted = World.now w in
+  let mb = w.World.mailboxes.(my_world comm) in
+  match take_arrived w comm mb k ~posted dt buf pos capacity ~src ~tag ~ctx with
+  | Ok st -> st
+  | Error Not_arrived -> (
       match dead_peer comm ~src with
       | Some wr ->
           Engine.delay w.World.engine w.World.detection_delay;
           raise (Errors.Process_failed { world_rank = wr })
       | None ->
-          Engine.suspend w.World.engine (fun resumer ->
-              let deliver env =
-                match
-                  Observe.matched comm ~op:"MPI_Recv" ~posted env
-                    (copy_payload env dt buf pos capacity)
-                with
-                | Ok st -> Engine.resume resumer st
-                | Error e -> Engine.fail resumer e
-              in
-              let on_fail e = Engine.fail resumer e in
-              Msg.post mb (make_pending comm ~src ~tag ~ctx ~deliver ~on_fail))
-    end
+          let req = Request.create w.World.engine in
+          ignore (post_recv comm mb k ~posted dt buf pos capacity ~src ~tag ~ctx req);
+          Request.wait req)
+  | Error e -> raise e
 
 let recv ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~src ~tag =
   check ~recv:true ~ctx comm dt tag;
@@ -235,40 +290,22 @@ let recv ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~src ~tag =
   let w = Comm.world comm in
   if Observe.p2p ~ctx comm "MPI_Recv" then
     Observe.span ~ctx P2p comm "MPI_Recv" (fun () ->
-        recv_body w comm dt buf pos capacity ~src ~tag ~ctx)
-  else recv_body w comm dt buf pos capacity ~src ~tag ~ctx
+        recv_body w comm recv_kind dt buf pos capacity ~src ~tag ~ctx)
+  else recv_body w comm recv_kind dt buf pos capacity ~src ~tag ~ctx
 
 let irecv_body w comm dt buf pos capacity ~src ~tag ~ctx req =
   charge_setup ~ctx comm;
   let posted = World.now w in
   let mb = w.World.mailboxes.(my_world comm) in
-  (match
-     Msg.take_unexpected ?choose:(World.match_chooser w) mb ~src ~tag ~comm:(Comm.id comm) ~ctx
-   with
-  | Some env -> begin
-      let copied =
-        Observe.matched comm ~op:"MPI_Irecv" ~posted env (copy_payload env dt buf pos capacity)
-      in
-      Msg.release w.World.env_pool env;
-      match copied with Ok st -> Request.complete req st | Error e -> Request.abort req e
-    end
-  | None -> begin
+  (match take_arrived w comm mb irecv_kind ~posted dt buf pos capacity ~src ~tag ~ctx with
+  | Error Not_arrived -> (
       match dead_peer comm ~src with
       | Some wr ->
           Engine.schedule w.World.engine ~delay:w.World.detection_delay (fun () ->
               Request.abort req (Errors.Process_failed { world_rank = wr }))
       | None ->
-          let deliver env =
-            match
-              Observe.matched comm ~op:"MPI_Irecv" ~posted env
-                (copy_payload env dt buf pos capacity)
-            with
-            | Ok st -> Request.complete req st
-            | Error e -> Request.abort req e
-          in
-          let on_fail e = Request.abort req e in
-          Msg.post mb (make_pending comm ~src ~tag ~ctx ~deliver ~on_fail)
-    end);
+          ignore (post_recv comm mb irecv_kind ~posted dt buf pos capacity ~src ~tag ~ctx req))
+  | settled -> finish irecv_kind req settled);
   req
 
 let irecv ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~src ~tag =
@@ -362,36 +399,7 @@ let recv_sparse ?(ctx = Msg.User) comm dt ~capacity ~src ~tag =
   ignore (Datatype.bytes dt capacity);
   let w = Comm.world comm in
   Observe.call ~ctx P2p comm "MPI_Recv" @@ fun () ->
-  charge_setup ~ctx comm;
-  let posted = World.now w in
-  let mb = w.World.mailboxes.(my_world comm) in
-  match
-    Msg.take_unexpected ?choose:(World.match_chooser w) mb ~src ~tag ~comm:(Comm.id comm) ~ctx
-  with
-  | Some env -> begin
-      let checked =
-        Observe.matched comm ~op:"MPI_Recv" ~posted env (verify_payload env dt capacity)
-      in
-      Msg.release w.World.env_pool env;
-      match checked with Ok st -> st | Error e -> raise e
-    end
-  | None -> begin
-      match dead_peer comm ~src with
-      | Some wr ->
-          Engine.delay w.World.engine w.World.detection_delay;
-          raise (Errors.Process_failed { world_rank = wr })
-      | None ->
-          Engine.suspend w.World.engine (fun resumer ->
-              let deliver env =
-                match
-                  Observe.matched comm ~op:"MPI_Recv" ~posted env (verify_payload env dt capacity)
-                with
-                | Ok st -> Engine.resume resumer st
-                | Error e -> Engine.fail resumer e
-              in
-              let on_fail e = Engine.fail resumer e in
-              Msg.post mb (make_pending comm ~src ~tag ~ctx ~deliver ~on_fail))
-    end
+  recv_body w comm sparse_kind dt (Datatype.empty dt) 0 capacity ~src ~tag ~ctx
 
 (* ------------------------------------------------------------------ *)
 (* Persistent operations (MPI-4 §3.9).                                 *)
@@ -403,12 +411,26 @@ let recv_sparse ?(ctx = Msg.User) comm dt ~capacity ~src ~tag =
 (* with the world's pooled envelopes) and charges nothing.             *)
 (* ------------------------------------------------------------------ *)
 
-(* Observe a persistent init once its handle is built; the call's span
-   covers the per-call setup cost. *)
-let observe_init ~ctx comm op h =
+(* Build a persistent handle whose waits are spans, and observe its init;
+   the init call's span covers the per-call setup cost. *)
+let persistent ~ctx comm op ?partitions ?pready ?parrived ?cancel start =
+  let h =
+    Persist.make (Comm.world comm).World.engine ~op ?partitions ?pready ?parrived ?cancel
+      ~around_wait:(fun _ f -> Observe.span ~ctx P2p comm "MPI_Wait" f)
+      start
+  in
   Observe.call ~ctx ~track:(Persistent h) P2p comm op (fun () ->
       charge_setup ~ctx comm;
       h)
+
+(* A persistent round's dead-peer abort after the detection delay.  The
+   round guard keeps it inert if the handle was restarted (or cancelled
+   and restarted) before it fires: it belongs to a dead round then. *)
+let abort_round w h ~world_rank =
+  let round = Persist.starts h in
+  Engine.schedule w.World.engine ~delay:w.World.detection_delay (fun () ->
+      if Persist.starts h = round && Persist.is_active h then
+        Request.abort (Persist.request h) (Errors.Process_failed { world_rank }))
 
 let send_init_gen ~sync ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~dst ~tag =
   let op = if sync then "MPI_Ssend_init" else "MPI_Send_init" in
@@ -416,35 +438,18 @@ let send_init_gen ~sync ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~dst ~ta
   let count = window_bounds ~what:op dt buf pos count in
   let w = Comm.world comm in
   ignore (Comm.world_rank_of comm dst);
-  let latency = (Netmodel.params w.World.net).Netmodel.latency in
   let st = { Request.source = dst; tag; count } in
   let start h =
     Comm.check_active comm;
     Observe.span ~ctx P2p comm "MPI_Start" @@ fun () ->
     let req = Persist.request h in
-    let on_matched =
-      if sync then
-        Some
-          (fun () ->
-            (* synchronous mode: complete when the matching ack returns *)
-            Engine.schedule w.World.engine ~delay:latency (fun () -> Request.complete req st))
-      else None
-    in
+    let on_matched = if sync then ack_on_match w req st else None in
     let injected =
-      inject_raw comm dt ~count ~dst ~tag ~ctx ~on_matched
-        ~payload:(Msg.pack dt buf pos count)
+      inject_raw comm dt ~count ~dst ~tag ~ctx ~on_matched ~payload:(Msg.pack dt buf pos count)
     in
-    if not sync then
-      Engine.schedule w.World.engine
-        ~delay:(injected -. World.now w)
-        (fun () -> Request.complete req st)
+    if not sync then complete_at w req st injected
   in
-  let h =
-    Persist.make w.World.engine ~op
-      ~around_wait:(fun _ f -> Observe.span ~ctx P2p comm "MPI_Wait" f)
-      start
-  in
-  observe_init ~ctx comm op h
+  persistent ~ctx comm op start
 
 let send_init ?ctx ?pos ?count comm dt buf ~dst ~tag =
   send_init_gen ~sync:false ?ctx ?pos ?count comm dt buf ~dst ~tag
@@ -459,7 +464,7 @@ let recv_init ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~src ~tag =
   let w = Comm.world comm in
   if src <> any_source then ignore (Comm.world_rank_of comm src);
   let mb = w.World.mailboxes.(my_world comm) in
-  (* the live posted receive of the active round, so [cancel] can retire a
+  (* the posted receive of the active round, so [cancel] can retire a
      standing channel that will never be matched again *)
   let current = ref None in
   let start h =
@@ -468,53 +473,22 @@ let recv_init ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~src ~tag =
     let req = Persist.request h in
     current := None;
     let posted = World.now w in
-    match
-      Msg.take_unexpected ?choose:(World.match_chooser w) mb ~src ~tag ~comm:(Comm.id comm) ~ctx
-    with
-    | Some env -> begin
-        let copied = Observe.matched comm ~op ~posted env (copy_payload env dt buf pos capacity) in
-        Msg.release w.World.env_pool env;
-        match copied with Ok st -> Request.complete req st | Error e -> Request.abort req e
-      end
-    | None -> begin
+    let k = recv_init_kind in
+    match take_arrived w comm mb k ~posted dt buf pos capacity ~src ~tag ~ctx with
+    | Error Not_arrived -> (
         match dead_peer comm ~src with
-        | Some wr ->
-            (* round guard: if the handle was restarted (or cancelled and
-               restarted) before the detection delay elapses, this callback
-               belongs to a dead round and must not touch the request *)
-            let round = Persist.starts h in
-            Engine.schedule w.World.engine ~delay:w.World.detection_delay (fun () ->
-                if Persist.starts h = round && Persist.is_active h then
-                  Request.abort req (Errors.Process_failed { world_rank = wr }))
+        | Some world_rank -> abort_round w h ~world_rank
         | None ->
-            let deliver env =
-              current := None;
-              match Observe.matched comm ~op ~posted env (copy_payload env dt buf pos capacity) with
-              | Ok st -> Request.complete req st
-              | Error e -> Request.abort req e
-            in
-            let on_fail e =
-              current := None;
-              Request.abort req e
-            in
-            let pr = make_pending comm ~src ~tag ~ctx ~deliver ~on_fail in
-            current := Some pr;
-            Msg.post mb pr
-      end
+            current := Some (post_recv comm mb k ~posted dt buf pos capacity ~src ~tag ~ctx req))
+    | settled -> finish k req settled
   in
   let cancel h =
-    (match !current with Some pr -> Msg.cancel mb pr | None -> ());
-    current := None;
+    Option.iter (Msg.cancel mb) !current;
     (* park the round's request failed so a later [start] can rearm it;
        the handle is inactive after cancel, so nothing observes [Exit] *)
     Request.abort (Persist.request h) Exit
   in
-  let h =
-    Persist.make w.World.engine ~op ~cancel
-      ~around_wait:(fun _ f -> Observe.span ~ctx P2p comm "MPI_Wait" f)
-      start
-  in
-  observe_init ~ctx comm op h
+  persistent ~ctx comm op ~cancel start
 
 (* ------------------------------------------------------------------ *)
 (* Partitioned communication (MPI-4 §4).                               *)
@@ -556,7 +530,6 @@ let psend_init ?(ctx = Msg.User) comm dt buf ~partitions ~count ~dst ~tag =
     if readied.(i) then Errors.usage "%s: partition %d readied twice" op i;
     Observe.span ~ctx P2p comm "MPI_Pready" @@ fun () ->
     readied.(i) <- true;
-    let req = Persist.request h in
     let injected =
       inject_raw comm dt ~count ~dst ~tag:(ptag ~tag i) ~ctx:Msg.Internal ~on_matched:None
         ~payload:(Msg.pack dt buf (i * count) count)
@@ -565,16 +538,9 @@ let psend_init ?(ctx = Msg.User) comm dt buf ~partitions ~count ~dst ~tag =
     if !remaining = 0 then
       (* egress injections serialize, so the last pready's injection time
          bounds them all *)
-      Engine.schedule w.World.engine
-        ~delay:(injected -. World.now w)
-        (fun () -> Request.complete req { source = dst; tag; count = partitions * count })
+      complete_at w (Persist.request h) { source = dst; tag; count = partitions * count } injected
   in
-  let h =
-    Persist.make w.World.engine ~op ~partitions ~pready
-      ~around_wait:(fun _ f -> Observe.span ~ctx P2p comm "MPI_Wait" f)
-      start
-  in
-  observe_init ~ctx comm op h
+  persistent ~ctx comm op ~partitions ~pready start
 
 let precv_init ?(ctx = Msg.User) comm dt buf ~partitions ~count ~src ~tag =
   check ~ctx comm dt tag;
@@ -586,67 +552,41 @@ let precv_init ?(ctx = Msg.User) comm dt buf ~partitions ~count ~src ~tag =
   let mb = w.World.mailboxes.(my_world comm) in
   let arrived = Array.make partitions false in
   let pendings : Msg.pending_recv option array = Array.make partitions None in
+  (* the partition counter: a partition's match completes the round's
+     request once every partition has arrived *)
+  let remaining = ref partitions in
+  let whole = { Request.source = src; tag; count = partitions * count } in
+  let kinds =
+    Array.init partitions (fun i ->
+        let complete req _ =
+          arrived.(i) <- true;
+          decr remaining;
+          if !remaining = 0 && not (Request.is_failed req) then Request.complete req whole
+        in
+        { op; copy = true; complete })
+  in
   let start h =
     Comm.check_active comm;
     Observe.span ~ctx P2p comm "MPI_Start" @@ fun () ->
     let req = Persist.request h in
     Array.fill arrived 0 partitions false;
     Array.fill pendings 0 partitions None;
+    remaining := partitions;
     let posted = World.now w in
-    let remaining = ref partitions in
-    let finish_one i =
-      arrived.(i) <- true;
-      pendings.(i) <- None;
-      decr remaining;
-      if !remaining = 0 && not (Request.is_failed req) then
-        Request.complete req { source = src; tag; count = partitions * count }
-    in
     match dead_peer comm ~src with
-    | Some wr ->
-        let round = Persist.starts h in
-        Engine.schedule w.World.engine ~delay:w.World.detection_delay (fun () ->
-            if Persist.starts h = round && Persist.is_active h then
-              Request.abort req (Errors.Process_failed { world_rank = wr }))
+    | Some world_rank -> abort_round w h ~world_rank
     | None ->
         for i = 0 to partitions - 1 do
-          let tag_i = ptag ~tag i in
-          match Msg.take_unexpected mb ~src ~tag:tag_i ~comm:(Comm.id comm) ~ctx:Msg.Internal with
-          | Some env -> begin
-              let copied =
-                Observe.matched comm ~op ~posted env (copy_payload env dt buf (i * count) count)
-              in
-              Msg.release w.World.env_pool env;
-              match copied with Ok _ -> finish_one i | Error e -> Request.abort req e
-            end
-          | None ->
-              let deliver env =
-                match
-                  Observe.matched comm ~op ~posted env (copy_payload env dt buf (i * count) count)
-                with
-                | Ok _ -> finish_one i
-                | Error e -> Request.abort req e
-              in
-              let on_fail e =
-                pendings.(i) <- None;
-                Request.abort req e
-              in
-              let pr = make_pending comm ~src ~tag:tag_i ~ctx:Msg.Internal ~deliver ~on_fail in
-              pendings.(i) <- Some pr;
-              Msg.post mb pr
+          let k = kinds.(i) and tag = ptag ~tag i and pos = i * count and ctx = Msg.Internal in
+          match take_arrived w comm mb k ~posted dt buf pos count ~src ~tag ~ctx with
+          | Error Not_arrived ->
+              pendings.(i) <- Some (post_recv comm mb k ~posted dt buf pos count ~src ~tag ~ctx req)
+          | settled -> finish k req settled
         done
   in
   let parrived _h i = arrived.(i) in
   let cancel h =
-    Array.iteri
-      (fun i pr ->
-        (match pr with Some pr -> Msg.cancel mb pr | None -> ());
-        pendings.(i) <- None)
-      pendings;
+    Array.iter (Option.iter (Msg.cancel mb)) pendings;
     Request.abort (Persist.request h) Exit
   in
-  let h =
-    Persist.make w.World.engine ~op ~partitions ~parrived ~cancel
-      ~around_wait:(fun _ f -> Observe.span ~ctx P2p comm "MPI_Wait" f)
-      start
-  in
-  observe_init ~ctx comm op h
+  persistent ~ctx comm op ~partitions ~parrived ~cancel start

@@ -14,18 +14,8 @@ let dist_graph_create_adjacent comm ~sources ~destinations =
   let per_edge_setup = 0.2e-6 in
   Comm.compute comm
     (float_of_int (Array.length sources + Array.length destinations) *. per_edge_setup);
-  let tag = Comm.next_collective_tag comm in
-  (* Dissemination barrier synchronizes the collective. *)
-  let p = Comm.size comm and r = Comm.rank comm in
-  let token = [| 0 |] in
-  let k = ref 1 in
-  while !k < p do
-    let dst = (r + !k) mod p and src = (r - !k + p) mod p in
-    let req = P2p.isend ~ctx:Internal comm Datatype.int token ~dst ~tag in
-    ignore (P2p.recv ~ctx:Internal comm Datatype.int token ~src ~tag);
-    ignore (Request.wait req);
-    k := !k lsl 1
-  done;
+  (* a dissemination barrier synchronizes the collective *)
+  Coll_impl.dissemination comm ~tag:(Comm.next_collective_tag comm);
   { comm; sources = Array.copy sources; destinations = Array.copy destinations }
 
 let comm topo = topo.comm

@@ -475,6 +475,134 @@ let test_serve_persistent_digest () =
   Alcotest.(check int) "transports agree on the store" re.Serve.store_digest r.Serve.store_digest
 
 (* ------------------------------------------------------------------ *)
+(* Receives from a failed peer                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Every receive flavour, run to completion on rank 0 from rank 1 under
+   [tag]; each returns what it received (the sparse one its count). *)
+let recv_flavours : (string * (Comm.t -> tag:int -> int)) list =
+  [
+    ( "recv",
+      fun comm ~tag ->
+        let b = [| 0 |] in
+        ignore (P.recv comm D.int b ~src:1 ~tag);
+        b.(0) );
+    ( "irecv",
+      fun comm ~tag ->
+        let b = [| 0 |] in
+        ignore (Req.wait (P.irecv comm D.int b ~src:1 ~tag));
+        b.(0) );
+    ( "recv_sparse",
+      fun comm ~tag -> (P.recv_sparse comm D.int ~capacity:4 ~src:1 ~tag).Req.count );
+    ( "recv_init",
+      fun comm ~tag ->
+        let b = [| 0 |] in
+        let h = P.recv_init comm D.int b ~src:1 ~tag in
+        Persist.start h;
+        ignore (Persist.wait h);
+        b.(0) );
+    ( "precv_init",
+      fun comm ~tag ->
+        let b = [| 0; 0 |] in
+        let h = P.precv_init comm D.int b ~partitions:2 ~count:1 ~src:1 ~tag in
+        Persist.start h;
+        ignore (Persist.wait h);
+        b.(0) + b.(1) );
+  ]
+
+(* The matching send of each flavour: 42 in total, or 3 sparse elements. *)
+let send_for name comm ~tag =
+  match name with
+  | "recv_sparse" -> P.send_sparse comm D.int ~count:3 ~dst:0 ~tag
+  | "precv_init" ->
+      let h = P.psend_init comm D.int [| 20; 22 |] ~partitions:2 ~count:1 ~dst:0 ~tag in
+      Persist.start h;
+      Persist.pready h 0;
+      Persist.pready h 1
+  | _ -> P.send comm D.int [| 42 |] ~dst:0 ~tag
+
+(* Run a two-rank program where rank 1 dies at [kill]; rank 0 runs
+   [body] and must finish it. *)
+let with_dead_peer ~kill body =
+  let r =
+    Mpi.run ~ranks:2 ~fail_at:[ (1, kill) ] (fun comm ->
+        if Comm.rank comm = 0 then body comm else Comm.compute comm 1.0)
+  in
+  match r.Mpi.results.(0) with Ok () -> () | Error e -> raise e
+
+(* [f ()] must raise [Process_failed] for world rank 1 at simulated time
+   [at], exactly. *)
+let fails_at ~what comm ~at f =
+  match f () with
+  | (_ : int) -> Alcotest.failf "%s: receive from a dead peer succeeded" what
+  | exception Errors.Process_failed { world_rank } ->
+      Alcotest.(check int) (what ^ ": failed peer") 1 world_rank;
+      Alcotest.(check (float 0.0)) (what ^ ": failure time") at (Comm.now comm)
+
+(* A peer that died before the receive, with nothing of it arrived, fails
+   every flavour at the receive's start plus the detection delay; a
+   receive posted while the peer lived fails at the death plus the
+   detection delay. *)
+let test_recv_dead_peer () =
+  List.iter
+    (fun (name, flavour) ->
+      with_dead_peer ~kill:1.0e-6 (fun comm ->
+          Comm.compute comm 5.0e-6;
+          let t0 = Comm.now comm in
+          let dd = (Comm.world comm).Mpisim.World.detection_delay in
+          fails_at ~what:(name ^ " after death") comm ~at:(t0 +. dd) (fun () ->
+              flavour comm ~tag:5));
+      with_dead_peer ~kill:3.0e-6 (fun comm ->
+          let dd = (Comm.world comm).Mpisim.World.detection_delay in
+          fails_at ~what:(name ^ " posted before death") comm ~at:(3.0e-6 +. dd) (fun () ->
+              flavour comm ~tag:5)))
+    recv_flavours
+
+(* A message the peer sent before it died is matched on arrival: four
+   flavours receive it.  The partitioned receive checks the peer before
+   it matches, so it fails even though both partitions arrived. *)
+let test_recv_arrived_from_dead_peer () =
+  List.iter
+    (fun (name, flavour) ->
+      let r =
+        Mpi.run ~ranks:2 ~fail_at:[ (1, 1.0e-6) ] (fun comm ->
+            if Comm.rank comm = 1 then begin
+              send_for name comm ~tag:6;
+              Comm.compute comm 1.0
+            end
+            else begin
+              Comm.compute comm 20.0e-6;
+              let t0 = Comm.now comm in
+              let dd = (Comm.world comm).Mpisim.World.detection_delay in
+              if name = "precv_init" then
+                fails_at ~what:name comm ~at:(t0 +. dd) (fun () -> flavour comm ~tag:6)
+              else
+                Alcotest.(check int) (name ^ " received") (if name = "recv_sparse" then 3 else 42)
+                  (flavour comm ~tag:6)
+            end)
+      in
+      match r.Mpi.results.(0) with Ok () -> () | Error e -> raise e)
+    recv_flavours
+
+(* A persistent receive from a dead peer, cancelled and restarted before
+   the first round's detection fires: the new round fails at its own
+   start plus the detection delay, and the old round's timer is inert. *)
+let test_recv_init_restart_dead_peer () =
+  with_dead_peer ~kill:1.0e-6 (fun comm ->
+      Comm.compute comm 5.0e-6;
+      let dd = (Comm.world comm).Mpisim.World.detection_delay in
+      let h = P.recv_init comm D.int [| 0 |] ~src:1 ~tag:7 in
+      Persist.start h;
+      Persist.cancel h;
+      Comm.compute comm (dd /. 2.0);
+      let t1 = Comm.now comm in
+      Persist.start h;
+      fails_at ~what:"restarted recv_init" comm ~at:(t1 +. dd) (fun () ->
+          ignore (Persist.wait h);
+          0);
+      Persist.free h)
+
+(* ------------------------------------------------------------------ *)
 
 let suite =
   [
@@ -502,4 +630,9 @@ let suite =
       test_persistent_trace_pure_observer;
     Alcotest.test_case "serving store identical on persistent channels" `Quick
       test_serve_persistent_digest;
+    Alcotest.test_case "every receive flavour fails on a dead peer" `Quick test_recv_dead_peer;
+    Alcotest.test_case "arrived message from a dead peer" `Quick
+      test_recv_arrived_from_dead_peer;
+    Alcotest.test_case "restarted recv_init fails on its own round" `Quick
+      test_recv_init_restart_dead_peer;
   ]
