@@ -8,6 +8,7 @@ type 'a run_result = {
   sim_time : float;
   profile : Profiling.snapshot;
   events : int;
+  elided : int;
   diagnostics : Checker.diagnostic list;
   trace : Trace.Event.data option;
 }
@@ -126,6 +127,7 @@ let run ?(net = Netmodel.default) ?fabric ?(fail_at = []) ?trace ?hooks
       sim_time = Engine.now w.World.engine;
       profile = Profiling.snapshot w.World.prof;
       events = Engine.events_processed w.World.engine;
+      elided = Engine.elided w.World.engine;
       diagnostics = Checker.diagnostics w.World.check;
       trace =
         (if Trace.Recorder.active recorder then

@@ -14,6 +14,11 @@ type 'a run_result = {
   sim_time : float;  (** simulated seconds until the last event *)
   profile : Profiling.snapshot;  (** all MPI calls, messages and bytes *)
   events : int;  (** discrete events processed (determinism diagnostic) *)
+  elided : int;
+      (** send completions that took a reserved slot no fiber waited on
+          ({!Simnet.Engine.elided}); [events + elided] is the event count
+          with eager completions, which a run under an exploration chooser
+          keeps *)
   diagnostics : Checker.diagnostic list;
       (** correctness findings (deadlock, collective mismatch, leaks, ...)
           recorded by {!Checker} at the current checking level *)

@@ -105,11 +105,15 @@ let send ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~dst ~tag =
 (* ------------------------------------------------------------------ *)
 
 (* Complete [req] with [st] at [injected], once the sender's buffer is
-   reusable. *)
+   reusable.  The completion takes a reserved slot and costs an event only
+   if a fiber blocks on [req] before it passes.  Under an exploration
+   chooser it stays an eager event, so ready sets, explored interleavings
+   and replay tokens see every completion. *)
 let complete_at w req st injected =
-  Engine.schedule w.World.engine
-    ~delay:(injected -. World.now w)
-    (fun () -> Request.complete req st)
+  let e = w.World.engine in
+  if Engine.exploring e then
+    Engine.schedule e ~delay:(injected -. World.now w) (fun () -> Request.complete req st)
+  else Request.due req ~at:injected st
 
 (* The synchronous-mode match hook: the acknowledgment travels back to
    the sender and completes [req] with [st]. *)
@@ -551,6 +555,7 @@ let precv_init ?(ctx = Msg.User) comm dt buf ~partitions ~count ~src ~tag =
   ignore (Comm.world_rank_of comm src);
   let mb = w.World.mailboxes.(my_world comm) in
   let arrived = Array.make partitions false in
+  let missing = Array.make partitions false in
   let pendings : Msg.pending_recv option array = Array.make partitions None in
   (* the partition counter: a partition's match completes the round's
      request once every partition has arrived *)
@@ -573,16 +578,27 @@ let precv_init ?(ctx = Msg.User) comm dt buf ~partitions ~count ~src ~tag =
     Array.fill pendings 0 partitions None;
     remaining := partitions;
     let posted = World.now w in
-    match dead_peer comm ~src with
-    | Some world_rank -> abort_round w h ~world_rank
-    | None ->
-        for i = 0 to partitions - 1 do
-          let k = kinds.(i) and tag = ptag ~tag i and pos = i * count and ctx = Msg.Internal in
-          match take_arrived w comm mb k ~posted dt buf pos count ~src ~tag ~ctx with
-          | Error Not_arrived ->
-              pendings.(i) <- Some (post_recv comm mb k ~posted dt buf pos count ~src ~tag ~ctx req)
-          | settled -> finish k req settled
-        done
+    (* partitions that arrived before the sender died still match; the
+       round fails only if one is missing from a dead peer *)
+    for i = 0 to partitions - 1 do
+      let tag = ptag ~tag i and pos = i * count and ctx = Msg.Internal in
+      match take_arrived w comm mb kinds.(i) ~posted dt buf pos count ~src ~tag ~ctx with
+      | Error Not_arrived -> missing.(i) <- true
+      | settled ->
+          missing.(i) <- false;
+          finish kinds.(i) req settled
+    done;
+    if Array.exists Fun.id missing then
+      match dead_peer comm ~src with
+      | Some world_rank -> abort_round w h ~world_rank
+      | None ->
+          for i = 0 to partitions - 1 do
+            if missing.(i) then
+              pendings.(i) <-
+                Some
+                  (post_recv comm mb kinds.(i) ~posted dt buf (i * count) count ~src
+                     ~tag:(ptag ~tag i) ~ctx:Msg.Internal req)
+          done
   in
   let parrived _h i = arrived.(i) in
   let cancel h =

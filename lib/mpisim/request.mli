@@ -2,7 +2,16 @@
 
     A request completes with a {!status} (like [MPI_Status]) or fails with
     an exception (ULFM failures surface here).  [wait] parks the calling
-    fiber until completion; [test] polls without blocking. *)
+    fiber until completion; [test] polls without blocking.
+
+    A request made {!due} completes at a reserved engine slot
+    ({!Simnet.Engine.reserve}) instead of an event.  Every read ([test],
+    [is_complete], [wait], [wait_any]'s scan, [abort], [reactivate],
+    [is_failed]) first settles it: once the slot's key has passed, the
+    request is complete, exactly as if its event had fired.  A [wait] (or
+    a [wait_any] about to park) on a request whose slot has not passed
+    pushes the slot's event and suspends on it as on any pending
+    request. *)
 
 (** Completion information of a receive (senders get a synthetic status). *)
 type status = {
@@ -30,8 +39,15 @@ val empty_status : status
     a usage error. *)
 val reactivate : t -> unit
 
+(** [due r ~at status] makes the pending [r] complete with [status] at the
+    engine slot an event scheduled now for time [at] would take, without
+    scheduling it.  The caller must not complete [r] any other way; a
+    request that is not pending is a usage error. *)
+val due : t -> at:float -> status -> unit
+
 (** [complete r status] transitions a pending request to complete and wakes
-    the waiter, if any.  Idempotence is a usage error. *)
+    the waiter, if any.  Completing a complete or due request is a usage
+    error. *)
 val complete : t -> status -> unit
 
 (** [abort r exn] fails a pending request; [wait]/[test] will re-raise. *)

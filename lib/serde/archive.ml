@@ -68,15 +68,25 @@ let write_bytes w b =
   Buffer.add_bytes w b
 
 (* The cursor reads [data] up to [limit], so a part of a larger buffer
-   decodes in place. *)
-type reader = { data : Bytes.t; mutable pos : int; limit : int }
+   decodes in place.  [reset] points an existing cursor at a new window,
+   so a caller can keep one instead of allocating one per decode. *)
+type reader = { mutable data : Bytes.t; mutable pos : int; mutable limit : int }
 
-let reader ~pos ~len data =
+let check_window ~pos ~len data =
   if pos < 0 || len < 0 || pos + len > Bytes.length data then
     invalid_arg
       (Printf.sprintf "Archive.reader: window [%d, %d) exceeds %d bytes" pos (pos + len)
-         (Bytes.length data));
+         (Bytes.length data))
+
+let reader ~pos ~len data =
+  check_window ~pos ~len data;
   { data; pos; limit = pos + len }
+
+let reset r ~pos ~len data =
+  check_window ~pos ~len data;
+  r.data <- data;
+  r.pos <- pos;
+  r.limit <- pos + len
 
 let remaining r = r.limit - r.pos
 let at_end r = remaining r = 0

@@ -45,6 +45,11 @@ type reader
     @raise Invalid_argument when the window does not lie inside [b]. *)
 val reader : pos:int -> len:int -> Bytes.t -> reader
 
+(** [reset r ~pos ~len b] makes [r] a fresh cursor over that window, as
+    [reader ~pos ~len b] would, without allocating one.
+    @raise Invalid_argument when the window does not lie inside [b]. *)
+val reset : reader -> pos:int -> len:int -> Bytes.t -> unit
+
 (** [remaining r] is the number of unread bytes. *)
 val remaining : reader -> int
 

@@ -14,12 +14,37 @@ let of_json c = c.of_json
 
 let encode c v = Archive.build (fun w -> c.write w v)
 
-let decode_sub c b ~pos ~len =
-  let r = Archive.reader ~pos ~len b in
+let read_exactly c r =
   let v = c.read r in
   if not (Archive.at_end r) then
     raise (Archive.Corrupt (Printf.sprintf "%s: %d trailing bytes" c.name (Archive.remaining r)));
   v
+
+(* One reader serves every decode that starts while no other is in
+   progress, so a per-part decode allocates no cursor.  A decode entered
+   from inside another (a codec whose read decodes a nested archive)
+   takes a fresh one.  However the decode ends, the scratch is released
+   and drops its buffer. *)
+let scratch = Archive.reader ~pos:0 ~len:0 Bytes.empty
+let scratch_busy = ref false
+
+let release_scratch () =
+  scratch_busy := false;
+  Archive.reset scratch ~pos:0 ~len:0 Bytes.empty
+
+let decode_sub c b ~pos ~len =
+  if !scratch_busy then read_exactly c (Archive.reader ~pos ~len b)
+  else begin
+    Archive.reset scratch ~pos ~len b;
+    scratch_busy := true;
+    match read_exactly c scratch with
+    | v ->
+        release_scratch ();
+        v
+    | exception e ->
+        release_scratch ();
+        raise e
+  end
 
 let decode c b = decode_sub c b ~pos:0 ~len:(Bytes.length b)
 

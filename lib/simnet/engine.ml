@@ -16,7 +16,10 @@
      (in spawn order) once dead entries dominate, so a long-running
      simulation no longer accretes an unbounded fiber list;
    - the host profiler ({!Profile}) observes the run when enabled and
-     costs one immediate compare per [run] when off. *)
+     costs one immediate compare per [run] when off;
+   - a completion nobody may wait on takes a reserved (time, seq) slot
+     instead of an event ([reserve]); it enters the heap only if a fiber
+     blocks on it before the slot's key has passed ([push_reserved]). *)
 
 open Effect
 open Effect.Deep
@@ -46,7 +49,12 @@ type t = {
   clock : float array; (* one-element cell: flat float storage, no boxing *)
   queue : Pqueue.t;
   mutable seq : int;
+  mutable cur_seq : int; (* seq of the executing event; max_int outside [run] *)
   mutable events : int;
+  mutable elided : int; (* reservations never pushed *)
+  (* [0]: latest reserved time, [1]: earliest reserved time past the
+     deadline (infinity if none) *)
+  reserved : float array;
   mutable next_fid : int;
   fibers : fiber Ds.Vec.t; (* spawn order; compacted, for deadlock diagnostics *)
   mutable live : int; (* fibers in state Running | Parked *)
@@ -70,7 +78,8 @@ type _ Effect.t +=
   | Suspend : t * ('a resumer -> unit) -> 'a Effect.t
 
 let create () =
-  { clock = [| 0.0 |]; queue = Pqueue.create (); seq = 0; events = 0; next_fid = 0;
+  { clock = [| 0.0 |]; queue = Pqueue.create (); seq = 0; cur_seq = max_int; events = 0;
+    elided = 0; reserved = [| 0.0; infinity |]; next_fid = 0;
     fibers = Ds.Vec.create (); live = 0; park_observer = None; chooser = None;
     deadline = infinity; max_events = max_int;
     g_seqs = Ds.Vec.create (); g_owners = Ds.Vec.create (); g_fns = Ds.Vec.create () }
@@ -114,6 +123,40 @@ let push_at t ~owner ~time f =
 let schedule t ~delay f =
   if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
   push t ~owner:(-1) ~delay f
+
+(* Reserved slots.  A slot's time is stored as its IEEE bits, so a
+   request keeps its key without boxing a float.  Times are non-negative:
+   the sign bit is clear and the other 63 bits fit an immediate int
+   (whose own sign bit is the exponent's top bit, so decoding clears the
+   bit that [Int64.of_int] sign-extends). *)
+let bits_of_time time = Int64.to_int (Int64.bits_of_float time)
+let time_of_bits bits = Int64.float_of_bits (Int64.logand (Int64.of_int bits) Int64.max_int)
+
+let reserve t ~at =
+  let now = t.clock.(0) in
+  let delay = at -. now in
+  if delay < 0.0 then invalid_arg "Engine.reserve: time before now";
+  (* the float [schedule t ~delay] would push at, bit for bit *)
+  let time = now +. delay in
+  t.seq <- t.seq + 1;
+  t.elided <- t.elided + 1;
+  let r = t.reserved in
+  if time > r.(0) then r.(0) <- time;
+  if time > t.deadline && time < r.(1) then r.(1) <- time;
+  bits_of_time time
+
+let reserved_seq t = t.seq
+
+let passed t ~time_bits ~seq =
+  let time = time_of_bits time_bits and now = t.clock.(0) in
+  time < now || (time = now && seq < t.cur_seq)
+
+let push_reserved t ~time_bits ~seq f =
+  t.elided <- t.elided - 1;
+  Pqueue.push t.queue ~time:(time_of_bits time_bits) ~seq ~owner:(-1) f
+
+let elided t = t.elided
+let exploring t = match t.chooser with None -> false | Some _ -> true
 
 let alive fiber = fiber.state = Running || fiber.state = Parked
 let is_parked fiber = fiber.state = Parked
@@ -270,6 +313,7 @@ let exec_chosen t =
           ~owner:(Ds.Vec.get t.g_owners i) (Ds.Vec.get t.g_fns i)
     done;
     let g = Ds.Vec.get t.g_fns pick in
+    t.cur_seq <- Ds.Vec.get t.g_seqs pick;
     Ds.Vec.clear t.g_fns;
     exec t g
   end
@@ -284,24 +328,40 @@ let quiesce t =
     if !parked <> [] then raise (Deadlock !parked)
   end
 
+let past_deadline t time =
+  Limit_exceeded { what = "simulated-time deadline"; time; events = t.events }
+
+(* The queue drained: an unpushed reservation would have been the last
+   event, so the clock ends at the latest reserved time, and one past the
+   deadline trips it as its event would have. *)
+let drain t =
+  let r = t.reserved in
+  if r.(1) < infinity then raise (past_deadline t r.(1));
+  if r.(0) > t.clock.(0) then t.clock.(0) <- r.(0);
+  quiesce t
+
 let run_loop t =
   let rec loop () =
     if Pqueue.pop t.queue then begin
       if Pqueue.popped_time_beyond t.queue t.deadline then
-        raise
-          (Limit_exceeded
-             { what = "simulated-time deadline";
-               time = Pqueue.popped_time t.queue;
-               events = t.events });
+        raise (past_deadline t (Float.min (Pqueue.popped_time t.queue) t.reserved.(1)));
       Pqueue.write_popped_time t.queue t.clock;
+      t.cur_seq <- Pqueue.popped_seq t.queue;
       (match t.chooser with
       | None -> exec t (Pqueue.popped_event t.queue)
       | Some _ -> exec_chosen t);
       loop ()
     end
-    else quiesce t
+    else begin
+      t.cur_seq <- max_int;
+      drain t
+    end
   in
-  loop ()
+  match loop () with
+  | () -> ()
+  | exception e ->
+      t.cur_seq <- max_int;
+      raise e
 
 let run t =
   if Profile.current () = Profile.Off then run_loop t

@@ -52,6 +52,58 @@ val tracked_fibers : t -> int
     Unlike a fiber, a callback must not block. *)
 val schedule : t -> delay:float -> (unit -> unit) -> unit
 
+(** {1 Reserved event slots}
+
+    A completion that nobody may wait on need not cost an event.  Its
+    producer {!reserve}s the [(time, seq)] key the event would have had
+    and pushes nothing.  A reader asks whether the key has {!passed}: if
+    so, the event would already have fired and the reader applies its
+    effect itself.  A fiber that is about to block on it pushes the event
+    into its reserved slot ({!push_reserved}) first.  Same-time order,
+    the seq counter and every simulated value therefore match a run that
+    scheduled the event eagerly; only the events nobody observed are
+    missing, and {!elided} counts them.
+
+    A slot's time travels as its IEEE bits in an immediate int (times are
+    non-negative, so the sign bit is dropped), so a holder stores the key
+    without boxing a float.  Treat the bits as opaque. *)
+
+(** [reserve t ~at] reserves the slot [schedule t ~delay:(at -. now t)]
+    would push into: it takes the next seq and pushes nothing.  It
+    returns the slot's time bits; the slot's time is
+    [now t +. (at -. now t)], bit for bit the float that push would
+    compute (not always [at]).  {!reserved_seq} is the slot's seq.
+    After the queue drains, {!run} moves the clock to the latest
+    reserved time if it is later, and a reserved time past the
+    {!set_deadline} deadline raises {!Limit_exceeded} as its event
+    would have.
+    @raise Invalid_argument if [at] is before {!now}. *)
+val reserve : t -> at:float -> int
+
+(** [reserved_seq t] is the seq of the latest {!reserve}. *)
+val reserved_seq : t -> int
+
+(** [passed t ~time_bits ~seq] is true iff the event at that key would
+    already have fired: its time is before {!now}, or equal to it with a
+    seq below the executing event's.  Outside {!run} the executing seq is
+    [max_int], so every key up to {!now} has passed. *)
+val passed : t -> time_bits:int -> seq:int -> bool
+
+(** [push_reserved t ~time_bits ~seq f] pushes callback [f] into a
+    reserved slot that has not {!passed} (owner [-1], as {!schedule}).
+    A slot is pushed at most once. *)
+val push_reserved : t -> time_bits:int -> seq:int -> (unit -> unit) -> unit
+
+(** [elided t] counts reservations never pushed: the events this engine
+    saved over eager scheduling.  [events_processed t + elided t] is the
+    event count of the same run with every reservation pushed. *)
+val elided : t -> int
+
+(** [exploring t] is true while a {{!set_chooser} chooser} is installed.
+    Producers then schedule eagerly instead of reserving, so ready sets
+    and explored interleavings keep every event. *)
+val exploring : t -> bool
+
 (** [spawn t ~label ~tag f] creates a fiber executing [f], starting at the
     current simulated time.  An exception escaping [f] (other than {!Killed})
     propagates out of {!run}.  [tag] (default [-1]) is an opaque integer

@@ -147,6 +147,27 @@ let test_bfs_various_p () =
       Alcotest.(check bool) (Printf.sprintf "p=%d" p) true (flat = expected))
     [ 1; 2; 5; 9 ]
 
+(* Host-cost gate on engine events.  Events are exact, unlike wall time,
+   so a change that brings back an event per send completion (or adds any
+   other) fails here.  [events + elided] is the count with every send
+   completion scheduled eagerly, the engine's count before send requests
+   completed in reserved slots. *)
+let test_bfs_event_gate () =
+  let p = 16 and n = 2048 and d = 8 and seed = 11 in
+  let r =
+    Explore.unexplored (fun () ->
+        Mpisim.Mpi.run ~ranks:p (fun comm ->
+            let g = Gen.generate Gen.Rgg2d ~rank:(Mpisim.Comm.rank comm) ~comm_size:p ~global_n:n
+                ~avg_degree:d ~seed
+            in
+            Apps.Bfs_kamping.bfs comm g ~src:0))
+  in
+  ignore (Mpisim.Mpi.results_exn r);
+  Alcotest.(check int) "events" 39_091 r.Mpisim.Mpi.events;
+  Alcotest.(check int) "events + elided" 59_773 (r.Mpisim.Mpi.events + r.Mpisim.Mpi.elided);
+  Alcotest.(check int) "messages" 21_040 r.Mpisim.Mpi.profile.Mpisim.Profiling.messages;
+  Alcotest.(check string) "sim time" "0x1.25266acedc1bp-9" (Printf.sprintf "%h" r.Mpisim.Mpi.sim_time)
+
 (* ---------- suffix array ---------- *)
 
 let run_suffix_array text p =
@@ -290,6 +311,7 @@ let suite =
     Alcotest.test_case "bfs: all variants match reference" `Quick test_bfs_variants_agree;
     Alcotest.test_case "bfs: unreachable vertices" `Quick test_bfs_unreachable;
     Alcotest.test_case "bfs: various p" `Quick test_bfs_various_p;
+    Alcotest.test_case "bfs: engine event gate" `Quick test_bfs_event_gate;
     Alcotest.test_case "suffix array: banana" `Quick test_suffix_array_known;
     Alcotest.test_case "suffix array: naive reference" `Quick test_suffix_array_matches_naive;
     prop_suffix_array;

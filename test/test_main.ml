@@ -28,6 +28,7 @@ let () =
       ("stress", Test_stress.suite);
       ("engine-scale", Test_engine_scale.suite);
       ("persist", Test_persist.suite);
+      ("requests", Test_requests.suite);
       ("topology", Test_topology.suite);
       ("bench-report", Test_bench_report.suite);
       ("coll-schedules", Test_coll_schedules.suite);

@@ -558,9 +558,9 @@ let test_recv_dead_peer () =
               flavour comm ~tag:5)))
     recv_flavours
 
-(* A message the peer sent before it died is matched on arrival: four
-   flavours receive it.  The partitioned receive checks the peer before
-   it matches, so it fails even though both partitions arrived. *)
+(* A message the peer sent before it died is matched on arrival: every
+   flavour receives it, the partitioned one included (both partitions
+   arrived, so none is missing from the dead peer). *)
 let test_recv_arrived_from_dead_peer () =
   List.iter
     (fun (name, flavour) ->
@@ -572,17 +572,41 @@ let test_recv_arrived_from_dead_peer () =
             end
             else begin
               Comm.compute comm 20.0e-6;
-              let t0 = Comm.now comm in
-              let dd = (Comm.world comm).Mpisim.World.detection_delay in
-              if name = "precv_init" then
-                fails_at ~what:name comm ~at:(t0 +. dd) (fun () -> flavour comm ~tag:6)
-              else
-                Alcotest.(check int) (name ^ " received") (if name = "recv_sparse" then 3 else 42)
-                  (flavour comm ~tag:6)
+              Alcotest.(check int) (name ^ " received") (if name = "recv_sparse" then 3 else 42)
+                (flavour comm ~tag:6)
             end)
       in
       match r.Mpi.results.(0) with Ok () -> () | Error e -> raise e)
     recv_flavours
+
+(* A partitioned round with one partition arrived and one missing from a
+   dead peer: the arrived partition is matched and copied, and the round
+   fails at its start plus the detection delay. *)
+let test_precv_partial_from_dead_peer () =
+  let r =
+    Mpi.run ~ranks:2 ~fail_at:[ (1, 1.0e-6) ] (fun comm ->
+        if Comm.rank comm = 1 then begin
+          let h = P.psend_init comm D.int [| 20; 22 |] ~partitions:2 ~count:1 ~dst:0 ~tag:6 in
+          Persist.start h;
+          Persist.pready h 0;
+          Comm.compute comm 1.0
+        end
+        else begin
+          Comm.compute comm 20.0e-6;
+          let t0 = Comm.now comm in
+          let dd = (Comm.world comm).Mpisim.World.detection_delay in
+          let b = [| 0; 0 |] in
+          let h = P.precv_init comm D.int b ~partitions:2 ~count:1 ~src:1 ~tag:6 in
+          Persist.start h;
+          Alcotest.(check bool) "partition 0 arrived" true (Persist.parrived h 0);
+          Alcotest.(check bool) "partition 1 missing" false (Persist.parrived h 1);
+          fails_at ~what:"precv_init, one partition missing" comm ~at:(t0 +. dd) (fun () ->
+              ignore (Persist.wait h);
+              0);
+          Alcotest.(check (array int)) "arrived partition copied" [| 20; 0 |] b
+        end)
+  in
+  match r.Mpi.results.(0) with Ok () -> () | Error e -> raise e
 
 (* A persistent receive from a dead peer, cancelled and restarted before
    the first round's detection fires: the new round fails at its own
@@ -635,4 +659,6 @@ let suite =
       test_recv_arrived_from_dead_peer;
     Alcotest.test_case "restarted recv_init fails on its own round" `Quick
       test_recv_init_restart_dead_peer;
+    Alcotest.test_case "partitioned round with a partition missing from a dead peer" `Quick
+      test_precv_partial_from_dead_peer;
   ]

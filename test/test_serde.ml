@@ -109,8 +109,13 @@ let test_archive_read_bytes_one_copy () =
   let field = Bytes.init 65536 (fun i -> Char.chr (i land 0xff)) in
   let b = Archive.build (fun w -> Archive.write_bytes w field) in
   let r = Archive.reader ~pos:0 ~len:(Bytes.length b) b in
+  (* [Gc.counters]' minor count lags until the next minor collection, so
+     a collection inside the window would count words allocated before
+     it; empty the minor heap at both ends so the difference is exact *)
+  Gc.minor ();
   let before = Gc.allocated_bytes () in
   let got = Archive.read_bytes r in
+  Gc.minor ();
   let allocated = Gc.allocated_bytes () -. before in
   Alcotest.(check bool) "same bytes" true (Bytes.equal got field);
   Alcotest.(check bool)
@@ -148,6 +153,38 @@ let test_codec_conv () =
   (* A user-defined record, Cereal-style. *)
   let point = Codec.conv ~name:"point" (fun (x, y) -> (x, y)) (fun p -> p) Codec.(pair float float) in
   Alcotest.(check bool) "conv roundtrip" true (roundtrip point (1.5, -2.5) = (1.5, -2.5))
+
+(* [decode_sub] reuses one cursor: a decode nested inside another gets its
+   own, a Corrupt decode releases it, and a plain decode allocates none. *)
+let test_codec_decode_sub_cursor () =
+  let nested =
+    Codec.conv ~name:"nested"
+      (fun x -> Bytes.to_string (Codec.encode Codec.int x))
+      (fun s -> Codec.decode Codec.int (Bytes.of_string s))
+      Codec.string
+  in
+  let codec = Codec.(pair nested int) in
+  let b = Codec.encode codec (5, 9) in
+  let buf = Bytes.cat (Bytes.of_string "xy") b in
+  Alcotest.(check (pair int int)) "nested decode" (5, 9)
+    (Codec.decode_sub codec buf ~pos:2 ~len:(Bytes.length b));
+  Alcotest.(check bool) "corrupt window" true
+    (match Codec.decode_sub codec buf ~pos:2 ~len:(Bytes.length b - 1) with
+    | _ -> false
+    | exception Archive.Corrupt _ -> true);
+  Alcotest.(check (pair int int)) "decode after corrupt" (5, 9)
+    (Codec.decode_sub codec buf ~pos:2 ~len:(Bytes.length b));
+  (* a float decode allocates its boxed result (2 words) and, with a
+     cursor per call, 4 more *)
+  let one = Codec.encode Codec.float 0.25 in
+  let n = Bytes.length one in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    ignore (Codec.decode_sub Codec.float one ~pos:0 ~len:n : float)
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool) (Printf.sprintf "no cursor per decode (%.0f words)" words) true
+    (words < 2_500.0)
 
 let test_codec_trailing_bytes () =
   let b = Codec.encode Codec.int 7 in
@@ -354,6 +391,7 @@ let suite =
     Alcotest.test_case "codec hashtbl" `Quick test_codec_hashtbl;
     Alcotest.test_case "codec conv" `Quick test_codec_conv;
     Alcotest.test_case "codec trailing bytes" `Quick test_codec_trailing_bytes;
+    Alcotest.test_case "codec decode_sub cursor reuse" `Quick test_codec_decode_sub_cursor;
     Alcotest.test_case "json print/parse" `Quick test_json_print_parse;
     Alcotest.test_case "json parse errors" `Quick test_json_parse_errors;
     Alcotest.test_case "json numbers" `Quick test_json_numbers;

@@ -226,6 +226,217 @@ let test_engine_delay_until_ties () =
   Alcotest.(check (list string)) "scheduling order"
     [ "until"; "callback"; "delay"; "until late" ] (List.rev !log)
 
+(* ---- reserved slots -------------------------------------------------
+
+   [Mini] is the smallest client of a reserved slot: a completion that
+   either schedules its event eagerly or reserves the slot, settles on
+   read, and pushes the slot only when a fiber blocks on it. *)
+module Mini = struct
+  type t = {
+    e : Engine.t;
+    mutable fired : bool;
+    mutable due : (int * int) option; (* time bits, seq *)
+    mutable waiter : unit Engine.resumer option;
+  }
+
+  let fire m () =
+    m.fired <- true;
+    match m.waiter with
+    | Some w ->
+        m.waiter <- None;
+        Engine.resume w ()
+    | None -> ()
+
+  let start e ~eager ~at =
+    let m = { e; fired = false; due = None; waiter = None } in
+    if eager then Engine.schedule e ~delay:(at -. Engine.now e) (fire m)
+    else begin
+      let bits = Engine.reserve e ~at in
+      m.due <- Some (bits, Engine.reserved_seq e)
+    end;
+    m
+
+  let settle m =
+    match m.due with
+    | Some (time_bits, seq) when Engine.passed m.e ~time_bits ~seq ->
+        m.due <- None;
+        m.fired <- true
+    | _ -> ()
+
+  let is_done m =
+    settle m;
+    m.fired
+
+  let wait m =
+    settle m;
+    if not m.fired then begin
+      (match m.due with
+      | Some (time_bits, seq) ->
+          m.due <- None;
+          Engine.push_reserved m.e ~time_bits ~seq (fire m)
+      | None -> ());
+      Engine.suspend m.e (fun r -> m.waiter <- Some r)
+    end
+end
+
+(* A slot reserved between two same-time events sits between them: the
+   earlier one sees it unpassed, the later one passed, and pushed it
+   fires between them. *)
+let test_reserved_seq_order () =
+  List.iter
+    (fun push ->
+      let e = Engine.create () in
+      let log = ref [] in
+      let note s = log := s :: !log in
+      let _ =
+        Engine.spawn e (fun () ->
+            let slot = ref None in
+            Engine.schedule e ~delay:1.0 (fun () ->
+                let time_bits, seq = Option.get !slot in
+                note (Printf.sprintf "before passed=%b" (Engine.passed e ~time_bits ~seq)));
+            let time_bits = Engine.reserve e ~at:1.0 in
+            let seq = Engine.reserved_seq e in
+            slot := Some (time_bits, seq);
+            Engine.schedule e ~delay:1.0 (fun () ->
+                note (Printf.sprintf "after passed=%b" (Engine.passed e ~time_bits ~seq)));
+            if push then Engine.push_reserved e ~time_bits ~seq (fun () -> note "slot"))
+      in
+      Engine.run e;
+      let want =
+        if push then [ "before passed=false"; "slot"; "after passed=true" ]
+        else [ "before passed=false"; "after passed=true" ]
+      in
+      Alcotest.(check (list string)) (Printf.sprintf "order (pushed %b)" push) want (List.rev !log);
+      Alcotest.(check int) "elided" (if push then 0 else 1) (Engine.elided e))
+    [ false; true ]
+
+(* A waiter on a reserved slot wakes at the same time, in the same order
+   among same-time events, as on an eager event; a read after the slot
+   passed costs no event at all. *)
+let test_reserved_waiter_matches_eager () =
+  let scenario ~eager ~wait_at =
+    let e = Engine.create () in
+    let log = ref [] in
+    let note s = log := Printf.sprintf "%s@%h" s (Engine.now e) :: !log in
+    let m = ref None in
+    let _ =
+      Engine.spawn e ~label:"early" (fun () ->
+          Engine.delay e 0.25;
+          Engine.schedule e ~delay:0.75 (fun () ->
+              note (Printf.sprintf "early cb done=%b" (Mini.is_done (Option.get !m)))))
+    in
+    let _ =
+      Engine.spawn e ~label:"owner" (fun () ->
+          Engine.delay e 0.5;
+          m := Some (Mini.start e ~eager ~at:1.0);
+          Engine.delay e (wait_at -. 0.5);
+          Mini.wait (Option.get !m);
+          note "owner woke")
+    in
+    let _ =
+      Engine.spawn e ~label:"late" (fun () ->
+          Engine.delay e 0.5;
+          Engine.delay e 0.0;
+          Engine.schedule e ~delay:0.5 (fun () ->
+              note (Printf.sprintf "late cb done=%b" (Mini.is_done (Option.get !m))));
+          Engine.delay e 0.5;
+          note "late fiber")
+    in
+    Engine.run e;
+    (List.rev !log, Engine.events_processed e, Engine.elided e, Engine.now e)
+  in
+  List.iter
+    (fun wait_at ->
+      let log_e, ev_e, el_e, now_e = scenario ~eager:true ~wait_at in
+      let log_r, ev_r, el_r, now_r = scenario ~eager:false ~wait_at in
+      let what = Printf.sprintf "wait at %g" wait_at in
+      Alcotest.(check (list string)) (what ^ ": log") log_e log_r;
+      Alcotest.(check int) (what ^ ": eager elides nothing") 0 el_e;
+      Alcotest.(check int) (what ^ ": events + elided") ev_e (ev_r + el_r);
+      Alcotest.(check int) (what ^ ": elided") (if wait_at < 1.0 then 0 else 1) el_r;
+      Alcotest.(check int64) (what ^ ": end clock") (Int64.bits_of_float now_e)
+        (Int64.bits_of_float now_r))
+    [ 0.5; 0.75; 2.0 ]
+
+(* The run ends at the latest reserved time when no event follows it.
+   At now = 2^-53 a slot for 1 + epsilon lands on 1.0, the float
+   [schedule ~delay:(at -. now)] computes, not on [at]. *)
+let test_reserved_end_clock () =
+  let e = Engine.create () in
+  let at = 1.0 +. epsilon_float in
+  let _ =
+    Engine.spawn e (fun () ->
+        Engine.delay e (ldexp 1.0 (-53));
+        ignore (Engine.reserve e ~at : int))
+  in
+  Engine.run e;
+  Alcotest.(check int64) "clock at the reserved time" (Int64.bits_of_float 1.0)
+    (Int64.bits_of_float (Engine.now e));
+  Alcotest.(check int) "elided" 1 (Engine.elided e);
+  (* the eager event gives the same clock *)
+  let e' = Engine.create () in
+  let _ =
+    Engine.spawn e' (fun () ->
+        Engine.delay e' (ldexp 1.0 (-53));
+        Engine.schedule e' ~delay:(at -. Engine.now e') ignore)
+  in
+  Engine.run e';
+  Alcotest.(check int64) "eager clock" (Int64.bits_of_float (Engine.now e'))
+    (Int64.bits_of_float (Engine.now e));
+  (* the key's time survives its int encoding at every magnitude *)
+  List.iter
+    (fun at ->
+      let e = Engine.create () in
+      let _ = Engine.spawn e (fun () -> ignore (Engine.reserve e ~at : int)) in
+      Engine.run e;
+      Alcotest.(check int64) (Printf.sprintf "end clock %h" at) (Int64.bits_of_float at)
+        (Int64.bits_of_float (Engine.now e)))
+    [ 0.0; 4.9e-324; 0.5; 2.0; 5.0; 1e300 ]
+
+(* A reserved time past the deadline trips it as its event would have,
+   with the same reported time, whether or not a later event follows. *)
+let test_reserved_deadline () =
+  List.iter
+    (fun later ->
+      let e = Engine.create () in
+      Engine.set_deadline e 2.0;
+      let _ =
+        Engine.spawn e (fun () ->
+            Engine.delay e 1.0;
+            ignore (Engine.reserve e ~at:3.0 : int);
+            if later then Engine.schedule e ~delay:3.0 ignore)
+      in
+      match Engine.run e with
+      | () -> Alcotest.fail "deadline not enforced"
+      | exception Engine.Limit_exceeded { time; _ } ->
+          Alcotest.(check (float 0.0)) (Printf.sprintf "reported time (later event %b)" later)
+            3.0 time)
+    [ false; true ]
+
+(* A fiber killed while parked on a pushed reservation gets [Killed] when
+   the slot fires, as it would on the eager event. *)
+let test_reserved_kill () =
+  let outcome eager =
+    let e = Engine.create () in
+    let outcome = ref "none" in
+    let fiber =
+      Engine.spawn e (fun () ->
+          let m = Mini.start e ~eager ~at:5.0 in
+          match Mini.wait m with
+          | () -> outcome := "resumed"
+          | exception Engine.Killed ->
+              outcome := Printf.sprintf "killed at %g" (Engine.now e);
+              raise Engine.Killed)
+    in
+    Engine.schedule e ~delay:1.0 (fun () -> Engine.kill e fiber);
+    Engine.run e;
+    Alcotest.(check bool) "not alive" false (Engine.alive fiber);
+    (!outcome, Engine.events_processed e)
+  in
+  let reserved = outcome false in
+  Alcotest.(check string) "Killed at the slot" "killed at 5" (fst reserved);
+  Alcotest.(check (pair string int)) "as on the eager event" (outcome true) reserved
+
 let test_netmodel_latency_bandwidth () =
   let p = Netmodel.default in
   let t = Netmodel.create p ~ranks:2 in
@@ -283,6 +494,13 @@ let suite =
       test_engine_delay_until_kill;
     Alcotest.test_case "engine delay_until: park observer" `Quick test_engine_delay_until_observed;
     Alcotest.test_case "engine delay_until: same-time ties" `Quick test_engine_delay_until_ties;
+    Alcotest.test_case "reserved slot: same-time seq order" `Quick test_reserved_seq_order;
+    Alcotest.test_case "reserved slot: waiter wakes as on an eager event" `Quick
+      test_reserved_waiter_matches_eager;
+    Alcotest.test_case "reserved slot: run ends at the latest reserved time" `Quick
+      test_reserved_end_clock;
+    Alcotest.test_case "reserved slot: deadline" `Quick test_reserved_deadline;
+    Alcotest.test_case "reserved slot: killed while parked" `Quick test_reserved_kill;
     Alcotest.test_case "netmodel latency/bandwidth" `Quick test_netmodel_latency_bandwidth;
     Alcotest.test_case "netmodel port serialization" `Quick test_netmodel_port_serialization;
     Alcotest.test_case "netmodel pack factor" `Quick test_netmodel_pack_factor;
