@@ -27,6 +27,8 @@ dune runtest
 #   lint:wire            no Bytes/char-array conversion and no '\000'-filled
 #                        char-array window in lib/kamping, lib/ckpt,
 #                        lib/mpisim, lib/bindings or lib/apps
+#   lint:exports         every value a lib/**/*.mli exports is called from
+#                        another compilation unit (bin/lint_exports.ml)
 #
 # What the passes cover, in order:
 # - lint:observe: one observation point per MPI operation; a call layer
@@ -36,6 +38,14 @@ dune runtest
 # - lint:wire: a serialized payload is one Bytes archive from encode to
 #   in-place decode; a Bytes/char-array conversion or a char-array wire
 #   window put back anywhere on the path fails here.
+# - lint:exports: the interface has no dead surface.  `dune build @check`
+#   leaves a typed tree (.cmt/.cmti) for every unit, executables included
+#   (a plain `dune build` gives them only .cmti files); the lint matches
+#   each identifier use of lib, bin, bench, perfbench, examples and test
+#   against the values the library interfaces declare, and fails naming
+#   every exported value no other unit calls.  Tests count as callers.
+#   There is no allowlist: delete the value, drop it from its .mli, or
+#   call it from a test.
 # - runtest under the strictest MUST-style checker, under event tracing
 #   (the recorder must be a pure observer: determinism and profiling
 #   equality stay green), and under seeded random schedule exploration
@@ -86,6 +96,7 @@ passes='
 -                                                        lint:observe
 -                                                        lint:coll
 -                                                        lint:wire
+-                                                        lint:exports
 MPISIM_CHECK=communication                               runtest
 MPISIM_TRACE=1                                           runtest
 -                                                        bench:trace
@@ -150,6 +161,10 @@ run_suite() {
         echo "ci.sh: serialized payloads stay Bytes end to end; no char-array windows or conversions" >&2
         exit 1
       fi
+      ;;
+    lint:exports)
+      dune build @check
+      dune exec bin/lint_exports.exe
       ;;
     *) echo "ci.sh: unknown suite $1" >&2; exit 2 ;;
   esac

@@ -5,10 +5,3 @@
 (** [build comm ~text ~global_n] computes this rank's block of the suffix
     array of the block-distributed [text]. *)
 val build : Kamping.Comm.t -> text:char array -> global_n:int -> int array
-
-(** [dc3_compare a b] is the standard DC3 merge comparator (exposed for
-    testing). *)
-val dc3_compare : (int * int * int) * (int * int * int) -> (int * int * int) * (int * int * int) -> int
-
-(** [sequential_sa ints] is the sequential base-case suffix sort. *)
-val sequential_sa : int array -> int array

@@ -7,9 +7,6 @@
 (** [block_of ~n ~p r] is [(first, count)] of rank [r]'s block. *)
 val block_of : n:int -> p:int -> int -> int * int
 
-(** [owner_of ~n ~p q] is the rank owning global index [q]. *)
-val owner_of : n:int -> p:int -> int -> int
-
 (** [fetch_shifted comm ~n ~k ~fill dt local] returns this rank's view of
     the global array shifted left by [k] ([fill] past the end). *)
 val fetch_shifted :
@@ -19,11 +16,6 @@ val fetch_shifted :
     owner of [index]. *)
 val route :
   Kamping.Comm.t -> n:int -> 'v Mpisim.Datatype.t -> (int * 'v) Ds.Vec.t -> (int * 'v) Ds.Vec.t
-
-(** [chain_last comm dt ~none items] passes each slice's last element right
-    along the rank chain and returns the predecessor slice's last element
-    ([none] on rank 0). *)
-val chain_last : Kamping.Comm.t -> 'k Mpisim.Datatype.t -> none:'k -> 'k Ds.Vec.t -> 'k
 
 (** [dense_ranks comm dt ~eq ~none keys] assigns dense 0-based ranks to a
     globally sorted distributed sequence (equal keys share a rank); returns

@@ -30,8 +30,6 @@ let create kc ~partners =
   in
   { kc; partners = sym; topo }
 
-let partners t = t.partners
-
 (* Normalize the message list into one bucket per destination rank
    (payload order preserved), splitting off the self-addressed bucket. *)
 let buckets t ~messages =

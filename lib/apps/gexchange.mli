@@ -29,10 +29,6 @@ type t
     scale). *)
 val create : Kamping.Comm.t -> partners:int array -> t
 
-(** [partners t] is the symmetrized partner set, ascending, without the
-    own rank. *)
-val partners : t -> int array
-
 (** [exchange t variant dt ~messages] routes each [(dst, payload)]
     bucket and returns the received [(src, payload)] pairs sorted by
     source, empty payloads dropped — the same list for every variant.

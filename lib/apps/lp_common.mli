@@ -11,9 +11,6 @@ type ghosts = {
   first_vertex : int;
 }
 
-(** [setup_ghosts comm graph] exchanges the static request lists once. *)
-val setup_ghosts : Mpisim.Comm.t -> Graphgen.Distgraph.t -> ghosts
-
 (** [init_labels graph] starts every vertex in its own cluster. *)
 val init_labels : Graphgen.Distgraph.t -> int array
 

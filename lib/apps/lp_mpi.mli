@@ -2,7 +2,5 @@
     displacement bookkeeping per iteration (the 154-LoC role of
     Sec. IV-B). *)
 
-val pull : Mpisim.Comm.t -> Lp_common.ghosts -> int array -> int array -> unit
-
 val run :
   Mpisim.Comm.t -> Graphgen.Distgraph.t -> iterations:int -> max_cluster_size:int -> int array

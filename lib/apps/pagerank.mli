@@ -13,8 +13,6 @@
     exact same operations in the same order. *)
 
 val base_score : alpha:float -> n:int -> dangling:float -> float
-val push_weight : alpha:float -> float -> int -> float
-val dangling_weight : alpha:float -> float -> float
 
 (** {1 Block step kernels}
 

@@ -74,8 +74,6 @@ end
 (* ------------------------------------------------------------------ *)
 
 module After = struct
-  type t = Kamping.Comm.t
-
   let create comm = Kamping.Comm.wrap comm
   let mpi_broadcast t ~root obj = Kamping.Comm.bcast_serialized ~root t model_codec obj
 end

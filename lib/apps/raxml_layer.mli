@@ -1,33 +1,10 @@
 (** The RAxML-NG integration benchmark (paper Sec. IV-C, Fig. 11): the
     hand-written serialize+broadcast abstraction layer ("before") against
     the KaMPIng one-liner ("after"), driven by a synthetic likelihood
-    search at the original MPI call rate. *)
-
-(** The model state travelling between workers. *)
-type model = { branch_lengths : float array; alpha : float; logl : float }
-
-(** Serde codec of {!model} (the role of RAxML's BinaryStream). *)
-val model_codec : model Serde.Codec.t
-
-(** [make_model ~taxa ~seed] builds a deterministic pseudo-model. *)
-val make_model : taxa:int -> seed:int -> model
-
-(** The original hand-written layer: serialize into a scratch buffer,
-    broadcast the size, broadcast the bytes (Fig. 11 top). *)
-module Before : sig
-  type t
-
-  val create : Mpisim.Comm.t -> t
-  val mpi_broadcast : t -> root:int -> model -> model
-end
-
-(** The same functionality as one KaMPIng call (Fig. 11 bottom). *)
-module After : sig
-  type t
-
-  val create : Mpisim.Comm.t -> t
-  val mpi_broadcast : t -> root:int -> model -> model
-end
+    search at the original MPI call rate.  The "before" layer serializes
+    the model into a scratch buffer, broadcasts the size, then the bytes
+    (Fig. 11 top); the "after" layer is one KaMPIng call (Fig. 11
+    bottom). *)
 
 type stats = { iterations : int; final_logl : float; sim_seconds : float }
 

@@ -3,8 +3,6 @@
    functions").  Every binding variant below uses exactly these helpers, so
    the variant files measure only the communication code. *)
 
-let undef = min_int
-
 (* 16 log2 p + 1 samples per rank, the textbook choice from Fig. 7. *)
 let num_samples p =
   let logp = int_of_float (ceil (log (float_of_int (max 2 p)) /. log 2.0)) in

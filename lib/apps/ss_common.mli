@@ -3,9 +3,6 @@
     the per-variant files measure only the communication code — the setup
     behind Table I's LoC numbers. *)
 
-(** Sentinel for uninitialized slots. *)
-val undef : int
-
 (** [num_samples p] is the textbook sampling rate [16 log2 p + 1]. *)
 val num_samples : int -> int
 

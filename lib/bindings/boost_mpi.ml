@@ -7,8 +7,6 @@ let wrap c = c
 let rank = Mpisim.Comm.rank
 let size = Mpisim.Comm.size
 
-let broadcast comm dt buf root = C.bcast comm dt buf ~root
-
 let all_gather comm dt v =
   let out = Array.make (size comm) v in
   C.allgather comm dt ~sendbuf:[| v |] ~recvbuf:out ~count:1;

@@ -13,9 +13,6 @@ val wrap : Mpisim.Comm.t -> comm
 val rank : comm -> int
 val size : comm -> int
 
-(** [broadcast comm dt buf root] broadcasts in place. *)
-val broadcast : comm -> 'a Mpisim.Datatype.t -> 'a array -> int -> unit
-
 (** [all_gather comm dt v] gathers one value per rank into a fresh array
     (Boost's out-vector is always resized to fit). *)
 val all_gather : comm -> 'a Mpisim.Datatype.t -> 'a -> 'a array

@@ -11,8 +11,6 @@ let empty_layout = { count = 0; displ = 0 }
 let layout_count l = l.count
 let layout_displ l = l.displ
 
-let bcast comm dt buf l ~root = C.bcast comm dt buf ~pos:l.displ ~count:l.count ~root
-
 let allgather comm dt sendbuf recvbuf ~count = C.allgather comm dt ~sendbuf ~recvbuf ~count
 
 (* MPL builds one derived datatype per peer instead of passing counts and
@@ -36,8 +34,3 @@ let allreduce comm dt op v =
   let out = [| v |] in
   C.allreduce comm dt op ~sendbuf:[| v |] ~recvbuf:out ~count:1;
   out.(0)
-
-let send comm dt buf l ~dst ~tag = Mpisim.P2p.send comm dt buf ~pos:l.displ ~count:l.count ~dst ~tag
-
-let recv comm dt buf l ~src ~tag =
-  (Mpisim.P2p.recv comm dt buf ~pos:l.displ ~count:l.count ~src ~tag).Mpisim.Request.count

@@ -31,8 +31,6 @@ val layout_count : layout -> int
 
 val layout_displ : layout -> int
 
-val bcast : comm -> 'a Mpisim.Datatype.t -> 'a array -> layout -> root:int -> unit
-
 val allgather : comm -> 'a Mpisim.Datatype.t -> 'a array -> 'a array -> count:int -> unit
 
 (** [allgatherv comm dt sendbuf send_layout recvbuf recv_layouts]: goes
@@ -47,5 +45,3 @@ val alltoallv :
 
 val alltoall : comm -> 'a Mpisim.Datatype.t -> 'a array -> 'a array -> count:int -> unit
 val allreduce : comm -> 'a Mpisim.Datatype.t -> 'a Mpisim.Op.t -> 'a -> 'a
-val send : comm -> 'a Mpisim.Datatype.t -> 'a array -> layout -> dst:int -> tag:int -> unit
-val recv : comm -> 'a Mpisim.Datatype.t -> 'a array -> layout -> src:int -> tag:int -> int

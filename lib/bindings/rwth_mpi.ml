@@ -6,7 +6,6 @@ type comm = Mpisim.Comm.t
 let wrap c = c
 let rank = Mpisim.Comm.rank
 let size = Mpisim.Comm.size
-let bcast comm dt buf ~root = C.bcast comm dt buf ~root
 
 let filler dt block =
   if Array.length block > 0 then block.(0)
@@ -56,8 +55,3 @@ let allreduce comm dt op v =
   let out = [| v |] in
   C.allreduce comm dt op ~sendbuf:[| v |] ~recvbuf:out ~count:1;
   out.(0)
-
-let send comm dt buf ~dst ~tag = Mpisim.P2p.send comm dt buf ~dst ~tag
-let recv comm dt buf ~src ~tag = (Mpisim.P2p.recv comm dt buf ~src ~tag).Mpisim.Request.count
-let isend comm dt buf ~dst ~tag = Mpisim.P2p.isend comm dt buf ~dst ~tag
-let irecv comm dt buf ~src ~tag = Mpisim.P2p.irecv comm dt buf ~src ~tag

@@ -5,16 +5,13 @@
     with automatic resizing in {e some} cases; receive counts can only be
     omitted for the in-place variants (the library then gathers them
     internally), otherwise the user exchanges counts manually; direct
-    mirroring of the C interface elsewhere; no safety guarantees for
-    non-blocking buffers. *)
+    mirroring of the C interface elsewhere. *)
 
 type comm
 
 val wrap : Mpisim.Comm.t -> comm
 val rank : comm -> int
 val size : comm -> int
-
-val bcast : comm -> 'a Mpisim.Datatype.t -> 'a array -> root:int -> unit
 
 (** [allgather comm dt block] resizes the result to fit (the convenient
     overload). *)
@@ -45,7 +42,3 @@ val alltoallv :
   unit
 
 val allreduce : comm -> 'a Mpisim.Datatype.t -> 'a Mpisim.Op.t -> 'a -> 'a
-val send : comm -> 'a Mpisim.Datatype.t -> 'a array -> dst:int -> tag:int -> unit
-val recv : comm -> 'a Mpisim.Datatype.t -> 'a array -> src:int -> tag:int -> int
-val isend : comm -> 'a Mpisim.Datatype.t -> 'a array -> dst:int -> tag:int -> Mpisim.Request.t
-val irecv : comm -> 'a Mpisim.Datatype.t -> 'a array -> src:int -> tag:int -> Mpisim.Request.t

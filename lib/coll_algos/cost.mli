@@ -12,10 +12,6 @@
     allgather, one pairwise block for alltoall); [elems]/[op_cost] feed the
     reduction-compute term of allreduce. *)
 
-(** [ceil_log2 p] is the number of rounds of a binomial/doubling schedule
-    ([0] for [p <= 1]). *)
-val ceil_log2 : int -> int
-
 (** [dims_create ~nodes ~ndims] is the balanced factorization of
     [nodes >= 1] over [ndims >= 1] dimensions, largest first (greedy:
     prime factors, largest first, each to the smallest dimension).

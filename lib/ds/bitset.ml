@@ -6,8 +6,6 @@ let create n =
   if n < 0 then invalid_arg "Bitset.create";
   { words = Array.make ((n + bits_per_word - 1) / bits_per_word) 0; n }
 
-let length b = b.n
-
 let check b i = if i < 0 || i >= b.n then invalid_arg "Bitset: index out of bounds"
 
 let set b i =

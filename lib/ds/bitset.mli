@@ -8,9 +8,6 @@ type t
 (** [create n] is a bitset of capacity [n] with all bits clear. *)
 val create : int -> t
 
-(** [length b] is the capacity given at creation. *)
-val length : t -> int
-
 (** [set b i] sets bit [i].  @raise Invalid_argument if out of bounds. *)
 val set : t -> int -> unit
 

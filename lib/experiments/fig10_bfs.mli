@@ -1,7 +1,4 @@
 (** Fig. 10: BFS weak scaling across graph families and frontier-exchange
     strategies. *)
 
-type point = { family : string; strategy : string; ranks : int; seconds : float }
-
-val measure : ?vertices_per_rank:int -> ?avg_degree:int -> ?rank_counts:int list -> unit -> point list
 val run : unit -> unit

@@ -1,10 +1,5 @@
 (** Fig. 8: sample sort weak scaling across the five binding styles. *)
 
-type point = { binding : string; ranks : int; seconds : float }
-
-(** [measure ()] runs the weak-scaling sweep (simulated seconds, max over
-    ranks). *)
-val measure : ?n_per_rank:int -> ?rank_counts:int list -> unit -> point list
-
-(** [run ()] prints the table and the paper's shape checks. *)
+(** [run ()] runs the weak-scaling sweep (simulated seconds, max over
+    ranks) and prints the table and the paper's shape checks. *)
 val run : unit -> unit

@@ -1,7 +1,4 @@
 (** Sec. IV-B: the dKaMinPar label-propagation component with three
     communication layers — result equality, runtime parity and LoC. *)
 
-type outcome = { variant : string; seconds : float; labels_hash : int }
-
-val measure : ?ranks:int -> ?vertices_per_rank:int -> ?avg_degree:int -> unit -> outcome list
 val run : unit -> unit

@@ -7,11 +7,6 @@ val repo_root : unit -> string option
 (** [count_loc path] counts non-blank lines outside OCaml comments. *)
 val count_loc : string -> int
 
-type row = { app : string; mpi : int; boost : int; rwth : int; mpl : int; kamping : int }
-
-(** [measure ()] counts all variant files. *)
-val measure : unit -> (row list, string) result
-
-(** [run ()] prints the measured and the paper's tables plus the ordering
-    checks. *)
+(** [run ()] counts all variant files and prints the measured and the
+    paper's tables plus the ordering checks. *)
 val run : unit -> unit

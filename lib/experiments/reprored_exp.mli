@@ -1,7 +1,4 @@
 (** Fig. 13 / Sec. V-C: reproducible reduction — bitwise stability across
     rank counts and performance against both baselines. *)
 
-type variant = Native | Gather_reduce | Tree_plugin
-
-val variant_name : variant -> string
 val run : unit -> unit

@@ -1,7 +1,4 @@
 (** Sec. III-D4: contiguous-bytes vs. explicit-struct vs. serialized
     transfers of a gapped record. *)
 
-type sample = { label : string; seconds : float; bytes : int }
-
-val measure : ?count:int -> ?rounds:int -> unit -> sample list
 val run : unit -> unit

@@ -1,15 +1,5 @@
 (** Fig. 12: fault-tolerant execution with the ULFM plugin. *)
 
-type outcome = {
-  ranks : int;
-  failures : int;
-  survivors_done : int;
-  rounds_target : int;
-  seconds : float;
-}
-
-(** [scenario ~ranks ~failures ~rounds] injects [failures] process faults
-    into a compute-allreduce loop and reports recovery. *)
-val scenario : ranks:int -> failures:int -> rounds:int -> outcome
-
+(** [run ()] injects process faults into a compute-allreduce loop and
+    reports recovery. *)
 val run : unit -> unit

@@ -85,12 +85,10 @@ type 'a outcome =
 
 type 'a observed = { outcome : 'a outcome; token : token }
 
-(** Simulated-time watchdog applied to every explored run (seconds). *)
-val default_deadline : float
-
 (** [run ~strategy ~chaos ~ranks f] executes the SPMD program [f] under
     one explored schedule, with the checker at [check] (default
-    [Communication]) and the simulated-time watchdog at [deadline].
+    [Communication]) and the simulated-time watchdog at [deadline]
+    (default 3600 simulated seconds).
     [replay] overrides the strategy's decisions with a recorded trace
     (out-of-range or exhausted entries fall back to 0). *)
 val run :
@@ -169,17 +167,6 @@ val explore :
     the sound reduction. *)
 val shrink_trace : ?budget:int -> fails:(int array -> bool) -> int array -> int array
 
-(** [dump_chrome token ~ranks f] replays the token with tracing on and
-    writes the Chrome trace JSON to a fresh temp file, returning its path
-    ([None] if the replay produced no trace, e.g. it crashed). *)
-val dump_chrome :
-  ?net:Simnet.Netmodel.params ->
-  ?check:Mpisim.Checker.level ->
-  token ->
-  ranks:int ->
-  (Mpisim.Comm.t -> 'a) ->
-  string option
-
 (** {1 Scoped activation}
 
     For code that calls [Mpisim.Mpi.run] itself (e.g. the gallery
@@ -198,9 +185,10 @@ val with_strategy :
     [MPISIM_EXPLORE] — for tests asserting incumbent-schedule behaviour. *)
 val unexplored : (unit -> 'a) -> 'a
 
-(** The environment variable ([MPISIM_EXPLORE]) read at module
-    initialization; e.g. [random:42], [pct:7:5], [delay:3:16],
-    [default].  When set, every [Mpi.run] in the process uses a fresh
-    same-seeded session (keeping paired-run comparisons within one test
-    valid) unless overridden by an explicit scope. *)
-val env_var : string
+(** {1 Environment}
+
+    [MPISIM_EXPLORE] is read at module initialization; e.g. [random:42],
+    [pct:7:5], [delay:3:16], [default].  When set, every [Mpi.run] in the
+    process uses a fresh same-seeded session (keeping paired-run
+    comparisons within one test valid) unless overridden by an explicit
+    scope. *)

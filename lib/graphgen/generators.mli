@@ -6,9 +6,9 @@
     the global graph does not depend on the number of ranks.  The three
     families reproduce the locality spectrum of the paper's BFS evaluation:
 
-    - {!erdos_renyi}: uniform random targets — no locality, small diameter;
-    - {!rgg_2d}: 2D random geometric — high locality, large diameter;
-    - {!rhg_like}: power-law degrees (a Chung-Lu-style stand-in for random
+    - [Erdos_renyi]: uniform random targets — no locality, small diameter;
+    - [Rgg2d]: 2D random geometric — high locality, large diameter;
+    - [Rhg]: power-law degrees (a Chung-Lu-style stand-in for random
       hyperbolic graphs) — skewed degrees, small diameter, mixed locality. *)
 
 (** [erdos_renyi ~rank ~comm_size ~global_n ~avg_degree ~seed] draws
@@ -16,21 +16,17 @@
 val erdos_renyi :
   rank:int -> comm_size:int -> global_n:int -> avg_degree:int -> seed:int -> Distgraph.t
 
-(** [rgg_2d ~rank ~comm_size ~global_n ~avg_degree ~seed] places points on
-    the unit square (cell-major ids, so vertex blocks are geometric blocks)
-    and connects points within the radius that yields [avg_degree] expected
-    neighbors.  The produced graph is symmetric. *)
-val rgg_2d :
-  rank:int -> comm_size:int -> global_n:int -> avg_degree:int -> seed:int -> Distgraph.t
-
-(** [rhg_like ~rank ~comm_size ~global_n ~avg_degree ~seed] draws targets
-    with probability proportional to a power-law weight (w_v ~ v^-1/2, i.e.
-    a degree exponent of 3), creating hub vertices. *)
-val rhg_like :
-  rank:int -> comm_size:int -> global_n:int -> avg_degree:int -> seed:int -> Distgraph.t
-
 (** The generator family tags used by benchmarks. *)
-type family = Erdos_renyi | Rgg2d | Rhg
+type family =
+  | Erdos_renyi  (** {!erdos_renyi} *)
+  | Rgg2d
+      (** points on the unit square (cell-major ids, so vertex blocks are
+          geometric blocks), connected within the radius that yields
+          [avg_degree] expected neighbors; the graph is symmetric *)
+  | Rhg
+      (** targets drawn with probability proportional to a power-law
+          weight (w_v ~ v^-1/2, i.e. a degree exponent of 3), creating
+          hub vertices *)
 
 val family_name : family -> string
 

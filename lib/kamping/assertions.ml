@@ -16,7 +16,6 @@ let set_level l =
   current := l;
   Mpisim.Checker.set_level (checker_level_of l)
 
-let level () = !current
 let enabled l = rank_of l <= rank_of !current
 
 let check l cond msg = if enabled l && not (cond ()) then raise (Mpisim.Errors.Usage_error msg)

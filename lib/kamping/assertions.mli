@@ -15,16 +15,6 @@ type level =
       (** additionally verify cross-rank collective ordering through the
           simulator's {!Mpisim.Checker} (the full MUST-style mode) *)
 
-(** [set_level l] / [level ()] configure the global assertion level
-    (default [Light]).  The level also drives the simulator-side
-    {!Mpisim.Checker}: [Off] disables it entirely, [Light]/[Normal] keep
-    its match-time error recording, [Heavy] adds deadlock diagnosis and
-    leak detection, and [Communication] adds collective-ordering
-    verification. *)
-val set_level : level -> unit
-
-val level : unit -> level
-
 (** [enabled l] is true when the current level includes [l]. *)
 val enabled : level -> bool
 
@@ -37,5 +27,10 @@ val check : level -> (unit -> bool) -> string -> unit
     level [Heavy]. *)
 val heavy_check_uniform : Mpisim.Comm.t -> int -> what:string -> unit
 
-(** [with_level l f] runs [f] with the level temporarily set to [l]. *)
+(** [with_level l f] runs [f] with the global assertion level (default
+    [Light]) temporarily set to [l].  The level also drives the
+    simulator-side {!Mpisim.Checker}: [Off] disables it entirely,
+    [Light]/[Normal] keep its match-time error recording, [Heavy] adds
+    deadlock diagnosis and leak detection, and [Communication] adds
+    collective-ordering verification. *)
 val with_level : level -> (unit -> 'a) -> 'a

@@ -73,10 +73,10 @@ let fit_to_actual policy dt vec actual =
   if V.length vec <> actual && policy <> Resize_policy.No_resize then
     V.resize vec actual (filler dt [ vec ])
 
+(* The message is built only on failure: a valid call allocates nothing. *)
 let check_counts_array t what counts =
-  Assertions.check Light
-    (fun () -> Array.length counts = size t)
-    (Printf.sprintf "%s: counts array must have one entry per rank" what)
+  if Assertions.enabled Light && Array.length counts <> size t then
+    Mpisim.Errors.usage "%s: counts array must have one entry per rank" what
 
 (* ---------------- collectives ---------------- *)
 

@@ -105,17 +105,6 @@ val bcast : ?root:int -> t -> 'a Mpisim.Datatype.t -> send_recv_buf:'a Ds.Vec.t 
 (** [bcast_single t dt v] broadcasts one value by value. *)
 val bcast_single : ?root:int -> t -> 'a Mpisim.Datatype.t -> 'a -> 'a
 
-(** [gather t dt ~send_buf] returns the concatenation on the root (an empty
-    vector elsewhere).  All ranks must send equally many elements. *)
-val gather :
-  ?root:int ->
-  ?recv_buf:'a Ds.Vec.t ->
-  ?recv_policy:Resize_policy.t ->
-  t ->
-  'a Mpisim.Datatype.t ->
-  send_buf:'a Ds.Vec.t ->
-  'a Ds.Vec.t
-
 (** [gatherv t dt ~send_buf] gathers variable-size blocks; receive counts
     are gathered internally when not supplied. *)
 val gatherv :
@@ -276,10 +265,9 @@ val ialltoallv :
   recv_counts:int array ->
   'a Ds.Vec.t Nb_result.t
 
-(** {1 Point-to-point} *)
+(** {1 Point-to-point}
 
-(** Default message tag used when [?tag] is omitted. *)
-val default_tag : int
+    Every [?tag] defaults to [0]. *)
 
 val send : ?tag:int -> t -> 'a Mpisim.Datatype.t -> send_buf:'a Ds.Vec.t -> dst:int -> unit
 

@@ -7,5 +7,4 @@ let sort n =
 
 let linear n = 2.0e-9 *. float_of_int n
 let hash_ops n = 25.0e-9 *. float_of_int n
-let memcpy bytes = 0.1e-9 *. float_of_int bytes
 let per_edge m = 4.0e-9 *. float_of_int m

@@ -15,8 +15,5 @@ val linear : int -> float
 (** [hash_ops n] — [n] hash-table operations. *)
 val hash_ops : int -> float
 
-(** [memcpy bytes] — a straight copy. *)
-val memcpy : int -> float
-
 (** [per_edge m] — scanning [m] graph edges. *)
 val per_edge : int -> float

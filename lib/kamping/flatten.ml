@@ -27,13 +27,3 @@ let total_count flat =
       if c < 0 || t < 0 then raise (Mpisim.Errors.Count_overflow { count = acc; extent = 1 });
       t)
     0 flat.send_counts
-
-let flatten_fn ~comm_size f =
-  let send_counts = Array.make comm_size 0 in
-  let data = Ds.Vec.create () in
-  for dest = 0 to comm_size - 1 do
-    let msgs = f dest in
-    send_counts.(dest) <- List.length msgs;
-    List.iter (Ds.Vec.push data) msgs
-  done;
-  { data; send_counts }

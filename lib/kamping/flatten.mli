@@ -21,7 +21,3 @@ val flatten : comm_size:int -> (int, 'a Ds.Vec.t) Hashtbl.t -> 'a flat
     counts is the first place 32-bit counts overflow).
     @raise Mpisim.Errors.Count_overflow instead of wrapping around. *)
 val total_count : 'a flat -> int
-
-(** [flatten_fn ~comm_size f] is {!flatten} for a functional description:
-    [f dest] lists the elements for [dest]. *)
-val flatten_fn : comm_size:int -> (int -> 'a list) -> 'a flat

@@ -6,13 +6,6 @@ type 'a t = {
 
 let make req extract = { req; extract; value = None }
 
-let of_value engine v =
-  {
-    req = Mpisim.Request.completed_now engine { source = -1; tag = -1; count = 0 };
-    extract = (fun _ -> v);
-    value = None;
-  }
-
 let force r status =
   match r.value with
   | Some v -> v
@@ -23,6 +16,5 @@ let force r status =
 
 let wait r = force r (Mpisim.Request.wait r.req)
 let test r = Option.map (force r) (Mpisim.Request.test r.req)
-let is_complete r = Mpisim.Request.is_complete r.req
 let request r = r.req
 let map f r = { req = r.req; extract = (fun status -> f (force r status)); value = None }

@@ -19,10 +19,6 @@ type 'a t
     result is cached). *)
 val make : Mpisim.Request.t -> (Mpisim.Request.status -> 'a) -> 'a t
 
-(** [of_value engine v] is an already-completed result (used when an
-    operation completed immediately, e.g. a self-message). *)
-val of_value : Simnet.Engine.t -> 'a -> 'a t
-
 (** [wait r] blocks the caller until the operation finished and returns the
     owned data. *)
 val wait : 'a t -> 'a
@@ -30,10 +26,6 @@ val wait : 'a t -> 'a
 (** [test r] is [Some data] if the operation finished, [None] otherwise —
     the data stays owned by the result until it is surrendered. *)
 val test : 'a t -> 'a option
-
-(** [is_complete r] polls the underlying request without surrendering the
-    data. *)
-val is_complete : 'a t -> bool
 
 (** [request r] exposes the native request handle for interoperability with
     plain-MPI code (the gradual-migration story of Sec. III-F). *)

@@ -10,8 +10,3 @@ let prepare policy vec ~needed ~filler =
       if Ds.Vec.length vec < needed then
         raise (Buffer_too_small { needed; capacity = Ds.Vec.length vec }));
   Ds.Vec.unsafe_data vec
-
-let pp fmt = function
-  | Resize_to_fit -> Format.pp_print_string fmt "resize_to_fit"
-  | Grow_only -> Format.pp_print_string fmt "grow_only"
-  | No_resize -> Format.pp_print_string fmt "no_resize"

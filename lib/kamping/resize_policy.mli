@@ -24,6 +24,3 @@ exception Buffer_too_small of { needed : int; capacity : int }
     without initializing the data region beyond what the policy demands.
     Returns [vec]'s backing array for the communication layer. *)
 val prepare : t -> 'a Ds.Vec.t -> needed:int -> filler:'a -> 'a array
-
-(** [pp fmt policy] prints the policy name. *)
-val pp : Format.formatter -> t -> unit

@@ -49,13 +49,3 @@ let trivially_copyable ?default ~name fields =
   Mpisim.Datatype.custom ?default ~name ~extent:(payload_bytes fields + padding fields) ()
 
 let struct_type ?default ~name fields = Mpisim.Datatype.struct_type ?default ~name (to_triples fields)
-
-let int = Mpisim.Datatype.int
-let float = Mpisim.Datatype.float
-let char = Mpisim.Datatype.char
-let bool = Mpisim.Datatype.bool
-let int32 = Mpisim.Datatype.int32
-let int64 = Mpisim.Datatype.int64
-let byte = Mpisim.Datatype.byte
-let pair = Mpisim.Datatype.pair
-let triple = Mpisim.Datatype.triple

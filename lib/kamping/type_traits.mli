@@ -27,12 +27,6 @@ type field =
   | Bool of string
   | Array of string * int * field  (** fixed-size inline array, e.g. [std::array<int, 3>] *)
 
-(** [size_of field] is the payload size in bytes. *)
-val size_of : field -> int
-
-(** [align_of field] is the C alignment requirement. *)
-val align_of : field -> int
-
 (** [trivially_copyable ~name fields] is KaMPIng's default mapping: the
     record is transferred as one contiguous block of bytes {e including}
     any padding — slightly more data on the wire, but a straight memcpy
@@ -47,22 +41,3 @@ val struct_type : ?default:'a -> name:string -> field list -> 'a Mpisim.Datatype
 (** [padding ~name fields] reports how many padding bytes the C layout of
     the record contains (0 means both mappings perform identically). *)
 val padding : field list -> int
-
-(** {1 Re-exported basic datatypes}
-
-    Shorthands so that application code only opens this module. *)
-
-val int : int Mpisim.Datatype.t
-val float : float Mpisim.Datatype.t
-val char : char Mpisim.Datatype.t
-val bool : bool Mpisim.Datatype.t
-val int32 : int32 Mpisim.Datatype.t
-val int64 : int64 Mpisim.Datatype.t
-val byte : char Mpisim.Datatype.t
-val pair : 'a Mpisim.Datatype.t -> 'b Mpisim.Datatype.t -> ('a * 'b) Mpisim.Datatype.t
-
-val triple :
-  'a Mpisim.Datatype.t ->
-  'b Mpisim.Datatype.t ->
-  'c Mpisim.Datatype.t ->
-  ('a * 'b * 'c) Mpisim.Datatype.t

@@ -37,10 +37,6 @@ val create :
   handler:(src:int -> 'a Ds.Vec.t -> unit) ->
   'a t
 
-(** [is_persistent t] is true when the aggregator runs on persistent
-    channels. *)
-val is_persistent : 'a t -> bool
-
 (** [send t ~dst item] buffers [item] for [dst], shipping a block if the
     buffer is full.  Also opportunistically delivers any blocks that have
     already arrived here. *)

@@ -55,7 +55,6 @@ let create comm =
   Kamping.Comm.barrier comm;
   { comm; cols; rows; phase1_send; phase1_recv; phase2_peers; seq = 0 }
 
-let comm grid = grid.comm
 let columns grid = grid.cols
 let rows grid = grid.rows
 

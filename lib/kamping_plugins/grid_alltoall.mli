@@ -17,9 +17,6 @@ type t
 (** [create comm] builds the grid (collective). *)
 val create : Kamping.Comm.t -> t
 
-(** [comm grid] is the communicator the grid spans. *)
-val comm : t -> Kamping.Comm.t
-
 (** [columns grid] is the grid width (ceil(sqrt p)). *)
 val columns : t -> int
 

@@ -35,7 +35,6 @@ let create ?dims comm ~ndims =
   Kamping.Comm.barrier comm;
   { comm; grid_dims; coords = coords_of grid_dims (Kamping.Comm.rank comm); seq = 0 }
 
-let dims t = Array.copy t.grid_dims
 let max_partners t = Array.fold_left (fun acc d -> acc + (d - 1)) 0 t.grid_dims
 
 (* partners of one phase: ranks differing from me only in dimension [dim] *)

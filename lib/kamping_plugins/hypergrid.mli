@@ -18,9 +18,6 @@ type t
     @raise Mpisim.Errors.Usage_error if the dims product differs from p. *)
 val create : ?dims:int array -> Kamping.Comm.t -> ndims:int -> t
 
-(** [dims t] is the grid shape. *)
-val dims : t -> int array
-
 (** [max_partners t] is the per-phase partner bound
     [sum (dims - 1)] — the start-up budget of one exchange. *)
 val max_partners : t -> int

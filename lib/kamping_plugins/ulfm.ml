@@ -4,7 +4,6 @@ let is_revoked t = Mpisim.Ulfm.is_revoked (Kamping.Comm.raw t)
 let revoke t = Mpisim.Ulfm.revoke (Kamping.Comm.raw t)
 let shrink t = Kamping.Comm.wrap (Mpisim.Ulfm.shrink (Kamping.Comm.raw t))
 let agree t v = Mpisim.Ulfm.agree (Kamping.Comm.raw t) v
-let num_failed t = Mpisim.Ulfm.num_failed (Kamping.Comm.raw t)
 
 let with_recovery ?(max_attempts = 9) t f =
   if max_attempts <= 0 then Mpisim.Errors.usage "Ulfm.with_recovery: max_attempts %d" max_attempts;

@@ -26,9 +26,6 @@ val shrink : Kamping.Comm.t -> Kamping.Comm.t
     survivors. *)
 val agree : Kamping.Comm.t -> int -> int
 
-(** [num_failed t] counts dead members of [t]. *)
-val num_failed : Kamping.Comm.t -> int
-
 (** [with_recovery t f] runs [f comm], and on a detected process failure
     performs revoke + shrink and retries [f] on the shrunk communicator —
     the Fig. 12 pattern packaged as a combinator.  [None] means only that

@@ -16,7 +16,6 @@ let create comm ~dims ~periodic =
   { comm; dims = Array.copy dims; periodic = Array.copy periodic }
 
 let comm t = t.comm
-let dims t = Array.copy t.dims
 
 (* row-major: the last dimension varies fastest, as in MPI *)
 let coords t rank =

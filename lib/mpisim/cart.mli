@@ -21,9 +21,6 @@ val dims_create : nodes:int -> ndims:int -> int array
 (** [comm t] is the underlying communicator. *)
 val comm : t -> Comm.t
 
-(** [dims t] is the grid shape. *)
-val dims : t -> int array
-
 (** [coords t rank] are the grid coordinates of [rank]
     (MPI_Cart_coords). *)
 val coords : t -> int -> int array

@@ -81,8 +81,6 @@ let to_string d =
   Printf.sprintf "[%s] rank %d, comm %d, %s: %s" d.location d.rank d.comm d.op
     (detail_to_string d.detail)
 
-let pp fmt d = Format.pp_print_string fmt (to_string d)
-
 (* ------------------------------------------------------------------ *)
 (* Per-world state.                                                    *)
 (* ------------------------------------------------------------------ *)

@@ -91,7 +91,6 @@ type diagnostic = { rank : int; comm : int; op : string; location : string; deta
 exception Violation of diagnostic
 
 val to_string : diagnostic -> string
-val pp : Format.formatter -> diagnostic -> unit
 
 (** {1 Per-world state and hooks}
 

@@ -73,7 +73,6 @@ let join_count ~hi ~lo =
     Errors.usage "Datatype.join_count: halves (%d, %d) out of 31-bit range" hi lo;
   (hi lsl 31) lor lo
 let equal_witness a b = Type.Id.provably_equal a.id b.id
-let pp fmt dt = Format.pp_print_string fmt dt.name
 
 let committed_count = ref 0
 
@@ -90,9 +89,6 @@ let int = basic "int" 8 0
 let float = basic "double" 8 0.0
 let char = basic "char" 1 '\000'
 let bool = basic "bool" 1 false
-let int32 = basic "int32" 4 0l
-let int64 = basic "int64" 8 0L
-let byte = basic "byte" 1 '\000'
 
 let default_elt dt = dt.default
 

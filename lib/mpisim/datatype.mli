@@ -100,9 +100,6 @@ val join_count : hi:int -> lo:int -> int
     equal. *)
 val equal_witness : ('a, 'b) gen -> ('c, 'd) gen -> ('a * 'b, 'c * 'd) Type.eq option
 
-(** [pp fmt dt] prints the datatype name. *)
-val pp : Format.formatter -> ('a, 'b) gen -> unit
-
 (** [default_elt dt] is a sample element used to allocate receive buffers
     (all basic types have one; derived types inherit it; [custom] types
     provide one explicitly). *)
@@ -114,11 +111,6 @@ val int : int t
 val float : float t
 val char : char t
 val bool : bool t
-val int32 : int32 t
-val int64 : int64 t
-
-(** Raw bytes, extent 1 — the carrier of serialized payloads. *)
-val byte : char t
 
 (** {1 Derived datatypes} *)
 
@@ -150,7 +142,7 @@ val struct_type : ?default:'a -> name:string -> (string * int * int) list -> 'a 
 (** [serialized] is an opaque serialized payload held in [Bytes]: one
     host byte per wire byte, from the sender's window through the message
     in flight to the receiver's window.  It matches only itself: a {!char}
-    or {!byte} receive of a serialized message is a type mismatch. *)
+    receive of a serialized message is a type mismatch. *)
 val serialized : (char, Bytes.t) gen
 
 (** [serialization_cost ~bytes] is the simulated CPU seconds to encode or

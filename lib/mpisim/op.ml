@@ -1,13 +1,11 @@
 type 'a t = {
   f : 'a -> 'a -> 'a;
-  name : string;
   commutative : bool;
   builtin : bool;
   cost_per_element : float;
 }
 
 let apply op a b = op.f a b
-let name op = op.name
 let commutative op = op.commutative
 let is_builtin op = op.builtin
 let cost_per_element op = op.cost_per_element
@@ -15,21 +13,21 @@ let cost_per_element op = op.cost_per_element
 let builtin_cost = 1.0e-9
 let user_cost = 4.0e-9 (* user lambdas defeat vectorization *)
 
-let of_fun ?(name = "user") ?(commutative = true) f =
-  { f; name; commutative; builtin = false; cost_per_element = user_cost }
+let of_fun ?(commutative = true) f =
+  { f; commutative; builtin = false; cost_per_element = user_cost }
 
-let builtin name f = { f; name; commutative = true; builtin = true; cost_per_element = builtin_cost }
+let builtin f = { f; commutative = true; builtin = true; cost_per_element = builtin_cost }
 
-let int_sum = builtin "MPI_SUM" ( + )
-let int_prod = builtin "MPI_PROD" ( * )
-let int_max = builtin "MPI_MAX" max
-let int_min = builtin "MPI_MIN" min
-let int_land = builtin "MPI_BAND" ( land )
-let int_lor = builtin "MPI_BOR" ( lor )
-let int_lxor = builtin "MPI_BXOR" ( lxor )
-let float_sum = builtin "MPI_SUM" ( +. )
-let float_prod = builtin "MPI_PROD" ( *. )
-let float_max = builtin "MPI_MAX" Float.max
-let float_min = builtin "MPI_MIN" Float.min
-let bool_and = builtin "MPI_LAND" ( && )
-let bool_or = builtin "MPI_LOR" ( || )
+let int_sum = builtin ( + )
+let int_prod = builtin ( * )
+let int_max = builtin max
+let int_min = builtin min
+let int_land = builtin ( land )
+let int_lor = builtin ( lor )
+let int_lxor = builtin ( lxor )
+let float_sum = builtin ( +. )
+let float_prod = builtin ( *. )
+let float_max = builtin Float.max
+let float_min = builtin Float.min
+let bool_and = builtin ( && )
+let bool_or = builtin ( || )

@@ -2,17 +2,12 @@
 
     Like KaMPIng (and Boost.MPI), the library recognizes both {e built-in}
     operations — which a real MPI implementation can optimize — and
-    arbitrary user lambdas.  Built-ins carry a name so the profiling layer
-    can observe that the built-in path was taken. *)
+    arbitrary user lambdas. *)
 
 type 'a t
 
 (** [apply op a b] combines two values. *)
 val apply : 'a t -> 'a -> 'a -> 'a
-
-(** [name op] is ["user"] for lambdas and the MPI constant name
-    (e.g. ["MPI_SUM"]) for built-ins. *)
-val name : 'a t -> string
 
 (** [commutative op] tells the collective algorithms whether they may
     reassociate and commute freely. *)
@@ -25,11 +20,14 @@ val is_builtin : 'a t -> bool
     element. *)
 val cost_per_element : 'a t -> float
 
-(** [of_fun ?name ?commutative f] wraps a user lambda (commutative by
-    default, as in MPI_Op_create's default expectation when stated). *)
-val of_fun : ?name:string -> ?commutative:bool -> ('a -> 'a -> 'a) -> 'a t
+(** [of_fun ?commutative f] wraps a user lambda (commutative by default,
+    as in MPI_Op_create's default expectation when stated). *)
+val of_fun : ?commutative:bool -> ('a -> 'a -> 'a) -> 'a t
 
-(** {1 Built-in operations} *)
+(** {1 Built-in operations}
+
+    MPI_SUM, MPI_PROD, MPI_MAX, MPI_MIN, MPI_BAND, MPI_BOR, MPI_BXOR,
+    MPI_LAND and MPI_LOR over the named element type. *)
 
 val int_sum : int t
 val int_prod : int t

@@ -1,9 +1,6 @@
-module Engine = Simnet.Engine
-
 type phase = Inactive | Active | Freed
 
 type t = {
-  engine : Engine.t;
   op : string;
   partitions : int;
   req : Request.t;
@@ -14,7 +11,6 @@ type t = {
   pready_impl : (t -> int -> unit) option;
   parrived_impl : (t -> int -> bool) option;
   cancel_impl : (t -> unit) option;
-  mutable on_free : (unit -> unit) option;
 }
 
 let make engine ~op ?(partitions = 1) ?pready ?parrived ?cancel
@@ -22,7 +18,6 @@ let make engine ~op ?(partitions = 1) ?pready ?parrived ?cancel
   if partitions <= 0 then
     Errors.usage "%s: partitions %d must be positive" op partitions;
   {
-    engine;
     op;
     partitions;
     (* the one request reused across rounds; born inactive (= complete) *)
@@ -34,17 +29,12 @@ let make engine ~op ?(partitions = 1) ?pready ?parrived ?cancel
     pready_impl = pready;
     parrived_impl = parrived;
     cancel_impl = cancel;
-    on_free = None;
   }
 
-let engine h = h.engine
-let op h = h.op
-let partitions h = h.partitions
 let request h = h.req
 let starts h = h.starts
 let is_active h = h.phase = Active
 let is_freed h = h.phase = Freed
-let set_on_free h f = h.on_free <- Some f
 
 let start h =
   (match h.phase with
@@ -98,10 +88,7 @@ let free h =
   match h.phase with
   | Freed -> Errors.usage "%s: double MPI_Request_free" h.op
   | Active -> Errors.usage "%s: freed while still active" h.op
-  | Inactive ->
-      h.phase <- Freed;
-      (match h.on_free with Some f -> f () | None -> ());
-      h.on_free <- None
+  | Inactive -> h.phase <- Freed
 
 let check_partition h i =
   if i < 0 || i >= h.partitions then

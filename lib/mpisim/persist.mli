@@ -51,15 +51,6 @@ val make :
   (t -> unit) ->
   t
 
-val engine : t -> Simnet.Engine.t
-
-(** [op h] is the operation name the handle was created with (errors,
-    checker attribution, trace spans). *)
-val op : t -> string
-
-(** [partitions h] is the partition count (1 for plain persistent ops). *)
-val partitions : t -> int
-
 (** [request h] is the one request object reused across rounds — operation
     implementations complete/abort it; programs use {!wait}/{!test}. *)
 val request : t -> Request.t
@@ -70,10 +61,6 @@ val starts : t -> int
 
 val is_active : t -> bool
 val is_freed : t -> bool
-
-(** [set_on_free h f] registers a hook run once when the handle is freed
-    (checker bookkeeping). *)
-val set_on_free : t -> (unit -> unit) -> unit
 
 (** [start h] arms an inactive handle (MPI_Start). *)
 val start : t -> unit

@@ -71,9 +71,3 @@ let diff ~before ~after =
     messages = after.messages - before.messages;
     bytes = after.bytes - before.bytes;
   }
-
-let pp fmt s =
-  Format.fprintf fmt "@[<v>messages=%d bytes=%d" s.messages s.bytes;
-  List.iter (fun (name, n) -> Format.fprintf fmt "@,%s: %d" name n) s.calls;
-  List.iter (fun (name, n) -> Format.fprintf fmt "@,%s: %d" name n) s.algo_calls;
-  Format.fprintf fmt "@]"

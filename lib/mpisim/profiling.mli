@@ -47,6 +47,3 @@ val algo_calls_of : string -> snapshot -> int
 
 (** [diff ~before ~after] subtracts two snapshots counter-wise. *)
 val diff : before:snapshot -> after:snapshot -> snapshot
-
-(** [pp fmt s] prints a snapshot for debugging. *)
-val pp : Format.formatter -> snapshot -> unit

@@ -159,6 +159,3 @@ let wait_any rs =
       in
       List.iter (fun r -> r.waiter <- None) rs;
       (match find_ready () with Some res -> res | None -> assert false)
-
-let test_all rs =
-  if List.for_all is_complete rs then Some (List.map (fun r -> wait r) rs) else None

@@ -74,9 +74,6 @@ val wait_all : t list -> status list
     is complete and returns its index and status. *)
 val wait_any : t list -> int * status
 
-(** [test_all rs] is [Some statuses] if all complete, else [None]. *)
-val test_all : t list -> status list option
-
 (** {1 Checker support} *)
 
 (** [was_observed r] is true once the program saw the request's completion

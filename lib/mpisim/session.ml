@@ -3,9 +3,6 @@ type t = { world : World.t; world_rank : int; name : string }
 let init ?(name = "default") comm =
   { world = Comm.world comm; world_rank = Comm.world_rank_of comm (Comm.rank comm); name }
 
-let name s = s.name
-let pset_names s = World.pset_names s.world
-
 let register_pset s pname ranks = World.register_pset s.world pname ranks
 
 let self_pset = "mpi://self"

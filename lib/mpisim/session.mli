@@ -31,11 +31,6 @@ type t
     library's name. *)
 val init : ?name:string -> Comm.t -> t
 
-val name : t -> string
-
-(** [pset_names s] lists the registered process-set names, sorted. *)
-val pset_names : t -> string list
-
 (** [register_pset s name ranks] names a set of world ranks. *)
 val register_pset : t -> string -> int array -> unit
 

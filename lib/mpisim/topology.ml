@@ -18,7 +18,6 @@ let dist_graph_create_adjacent comm ~sources ~destinations =
   Coll_impl.dissemination comm ~tag:(Comm.next_collective_tag comm);
   { comm; sources = Array.copy sources; destinations = Array.copy destinations }
 
-let comm topo = topo.comm
 let indegree topo = Array.length topo.sources
 let outdegree topo = Array.length topo.destinations
 

@@ -14,9 +14,6 @@ type t
     Collective over [comm]. *)
 val dist_graph_create_adjacent : Comm.t -> sources:int array -> destinations:int array -> t
 
-(** [comm topo] is the communicator the topology was built on. *)
-val comm : t -> Comm.t
-
 (** [indegree topo] and [outdegree topo] are the local degrees. *)
 val indegree : t -> int
 

@@ -28,8 +28,6 @@ let survivors comm =
   |> List.filteri (fun _ wr -> World.is_alive w wr)
   |> Array.of_list
 
-let num_failed comm = Comm.size comm - Array.length (survivors comm)
-
 (* Shrink: the survivor set is computed from ground truth (standing in for
    the ULFM agreement protocol); the first caller materializes the shared
    state, keyed by (parent id, per-rank shrink epoch), which agrees across

@@ -28,9 +28,6 @@ val revoke : Comm.t -> unit
 (** [is_revoked comm] tests the revocation flag. *)
 val is_revoked : Comm.t -> bool
 
-(** [num_failed comm] counts dead members. *)
-val num_failed : Comm.t -> int
-
 (** [shrink comm] is collective over the survivors: returns a fresh
     (non-revoked) communicator containing exactly the live members of
     [comm], in their original relative order.  It succeeds despite

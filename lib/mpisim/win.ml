@@ -73,7 +73,6 @@ let create comm dt segment =
 
 let free win = Observe.call Rma win.comm "MPI_Win_free" (fun () -> win.freed := true)
 
-let local win = win.segment
 let size_of win target = win.sizes.(target)
 
 let check_range win ~what ~target ~target_pos ~count =

@@ -23,9 +23,6 @@ type 'a pending_get
     ordinary array accesses, as with MPI windows. *)
 val create : Comm.t -> 'a Datatype.t -> 'a array -> 'a t
 
-(** [local win] is this rank's window segment. *)
-val local : 'a t -> 'a array
-
 (** [size_of win target] is the length of [target]'s segment (collected at
     creation). *)
 val size_of : 'a t -> int -> int

@@ -131,7 +131,6 @@ let register_pset w name ranks =
   Hashtbl.replace w.psets name sorted
 
 let pset w name = Hashtbl.find_opt w.psets name
-let pset_names w = Hashtbl.fold (fun k _ acc -> k :: acc) w.psets [] |> List.sort compare
 
 let session_comm w ~key group =
   match Hashtbl.find_opt w.session_comms key with
@@ -145,11 +144,6 @@ let comm_revoked w cid =
   match Hashtbl.find_opt w.comms cid with Some s -> s.revoked | None -> false
 
 let is_alive w r = Ds.Bitset.mem w.alive r
-
-let comm_has_failed w cid =
-  match Hashtbl.find_opt w.comms cid with
-  | Some s -> Array.exists (fun r -> not (is_alive w r)) s.group
-  | None -> false
 
 let comm_failed_at w cid =
   match Hashtbl.find_opt w.comms cid with

@@ -98,9 +98,6 @@ val register_pset : t -> string -> int array -> unit
     ["mpi://world"] is always present. *)
 val pset : t -> string -> int array option
 
-(** [pset_names w] lists registered process-set names, sorted. *)
-val pset_names : t -> string list
-
 (** [session_comm w ~key group] is the communicator shared state derived
     from a process set, memoized by [key]: the first caller allocates it,
     later callers (other session members) receive the identical state.
@@ -111,11 +108,6 @@ val session_comm : t -> key:string -> int array -> comm_shared
 (** [comm_revoked w cid] is true when communicator [cid] exists and was
     revoked (checker query). *)
 val comm_revoked : t -> int -> bool
-
-(** [comm_has_failed w cid] is true when communicator [cid] exists and at
-    least one of its members has died — even if the communicator was
-    never revoked. *)
-val comm_has_failed : t -> int -> bool
 
 (** [comm_failed_at w cid] is the earliest simulated time at which a
     member of communicator [cid] died, or [infinity] when all members

@@ -99,14 +99,15 @@ let read_byte r =
   r.pos <- r.pos + 1;
   c
 
-let read_varint r =
-  let rec go shift acc =
-    if shift > Sys.int_size then raise (Corrupt "varint too long");
-    let b = Char.code (read_byte r) in
-    let acc = acc lor ((b land 0x7F) lsl shift) in
-    if b land 0x80 <> 0 then go (shift + 7) acc else acc
-  in
-  unzigzag (go 0 0)
+(* Top level, so the loop takes the reader as an argument instead of
+   capturing it: a varint read allocates no closure. *)
+let rec read_varint_bits r shift acc =
+  if shift > Sys.int_size then raise (Corrupt "varint too long");
+  let b = Char.code (read_byte r) in
+  let acc = acc lor ((b land 0x7F) lsl shift) in
+  if b land 0x80 <> 0 then read_varint_bits r (shift + 7) acc else acc
+
+let read_varint r = unzigzag (read_varint_bits r 0 0)
 
 let read_int64 r =
   need r 8;

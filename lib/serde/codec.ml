@@ -6,11 +6,7 @@ type 'a t = {
   of_json : Json.t -> 'a;
 }
 
-let name c = c.name
 let write c = c.write
-let read c = c.read
-let to_json c = c.to_json
-let of_json c = c.of_json
 
 let encode c v = Archive.build (fun w -> c.write w v)
 
@@ -329,14 +325,4 @@ let conv ~name to_repr of_repr repr =
     read = (fun r -> of_repr (repr.read r));
     to_json = (fun v -> repr.to_json (to_repr v));
     of_json = (fun j -> of_repr (repr.of_json j));
-  }
-
-let delayed f =
-  let forced = lazy (f ()) in
-  {
-    name = "delayed";
-    write = (fun w v -> (Lazy.force forced).write w v);
-    read = (fun r -> (Lazy.force forced).read r);
-    to_json = (fun v -> (Lazy.force forced).to_json v);
-    of_json = (fun j -> (Lazy.force forced).of_json j);
   }

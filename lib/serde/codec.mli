@@ -12,9 +12,6 @@
 
 type 'a t
 
-(** [name c] is a description used in error messages. *)
-val name : 'a t -> string
-
 (** {1 Running codecs} *)
 
 (** [encode c v] serializes into a fresh binary buffer. *)
@@ -30,16 +27,9 @@ val decode : 'a t -> Bytes.t -> 'a
     @raise Invalid_argument when the window does not lie inside [b]. *)
 val decode_sub : 'a t -> Bytes.t -> pos:int -> len:int -> 'a
 
-(** [write c w v] / [read c r] run the codec on an open archive (used to
-    nest values into larger messages). *)
+(** [write c w v] runs the codec on an open archive (used to nest values
+    into larger messages). *)
 val write : 'a t -> Archive.writer -> 'a -> unit
-
-val read : 'a t -> Archive.reader -> 'a
-
-(** [to_json c v] / [of_json c j] run the JSON archive. *)
-val to_json : 'a t -> 'a -> Json.t
-
-val of_json : 'a t -> Json.t -> 'a
 
 (** [encode_json c v] / [decode_json c s] are the string-level JSON
     round-trip. *)
@@ -87,7 +77,3 @@ val hashtbl : 'k t -> 'v t -> ('k, 'v) Hashtbl.t t
 (** [conv ~name to_repr of_repr repr_codec] derives a codec for a new type
     from an existing representation (Cereal's custom [serialize]). *)
 val conv : name:string -> ('a -> 'b) -> ('b -> 'a) -> 'b t -> 'a t
-
-(** [delayed f] builds a codec lazily, enabling recursive types:
-    [let rec tree = lazy (delayed (fun () -> ... Lazy.force tree ...))]. *)
-val delayed : (unit -> 'a t) -> 'a t

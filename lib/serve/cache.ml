@@ -9,8 +9,6 @@ let create ~capacity () =
   if capacity < 0 then Mpisim.Errors.usage "Cache: negative capacity %d" capacity;
   { capacity; table = Hashtbl.create (max 16 capacity); lookups = 0; hits = 0 }
 
-let enabled t = t.capacity > 0
-
 let find t k =
   if t.capacity = 0 then None
   else begin

@@ -22,8 +22,6 @@ type t
     @raise Mpisim.Errors.Usage_error on a negative capacity. *)
 val create : capacity:int -> unit -> t
 
-val enabled : t -> bool
-
 (** [find t k] is the cached value, counting the lookup (and the hit). *)
 val find : t -> int -> int option
 

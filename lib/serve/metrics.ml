@@ -4,7 +4,6 @@ type t = { samples : float V.t }
 
 let create () = { samples = V.create () }
 let record t l = V.push t.samples (Float.max 0.0 l)
-let count t = V.length t.samples
 let samples t = V.to_array t.samples
 
 let percentile samples q =

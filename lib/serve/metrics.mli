@@ -13,8 +13,6 @@ val create : unit -> t
 (** [record t l] adds one latency sample (clamped at 0). *)
 val record : t -> float -> unit
 
-val count : t -> int
-
 (** [samples t] copies the raw samples out (for cross-rank merging). *)
 val samples : t -> float array
 

@@ -132,16 +132,11 @@ val run : ?net:Simnet.Netmodel.params -> ?ranks:int -> config -> report
     store is computable without running the simulator: replay every
     stream's puts into a host-side map. *)
 
-(** [expected_stores cfg] is the oracle final store, shard by shard, in
-    the same shape as [rank_report.stores] (merged over ranks). *)
-val expected_stores : config -> (int * (int * int) list) list
-
 (** [expected_issued cfg] is the total number of requests every run of
     [cfg] issues (all streams, arrivals before [duration]). *)
 val expected_issued : config -> int
 
-(** [digest_of_stores stores] folds a shard-ordered store list into one
-    deterministic integer; {!expected_store_digest} is the oracle's. *)
-val digest_of_stores : (int * (int * int) list) list -> int
-
+(** [expected_store_digest cfg] is the oracle final store (replayed
+    puts, shard by shard) folded into the deterministic integer a run
+    reports as its store digest. *)
 val expected_store_digest : config -> int

@@ -81,7 +81,6 @@ let next_due t ~now ~limit =
       Some r
   | Some _ | None -> None
 
-let issued t = t.idx
 let pos t = t.idx
 
 let seek t i =

@@ -38,10 +38,7 @@ val create :
     calling with growing [now] drains the backlog in order. *)
 val next_due : t -> now:float -> limit:float -> request option
 
-(** [issued t] counts requests popped so far. *)
-val issued : t -> int
-
-(** [pos t] is the stream cursor (= {!issued}); [seek t i] rewinds or
+(** [pos t] is the stream cursor (requests popped so far); [seek t i] rewinds or
     advances the stream to position [i] by deterministic regeneration. *)
 val pos : t -> int
 

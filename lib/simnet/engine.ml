@@ -61,7 +61,6 @@ type t = {
   mutable park_observer : park_observer option;
   mutable chooser : chooser option;
   mutable deadline : float;
-  mutable max_events : int;
   (* chooser-mode ready-set gather scratch (reused across decisions) *)
   g_seqs : int Ds.Vec.t;
   g_owners : int Ds.Vec.t;
@@ -81,13 +80,12 @@ let create () =
   { clock = [| 0.0 |]; queue = Pqueue.create (); seq = 0; cur_seq = max_int; events = 0;
     elided = 0; reserved = [| 0.0; infinity |]; next_fid = 0;
     fibers = Ds.Vec.create (); live = 0; park_observer = None; chooser = None;
-    deadline = infinity; max_events = max_int;
+    deadline = infinity;
     g_seqs = Ds.Vec.create (); g_owners = Ds.Vec.create (); g_fns = Ds.Vec.create () }
 
 let set_park_observer t obs = t.park_observer <- obs
 let set_chooser t c = t.chooser <- c
 let set_deadline t d = t.deadline <- d
-let set_max_events t n = t.max_events <- n
 
 let choose t ~kind ~ids =
   let n = Array.length ids in
@@ -160,7 +158,6 @@ let exploring t = match t.chooser with None -> false | Some _ -> true
 
 let alive fiber = fiber.state = Running || fiber.state = Parked
 let is_parked fiber = fiber.state = Parked
-let label fiber = fiber.flabel
 
 (* Dead-fiber pruning: keep live entries in spawn order, drop the rest.
    Triggered only once dead fibers dominate a non-trivial table, so the
@@ -267,15 +264,12 @@ let delay_until t time =
   if not (time >= t.clock.(0)) then invalid_arg "Engine.delay_until: time before now (or NaN)";
   perform (Delay_until (t, time))
 
-let yield t = perform (Delay (t, 0.0))
 let suspend t register = perform (Suspend (t, register))
 let resume r v = r.deliver (Ok v)
 let fail r e = r.deliver (Error e)
 
 let exec t f =
   t.events <- t.events + 1;
-  if t.events > t.max_events then
-    raise (Limit_exceeded { what = "event budget"; time = t.clock.(0); events = t.events });
   f ()
 
 (* Chooser mode: gather the full same-time ready set into the scratch

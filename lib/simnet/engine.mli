@@ -24,9 +24,8 @@ exception Killed
 exception Deadlock of string list
 
 (** Raised by {!run} when the simulated clock passes the {!set_deadline}
-    deadline or the executed-event count exceeds {!set_max_events} — the
-    watchdog that turns a livelocking schedule into a diagnosable failure
-    instead of a hung test run. *)
+    deadline — the watchdog that turns a runaway schedule into a
+    diagnosable failure instead of a hung test run. *)
 exception Limit_exceeded of { what : string; time : float; events : int }
 
 (** [create ()] is a fresh engine with clock 0. *)
@@ -124,9 +123,6 @@ val alive : fiber -> bool
     ones (used by the MPI layer's deadlock diagnosis). *)
 val is_parked : fiber -> bool
 
-(** [label fiber] is the label given at spawn time. *)
-val label : fiber -> string
-
 (** [run t] executes events until the queue is empty.
     @raise Deadlock if fibers remain parked with no pending event. *)
 val run : t -> unit
@@ -190,10 +186,6 @@ val choose : t -> kind:decision_kind -> ids:int array -> int
     simulated clock passes [d] seconds (default: no deadline). *)
 val set_deadline : t -> float -> unit
 
-(** [set_max_events t n] bounds the number of executed events (default:
-    [max_int]) — catches livelocks that spin without advancing time. *)
-val set_max_events : t -> int -> unit
-
 (** {1 Fiber-side operations}
 
     These must be called from inside a fiber spawned on the engine. *)
@@ -210,9 +202,6 @@ val delay : t -> float -> unit
     sees it as [Park_delay].
     @raise Invalid_argument if [time] is before {!now} or NaN. *)
 val delay_until : t -> float -> unit
-
-(** [yield t] lets all other events scheduled for the current time run. *)
-val yield : t -> unit
 
 (** A one-shot handle used to wake a suspended fiber. *)
 type 'a resumer

@@ -139,8 +139,6 @@ let fabric_params f ~src_node ~dst_node =
 let params_between t ~src ~dst =
   fabric_params t.f ~src_node:t.f.f_node_of.(src) ~dst_node:t.f.f_node_of.(dst)
 
-let local_compute_cost t ~bytes = float_of_int bytes *. t.f.f_core.memcpy_byte_time
-
 (* ------------------------------------------------------------------ *)
 (* Cost-prediction helpers (LogGP terms) for the collective-algorithm  *)
 (* selection layer.  These mirror [transfer] exactly: a single         *)

@@ -134,9 +134,6 @@ val params_between : t -> src:int -> dst:int -> params
 val transfer :
   t -> now:float -> src:int -> dst:int -> bytes:int -> pack_factor:float -> float * float
 
-(** [local_compute_cost t ~bytes] is the memcpy cost for [bytes]. *)
-val local_compute_cost : t -> bytes:int -> float
-
 (** {1 Cost prediction}
 
     Analytic LogGP terms matching {!transfer}, used by the collective

@@ -10,8 +10,7 @@
 
 type level = Off | Coarse | Fine
 
-let level_to_string = function Off -> "off" | Coarse -> "coarse" | Fine -> "fine"
-
+(* "off"/"0", "coarse"/"1" or "fine"/"2"; anything else raises. *)
 let level_of_string s =
   match String.lowercase_ascii (String.trim s) with
   | "off" | "0" | "" -> Off
@@ -43,7 +42,6 @@ let state =
 
 let current () = state.lvl
 let set_level l = state.lvl <- l
-let enabled () = state.lvl <> Off
 let fine () = state.lvl = Fine
 
 let with_level l f =
@@ -132,16 +130,3 @@ let snapshot () =
 let reset () =
   Hashtbl.reset state.ops;
   Hashtbl.reset state.counters
-
-let pp fmt s =
-  Format.fprintf fmt "@[<v>host profile (level %s, peak rss %d kB)" (level_to_string s.slevel)
-    s.rss_kb;
-  List.iter
-    (fun (name, o) ->
-      Format.fprintf fmt "@,%s: %d calls, %.3f ms total (%.1f..%.1f us)" name o.calls
-        (float_of_int o.total_ns /. 1e6)
-        (float_of_int o.min_ns /. 1e3)
-        (float_of_int o.max_ns /. 1e3))
-    s.ops;
-  List.iter (fun (name, n) -> Format.fprintf fmt "@,%s: %d" name n) s.counters;
-  Format.fprintf fmt "@]"

@@ -19,25 +19,12 @@ type level =
   | Coarse  (** wall-time per named operation (run loops, experiments) *)
   | Fine  (** plus event-loop counters and peak-RSS tracking *)
 
-val level_to_string : level -> string
-
-(** Parses ["off"]/["0"], ["coarse"]/["1"], ["fine"]/["2"].
-    @raise Invalid_argument on anything else. *)
-val level_of_string : string -> level
-
-(** The environment variable read at module initialization
-    ([SIMNET_PROFILE]). *)
-val env_var : string
-
 val current : unit -> level
 val set_level : level -> unit
 
 (** [with_level l f] runs [f] with the level set to [l], restoring the
     previous level on exit (exceptional exits included). *)
 val with_level : level -> (unit -> 'a) -> 'a
-
-(** [enabled ()] is [current () <> Off]. *)
-val enabled : unit -> bool
 
 (** [fine ()] is [current () = Fine]. *)
 val fine : unit -> bool
@@ -48,9 +35,6 @@ val now_ns : unit -> int
 (** [span name f] times [f] and accumulates the span under [name] when
     the level is at least [Coarse]; when [Off] it is exactly [f ()]. *)
 val span : string -> (unit -> 'a) -> 'a
-
-(** [add_span name ~ns] accumulates an externally measured span. *)
-val add_span : string -> ns:int -> unit
 
 (** [add_count name n] adds [n] to a [Fine]-level counter. *)
 val add_count : string -> int -> unit
@@ -80,5 +64,3 @@ val snapshot : unit -> snapshot
 
 (** [reset ()] clears accumulated spans and counters (not the level). *)
 val reset : unit -> unit
-
-val pp : Format.formatter -> snapshot -> unit

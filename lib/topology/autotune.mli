@@ -23,9 +23,6 @@ type plan = {
   t_alltoall : table;
 }
 
-(** Eight geometric sweep points, 8 B to 16 MiB. *)
-val default_sizes : int list
-
 (** {1 Raw predictions}
 
     Candidate costs in catalogue order, for predicted-vs-simulated
@@ -58,7 +55,8 @@ val predict_alltoall :
 
 (** [tune fabric ~p] tunes a [p]-rank communicator occupying ranks
     [0 .. p-1] of [fabric] (block-placed groups — the common case).
-    @param sizes message-size sweep grid (default {!default_sizes})
+    @param sizes message-size sweep grid (default: eight geometric
+    points, 8 B to 16 MiB)
     @param elem_size bytes per reduction element (default [8])
     @param op_cost seconds per combined element (default [1e-9], the
     built-in operator cost)
@@ -94,5 +92,4 @@ val install : plan -> Mpisim.Comm.t -> unit
     predicted crossover points; empty for a single-algorithm table). *)
 val crossovers : table -> int list
 
-val table_to_string : table -> string
 val to_string : plan -> string

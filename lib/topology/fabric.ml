@@ -18,7 +18,6 @@ let make ?(uplinks = 0) ~node_of ~rack_of ~node ~rack ~core () =
 
 let two_tier = N.two_tier
 let fat_tree = N.fat_tree
-let of_spec = N.fabric_of_spec
 
 let nodes (f : t) = Array.length f.N.f_rack_of
 

@@ -4,7 +4,8 @@
     rank→node→rack placement plus per-tier LogGP parameters and the shared
     uplink port count.  This module constructs the common shapes with
     validated placements; pass the result to [Mpisim.Mpi.run ~fabric] (or
-    export an equivalent [MPISIM_TOPOLOGY] spec, see {!of_spec}). *)
+    export an equivalent [MPISIM_TOPOLOGY] spec, see
+    {!Simnet.Netmodel.fabric_of_spec}). *)
 
 type t = Simnet.Netmodel.fabric
 
@@ -45,10 +46,6 @@ val fat_tree :
   ranks:int ->
   unit ->
   t
-
-(** [of_spec ~ranks spec] parses an [MPISIM_TOPOLOGY] spec string — see
-    {!Simnet.Netmodel.fabric_of_spec}. *)
-val of_spec : ranks:int -> string -> t
 
 val ranks : t -> int
 val nodes : t -> int

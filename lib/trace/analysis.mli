@@ -60,7 +60,3 @@ val analyze : Event.data -> report
 (** Sum of step durations of the critical path; equals [data.total] by
     construction of the backward walk. *)
 val critical_length : report -> float
-
-(** [op_at data ~rank ~time] is the innermost span of [rank] containing
-    [time], or ["(wait)"] when no span covers it. *)
-val op_at : Event.data -> rank:int -> time:float -> string

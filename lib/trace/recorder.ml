@@ -80,7 +80,6 @@ let default_of_env = function
 
 let default = ref (default_of_env (Sys.getenv_opt "MPISIM_TRACE"))
 let default_enabled () = !default
-let set_default b = default := b
 
 let with_default b f =
   let old = !default in

@@ -63,7 +63,6 @@ val finish : t -> total:float -> Event.data
 val default_of_env : string option -> bool
 
 val default_enabled : unit -> bool
-val set_default : bool -> unit
 
 (** [with_default b f] runs [f] with the process-wide default forced to
     [b], restoring the previous value afterwards (also on exceptions). *)

@@ -1,9 +1,6 @@
 (** Compact text rendering of an analysis {!Analysis.report}: per-rank
     time breakdown, top-k wait states, and critical-path composition. *)
 
-(** [to_string ?top report] renders the report; [top] (default 5) bounds
-    the number of wait states listed. *)
-val to_string : ?top:int -> Analysis.report -> string
-
-(** [print ?top report] writes {!to_string} to stdout. *)
+(** [print ?top report] writes the rendered report to stdout; [top]
+    (default 5) bounds the number of wait states listed. *)
 val print : ?top:int -> Analysis.report -> unit

@@ -436,7 +436,7 @@ let test_allgatherv_annotation () =
 let test_noncommutative_annotation () =
   (* a non-commutative operation must take the reduce+bcast path even though
      recursive doubling would be cheaper *)
-  let op = Op.of_fun ~name:"noncomm" ~commutative:false (fun a b -> a + b) in
+  let op = Op.of_fun ~commutative:false (fun a b -> a + b) in
   let res =
     Mpisim.Mpi.run ~ranks:4 (fun comm ->
         let sendbuf = [| Comm.rank comm + 1 |] and recvbuf = Array.make 1 0 in

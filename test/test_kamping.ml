@@ -602,11 +602,14 @@ let test_assertion_levels () =
       Assertions.check Assertions.Light (fun () -> Alcotest.fail "must not run") "boom");
   Alcotest.(check bool) "restored" true (Assertions.enabled Assertions.Light)
 
+(* The level is process-wide, so it is set around the whole run: set
+   inside the rank bodies, interleaved saves and restores leave the last
+   rank's saved level in force after the run. *)
 let test_heavy_assertion_catches_mismatch () =
   let failures =
-    Tutil.run_full ~ranks:2 (fun raw ->
-        let comm = Comm.wrap raw in
-        Assertions.with_level Assertions.Heavy (fun () ->
+    Assertions.with_level Assertions.Heavy (fun () ->
+        Tutil.run_full ~ranks:2 (fun raw ->
+            let comm = Comm.wrap raw in
             (* ranks disagree on the bcast count: heavy mode must catch it *)
             let buf = V.make (1 + Comm.rank comm) 0 in
             Comm.bcast comm D.int ~send_recv_buf:buf))
@@ -622,20 +625,65 @@ let test_heavy_assertion_catches_mismatch () =
     failures.Mpisim.Mpi.results
 
 let test_heavy_assertions_cost_communication () =
-  let with_heavy =
-    Tutil.run_full ~ranks:2 (fun raw ->
-        Assertions.with_level Assertions.Heavy (fun () ->
+  let at level =
+    Assertions.with_level level (fun () ->
+        Tutil.run_full ~ranks:2 (fun raw ->
             ignore (Comm.allgather (Comm.wrap raw) D.int ~send_buf:(V.make 1 0))))
   in
-  let with_off =
-    Tutil.run_full ~ranks:2 (fun raw ->
-        Assertions.with_level Assertions.Off (fun () ->
-            ignore (Comm.allgather (Comm.wrap raw) D.int ~send_buf:(V.make 1 0))))
-  in
+  let with_heavy = at Assertions.Heavy and with_off = at Assertions.Off in
   let calls prof = List.fold_left (fun acc (_, n) -> acc + n) 0 prof.Mpisim.Profiling.calls in
   Alcotest.(check bool) "heavy issues extra MPI calls" true
     (calls with_heavy.Mpisim.Mpi.profile > calls with_off.Mpisim.Mpi.profile);
   Alcotest.(check int) "off mode: single call" 2 (calls with_off.Mpisim.Mpi.profile)
+
+(* A counts-array check costs nothing on a valid call: 1,000 alltoallv
+   calls with every count and displacement given allocate the same words
+   at Off and at Light, and per call over the direct mpisim call only the
+   wrapper's own 37 (optional-argument boxes, result record, buffer
+   vector); each check message built would add 48.  A wrong-length array
+   still fails at Light with the message naming the call. *)
+let test_counts_check_allocates_nothing () =
+  let calls = 1_000 in
+  let extra_words level =
+    Assertions.with_level level (fun () ->
+        let words = ref 0.0 in
+        ignore
+          (wrapped ~ranks:1 (fun comm ->
+               let counts = [| 1 |] and displs = [| 0 |] in
+               let send = V.make 1 7 and recv = V.make 1 0 in
+               let raw = Comm.raw comm in
+               let w0 = Gc.minor_words () in
+               for _ = 1 to calls do
+                 ignore
+                   (Comm.alltoallv ~send_displs:displs ~recv_counts:counts ~recv_displs:displs
+                      ~recv_buf:recv comm D.int ~send_buf:send ~send_counts:counts)
+               done;
+               let w1 = Gc.minor_words () in
+               for _ = 1 to calls do
+                 Mpisim.Collectives.alltoallv raw D.int ~sendbuf:(V.unsafe_data send)
+                   ~scounts:counts ~sdispls:displs ~recvbuf:(V.unsafe_data recv) ~rcounts:counts
+                   ~rdispls:displs
+               done;
+               let w2 = Gc.minor_words () in
+               words := ((w1 -. w0) -. (w2 -. w1)) /. float_of_int calls));
+        !words)
+  in
+  let off = extra_words Assertions.Off and light = extra_words Assertions.Light in
+  Alcotest.(check (float 0.0)) "Light costs no words over Off" off light;
+  if light > 40.0 then Alcotest.failf "%.1f wrapper words per valid call, bound 40" light;
+  let failures =
+    Tutil.run_full ~ranks:2 (fun raw ->
+        ignore
+          (Comm.alltoallv (Comm.wrap raw) D.int ~send_buf:(V.make 2 0) ~send_counts:[| 1; 1; 0 |]))
+  in
+  Array.iter
+    (function
+      | Error (Mpisim.Errors.Usage_error msg) ->
+          Alcotest.(check string) "message" "alltoallv: counts array must have one entry per rank"
+            msg
+      | Ok () -> Alcotest.fail "wrong-length counts accepted at Light"
+      | Error e -> raise e)
+    failures.Mpisim.Mpi.results
 
 (* ---------- flatten ---------- *)
 
@@ -704,6 +752,8 @@ let suite =
       test_serialized_one_decode_park;
     Alcotest.test_case "assertion levels" `Quick test_assertion_levels;
     Alcotest.test_case "heavy assertion catches mismatch" `Quick test_heavy_assertion_catches_mismatch;
+    Alcotest.test_case "counts check allocates nothing on valid calls" `Quick
+      test_counts_check_allocates_nothing;
     Alcotest.test_case "assertion levels change call profile" `Quick
       test_heavy_assertions_cost_communication;
     Alcotest.test_case "with_flattened" `Quick test_flatten;

@@ -32,4 +32,5 @@ let () =
       ("topology", Test_topology.suite);
       ("bench-report", Test_bench_report.suite);
       ("coll-schedules", Test_coll_schedules.suite);
+      ("wrappers", Test_wrappers.suite);
     ]

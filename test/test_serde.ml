@@ -186,6 +186,25 @@ let test_codec_decode_sub_cursor () =
   Alcotest.(check bool) (Printf.sprintf "no cursor per decode (%.0f words)" words) true
     (words < 2_500.0)
 
+(* Every int, length and tag of an archive is a varint, so its read must
+   not allocate. *)
+let test_archive_read_varint_no_alloc () =
+  let w = Archive.writer () in
+  for i = 0 to 999 do
+    Archive.write_varint w ((i * 1_234_567) - 500_000_000)
+  done;
+  let b = Archive.contents w in
+  let r = Archive.reader ~pos:0 ~len:(Bytes.length b) b in
+  let sum = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    sum := !sum + Archive.read_varint r
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "values" (1_234_567 * 499_500 - 500_000_000_000) !sum;
+  Alcotest.(check bool) "consumed" true (Archive.at_end r);
+  Alcotest.(check (float 0.0)) "minor words for 1,000 reads" 0.0 words
+
 let test_codec_trailing_bytes () =
   let b = Codec.encode Codec.int 7 in
   let padded = Bytes.cat b (Bytes.of_string "x") in
@@ -386,6 +405,8 @@ let suite =
     Alcotest.test_case "archive number golden bytes" `Quick test_archive_number_golden;
     Alcotest.test_case "archive bounded reader" `Quick test_archive_bounded_reader;
     Alcotest.test_case "archive read_bytes copies once" `Quick test_archive_read_bytes_one_copy;
+    Alcotest.test_case "archive read_varint allocates nothing" `Quick
+      test_archive_read_varint_no_alloc;
     Alcotest.test_case "codec combinators" `Quick test_codec_combinators;
     Alcotest.test_case "codec option/result" `Quick test_codec_option_result;
     Alcotest.test_case "codec hashtbl" `Quick test_codec_hashtbl;
