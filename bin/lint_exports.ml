@@ -8,9 +8,7 @@
    value description carries the uid of the .mli's declaration; a
    reference inside the implementing unit carries the .ml's own uid and
    does not count.  Prints each exported value no other unit references
-   and exits 1 if there is any.
-
-   Usage: lint_exports [BUILD_DIR]   (default _build/default) *)
+   and exits 1 if there is any.  Run it from the repository root. *)
 
 let roots = [ "lib"; "bin"; "bench"; "perfbench"; "examples"; "test" ]
 
@@ -21,8 +19,7 @@ let rec walk dir acc =
       Array.fold_left
         (fun acc name ->
           let path = Filename.concat dir name in
-          if name = "_build" then acc
-          else if Sys.is_directory path then walk path acc
+          if Sys.is_directory path then walk path acc
           else if
             Filename.check_suffix name ".cmt"
             || Filename.check_suffix name ".cmti"
@@ -48,7 +45,7 @@ let display_name modname =
 type export = { name : string; loc : Location.t }
 
 let () =
-  let build = if Array.length Sys.argv > 1 then Sys.argv.(1) else "_build/default" in
+  let build = "_build/default" in
   let files = List.concat_map (fun r -> walk (Filename.concat build r) []) roots in
   let exports : export Shape.Uid.Tbl.t = Shape.Uid.Tbl.create 1024 in
   let used : unit Shape.Uid.Tbl.t = Shape.Uid.Tbl.create 4096 in

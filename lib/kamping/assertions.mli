@@ -32,5 +32,12 @@ val heavy_check_uniform : Mpisim.Comm.t -> int -> what:string -> unit
     simulator-side {!Mpisim.Checker}: [Off] disables it entirely,
     [Light]/[Normal] keep its match-time error recording, [Heavy] adds
     deadlock diagnosis and leak detection, and [Communication] adds
-    collective-ordering verification. *)
+    collective-ordering verification.
+
+    The level is one process-wide value, not a per-rank one: wrap the
+    whole [Mpi.run] in [with_level], never call it inside rank bodies.
+    Ranks interleave their save and restore steps, so calls from rank
+    bodies leave whichever level the last-restoring rank had saved in
+    force after the run (rank 0 saves [Light] and sets [Heavy], rank 1
+    saves [Heavy], rank 0 restores [Light], rank 1 restores [Heavy]). *)
 val with_level : level -> (unit -> 'a) -> 'a

@@ -27,7 +27,7 @@ open Effect.Deep
 exception Killed
 exception Deadlock of string list
 
-exception Limit_exceeded of { what : string; time : float; events : int }
+exception Limit_exceeded of { time : float; events : int }
 
 type fiber_state = Running | Parked | Done | Dead
 
@@ -323,7 +323,7 @@ let quiesce t =
   end
 
 let past_deadline t time =
-  Limit_exceeded { what = "simulated-time deadline"; time; events = t.events }
+  Limit_exceeded { time; events = t.events }
 
 (* The queue drained: an unpushed reservation would have been the last
    event, so the clock ends at the latest reserved time, and one past the

@@ -26,7 +26,7 @@ exception Deadlock of string list
 (** Raised by {!run} when the simulated clock passes the {!set_deadline}
     deadline — the watchdog that turns a runaway schedule into a
     diagnosable failure instead of a hung test run. *)
-exception Limit_exceeded of { what : string; time : float; events : int }
+exception Limit_exceeded of { time : float; events : int }
 
 (** [create ()] is a fresh engine with clock 0. *)
 val create : unit -> t

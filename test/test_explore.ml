@@ -352,7 +352,7 @@ let test_watchdog_livelock () =
   Alcotest.(check bool) "Limit_exceeded raised" true
     (match Mpisim.Mpi.run ~deadline:0.01 ~ranks:1 livelock_workload with
     | _ -> false
-    | exception Simnet.Engine.Limit_exceeded { what = _; time; events } ->
+    | exception Simnet.Engine.Limit_exceeded { time; events } ->
         time > 0.01 && events > 0);
   (* harness level: Tutil.run turns it into a diagnostic test failure *)
   match Tutil.run ~deadline:0.01 ~ranks:1 livelock_workload with

@@ -13,11 +13,11 @@ let default_deadline = 60.0
 
 let watchdog name f =
   try f () with
-  | Simnet.Engine.Limit_exceeded { what; time; events } ->
+  | Simnet.Engine.Limit_exceeded { time; events } ->
       Alcotest.failf
-        "%s: watchdog tripped — %s limit exceeded at simulated t=%gs after %d events \
+        "%s: watchdog tripped — deadline exceeded at simulated t=%gs after %d events \
          (livelock? raise ?deadline if the workload is legitimately long)"
-        name what time events
+        name time events
 
 let run ?(deadline = default_deadline) ~ranks f =
   watchdog "run" (fun () -> Mpisim.Mpi.results_exn (Mpisim.Mpi.run ~deadline ~ranks f))
