@@ -28,7 +28,9 @@ dune runtest
 #                        char-array window in lib/kamping, lib/ckpt,
 #                        lib/mpisim, lib/bindings or lib/apps
 #   lint:exports         every value a lib/**/*.mli exports is called from
-#                        another compilation unit (bin/lint_exports.ml)
+#                        another compilation unit, and every optional
+#                        parameter it declares is passed by some call
+#                        (bin/lint_exports.ml)
 #
 # What the passes cover, in order:
 # - lint:observe: one observation point per MPI operation; a call layer
@@ -44,6 +46,18 @@ dune runtest
 #   each identifier use of lib, bin, bench, perfbench, examples and test
 #   against the values the library interfaces declare, and fails naming
 #   every exported value no other unit calls.  Tests count as callers.
+#   The same pass fails naming every exported optional parameter that no
+#   application passes (~x: or ?x:, from any unit, the defining one and
+#   tests included).  A forward (?x:y of the caller's own ?y, or ~x:y of
+#   its ?(y = d)) counts only if some application sets ?y.  A knob every
+#   call leaves at its default is deleted
+#   with its default inlined, and call surface (offsets, roots, tags,
+#   buffers, resize policies, *_out flags) is set by a knob row of
+#   test/test_wrappers.ml.  Mutation-checked: an unset ?probe:int on
+#   Ds.Bitset.create fails it naming the parameter, and so does deleting
+#   the only test row that sets Kamping.Comm.is_root ?root, and so does
+#   a ?deadline that Explore.explore only receives from a test wrapper's
+#   unset ?deadline.
 #   There is no allowlist: delete the value, drop it from its .mli, or
 #   call it from a test.
 # - runtest under the strictest MUST-style checker, under event tracing

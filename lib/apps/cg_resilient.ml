@@ -19,7 +19,7 @@ let state_codec =
 let row_codec = Serde.Codec.(array float)
 let dot_codec = Serde.Codec.(list (pair int float))
 
-let run ?policy ?failure_rate ?max_attempts comm ~n_shards ~nx ~ny ~iters ~seed =
+let run ?policy comm ~n_shards ~nx ~ny ~iters ~seed =
   if nx < n_shards then
     Mpisim.Errors.usage "Cg_resilient: grid rows %d smaller than %d shards" nx n_shards;
   let rows s = G.block_range ~global_n:nx ~comm_size:n_shards s in
@@ -27,7 +27,7 @@ let run ?policy ?failure_rate ?max_attempts comm ~n_shards ~nx ~ny ~iters ~seed 
      restored r with the same fold, so it carries the same bits *)
   let rr = ref nan in
   let shards =
-    Ckpt.run_sharded ?policy ?failure_rate ?max_attempts ~name:"cg" state_codec ~n_shards comm
+    Ckpt.run_sharded ?policy ~name:"cg" state_codec ~n_shards comm
       ~init:(fun s ->
         let gi0, lx = rows s in
         C.start_block

@@ -7,13 +7,11 @@
     [Cg_stencil.solve ~dims:[|n_shards; 1|]] on [n_shards] ranks, so a
     recovered run is bit-identical to that failure-free one. *)
 
-(** [run ?policy ?failure_rate ?max_attempts comm ~n_shards ~nx ~ny
-    ~iters ~seed] returns the surviving rank's [(shard, x block)] list
-    and the final global squared residual. *)
+(** [run ?policy comm ~n_shards ~nx ~ny ~iters ~seed] returns the
+    surviving rank's [(shard, x block)] list and the final global
+    squared residual. *)
 val run :
   ?policy:Ckpt.Schedule.policy ->
-  ?failure_rate:float ->
-  ?max_attempts:int ->
   Kamping.Comm.t ->
   n_shards:int ->
   nx:int ->

@@ -7,11 +7,9 @@ module K = Kamping.Comm
 
 let pair_codec = Serde.Codec.(vec (pair int int))
 
-let run ?policy ?failure_rate ?max_attempts comm ~family ~n_shards ~global_n ~avg_degree ~seed =
+let run ?policy comm ~family ~n_shards ~global_n ~avg_degree ~seed =
   let graph = Graphgen.Generators.shard_slices family ~n_shards ~global_n ~avg_degree ~seed in
-  Ckpt.run_sharded ?policy ?failure_rate ?max_attempts ~name:"conncomp"
-    Serde.Codec.(array int)
-    ~n_shards comm
+  Ckpt.run_sharded ?policy ~name:"conncomp" Serde.Codec.(array int) ~n_shards comm
     ~init:(fun s -> Conncomp.initial_labels (graph s))
     (fun ctx shards ->
       (* one exchange of every owned shard's bucketed pairs *)

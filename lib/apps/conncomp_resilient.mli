@@ -4,13 +4,10 @@
     any checkpoint converges to the same fixpoint: the component-minimum
     labels, bit-identical to {!Conncomp.run} and its reference. *)
 
-(** [run ?policy ?failure_rate ?max_attempts comm ~family ~n_shards
-    ~global_n ~avg_degree ~seed] returns the surviving rank's
-    [(shard, labels)] blocks. *)
+(** [run ?policy comm ~family ~n_shards ~global_n ~avg_degree ~seed]
+    returns the surviving rank's [(shard, labels)] blocks. *)
 val run :
   ?policy:Ckpt.Schedule.policy ->
-  ?failure_rate:float ->
-  ?max_attempts:int ->
   Kamping.Comm.t ->
   family:Graphgen.Generators.family ->
   n_shards:int ->

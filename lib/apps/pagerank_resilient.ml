@@ -15,10 +15,10 @@ let state_codec =
 let dang_codec = Serde.Codec.(list (pair int (array float)))
 let contrib_codec = Serde.Codec.(vec (pair int float))
 
-let run ?policy ?failure_rate ?max_attempts comm ~family ~n_shards ~global_n ~avg_degree ~seed
+let run ?policy comm ~family ~n_shards ~global_n ~avg_degree ~seed
     ~alpha ~iters =
   let graph = Graphgen.Generators.shard_slices family ~n_shards ~global_n ~avg_degree ~seed in
-  Ckpt.run_sharded ?policy ?failure_rate ?max_attempts ~name:"pagerank" state_codec ~n_shards comm
+  Ckpt.run_sharded ?policy ~name:"pagerank" state_codec ~n_shards comm
     ~init:(fun s -> { pr = Pagerank.initial_scores (graph s) })
     (fun ctx shards ->
       let kc = Ckpt.comm ctx in

@@ -9,13 +9,11 @@
     the non-resilient, and the sequential-reference) scores bit for
     bit. *)
 
-(** [run ?policy ?failure_rate ?max_attempts comm ~family ~n_shards
-    ~global_n ~avg_degree ~seed ~alpha ~iters] returns the surviving
-    rank's [(shard, scores)] blocks after [iters] iterations. *)
+(** [run ?policy comm ~family ~n_shards ~global_n ~avg_degree ~seed
+    ~alpha ~iters] returns the surviving rank's [(shard, scores)] blocks
+    after [iters] iterations. *)
 val run :
   ?policy:Ckpt.Schedule.policy ->
-  ?failure_rate:float ->
-  ?max_attempts:int ->
   Kamping.Comm.t ->
   family:Graphgen.Generators.family ->
   n_shards:int ->

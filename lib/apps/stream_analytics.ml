@@ -149,12 +149,12 @@ let run kc cfg =
    streams, and the merged results of every closed window are already
    on every survivor (shrinking recovery only removes ranks). *)
 
-let resilient ?policy ?failure_rate ?max_attempts kc cfg =
+let resilient ?policy kc cfg =
   check_cfg cfg;
   (* replayed windows overwrite their slot with the identical value *)
   let acc = Array.make cfg.windows None in
   ignore
-    (Ckpt.run_sharded ?policy ?failure_rate ?max_attempts ~name:"stream" Serde.Codec.unit
+    (Ckpt.run_sharded ?policy ~name:"stream" Serde.Codec.unit
        ~n_shards:cfg.n_shards kc ~init:ignore (fun ctx shards ->
          let kc = Ckpt.comm ctx in
          let tables = make_tables cfg in

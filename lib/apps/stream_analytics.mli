@@ -37,13 +37,11 @@ type window_result = {
     results (identical on every rank).  Collective. *)
 val run : Kamping.Comm.t -> cfg -> window_result array
 
-(** [resilient ?policy ?failure_rate ?max_attempts kc cfg] is the
-    checkpointed variant; survivors adopt orphaned shards and the
-    result is bitwise equal to a failure-free {!run}. *)
+(** [resilient ?policy kc cfg] is the checkpointed variant; survivors
+    adopt orphaned shards and the result is bitwise equal to a
+    failure-free {!run}. *)
 val resilient :
   ?policy:Ckpt.Schedule.policy ->
-  ?failure_rate:float ->
-  ?max_attempts:int ->
   Kamping.Comm.t ->
   cfg ->
   window_result array

@@ -6,7 +6,7 @@
 
 type 'a t = { mutable data : 'a array; mutable len : int; mutable want_cap : int }
 
-let create ?(capacity = 0) () = { data = [||]; len = 0; want_cap = capacity }
+let create () = { data = [||]; len = 0; want_cap = 0 }
 let make n x = { data = Array.make (max n 0) x; len = n; want_cap = 0 }
 let init n f = { data = Array.init n f; len = n; want_cap = 0 }
 let of_array a = { data = Array.copy a; len = Array.length a; want_cap = 0 }

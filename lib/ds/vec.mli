@@ -19,7 +19,7 @@
 type 'a t
 
 (** [create ()] is an empty vector. *)
-val create : ?capacity:int -> unit -> 'a t
+val create : unit -> 'a t
 
 (** [make n x] is a vector of length [n] filled with [x]. *)
 val make : int -> 'a -> 'a t

@@ -115,7 +115,7 @@ let node_awareness () =
   in
   (* node size 8 = grid row width: phase 1 of the grid plugin becomes
      intra-node traffic *)
-  let fabric = Topology.Fabric.two_tier ~node_size:8 ~ranks () in
+  let fabric = Simnet.Netmodel.two_tier ~node_size:8 ~ranks () in
   let rows =
     [
       [ "flat fabric"; Table_fmt.seconds (bfs Apps.Bfs_kamping.bfs);
@@ -198,8 +198,8 @@ let oversampling_quality () =
 let assertion_levels () =
   let profile level =
     let res =
-      Mpisim.Mpi.run ~ranks:8 (fun raw ->
-          Kamping.Assertions.with_level level (fun () ->
+      Kamping.Assertions.with_level level (fun () ->
+          Mpisim.Mpi.run ~ranks:8 (fun raw ->
               let comm = K.wrap raw in
               ignore (K.allgather comm D.int ~send_buf:(V.make 4 (K.rank comm)))))
     in

@@ -295,7 +295,7 @@ let hier_point ~fabric ~net ~group ~plan ~coll ~count =
           Algo.bcast_name (Select.bcast fresh ~cid:0 prm ~p ~bytes),
           plan.Topology.Autotune.t_bcast )
     | "allreduce" ->
-        ( Topology.Autotune.predict_allreduce ?hier ~op_cost prm ~p ~bytes,
+        ( Topology.Autotune.predict_allreduce ?hier prm ~p ~bytes,
           Algo.allreduce_name
             (Select.allreduce fresh ~cid:0 prm ~p ~bytes ~elems:count ~op_cost ~commutative:true),
           plan.Topology.Autotune.t_allreduce )

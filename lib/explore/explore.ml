@@ -270,13 +270,12 @@ let default_deadline = 3600.0
 let last_token_ref : token option ref = ref None
 let last_token () = !last_token_ref
 
-let run ?(strategy = Default) ?(chaos = no_chaos) ?replay ?net
-    ?(check = Checker.Communication) ?(deadline = default_deadline) ~ranks f =
+let run ?(strategy = Default) ?(chaos = no_chaos) ?replay ~ranks f =
   let s = make_session ~strategy ~chaos ~replay () in
   let outcome =
-    Checker.with_level check (fun () ->
+    Checker.with_level Checker.Communication (fun () ->
         match
-          Mpisim.Mpi.run ?net ~hooks:s.hooks ~fail_at:s.fail_at ~deadline ~ranks f
+          Mpisim.Mpi.run ~hooks:s.hooks ~fail_at:s.fail_at ~deadline:default_deadline ~ranks f
         with
         | r -> Finished r
         | exception e -> Crashed e)
@@ -285,9 +284,8 @@ let run ?(strategy = Default) ?(chaos = no_chaos) ?replay ?net
   last_token_ref := Some token;
   { outcome; token }
 
-let replay ?net ?check ?deadline token ~ranks f =
-  run ~strategy:token.strategy ~chaos:token.chaos ~replay:token.trace ?net ?check
-    ?deadline ~ranks f
+let replay token ~ranks f =
+  run ~strategy:token.strategy ~chaos:token.chaos ~replay:token.trace ~ranks f
 
 (* ------------------------------------------------------------------ *)
 (* Verdicts                                                            *)
@@ -335,7 +333,8 @@ let verdict_of (o : 'a observed) =
    with 0 beyond the end of the trace).  Deleting entries would shift the
    positions of every later decision and change their meaning, so zeroing
    is the only sound reduction. *)
-let shrink_trace ?(budget = 300) ~fails trace =
+let shrink_trace ~fails trace =
+  let budget = 300 in
   let attempts = ref 0 in
   let try_candidate cand =
     !attempts < budget
@@ -383,11 +382,11 @@ type counterexample = {
   ce_chrome : string option;  (* path of the dumped Chrome trace, if any *)
 }
 
-let dump_chrome ?net ?(check = Checker.Communication) token ~ranks f =
+let dump_chrome token ~ranks f =
   let s = make_session ~strategy:token.strategy ~chaos:token.chaos ~replay:(Some token.trace) () in
   match
-    Checker.with_level check (fun () ->
-        Mpisim.Mpi.run ?net ~hooks:s.hooks ~fail_at:s.fail_at ~deadline:default_deadline
+    Checker.with_level Checker.Communication (fun () ->
+        Mpisim.Mpi.run ~hooks:s.hooks ~fail_at:s.fail_at ~deadline:default_deadline
           ~trace:true ~ranks f)
   with
   | exception _ -> None
@@ -401,9 +400,9 @@ let dump_chrome ?net ?(check = Checker.Communication) token ~ranks f =
               output_string oc (Serde.Json.to_string json));
           Some path)
 
-let explore ?(schedules = 20) ?(seed = 7) ?(chaos = no_chaos) ?net ?check
-    ?(deadline = default_deadline) ?(verdict = verdict_of) ?(dump = true) ~ranks f =
-  let reference = run ~strategy:Default ~chaos:no_chaos ?net ?check ~deadline ~ranks f in
+let explore ?(schedules = 20) ?(seed = 7) ?(chaos = no_chaos) ?(verdict = verdict_of)
+    ?(dump = true) ~ranks f =
+  let reference = run ~strategy:Default ~chaos:no_chaos ~ranks f in
   match verdict reference with
   | Fail reason ->
       Error
@@ -423,7 +422,7 @@ let explore ?(schedules = 20) ?(seed = 7) ?(chaos = no_chaos) ?net ?check
         let sd =
           Int64.to_int (Rng.hash64 (Int64.of_int ((seed * 1_000_003) + !i))) land 0x3FFFFFFF
         in
-        let o = run ~strategy:(Random { seed = sd }) ~chaos ?net ?check ~deadline ~ranks f in
+        let o = run ~strategy:(Random { seed = sd }) ~chaos ~ranks f in
         match verdict o with
         | Fail reason -> failing := Some (o.token, reason, !i)
         | Pass d when d <> ref_digest ->
@@ -439,15 +438,12 @@ let explore ?(schedules = 20) ?(seed = 7) ?(chaos = no_chaos) ?net ?check
       | None -> Ok schedules
       | Some (tok, reason, at) ->
           let fails tr =
-            let o =
-              run ~strategy:tok.strategy ~chaos:tok.chaos ~replay:tr ?net ?check ~deadline
-                ~ranks f
-            in
+            let o = run ~strategy:tok.strategy ~chaos:tok.chaos ~replay:tr ~ranks f in
             match verdict o with Fail _ -> true | Pass d -> d <> ref_digest
           in
           let minimized = shrink_trace ~fails tok.trace in
           let ce_token = { tok with trace = minimized } in
-          let ce_chrome = if dump then dump_chrome ?net ?check ce_token ~ranks f else None in
+          let ce_chrome = if dump then dump_chrome ce_token ~ranks f else None in
           Error
             {
               ce_token;
@@ -465,12 +461,10 @@ let with_factory factory f =
   Mpisim.Exhook.factory := factory;
   Fun.protect ~finally:(fun () -> Mpisim.Exhook.factory := old) f
 
-let with_strategy ~strategy ?(chaos = no_chaos) ?replay f =
-  if chaos.kills <> [] then
-    invalid_arg "Explore.with_strategy: chaos kills need Explore.run (fail_at plumbing)";
-  let s = make_session ~strategy ~chaos ~replay () in
+let with_strategy ~strategy f =
+  let s = make_session ~strategy ~chaos:no_chaos ~replay:None () in
   let v = with_factory (fun () -> Some s.hooks) f in
-  (v, { strategy; chaos; trace = s.trace_of () })
+  (v, { strategy; chaos = no_chaos; trace = s.trace_of () })
 
 let unexplored f = with_factory (fun () -> None) f
 

@@ -86,32 +86,22 @@ type 'a outcome =
 type 'a observed = { outcome : 'a outcome; token : token }
 
 (** [run ~strategy ~chaos ~ranks f] executes the SPMD program [f] under
-    one explored schedule, with the checker at [check] (default
-    [Communication]) and the simulated-time watchdog at [deadline]
-    (default 3600 simulated seconds).
+    one explored schedule on the default network, with the checker at
+    [Communication] and the simulated-time watchdog at 3600 simulated
+    seconds.
     [replay] overrides the strategy's decisions with a recorded trace
     (out-of-range or exhausted entries fall back to 0). *)
 val run :
   ?strategy:strategy ->
   ?chaos:chaos ->
   ?replay:int array ->
-  ?net:Simnet.Netmodel.params ->
-  ?check:Mpisim.Checker.level ->
-  ?deadline:float ->
   ranks:int ->
   (Mpisim.Comm.t -> 'a) ->
   'a observed
 
 (** [replay token ~ranks f] re-executes the exact schedule captured in
-    [token]. *)
-val replay :
-  ?net:Simnet.Netmodel.params ->
-  ?check:Mpisim.Checker.level ->
-  ?deadline:float ->
-  token ->
-  ranks:int ->
-  (Mpisim.Comm.t -> 'a) ->
-  'a observed
+    [token], with {!run}'s default network, checker level and deadline. *)
+val replay : token -> ranks:int -> (Mpisim.Comm.t -> 'a) -> 'a observed
 
 (** The token of the most recent {!run} (or {!replay}) — lets a failing
     property-based test print how to reproduce its last schedule. *)
@@ -150,9 +140,6 @@ val explore :
   ?schedules:int ->
   ?seed:int ->
   ?chaos:chaos ->
-  ?net:Simnet.Netmodel.params ->
-  ?check:Mpisim.Checker.level ->
-  ?deadline:float ->
   ?verdict:('a observed -> verdict) ->
   ?dump:bool ->
   ranks:int ->
@@ -161,11 +148,11 @@ val explore :
 
 (** [shrink_trace ~fails trace] greedily minimizes a failing decision
     trace: zero aligned chunks (halving sizes down to single decisions,
-    at most [budget] re-executions of [fails]), keep each candidate on
+    at most 300 re-executions of [fails]), keep each candidate on
     which the failure persists, then trim trailing zeros (replay pads
     with 0).  Entries are positional, so zeroing — never deletion — is
     the sound reduction. *)
-val shrink_trace : ?budget:int -> fails:(int array -> bool) -> int array -> int array
+val shrink_trace : fails:(int array -> bool) -> int array -> int array
 
 (** {1 Scoped activation}
 
@@ -174,12 +161,9 @@ val shrink_trace : ?budget:int -> fails:(int array -> bool) -> int array -> int 
     hooks via {!Mpisim.Exhook.factory}.  Decisions are shared across the
     runs in one scope, so a scope replays as a unit. *)
 
-(** [with_strategy ~strategy f] runs [f] with exploration active, and
-    returns [f ()]'s result together with the captured token.
-    @raise Invalid_argument if [chaos] contains kills (those need the
-    [fail_at] plumbing of {!run}). *)
-val with_strategy :
-  strategy:strategy -> ?chaos:chaos -> ?replay:int array -> (unit -> 'a) -> 'a * token
+(** [with_strategy ~strategy f] runs [f] with exploration active and no
+    chaos, and returns [f ()]'s result together with the captured token. *)
+val with_strategy : strategy:strategy -> (unit -> 'a) -> 'a * token
 
 (** [unexplored f] runs [f] with exploration forced off, even under
     [MPISIM_EXPLORE] — for tests asserting incumbent-schedule behaviour. *)

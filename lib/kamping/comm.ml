@@ -67,11 +67,18 @@ let prepare_recv ?recv_buf ?recv_policy dt ~needed ~samples =
   let vec, arr, _ = prepare_recv_full ?recv_buf ?recv_policy dt ~needed ~samples in
   (vec, arr)
 
-(* After a receive completed with [actual] elements, shrink the vector to
-   the true size — unless the caller forbade resizing. *)
-let fit_to_actual policy dt vec actual =
-  if V.length vec <> actual && policy <> Resize_policy.No_resize then
-    V.resize vec actual (filler dt [ vec ])
+(* After a receive completed with [actual] elements: [Resize_to_fit]
+   trims the vector to the true size, [Grow_only] keeps only the growth
+   the data needed (never below the caller's length [before]), and
+   [No_resize] never resizes. *)
+let fit_to_actual policy dt vec ~before actual =
+  let n =
+    match policy with
+    | Resize_policy.Resize_to_fit -> actual
+    | Grow_only -> max before actual
+    | No_resize -> V.length vec
+  in
+  if V.length vec <> n then V.resize vec n (filler dt [ vec ])
 
 (* The message is built only on failure: a valid call allocates nothing. *)
 let check_counts_array t what counts =
@@ -400,11 +407,12 @@ let recv ?(tag = default_tag) ?count ?recv_buf ?recv_policy t dt ~src =
         let st = P.probe t.c ~src ~tag in
         (st.Mpisim.Request.source, st.Mpisim.Request.tag, st.Mpisim.Request.count)
   in
+  let before = Option.fold ~none:0 ~some:V.length recv_buf in
   let vec, arr, policy = prepare_recv_full ?recv_buf ?recv_policy dt ~needed:count ~samples:[] in
   let st = P.recv t.c dt arr ~count ~src ~tag in
   (* The status carries the true element count (it may be below capacity
      when ?count was an upper bound). *)
-  fit_to_actual policy dt vec st.Mpisim.Request.count;
+  fit_to_actual policy dt vec ~before st.Mpisim.Request.count;
   vec
 
 let isend ?(tag = default_tag) t dt ~send_buf ~dst =
@@ -419,7 +427,7 @@ let irecv ?(tag = default_tag) ~count t dt ~src =
   let vec, arr, policy = prepare_recv_full dt ~needed:count ~samples:[] in
   let req = P.irecv t.c dt arr ~count ~src ~tag in
   Nb_result.make req (fun st ->
-      fit_to_actual policy dt vec st.Mpisim.Request.count;
+      fit_to_actual policy dt vec ~before:0 st.Mpisim.Request.count;
       vec)
 
 let iprobe ?(tag = default_tag) t ~src = P.iprobe t.c ~src ~tag

@@ -141,4 +141,4 @@ let run ?(net = Netmodel.default) ?fabric ?(fail_at = []) ?trace ?hooks
 let results_exn r =
   Array.map (function Ok v -> v | Error e -> raise e) r.results
 
-let run_exn ?net ~ranks f = results_exn (run ?net ~ranks f)
+let run_exn ~ranks f = results_exn (run ~ranks f)

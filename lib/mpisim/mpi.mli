@@ -66,9 +66,9 @@ val run :
   (Comm.t -> 'a) ->
   'a run_result
 
-(** [run_exn ?net ~ranks f] is {!run} but unwraps the per-rank results,
-    re-raising the first rank failure. *)
-val run_exn : ?net:Simnet.Netmodel.params -> ranks:int -> (Comm.t -> 'a) -> 'a array
+(** [run_exn ~ranks f] is {!run} on the default network but unwraps the
+    per-rank results, re-raising the first rank failure. *)
+val run_exn : ranks:int -> (Comm.t -> 'a) -> 'a array
 
 (** [results_exn r] unwraps [r.results], re-raising the first failure. *)
 val results_exn : 'a run_result -> 'a array

@@ -136,7 +136,8 @@ let isend ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~dst ~tag =
         isend_body w comm dt buf pos count ~dst ~tag ~ctx req)
   else isend_body w comm dt buf pos count ~dst ~tag ~ctx req
 
-let issend ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~dst ~tag =
+let issend ?(pos = 0) ?count comm dt buf ~dst ~tag =
+  let ctx = Msg.User in
   check ~ctx comm dt tag;
   let count = window_bounds ~what:"issend" dt buf pos count in
   let w = Comm.world comm in
@@ -322,10 +323,10 @@ let irecv ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~src ~tag =
         irecv_body w comm dt buf pos capacity ~src ~tag ~ctx req)
   else irecv_body w comm dt buf pos capacity ~src ~tag ~ctx req
 
-let probe ?(ctx = Msg.User) comm ~src ~tag =
+let probe comm ~src ~tag =
   Comm.check_active comm;
-  let w = Comm.world comm in
-  Observe.call ~ctx P2p comm "MPI_Probe" @@ fun () ->
+  let w = Comm.world comm and ctx = Msg.User in
+  Observe.call P2p comm "MPI_Probe" @@ fun () ->
   let mb = w.World.mailboxes.(my_world comm) in
   match Msg.peek_unexpected mb ~src ~tag ~comm:(Comm.id comm) ~ctx with
   | Some env -> { Request.source = env.Msg.src; tag = env.Msg.tag; count = env.Msg.count }
@@ -355,30 +356,30 @@ let probe ?(ctx = Msg.User) comm ~src ~tag =
                 })
     end
 
-let iprobe ?(ctx = Msg.User) comm ~src ~tag =
+let iprobe comm ~src ~tag =
   Comm.check_active comm;
   let w = Comm.world comm in
   (* an instantaneous poll: counted, but no span *)
-  ignore (Observe.p2p ~ctx comm "MPI_Iprobe" : bool);
+  ignore (Observe.p2p ~ctx:User comm "MPI_Iprobe" : bool);
   let mb = w.World.mailboxes.(my_world comm) in
-  Msg.peek_unexpected mb ~src ~tag ~comm:(Comm.id comm) ~ctx
+  Msg.peek_unexpected mb ~src ~tag ~comm:(Comm.id comm) ~ctx:User
   |> Option.map (fun (env : Msg.envelope) ->
          { Request.source = env.src; tag = env.tag; count = env.count })
 
-let sendrecv ?(ctx = Msg.User) comm dt ~send:sbuf ?(send_pos = 0) ?send_count ~dst ~stag ~recv:rbuf
+let sendrecv comm dt ~send:sbuf ?(send_pos = 0) ?send_count ~dst ~stag ~recv:rbuf
     ?(recv_pos = 0) ?recv_count ~src ~rtag () =
-  Observe.call ~ctx P2p comm "MPI_Sendrecv" @@ fun () ->
-  let sreq = isend ~ctx ~pos:send_pos ?count:send_count comm dt sbuf ~dst ~tag:stag in
-  let status = recv ~ctx ~pos:recv_pos ?count:recv_count comm dt rbuf ~src ~tag:rtag in
+  Observe.call P2p comm "MPI_Sendrecv" @@ fun () ->
+  let sreq = isend ~pos:send_pos ?count:send_count comm dt sbuf ~dst ~tag:stag in
+  let status = recv ~pos:recv_pos ?count:recv_count comm dt rbuf ~src ~tag:rtag in
   ignore (Request.wait sreq);
   status
 
-let sendrecv_replace ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~dst ~stag ~src ~rtag =
-  Observe.call ~ctx P2p comm "MPI_Sendrecv_replace" @@ fun () ->
+let sendrecv_replace ?(pos = 0) ?count comm dt buf ~dst ~stag ~src ~rtag =
+  Observe.call P2p comm "MPI_Sendrecv_replace" @@ fun () ->
   (* the outgoing data is snapshotted at injection time (the runtime copies
      payloads eagerly), so receiving into the same window is safe *)
-  let sreq = isend ~ctx ~pos ?count comm dt buf ~dst ~tag:stag in
-  let status = recv ~ctx ~pos ?count comm dt buf ~src ~tag:rtag in
+  let sreq = isend ~pos ?count comm dt buf ~dst ~tag:stag in
+  let status = recv ~pos ?count comm dt buf ~src ~tag:rtag in
   ignore (Request.wait sreq);
   status
 
@@ -386,7 +387,8 @@ let sendrecv_replace ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~dst ~stag 
 (* Large-count (sparse-payload) transfers.                             *)
 (* ------------------------------------------------------------------ *)
 
-let send_sparse ?(ctx = Msg.User) comm dt ~count ~dst ~tag =
+let send_sparse comm dt ~count ~dst ~tag =
+  let ctx = Msg.User in
   check ~ctx comm dt tag;
   ignore (Datatype.bytes dt count) (* count >= 0 and byte size representable *);
   let w = Comm.world comm in
@@ -398,7 +400,8 @@ let send_sparse ?(ctx = Msg.User) comm dt ~count ~dst ~tag =
   in
   Engine.delay w.World.engine (injected -. World.now w)
 
-let recv_sparse ?(ctx = Msg.User) comm dt ~capacity ~src ~tag =
+let recv_sparse comm dt ~capacity ~src ~tag =
+  let ctx = Msg.User in
   check ~recv:true ~ctx comm dt tag;
   ignore (Datatype.bytes dt capacity);
   let w = Comm.world comm in
@@ -417,14 +420,14 @@ let recv_sparse ?(ctx = Msg.User) comm dt ~capacity ~src ~tag =
 
 (* Build a persistent handle whose waits are spans, and observe its init;
    the init call's span covers the per-call setup cost. *)
-let persistent ~ctx comm op ?partitions ?pready ?parrived ?cancel start =
+let persistent comm op ?partitions ?pready ?parrived ?cancel start =
   let h =
     Persist.make (Comm.world comm).World.engine ~op ?partitions ?pready ?parrived ?cancel
-      ~around_wait:(fun _ f -> Observe.span ~ctx P2p comm "MPI_Wait" f)
+      ~around_wait:(fun _ f -> Observe.span ~ctx:User P2p comm "MPI_Wait" f)
       start
   in
-  Observe.call ~ctx ~track:(Persistent h) P2p comm op (fun () ->
-      charge_setup ~ctx comm;
+  Observe.call ~track:(Persistent h) P2p comm op (fun () ->
+      charge_setup ~ctx:User comm;
       h)
 
 (* A persistent round's dead-peer abort after the detection delay.  The
@@ -436,8 +439,8 @@ let abort_round w h ~world_rank =
       if Persist.starts h = round && Persist.is_active h then
         Request.abort (Persist.request h) (Errors.Process_failed { world_rank }))
 
-let send_init_gen ~sync ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~dst ~tag =
-  let op = if sync then "MPI_Ssend_init" else "MPI_Send_init" in
+let send_init_gen ~sync ?(pos = 0) ?count comm dt buf ~dst ~tag =
+  let op = if sync then "MPI_Ssend_init" else "MPI_Send_init" and ctx = Msg.User in
   check ~ctx comm dt tag;
   let count = window_bounds ~what:op dt buf pos count in
   let w = Comm.world comm in
@@ -453,16 +456,16 @@ let send_init_gen ~sync ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~dst ~ta
     in
     if not sync then complete_at w req st injected
   in
-  persistent ~ctx comm op start
+  persistent comm op start
 
-let send_init ?ctx ?pos ?count comm dt buf ~dst ~tag =
-  send_init_gen ~sync:false ?ctx ?pos ?count comm dt buf ~dst ~tag
+let send_init ?pos ?count comm dt buf ~dst ~tag =
+  send_init_gen ~sync:false ?pos ?count comm dt buf ~dst ~tag
 
-let ssend_init ?ctx ?pos ?count comm dt buf ~dst ~tag =
-  send_init_gen ~sync:true ?ctx ?pos ?count comm dt buf ~dst ~tag
+let ssend_init ?pos ?count comm dt buf ~dst ~tag =
+  send_init_gen ~sync:true ?pos ?count comm dt buf ~dst ~tag
 
-let recv_init ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~src ~tag =
-  let op = "MPI_Recv_init" in
+let recv_init ?(pos = 0) ?count comm dt buf ~src ~tag =
+  let op = "MPI_Recv_init" and ctx = Msg.User in
   check ~recv:true ~ctx comm dt tag;
   let capacity = window_bounds ~what:op dt buf pos count in
   let w = Comm.world comm in
@@ -492,7 +495,7 @@ let recv_init ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~src ~tag =
        the handle is inactive after cancel, so nothing observes [Exit] *)
     Request.abort (Persist.request h) Exit
   in
-  persistent ~ctx comm op ~cancel start
+  persistent comm op ~cancel start
 
 (* ------------------------------------------------------------------ *)
 (* Partitioned communication (MPI-4 §4).                               *)
@@ -515,9 +518,9 @@ let check_partitioned ~op ~partitions ~count dt buf =
     Errors.usage "%s: %d partitions of %d elements exceed buffer of length %d" op partitions
       count (Datatype.length dt buf)
 
-let psend_init ?(ctx = Msg.User) comm dt buf ~partitions ~count ~dst ~tag =
+let psend_init comm dt buf ~partitions ~count ~dst ~tag =
+  let op = "MPI_Psend_init" and ctx = Msg.User in
   check ~ctx comm dt tag;
-  let op = "MPI_Psend_init" in
   check_partitioned ~op ~partitions ~count dt buf;
   let w = Comm.world comm in
   ignore (Comm.world_rank_of comm dst);
@@ -544,12 +547,12 @@ let psend_init ?(ctx = Msg.User) comm dt buf ~partitions ~count ~dst ~tag =
          bounds them all *)
       complete_at w (Persist.request h) { source = dst; tag; count = partitions * count } injected
   in
-  persistent ~ctx comm op ~partitions ~pready start
+  persistent comm op ~partitions ~pready start
 
-let precv_init ?(ctx = Msg.User) comm dt buf ~partitions ~count ~src ~tag =
+let precv_init comm dt buf ~partitions ~count ~src ~tag =
+  let op = "MPI_Precv_init" and ctx = Msg.User in
   check ~ctx comm dt tag;
   if src = any_source then Errors.usage "MPI_Precv_init: wildcard source is not allowed";
-  let op = "MPI_Precv_init" in
   check_partitioned ~op ~partitions ~count dt buf;
   let w = Comm.world comm in
   ignore (Comm.world_rank_of comm src);
@@ -605,4 +608,4 @@ let precv_init ?(ctx = Msg.User) comm dt buf ~partitions ~count ~src ~tag =
     Array.iter (Option.iter (Msg.cancel mb)) pendings;
     Request.abort (Persist.request h) Exit
   in
-  persistent ~ctx comm op ~partitions ~parrived ~cancel start
+  persistent comm op ~partitions ~parrived ~cancel start

@@ -6,9 +6,10 @@
     datatype) triples.  All functions must be called from inside a rank
     fiber.
 
-    The optional [ctx] argument separates user traffic from
-    library-internal collective traffic; it defaults to user context and is
-    only set to [Internal] by the collective algorithms. *)
+    The optional [ctx] argument of {!send}, {!isend}, {!recv} and {!irecv}
+    separates user traffic from library-internal collective traffic; it
+    defaults to user context and is only set to [Internal] by the
+    collective algorithms.  Every other call is user traffic. *)
 
 (** Match any sender. *)
 val any_source : int
@@ -48,7 +49,6 @@ val isend :
     the request completes only once the receiver has matched the message
     (the building block of the NBX sparse all-to-all algorithm). *)
 val issend :
-  ?ctx:Msg.ctx ->
   ?pos:int ->
   ?count:int ->
   Comm.t ->
@@ -89,16 +89,15 @@ val irecv :
 (** [probe comm ~src ~tag] blocks until a matching message is available
     (without receiving it) and returns its status — the way to learn a
     message's size before allocating the receive buffer. *)
-val probe : ?ctx:Msg.ctx -> Comm.t -> src:int -> tag:int -> Request.status
+val probe : Comm.t -> src:int -> tag:int -> Request.status
 
 (** [iprobe comm ~src ~tag] checks for a matching unexpected message without
     receiving it. *)
-val iprobe : ?ctx:Msg.ctx -> Comm.t -> src:int -> tag:int -> Request.status option
+val iprobe : Comm.t -> src:int -> tag:int -> Request.status option
 
 (** [sendrecv comm dt ~send ~dst ~stag ~recv ~src ~rtag] exchanges messages
     with two (possibly different) peers without deadlocking. *)
 val sendrecv :
-  ?ctx:Msg.ctx ->
   Comm.t ->
   ('a, 'b) Datatype.gen ->
   send:'b ->
@@ -118,7 +117,6 @@ val sendrecv :
     contents and receives the reply into the same buffer
     (MPI_Sendrecv_replace). *)
 val sendrecv_replace :
-  ?ctx:Msg.ctx ->
   ?pos:int ->
   ?count:int ->
   Comm.t ->
@@ -143,14 +141,13 @@ val sendrecv_replace :
     without a backing buffer.
     @raise Errors.Count_overflow when [count * extent] is unrepresentable *)
 val send_sparse :
-  ?ctx:Msg.ctx -> Comm.t -> ('a, 'b) Datatype.gen -> count:int -> dst:int -> tag:int -> unit
+  Comm.t -> ('a, 'b) Datatype.gen -> count:int -> dst:int -> tag:int -> unit
 
 (** [recv_sparse comm dt ~capacity ~src ~tag] receives a message of up to
     [capacity] elements without a backing buffer, returning its status
     (including the true large count).
     @raise Errors.Truncated when the sender's count exceeds [capacity] *)
 val recv_sparse :
-  ?ctx:Msg.ctx ->
   Comm.t ->
   ('a, 'b) Datatype.gen ->
   capacity:int ->
@@ -171,7 +168,6 @@ val recv_sparse :
     each round's request completes at injection time (like {!isend}).  The
     payload is re-read from [buf] at each [start]. *)
 val send_init :
-  ?ctx:Msg.ctx ->
   ?pos:int ->
   ?count:int ->
   Comm.t ->
@@ -185,7 +181,6 @@ val send_init :
     send: each round completes only once the receiver matched it (the
     persistent analogue of {!issend}, safe under NBX-style termination). *)
 val ssend_init :
-  ?ctx:Msg.ctx ->
   ?pos:int ->
   ?count:int ->
   Comm.t ->
@@ -199,7 +194,6 @@ val ssend_init :
     be {!any_source}).  The handle supports {!Persist.cancel}, so a
     standing channel can be retired before [free]. *)
 val recv_init :
-  ?ctx:Msg.ctx ->
   ?pos:int ->
   ?count:int ->
   Comm.t ->
@@ -218,7 +212,6 @@ val recv_init :
     completes when every partition has transferred. *)
 
 val psend_init :
-  ?ctx:Msg.ctx ->
   Comm.t ->
   ('a, 'b) Datatype.gen ->
   'b ->
@@ -231,7 +224,6 @@ val psend_init :
 (** [precv_init comm dt buf ~partitions ~count ~src ~tag] — the wildcard
     source is not allowed (as in MPI-4). *)
 val precv_init :
-  ?ctx:Msg.ctx ->
   Comm.t ->
   ('a, 'b) Datatype.gen ->
   'b ->

@@ -420,11 +420,11 @@ let body cfg comm =
 
 (* One epoch per round of [Ckpt.run_sharded]: the round counter is the
    epoch counter, checkpointed next to every shard. *)
-let resilient_body ?policy ?failure_rate ?max_attempts cfg comm =
+let resilient_body ?policy cfg comm =
   validate cfg;
   let report = ref None in
   let (_ : (int * shard) list) =
-    Ckpt.run_sharded ?policy ?failure_rate ?max_attempts ~name:"serve" (shard_codec cfg)
+    Ckpt.run_sharded ?policy ~name:"serve" (shard_codec cfg)
       ~n_shards:cfg.n_shards (K.wrap comm) ~init:(new_shard cfg)
       (fun ctx owned ->
         let map =

@@ -110,8 +110,6 @@ val body : config -> Mpisim.Comm.t -> rank_report
     imbalance fields are [nan]. *)
 val resilient_body :
   ?policy:Ckpt.Schedule.policy ->
-  ?failure_rate:float ->
-  ?max_attempts:int ->
   config ->
   Mpisim.Comm.t ->
   rank_report

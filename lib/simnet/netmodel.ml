@@ -82,16 +82,15 @@ let block_fabric ~node_size ~ranks ~rack_of_node ~node ~rack ~core ~uplinks =
   f
 
 (* one rack: the rack tier collapses onto the inter-node parameters *)
-let two_tier ?(intra = intra_node) ?(inter = default) ?(uplinks = 0) ~node_size ~ranks () =
-  block_fabric ~node_size ~ranks ~rack_of_node:(fun _ -> 0) ~node:intra ~rack:inter ~core:inter
-    ~uplinks
+let two_tier ?(uplinks = 0) ~node_size ~ranks () =
+  block_fabric ~node_size ~ranks ~rack_of_node:(fun _ -> 0) ~node:intra_node ~rack:default
+    ~core:default ~uplinks
 
-let fat_tree ?(intra = intra_node) ?(rack = low_latency) ?(core = default) ?(uplinks = 0)
-    ~node_size ~nodes_per_rack ~ranks () =
+let fat_tree ?(uplinks = 0) ~node_size ~nodes_per_rack ~ranks () =
   if nodes_per_rack <= 0 then invalid_arg "Netmodel: nodes_per_rack must be positive";
   block_fabric ~node_size ~ranks
     ~rack_of_node:(fun n -> n / nodes_per_rack)
-    ~node:intra ~rack ~core ~uplinks
+    ~node:intra_node ~rack:low_latency ~core:default ~uplinks
 
 type t = {
   f : fabric;

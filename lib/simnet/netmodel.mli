@@ -69,24 +69,18 @@ val validate_fabric : fabric -> unit
 
 (** [two_tier ~node_size ~ranks ()] is a cluster of shared-memory nodes
     with block placement (rank [r] on node [r / node_size]) and a single
-    rack, so the rack tier collapses onto the inter-node parameters.
-    @param intra intra-node parameters (default {!intra_node})
-    @param inter inter-node parameters (default {!default})
+    rack, so the rack tier collapses onto the inter-node parameters:
+    {!intra_node} within a node, {!default} between nodes.
     @param uplinks shared uplink ports per node (default [0])
     @raise Invalid_argument unless [node_size] and [ranks] are positive. *)
-val two_tier :
-  ?intra:params -> ?inter:params -> ?uplinks:int -> node_size:int -> ranks:int -> unit -> fabric
+val two_tier : ?uplinks:int -> node_size:int -> ranks:int -> unit -> fabric
 
 (** [fat_tree ~node_size ~nodes_per_rack ~ranks ()] is a three-tier fat
-    tree: block rank placement, consecutive nodes blocked into racks.
-    @param intra intra-node parameters (default {!intra_node})
-    @param rack intra-rack parameters (default {!low_latency})
-    @param core cross-rack parameters (default {!default})
+    tree: block rank placement, consecutive nodes blocked into racks;
+    {!intra_node} within a node, {!low_latency} within a rack and
+    {!default} across racks.
     @param uplinks shared uplink ports per node (default [0]) *)
 val fat_tree :
-  ?intra:params ->
-  ?rack:params ->
-  ?core:params ->
   ?uplinks:int ->
   node_size:int ->
   nodes_per_rack:int ->

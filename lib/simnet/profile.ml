@@ -10,16 +10,6 @@
 
 type level = Off | Coarse | Fine
 
-(* "off"/"0", "coarse"/"1" or "fine"/"2"; anything else raises. *)
-let level_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "off" | "0" | "" -> Off
-  | "coarse" | "1" -> Coarse
-  | "fine" | "2" -> Fine
-  | other -> invalid_arg (Printf.sprintf "SIMNET_PROFILE: unknown level %S" other)
-
-let env_var = "SIMNET_PROFILE"
-
 type op_stats = {
   mutable calls : int;
   mutable total_ns : int;
@@ -33,12 +23,7 @@ type state = {
   counters : (string, int ref) Hashtbl.t;
 }
 
-let state =
-  {
-    lvl = (match Sys.getenv_opt env_var with Some s -> level_of_string s | None -> Off);
-    ops = Hashtbl.create 16;
-    counters = Hashtbl.create 16;
-  }
+let state = { lvl = Off; ops = Hashtbl.create 16; counters = Hashtbl.create 16 }
 
 let current () = state.lvl
 let set_level l = state.lvl <- l

@@ -11,8 +11,8 @@
     clock, event counts, digests and {!Mpisim.Profiling} reports do not
     change (asserted over the whole gallery by the engine-scale tests).
 
-    Activation for a whole process: [SIMNET_PROFILE=coarse] (or [fine]);
-    scoped activation via {!with_level}. *)
+    The level starts [Off]; a program that reads {!snapshot} sets it with
+    {!set_level} or, scoped, {!with_level}. *)
 
 type level =
   | Off  (** disabled — instrumentation sites cost one comparison *)

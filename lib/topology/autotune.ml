@@ -18,13 +18,18 @@ type plan = {
    enough that a full sweep stays cheap. *)
 let default_sizes = List.init 8 (fun i -> 8 lsl (3 * i))
 
+(* Reductions are priced on 8-byte elements and tuned for commutative
+   operators at the built-in operators' cost per combined element. *)
+let elem_size = 8
+let op_cost = Mpisim.Op.(cost_per_element int_sum)
+
 (* Candidate predictions, in catalogue (incumbent-first) order. *)
 
 let predict_bcast ?hier prm ~p ~bytes =
   List.map (fun a -> (A.bcast_name a, C.bcast ?hier prm ~p ~bytes a)) A.all_bcast
 
-let predict_allreduce ?hier ?(elem_size = 8) ?(op_cost = 1.0e-9) prm ~p ~bytes =
-  let elems = bytes / Int.max 1 elem_size in
+let predict_allreduce ?hier prm ~p ~bytes =
+  let elems = bytes / elem_size in
   List.map
     (fun a -> (A.allreduce_name a, C.allreduce ?hier prm ~p ~bytes ~elems ~op_cost a))
     A.all_allreduce
@@ -51,8 +56,7 @@ let crossovers table = List.tl (List.map fst table)
 (* The sweep reuses the runtime's own argmin (a pinless [Select.t]), so a
    generated table can never disagree with what cost-based selection would
    have picked at a sweep point. *)
-let tune_profile ?(sizes = default_sizes) ?(elem_size = 8) ?(op_cost = 1.0e-9)
-    ?(commutative = true) ?hier prm ~p =
+let tune_profile ?(sizes = default_sizes) ?hier prm ~p =
   let sizes = List.sort_uniq compare sizes in
   if sizes = [] then invalid_arg "Autotune: empty size sweep";
   if p <= 0 then invalid_arg "Autotune: communicator size must be positive";
@@ -63,27 +67,28 @@ let tune_profile ?(sizes = default_sizes) ?(elem_size = 8) ?(op_cost = 1.0e-9)
   in
   let allreduce =
     sweep (fun ~bytes ->
-        let elems = bytes / Int.max 1 elem_size in
+        let elems = bytes / elem_size in
         A.allreduce_name
-          (S.allreduce ?hier sel ~cid:0 prm ~p ~bytes ~elems ~op_cost ~commutative))
+          (S.allreduce ?hier sel ~cid:0 prm ~p ~bytes ~elems ~op_cost
+             ~commutative:true))
   in
   let alltoall =
     sweep (fun ~bytes -> A.alltoall_name (S.alltoall ?hier sel ~cid:0 prm ~p ~bytes))
   in
   { t_p = p; t_sizes = sizes; t_bcast = bcast; t_allreduce = allreduce; t_alltoall = alltoall }
 
-let tune ?sizes ?elem_size ?op_cost ?commutative fabric ~p =
+let tune ?sizes fabric ~p =
   let ranks = Fabric.ranks fabric in
   if p > ranks then invalid_arg "Autotune.tune: communicator larger than fabric";
   let net = N.create_fabric fabric ~ranks in
   let group = Array.init p Fun.id in
   let prm = N.params_for_group net group in
   let hier = N.hier_for_group net group in
-  tune_profile ?sizes ?elem_size ?op_cost ?commutative ?hier prm ~p
+  tune_profile ?sizes ?hier prm ~p
 
-let tune_for_comm ?sizes ?elem_size ?op_cost ?commutative comm =
+let tune_for_comm comm =
   let s = Mpisim.Comm.shared comm in
-  tune_profile ?sizes ?elem_size ?op_cost ?commutative ?hier:s.Mpisim.World.hier
+  tune_profile ?hier:s.Mpisim.World.hier
     s.Mpisim.World.net_params ~p:(Array.length s.Mpisim.World.group)
 
 let install plan comm =

@@ -35,10 +35,10 @@ val predict_bcast :
   bytes:int ->
   (string * float) list
 
+(** [predict_allreduce] prices a reduction of 8-byte elements at the
+    built-in operators' cost per combined element. *)
 val predict_allreduce :
   ?hier:Simnet.Netmodel.hier_profile ->
-  ?elem_size:int ->
-  ?op_cost:float ->
   Simnet.Netmodel.params ->
   p:int ->
   bytes:int ->
@@ -55,18 +55,13 @@ val predict_alltoall :
 
 (** [tune fabric ~p] tunes a [p]-rank communicator occupying ranks
     [0 .. p-1] of [fabric] (block-placed groups — the common case).
+    Reductions are tuned for a commutative built-in operator on 8-byte
+    elements.
     @param sizes message-size sweep grid (default: eight geometric
     points, 8 B to 16 MiB)
-    @param elem_size bytes per reduction element (default [8])
-    @param op_cost seconds per combined element (default [1e-9], the
-    built-in operator cost)
-    @param commutative whether the reduction commutes (default [true])
     @raise Invalid_argument on an empty sweep or [p] exceeding the fabric. *)
 val tune :
   ?sizes:int list ->
-  ?elem_size:int ->
-  ?op_cost:float ->
-  ?commutative:bool ->
   Fabric.t ->
   p:int ->
   plan
@@ -74,14 +69,9 @@ val tune :
 (** [tune_for_comm comm] tunes for a live communicator: the profile comes
     from the communicator's actual group on its world's network model, so
     sub-communicators (e.g. a {!Mpisim.Collectives.split_by_node} leader
-    comm) tune against their own tier. *)
-val tune_for_comm :
-  ?sizes:int list ->
-  ?elem_size:int ->
-  ?op_cost:float ->
-  ?commutative:bool ->
-  Mpisim.Comm.t ->
-  plan
+    comm) tune against their own tier.  It sweeps {!tune}'s default
+    sizes. *)
+val tune_for_comm : Mpisim.Comm.t -> plan
 
 (** [install plan comm] pins the plan's tables on [comm] via
     {!Mpisim.Collectives.pin_table_algorithm}.  Call it on every rank

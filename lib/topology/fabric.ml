@@ -16,9 +16,6 @@ let make ?(uplinks = 0) ~node_of ~rack_of ~node ~rack ~core () =
   N.validate_fabric f;
   f
 
-let two_tier = N.two_tier
-let fat_tree = N.fat_tree
-
 let nodes (f : t) = Array.length f.N.f_rack_of
 
 let racks (f : t) =

@@ -2,10 +2,12 @@
 
     A fabric ({!Simnet.Netmodel.fabric}) is the simulator-facing record:
     rank→node→rack placement plus per-tier LogGP parameters and the shared
-    uplink port count.  This module constructs the common shapes with
-    validated placements; pass the result to [Mpisim.Mpi.run ~fabric] (or
-    export an equivalent [MPISIM_TOPOLOGY] spec, see
-    {!Simnet.Netmodel.fabric_of_spec}). *)
+    uplink port count.  The standard block-placed shapes are
+    {!Simnet.Netmodel.two_tier} and {!Simnet.Netmodel.fat_tree}, the
+    builders [MPISIM_TOPOLOGY] specs go through
+    ({!Simnet.Netmodel.fabric_of_spec}); this module assembles any other
+    placement with validation and describes a fabric's shape.  Pass the
+    result to [Mpisim.Mpi.run ~fabric]. *)
 
 type t = Simnet.Netmodel.fabric
 
@@ -21,29 +23,6 @@ val make :
   node:Simnet.Netmodel.params ->
   rack:Simnet.Netmodel.params ->
   core:Simnet.Netmodel.params ->
-  unit ->
-  t
-
-(** The standard shapes, {!Simnet.Netmodel.two_tier} and
-    {!Simnet.Netmodel.fat_tree}: the builders [MPISIM_TOPOLOGY] specs go
-    through too. *)
-val two_tier :
-  ?intra:Simnet.Netmodel.params ->
-  ?inter:Simnet.Netmodel.params ->
-  ?uplinks:int ->
-  node_size:int ->
-  ranks:int ->
-  unit ->
-  t
-
-val fat_tree :
-  ?intra:Simnet.Netmodel.params ->
-  ?rack:Simnet.Netmodel.params ->
-  ?core:Simnet.Netmodel.params ->
-  ?uplinks:int ->
-  node_size:int ->
-  nodes_per_rack:int ->
-  ranks:int ->
   unit ->
   t
 

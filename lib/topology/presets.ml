@@ -2,7 +2,7 @@
    model (dual-socket 24-core nodes). *)
 let omnipath_node_size = 48
 
-let omnipath ~ranks = Fabric.two_tier ~node_size:omnipath_node_size ~ranks ()
+let omnipath ~ranks = Simnet.Netmodel.two_tier ~node_size:omnipath_node_size ~ranks ()
 
 let omnipath_scattered ~ranks =
   let node_of = Place.scattered ~ranks ~node_size:omnipath_node_size in
@@ -12,12 +12,12 @@ let omnipath_scattered ~ranks =
     ~node:Simnet.Netmodel.intra_node ~rack:Simnet.Netmodel.default
     ~core:Simnet.Netmodel.default ()
 
-let smp_quad ~ranks = Fabric.two_tier ~node_size:4 ~ranks ()
+let smp_quad ~ranks = Simnet.Netmodel.two_tier ~node_size:4 ~ranks ()
 
 let fat_tree_demo ~ranks =
   (* four 8-rank nodes per rack, 2 shared uplinks per node: small enough
      to sweep in tests, congested enough to make the uplink model visible *)
-  Fabric.fat_tree ~node_size:8 ~nodes_per_rack:4 ~uplinks:2 ~ranks ()
+  Simnet.Netmodel.fat_tree ~node_size:8 ~nodes_per_rack:4 ~uplinks:2 ~ranks ()
 
 let all =
   [

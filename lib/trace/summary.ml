@@ -5,7 +5,7 @@ let class_name = function
 
 let ms t = t *. 1e3
 
-let to_string ?(top = 5) (r : Analysis.report) =
+let to_string (r : Analysis.report) =
   let b = Buffer.create 1024 in
   let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   let d = r.data in
@@ -27,7 +27,7 @@ let to_string ?(top = 5) (r : Analysis.report) =
       pf "top wait states (of %d):\n" (List.length ws);
       List.iteri
         (fun i w ->
-          if i < top then
+          if i < 5 then
             pf "  %-18s rank %d%s  %-20s %10.3f ms at t=%.3f ms\n"
               (class_name w.Analysis.ws_class)
               w.ws_rank
@@ -53,4 +53,4 @@ let to_string ?(top = 5) (r : Analysis.report) =
     (ms run) (ms transfer) (ms blocked);
   Buffer.contents b
 
-let print ?top r = print_string (to_string ?top r)
+let print r = print_string (to_string r)

@@ -391,7 +391,7 @@ let test_hier_cost_gating () =
 
 let test_hierarchical_params () =
   let node_size = 4 in
-  let net = Netmodel.create_fabric (Topology.Fabric.two_tier ~node_size ~ranks:16 ()) ~ranks:16 in
+  let net = Netmodel.create_fabric (Netmodel.two_tier ~node_size ~ranks:16 ()) ~ranks:16 in
   let one_node = Netmodel.params_for_group net [| 4; 5; 7 |] in
   Alcotest.(check (float 0.0)) "intra-node latency" Netmodel.intra_node.Netmodel.latency
     one_node.Netmodel.latency;

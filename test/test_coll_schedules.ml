@@ -32,7 +32,7 @@ let net_name = function Flat -> "flat" | Two_tier -> "two_tier" | Scattered -> "
 let fabric_of net ~ranks =
   match net with
   | Flat -> None
-  | Two_tier -> Some (Topology.Fabric.two_tier ~node_size:4 ~ranks ())
+  | Two_tier -> Some (Simnet.Netmodel.two_tier ~node_size:4 ~ranks ())
   | Scattered ->
       let node_of = Topology.Place.scattered ~ranks ~node_size:4 in
       let nodes = Topology.Place.node_count node_of in

@@ -68,7 +68,7 @@ let test_hierarchical_network_faster_intra () =
     res.Mpisim.Mpi.sim_time
   in
   let flat = ping () in
-  let hier = ping ~fabric:(Fabric.two_tier ~node_size:2 ~ranks:4 ()) () in
+  let hier = ping ~fabric:(Simnet.Netmodel.two_tier ~node_size:2 ~ranks:4 ()) () in
   Alcotest.(check bool)
     (Printf.sprintf "intra-node cheaper (%.2fus vs %.2fus)" (1e6 *. hier) (1e6 *. flat))
     true (hier < flat)
@@ -95,7 +95,7 @@ let test_hierarchical_inter_node_unchanged () =
     in
     (Int64.bits_of_float res.Mpi.sim_time, res.Mpi.events, Mpi.results_exn res)
   in
-  let flat = job () and one_per_node = job ~fabric:(Fabric.two_tier ~node_size:1 ~ranks ()) () in
+  let flat = job () and one_per_node = job ~fabric:(Simnet.Netmodel.two_tier ~node_size:1 ~ranks ()) () in
   Alcotest.(check bool) "node_size 1 = flat, bit for bit" true (flat = one_per_node)
 
 let test_single_wrappers () =

@@ -19,12 +19,12 @@ let raises_invalid f =
 (* Placement maps                                                      *)
 
 let test_place () =
-  let block ~ranks ~node_size = (Topology.Fabric.two_tier ~node_size ~ranks ()).N.f_node_of in
+  let block ~ranks ~node_size = (N.two_tier ~node_size ~ranks ()).N.f_node_of in
   Alcotest.(check (array int)) "block" [| 0; 0; 0; 1; 1; 1; 2 |] (block ~ranks:7 ~node_size:3);
   Alcotest.(check (array int)) "round robin" [| 0; 1; 2; 0; 1; 2 |]
     (Topology.Place.round_robin ~ranks:6 ~nodes:3);
   Alcotest.(check (array int)) "racks" [| 0; 0; 1; 1; 2 |]
-    (Topology.Fabric.fat_tree ~node_size:1 ~nodes_per_rack:2 ~ranks:5 ()).N.f_rack_of;
+    (N.fat_tree ~node_size:1 ~nodes_per_rack:2 ~ranks:5 ()).N.f_rack_of;
   let sc = Topology.Place.scattered ~ranks:8 ~node_size:2 in
   check_int "scattered nodes" 4 (Topology.Place.node_count sc);
   Alcotest.(check (array int)) "scattered balanced" [| 2; 2; 2; 2 |] (Topology.Place.populations sc);
@@ -34,7 +34,7 @@ let test_place () =
   (* the one fabric validator, reached by every construction path *)
   let fabric ?(uplinks = 0) node_of rack_of =
     {
-      (Topology.Fabric.two_tier ~node_size:1 ~ranks:1 ()) with
+      (N.two_tier ~node_size:1 ~ranks:1 ()) with
       N.f_node_of = node_of;
       f_rack_of = rack_of;
       f_uplinks = uplinks;
@@ -58,17 +58,17 @@ let test_place () =
   check_bool "create_fabric: length mismatch" true
     (raises_invalid (fun () -> N.create_fabric (fabric [| 0; 0 |] [| 0 |]) ~ranks:3));
   check_bool "builders reject node_size 0" true
-    (raises_invalid (fun () -> Topology.Fabric.two_tier ~node_size:0 ~ranks:4 ()));
+    (raises_invalid (fun () -> N.two_tier ~node_size:0 ~ranks:4 ()));
   check_bool "builders reject nodes_per_rack 0" true
-    (raises_invalid (fun () -> Topology.Fabric.fat_tree ~node_size:2 ~nodes_per_rack:0 ~ranks:4 ()))
+    (raises_invalid (fun () -> N.fat_tree ~node_size:2 ~nodes_per_rack:0 ~ranks:4 ()))
 
 let test_fabric_builders () =
-  let f = Topology.Fabric.two_tier ~node_size:4 ~ranks:10 () in
+  let f = N.two_tier ~node_size:4 ~ranks:10 () in
   check_int "two-tier ranks" 10 (Topology.Fabric.ranks f);
   check_int "two-tier nodes" 3 (Topology.Fabric.nodes f);
   check_int "two-tier racks" 1 (Topology.Fabric.racks f);
   check_int "two-tier fullest node" 4 (Topology.Fabric.max_per_node f);
-  let ft = Topology.Fabric.fat_tree ~node_size:2 ~nodes_per_rack:2 ~uplinks:3 ~ranks:8 () in
+  let ft = N.fat_tree ~node_size:2 ~nodes_per_rack:2 ~uplinks:3 ~ranks:8 () in
   check_int "fat-tree nodes" 4 (Topology.Fabric.nodes ft);
   check_int "fat-tree racks" 2 (Topology.Fabric.racks ft);
   check_int "fat-tree uplinks" 3 ft.N.f_uplinks;
@@ -92,14 +92,14 @@ let test_spec_parsing () =
   Alcotest.(check (array int)) "fat: racks" [| 0; 0; 1; 1 |] ft.N.f_rack_of;
   check_int "fat: uplinks" 3 ft.N.f_uplinks;
   (* a spec and its builder are one code path *)
-  check_bool "two:4 = Fabric.two_tier" true
-    (N.fabric_of_spec ~ranks:10 "two:4" = Topology.Fabric.two_tier ~node_size:4 ~ranks:10 ());
-  check_bool "fat:8:4:2 = Fabric.fat_tree" true
+  check_bool "two:4 = Netmodel.two_tier" true
+    (N.fabric_of_spec ~ranks:10 "two:4" = N.two_tier ~node_size:4 ~ranks:10 ());
+  check_bool "fat:8:4:2 = Netmodel.fat_tree" true
     (N.fabric_of_spec ~ranks:100 "fat:8:4:2"
-    = Topology.Fabric.fat_tree ~node_size:8 ~nodes_per_rack:4 ~uplinks:2 ~ranks:100 ());
+    = N.fat_tree ~node_size:8 ~nodes_per_rack:4 ~uplinks:2 ~ranks:100 ());
   check_bool "fat:8:4 has no uplinks" true
     (N.fabric_of_spec ~ranks:64 "fat:8:4"
-    = Topology.Fabric.fat_tree ~node_size:8 ~nodes_per_rack:4 ~ranks:64 ());
+    = N.fat_tree ~node_size:8 ~nodes_per_rack:4 ~ranks:64 ());
   List.iter
     (fun spec ->
       check_bool (Printf.sprintf "spec %S rejected" spec) true
@@ -110,7 +110,7 @@ let test_spec_parsing () =
 (* Tiered routing and congestion in the network model                  *)
 
 let test_tier_selection () =
-  let f = Topology.Fabric.fat_tree ~node_size:2 ~nodes_per_rack:2 ~ranks:8 () in
+  let f = N.fat_tree ~node_size:2 ~nodes_per_rack:2 ~ranks:8 () in
   let t = N.create_fabric f ~ranks:8 in
   check_int "node of rank 5" 2 (N.node_of t 5);
   check_int "rack of rank 5" 1 (N.rack_of_rank t 5);
@@ -122,7 +122,7 @@ let test_tier_selection () =
 (* Satellite regression: a group confined to one tier must plan with that
    tier's parameters, not collapse to the pessimistic core tier. *)
 let test_params_for_group_pessimism () =
-  let f = Topology.Fabric.fat_tree ~node_size:2 ~nodes_per_rack:2 ~ranks:8 () in
+  let f = N.fat_tree ~node_size:2 ~nodes_per_rack:2 ~ranks:8 () in
   let t = N.create_fabric f ~ranks:8 in
   let lat g = (N.params_for_group t g).N.latency in
   check_bool "single-node group plans intra-node" true (lat [| 2; 3 |] = N.intra_node.N.latency);
@@ -149,7 +149,7 @@ let test_hier_for_group () =
   (* the rule reads the placement, not the constructor: one rank per node
      leaves no intra-node phase, even on a tiered fabric *)
   check_bool "one rank per node has no profile" true (N.hier_for_group two [| 1; 5 |] = None);
-  let singles = N.create_fabric (Topology.Fabric.two_tier ~node_size:1 ~ranks:8 ()) ~ranks:8 in
+  let singles = N.create_fabric (N.two_tier ~node_size:1 ~ranks:8 ()) ~ranks:8 in
   check_bool "node_size 1 fabric has no profile" true
     (N.hier_for_group singles (Array.init 8 Fun.id) = None);
   check_bool "uneven group keeps its profile" true (N.hier_for_group two [| 0; 1; 4 |] <> None)
@@ -159,7 +159,7 @@ let test_uplink_congestion () =
      shared uplink the second serializes behind the first; with
      uncongested uplinks they only serialize per-sender. *)
   let arrival ~uplinks =
-    let f = Topology.Fabric.two_tier ~uplinks ~node_size:2 ~ranks:4 () in
+    let f = N.two_tier ~uplinks ~node_size:2 ~ranks:4 () in
     let t = N.create_fabric f ~ranks:4 in
     let _, _ = N.transfer t ~now:0.0 ~src:0 ~dst:2 ~bytes:1000 ~pack_factor:1.0 in
     let _, a = N.transfer t ~now:0.0 ~src:1 ~dst:3 ~bytes:1000 ~pack_factor:1.0 in
@@ -168,7 +168,7 @@ let test_uplink_congestion () =
   check_bool "shared uplink serializes inter-node injection" true
     (arrival ~uplinks:1 > arrival ~uplinks:0);
   (* intra-node traffic never touches the uplink ports *)
-  let f = Topology.Fabric.two_tier ~uplinks:1 ~node_size:2 ~ranks:4 () in
+  let f = N.two_tier ~uplinks:1 ~node_size:2 ~ranks:4 () in
   let t = N.create_fabric f ~ranks:4 in
   let _, _ = N.transfer t ~now:0.0 ~src:0 ~dst:2 ~bytes:1000 ~pack_factor:1.0 in
   let t2 = N.create_fabric f ~ranks:4 in
@@ -176,7 +176,7 @@ let test_uplink_congestion () =
   let _, intra_after = N.transfer t ~now:0.0 ~src:1 ~dst:0 ~bytes:64 ~pack_factor:1.0 in
   check_bool "intra-node unaffected by uplink booking" true (intra_after = intra_clean);
   (* with two ports, the third message waits on the earliest-free one *)
-  let f2 = Topology.Fabric.two_tier ~uplinks:2 ~node_size:3 ~ranks:6 () in
+  let f2 = N.two_tier ~uplinks:2 ~node_size:3 ~ranks:6 () in
   let t3 = N.create_fabric f2 ~ranks:6 in
   let _, a1 = N.transfer t3 ~now:0.0 ~src:0 ~dst:3 ~bytes:1000 ~pack_factor:1.0 in
   let _, a2 = N.transfer t3 ~now:0.0 ~src:1 ~dst:4 ~bytes:1000 ~pack_factor:1.0 in
@@ -292,7 +292,7 @@ let test_autotune_plan () =
 let test_autotune_flat_is_flat () =
   (* without a hierarchy, the sweep must never name a hierarchical
      variant — the bit-identical-default guarantee at the planning layer *)
-  let flat = Topology.Fabric.two_tier ~node_size:8 ~ranks:8 () in
+  let flat = N.two_tier ~node_size:8 ~ranks:8 () in
   let plan = Topology.Autotune.tune flat ~p:8 in
   List.iter
     (fun table ->
@@ -369,7 +369,7 @@ let fabric_of_config c =
     let nodes = Topology.Place.node_count node_of in
     Topology.Fabric.make ~node_of ~rack_of:(Array.make nodes 0) ~node:N.intra_node ~rack:N.default
       ~core:N.default ()
-  else Topology.Fabric.two_tier ~node_size:c.dc_node_size ~ranks:c.dc_p ()
+  else N.two_tier ~node_size:c.dc_node_size ~ranks:c.dc_p ()
 
 let collect ~fabric ~ranks ~coll ~algo f =
   Mpisim.Mpi.results_exn

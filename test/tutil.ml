@@ -113,8 +113,8 @@ let check_clean ?(level = Mpisim.Checker.Communication) name f =
    under the checker, and fails — printing the minimized replay token —
    if any schedule crashes, trips the checker, or produces a different
    result digest. *)
-let explore ?schedules ?seed ?chaos ?deadline ?verdict ~ranks name f =
-  match Explore.explore ?schedules ?seed ?chaos ?deadline ?verdict ~dump:false ~ranks f with
+let explore ?schedules ?seed ?chaos ?verdict ~ranks name f =
+  match Explore.explore ?schedules ?seed ?chaos ?verdict ~dump:false ~ranks f with
   | Ok (_n : int) -> ()
   | Error ce ->
       Alcotest.failf
